@@ -54,18 +54,6 @@ from .trainer import TrainConfig, load_classifier, predict, save_classifier, tra
 _NOISE_NAMES = {"sym": "symmetric", "asym": "asymmetric", "idn": "instance_dependent"}
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("NOISELENS_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"thread count {value!r} is not an integer") from None
-    if threads < 1:
-        raise ValidationError("thread count must be at least 1")
-    return threads
-
-
 def _cmd_synth(args) -> int:
     dataset = make_blobs(args.classes, args.per_class, args.dim, args.sep, args.seed)
     record = None
@@ -215,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noiselens",
         description="Surrogate-guided clean-sample selection and margin-adjusted training.",
     )
-    parser.add_argument(
-        "--threads",
-        default=None,
-        help="cap on worker threads (default: NOISELENS_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic blob dataset with label noise")
@@ -306,7 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stage = args.command
     try:
-        _resolve_threads(args.threads)
         return args.handler(args)
     except NoiseLensError as exc:
         sys.stderr.write(f"error: [{stage}] {exc}\n")

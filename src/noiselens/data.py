@@ -5,31 +5,19 @@ Datasets and score matrices are immutable after construction (the backing
 arrays are frozen), so they can be shared freely across workers.
 """
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
 
+from . import codec
+from .codec import fmt_float  # noqa: F401  (re-exported)
 from .errors import FormatError, ValidationError
 
 # Files ingested from disk carry limited precision; internal computations
 # are held to a tighter budget.
 ROW_SUM_FILE_TOL = 1e-6
 ROW_SUM_INTERNAL_TOL = 1e-9
-
-MAGIC = b"NLNS"
-BINARY_VERSION = 1
-KIND_DATASET = 1
-KIND_SCORES = 2
-KIND_BANK = 3
-KIND_CLASSIFIER = 4
-
-
-def fmt_float(x) -> str:
-    """Shortest decimal string that parses back to the identical float64."""
-    return repr(float(x))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -262,179 +250,36 @@ def validate_score_matrix(scores: ScoreMatrix, dataset: Dataset) -> AlignmentRep
 # ---------------------------------------------------------------------------
 
 
-def _parse_header(line: str, tag: str, required: tuple[str, ...]) -> dict[str, str]:
-    parts = line.strip().split()
-    expected = f"#noiselens-{tag}"
-    if len(parts) < 2 or parts[0] != expected or parts[1] != "v1":
-        raise FormatError(f"line 1: expected '{expected} v1' header, got {line.strip()!r}")
-    kv = {}
-    for token in parts[2:]:
-        if "=" not in token:
-            raise FormatError(f"line 1: malformed header field {token!r}")
-        key, value = token.split("=", 1)
-        kv[key] = value
-    for key in required:
-        if key not in kv:
-            raise FormatError(f"line 1: header missing {key}=")
-    return kv
-
-
-def _header_int(kv: dict[str, str], key: str) -> int:
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise FormatError(f"line 1: {key}={kv[key]!r} is not an integer") from None
-
-
-def _read_text(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    return text.splitlines()
-
-
-def is_binary_file(path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(4) == MAGIC
-
-
-def _binary_header(buf: bytes, kind: int, path) -> int:
-    if buf[:4] != MAGIC:
-        raise FormatError(f"{path}: not a noiselens binary container")
-    version, file_kind = struct.unpack_from("<HB", buf, 4)
-    if version != BINARY_VERSION:
-        raise FormatError(f"{path}: unsupported binary version {version}")
-    if file_kind != kind:
-        raise FormatError(f"{path}: binary container holds kind {file_kind}, expected {kind}")
-    return 7
-
-
-def _take(buf: bytes, offset: int, dtype, count: int) -> tuple[np.ndarray, int]:
-    spec = np.dtype(dtype).newbyteorder("<")
-    needed = spec.itemsize * count
-    if offset + needed > len(buf):
-        raise FormatError(
-            f"truncated binary payload: need {needed} bytes at offset {offset}, "
-            f"have {len(buf) - offset}"
-        )
-    arr = np.frombuffer(buf, dtype=spec, count=count, offset=offset)
-    return arr.astype(dtype), offset + needed
-
-
 def save_dataset(path, dataset: Dataset, fmt: str = "text") -> None:
     """Write a dataset in the v1 text format, or the binary twin with
     ``fmt='binary'``."""
-    if fmt == "binary":
-        _save_dataset_binary(path, dataset)
-        return
-    if fmt != "text":
-        raise ValidationError(f"unknown format {fmt!r}")
+    gt = int(dataset.has_ground_truth)
     n, c, d = dataset.num_samples, dataset.num_classes, dataset.feature_dim
-    gt = 1 if dataset.has_ground_truth else 0
-    lines = [f"#noiselens-dataset v1 N={n} C={c} D={d} GT={gt}"]
-    for i in range(n):
-        fields = [str(int(dataset.ids[i])), str(int(dataset.noisy_labels[i]))]
-        if gt:
-            fields.append(str(int(dataset.true_labels[i])))
-        fields.extend(fmt_float(x) for x in dataset.features[i])
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _save_dataset_binary(path, dataset: Dataset) -> None:
-    n, c, d = dataset.num_samples, dataset.num_classes, dataset.feature_dim
-    gt = 1 if dataset.has_ground_truth else 0
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HB", BINARY_VERSION, KIND_DATASET))
-        fh.write(struct.pack("<QQQB", n, c, d, gt))
-        fh.write(dataset.ids.astype("<i8").tobytes())
-        fh.write(dataset.noisy_labels.astype("<i8").tobytes())
-        if gt:
-            fh.write(dataset.true_labels.astype("<i8").tobytes())
-        fh.write(dataset.features.astype("<f8").tobytes())
+    header = {"N": n, "C": c, "D": d, "GT": gt}
+    labels = [dataset.noisy_labels] + ([dataset.true_labels] if gt else [])
+    codec.save(path, fmt, codec.DATASET, header, [[dataset.ids, *labels, dataset.features]])
 
 
 def load_dataset(path, fmt: str = "auto") -> Dataset:
     """Load a dataset, auto-detecting the binary container by magic bytes."""
-    if fmt == "auto":
-        fmt = "binary" if is_binary_file(path) else "text"
-    if fmt == "binary":
-        return _load_dataset_binary(path)
-    if fmt != "text":
-        raise ValidationError(f"unknown format {fmt!r}")
-
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "dataset", ("N", "C", "D", "GT"))
-    n, c, d = _header_int(kv, "N"), _header_int(kv, "C"), _header_int(kv, "D")
-    gt = _header_int(kv, "GT")
+    reader = codec.read(path, fmt, codec.DATASET)
+    n, c, d, gt = reader.counts
     if gt not in (0, 1):
-        raise FormatError("line 1: GT must be 0 or 1")
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != n:
-        raise FormatError(f"header declares N={n} but file has {len(records)} records")
-
-    ids = np.empty(n, dtype=np.int64)
-    noisy = np.empty(n, dtype=np.int64)
-    true = np.empty(n, dtype=np.int64) if gt else None
-    feats = np.empty((n, d), dtype=np.float64)
-    width = 2 + gt + d
-    for i, line in enumerate(records):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != width:
-            raise FormatError(
-                f"line {lineno}: expected {width} fields, got {len(parts)}"
-            )
-        try:
-            ids[i] = int(parts[0])
-            noisy[i] = int(parts[1])
-            if gt:
-                true[i] = int(parts[2])
-            row = np.array([float(x) for x in parts[2 + gt:]], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(row)):
-            raise FormatError(f"line {lineno}: non-finite feature value")
-        if not 0 <= noisy[i] < c or (gt and not 0 <= true[i] < c):
-            raise FormatError(f"line {lineno}: label out of range")
-        feats[i] = row
-    return Dataset(LabelSpace.default(c), ids, feats, noisy, true)
-
-
-def _load_dataset_binary(path) -> Dataset:
-    buf = Path(path).read_bytes()
-    off = _binary_header(buf, KIND_DATASET, path)
-    n, c, d, gt = struct.unpack_from("<QQQB", buf, off)
-    off += 25
-    ids, off = _take(buf, off, np.int64, n)
-    noisy, off = _take(buf, off, np.int64, n)
-    true = None
-    if gt:
-        true, off = _take(buf, off, np.int64, n)
-    feats, off = _take(buf, off, np.float64, n * d)
-    if np.any(noisy < 0) or np.any(noisy >= c) or (gt and (np.any(true < 0) or np.any(true >= c))):
-        raise FormatError(f"{path}: label out of range")
-    return Dataset(LabelSpace.default(c), ids, feats.reshape(n, d), noisy, true)
+        raise FormatError(f"{path}: GT must be 0 or 1")
+    ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)])
+    reader.end()
+    for problem, bad in (
+        ("label out of range", np.any([(y < 0) | (y >= c) for y in labels], axis=0)),
+        ("non-finite feature value", ~np.isfinite(feats).all(axis=1)),
+    ):
+        if bad.any():
+            raise FormatError(f"{reader.where(int(np.argmax(bad)))}: {problem}")
+    return Dataset(LabelSpace.default(c), ids, feats, labels[0], labels[1] if gt else None)
 
 
 def save_score_matrix(path, scores: ScoreMatrix, fmt: str = "text") -> None:
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<HB", BINARY_VERSION, KIND_SCORES))
-            fh.write(struct.pack("<QQ", scores.num_rows, scores.num_cols))
-            fh.write(scores.sample_ids.astype("<i8").tobytes())
-            fh.write(scores.values.astype("<f8").tobytes())
-        return
-    if fmt != "text":
-        raise ValidationError(f"unknown format {fmt!r}")
-    lines = [f"#noiselens-scores v1 N={scores.num_rows} C={scores.num_cols}"]
-    for i in range(scores.num_rows):
-        lines.append(
-            ",".join([str(int(scores.sample_ids[i]))] + [fmt_float(x) for x in scores.values[i]])
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    header = {"N": scores.num_rows, "C": scores.num_cols}
+    codec.save(path, fmt, codec.SCORES, header, [[scores.sample_ids, scores.values]])
 
 
 def load_score_matrix(path, dataset: Dataset) -> ScoreMatrix:
@@ -447,33 +292,8 @@ def load_score_matrix(path, dataset: Dataset) -> ScoreMatrix:
 
 def read_score_matrix(path) -> ScoreMatrix:
     """Parse a score file without dataset alignment checks."""
-    if is_binary_file(path):
-        buf = Path(path).read_bytes()
-        off = _binary_header(buf, KIND_SCORES, path)
-        n, c = struct.unpack_from("<QQ", buf, off)
-        off += 16
-        ids, off = _take(buf, off, np.int64, n)
-        values, off = _take(buf, off, np.float64, n * c)
-        return ScoreMatrix(values.reshape(n, c), ids)
-
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "scores", ("N", "C"))
-    n, c = _header_int(kv, "N"), _header_int(kv, "C")
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != n:
-        raise FormatError(f"header declares N={n} but file has {len(records)} records")
-    ids = np.empty(n, dtype=np.int64)
-    values = np.empty((n, c), dtype=np.float64)
-    for i, line in enumerate(records):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != c + 1:
-            raise FormatError(f"line {lineno}: expected {c + 1} fields, got {len(parts)}")
-        try:
-            ids[i] = int(parts[0])
-            values[i] = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+    reader = codec.read(path, "auto", codec.SCORES)
+    n, c = reader.counts
+    ids, values = reader.rows(n, [int, (float, c)])
+    reader.end()
     return ScoreMatrix(values, ids)

@@ -1,14 +1,16 @@
 """Config-driven end-to-end runs: score, select, estimate priors, train,
 evaluate, and write every intermediate artifact plus a manifest.
 
-Config files are line-oriented `section.key = value` text; `#` starts a
-comment and keys nest exactly one dot deep. All randomness comes from
-seeds named in the config, and nothing time-dependent is written, so a
-repeated run produces byte-identical artifacts.
+Config files are line-oriented `section.key = value` text; `#` at the
+start of a line or after whitespace starts a comment, and keys nest
+exactly one dot deep. All randomness comes from seeds named in the
+config, and nothing time-dependent is written, so a repeated run
+produces byte-identical artifacts.
 """
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,6 +78,10 @@ _SCHEMA = {
     "output": {"dir"},
 }
 
+# '#' opens a comment at the start of a line or after whitespace, so values
+# such as `data#1/ds.txt` keep their '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 ARTIFACT_ORDER = (
     "dataset.txt",
     "corruption.txt",
@@ -94,7 +100,7 @@ def parse_config_text(text: str) -> dict:
     """`section.key = value` lines into a {(section, key): value} dict."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:

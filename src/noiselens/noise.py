@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
+from . import codec
 from . import data as _data
-from .data import Dataset, LabelSpace, fmt_float
-from .errors import FormatError, ValidationError
+from .data import Dataset, LabelSpace
+from .errors import ValidationError
 from .selection import SelectionMask
 
 NOISE_KINDS = ("symmetric", "asymmetric", "instance_dependent")
@@ -318,60 +319,34 @@ def oracle_scores(dataset: Dataset, correct_prob: float = 1.0):
 
 
 def save_corruption_record(path, record: CorruptionRecord, spec: NoiseSpec) -> None:
-    """Write the record plus the nominal spec as `#noiselens-corruption v1`."""
-    c = record.realized_transition.shape[0]
-    lines = [
-        f"#noiselens-corruption v1 N={record.num_samples} C={c} "
-        f"KIND={spec.kind} RATE={fmt_float(spec.rate)} SEED={spec.seed} "
-        f"FLIPPED={record.num_flipped} REALIZED={fmt_float(record.realized_rate)}"
-    ]
-    lines.append(",".join(str(int(i)) for i in record.flipped_ids))
-    for row in record.realized_transition:
-        lines.append(",".join(fmt_float(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the record plus the nominal spec as `#noiselens-corruption v1`:
+    one row of flipped ids (blank when none flipped), then the C rows of the
+    realized transition matrix."""
+    header = {
+        "N": record.num_samples,
+        "C": record.realized_transition.shape[0],
+        "KIND": spec.kind,
+        "RATE": codec.fmt_float(spec.rate),
+        "SEED": spec.seed,
+        "FLIPPED": record.num_flipped,
+        "REALIZED": codec.fmt_float(record.realized_rate),
+    }
+    blocks = [[record.flipped_ids[None, :]], [record.realized_transition]]
+    codec.write_text(path, codec.CORRUPTION, header, blocks)
 
 
 def load_corruption_record(path) -> tuple:
     """Read a corruption record; returns (record, header_dict)."""
-    lines = _data._read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = _data._parse_header(lines[0], "corruption", ("N", "C", "KIND", "FLIPPED", "REALIZED"))
-    n = _data._header_int(header, "N")
-    c = _data._header_int(header, "C")
-    flipped_count = _data._header_int(header, "FLIPPED")
-    if len(lines) != 2 + c:
-        raise FormatError(f"{path}: expected {2 + c} lines, found {len(lines)}")
-    raw = lines[1].strip()
-    if raw:
-        try:
-            flipped = np.array([int(tok) for tok in raw.split(",")], dtype=np.int64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad flipped-id list: {exc}") from None
-    else:
-        flipped = np.zeros(0, dtype=np.int64)
-    if flipped.size != flipped_count:
-        raise FormatError(
-            f"{path}: header says {flipped_count} flipped ids, found {flipped.size}"
-        )
-    transition = np.zeros((c, c))
-    for i in range(c):
-        parts = lines[2 + i].split(",")
-        if len(parts) != c:
-            raise FormatError(f"{path}: transition row {i} has {len(parts)} entries, expected {c}")
-        try:
-            transition[i] = [float(tok) for tok in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}: transition row {i}: {exc}") from None
-    try:
-        realized = float(header["REALIZED"])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad REALIZED value: {exc}") from None
+    reader = codec.read(path, "auto", codec.CORRUPTION)
+    n, c, flipped_count = reader.counts
+    realized = reader.real("REALIZED")
+    (flipped,) = reader.rows(1, [(int, flipped_count)], "flipped-id row")
+    (transition,) = reader.rows(c, [(float, c)], "transition row")
+    reader.end()
     record = CorruptionRecord(
-        flipped_ids=flipped,
+        flipped_ids=flipped[0],
         realized_rate=realized,
         realized_transition=transition,
         num_samples=n,
     )
-    return record, header
+    return record, reader.header

@@ -6,21 +6,13 @@ Both statistics condition on noisy labels only.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    LabelSpace,
-    ScoreMatrix,
-    _header_int,
-    _parse_header,
-    _read_text,
-    fmt_float,
-)
-from .errors import FormatError, ValidationError
+from . import codec
+from .data import Dataset, LabelSpace, ScoreMatrix
+from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-9
 
@@ -45,8 +37,8 @@ class TransitionMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValidationError("transition matrix must be square")
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
+            raise ValidationError("transition matrix must be square and non-empty")
         if not np.all(np.isfinite(values)):
             raise ValidationError("non-finite transition matrix entry")
         if values.min() < 0.0 or values.max() > 1.0 + ROW_SUM_TOL:
@@ -83,8 +75,8 @@ class ClassPrior:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if values.ndim != 1 or counts.shape != values.shape:
-            raise ValidationError("prior values and counts must be equal-length vectors")
+        if values.ndim != 1 or counts.shape != values.shape or values.size == 0:
+            raise ValidationError("prior values and counts must be equal-length, non-empty vectors")
         if values.min() <= 0.0:
             raise ValidationError("smoothed prior entries must be strictly positive")
         if abs(values.sum() - 1.0) > 1e-12:
@@ -150,58 +142,25 @@ def compute_class_prior(clean_subset: Dataset, label_space: LabelSpace) -> Class
 
 
 def save_transition_matrix(path, matrix: TransitionMatrix) -> None:
-    lines = [f"#noiselens-tm v1 C={matrix.num_classes}"]
-    for row in matrix.values:
-        lines.append(",".join(fmt_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    codec.write_text(path, codec.TRANSITION, {"C": matrix.num_classes}, [[matrix.values]])
 
 
 def load_transition_matrix(path) -> TransitionMatrix:
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "tm", ("C",))
-    c = _header_int(kv, "C")
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != c:
-        raise FormatError(f"header declares C={c} but file has {len(records)} rows")
-    values = np.empty((c, c), dtype=np.float64)
-    for i, line in enumerate(records):
-        parts = line.split(",")
-        if len(parts) != c:
-            raise FormatError(f"line {i + 2}: expected {c} fields, got {len(parts)}")
-        try:
-            values[i] = [float(x) for x in parts]
-        except ValueError as exc:
-            raise FormatError(f"line {i + 2}: {exc}") from None
+    reader = codec.read(path, "auto", codec.TRANSITION)
+    (c,) = reader.counts
+    (values,) = reader.rows(c, [(float, c)])
+    reader.end()
     return TransitionMatrix(values)
 
 
 def save_class_prior(path, prior: ClassPrior) -> None:
-    lines = [f"#noiselens-prior v1 C={prior.values.size} TOTAL={prior.total}"]
-    for j in range(prior.values.size):
-        lines.append(f"{int(prior.counts[j])},{fmt_float(prior.values[j])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    header = {"C": prior.values.size, "TOTAL": prior.total}
+    codec.write_text(path, codec.PRIOR, header, [[prior.counts, prior.values]])
 
 
 def load_class_prior(path) -> ClassPrior:
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "prior", ("C", "TOTAL"))
-    c, total = _header_int(kv, "C"), _header_int(kv, "TOTAL")
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != c:
-        raise FormatError(f"header declares C={c} but file has {len(records)} rows")
-    counts = np.empty(c, dtype=np.int64)
-    values = np.empty(c, dtype=np.float64)
-    for i, line in enumerate(records):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"line {i + 2}: expected 2 fields, got {len(parts)}")
-        try:
-            counts[i] = int(parts[0])
-            values[i] = float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"line {i + 2}: {exc}") from None
+    reader = codec.read(path, "auto", codec.PRIOR)
+    c, total = reader.counts
+    counts, values = reader.rows(c, [int, float])
+    reader.end()
     return ClassPrior(values, counts, total)

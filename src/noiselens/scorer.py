@@ -5,28 +5,13 @@ embeddings into a row-stochastic score matrix; scores produced elsewhere can
 enter through a score file instead.
 """
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    BINARY_VERSION,
-    KIND_BANK,
-    MAGIC,
-    Dataset,
-    ScoreMatrix,
-    _binary_header,
-    _header_int,
-    _parse_header,
-    _read_text,
-    _take,
-    fmt_float,
-    is_binary_file,
-    load_score_matrix,
-    validate_score_matrix,
-)
+from . import codec
+from .data import Dataset, ScoreMatrix, load_score_matrix, validate_score_matrix
 from .errors import FormatError, ValidationError
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
@@ -147,92 +132,53 @@ def score_with_surrogate(
 
 
 def save_embedding_bank(path, bank: ClassEmbeddingBank, fmt: str = "text") -> None:
-    if fmt == "binary":
+    c, d = bank.embeddings.shape
+    if codec.is_binary(fmt):
         prompt = bank.prompt_id.encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<HB", BINARY_VERSION, KIND_BANK))
-            fh.write(struct.pack("<QQH", bank.num_classes, bank.dim, len(prompt)))
-            fh.write(prompt)
-            fh.write(bank.embeddings.astype("<f8").tobytes())
-        return
-    if fmt != "text":
-        raise ValidationError(f"unknown format {fmt!r}")
-    lines = [f"#noiselens-bank v1 C={bank.num_classes} D={bank.dim} PROMPT={bank.prompt_id}"]
-    for j in range(bank.num_classes):
-        lines.append(",".join([str(j)] + [fmt_float(x) for x in bank.embeddings[j]]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        codec.write_binary(path, codec.BANK, (c, d, len(prompt)), prompt, bank.embeddings)
+    else:
+        header = {"C": c, "D": d, "PROMPT": bank.prompt_id}
+        codec.write_text(path, codec.BANK, header, [[np.arange(c), bank.embeddings]])
 
 
 def load_embedding_bank(path) -> ClassEmbeddingBank:
-    if is_binary_file(path):
-        buf = Path(path).read_bytes()
-        off = _binary_header(buf, KIND_BANK, path)
-        c, d, plen = struct.unpack_from("<QQH", buf, off)
-        off += 18
-        prompt = buf[off:off + plen].decode("utf-8")
-        off += plen
-        emb, off = _take(buf, off, np.float64, c * d)
-        return ClassEmbeddingBank(emb.reshape(c, d), prompt)
-
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "bank", ("C", "D", "PROMPT"))
-    c, d = _header_int(kv, "C"), _header_int(kv, "D")
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != c:
-        raise FormatError(f"header declares C={c} but file has {len(records)} records")
-    emb = np.empty((c, d), dtype=np.float64)
-    seen = set()
-    for i, line in enumerate(records):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise FormatError(f"line {lineno}: expected {d + 1} fields, got {len(parts)}")
-        try:
-            idx = int(parts[0])
-            row = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not 0 <= idx < c or idx in seen:
-            raise FormatError(f"line {lineno}: bad or repeated class index {idx}")
-        seen.add(idx)
-        emb[idx] = row
-    return ClassEmbeddingBank(emb, kv["PROMPT"])
+    """Text rows carry their class index (any order, each class once); the
+    binary container stores the prompt and then the rows in class order."""
+    reader = codec.read(path, "auto", codec.BANK)
+    c, d = reader.counts[:2]
+    if isinstance(reader, codec.BinaryReader):
+        prompt = reader.text(reader.counts[2])
+        (embeddings,) = reader.rows(c, [(float, d)])
+    else:
+        prompt = reader.header["PROMPT"]
+        index, rows = reader.rows(c, [int, (float, d)])
+        seen = np.zeros(c, dtype=bool)
+        for i, j in enumerate(index.tolist()):
+            if not 0 <= j < c or seen[j]:
+                raise FormatError(f"{reader.where(i)}: bad or repeated class index {j}")
+            seen[j] = True
+        embeddings = np.empty_like(rows)
+        embeddings[index] = rows
+    reader.end()
+    return ClassEmbeddingBank(embeddings, prompt)
 
 
 def load_embedding_table(path, dataset: Dataset) -> np.ndarray:
-    """Load per-sample embeddings from a bank-format file whose first column
-    is the sample id; rows must match the dataset order exactly."""
-    if is_binary_file(path):
-        raise FormatError(f"{path}: per-sample embedding tables are text-only")
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "bank", ("C", "D"))
-    n, d = _header_int(kv, "C"), _header_int(kv, "D")
+    """Load per-sample embeddings from a bank-format text file whose first
+    column is the sample id; rows must match the dataset order exactly."""
+    reader = codec.read(path, "auto", codec.EMBEDDING_TABLE)
+    n, d = reader.counts
     if n != dataset.num_samples:
         raise ValidationError(
             f"embedding table has {n} rows, dataset has {dataset.num_samples}"
         )
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != n:
-        raise FormatError(f"header declares {n} rows but file has {len(records)}")
-    out = np.empty((n, d), dtype=np.float64)
-    for i, line in enumerate(records):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise FormatError(f"line {lineno}: expected {d + 1} fields, got {len(parts)}")
-        try:
-            row_id = int(parts[0])
-            out[i] = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if row_id != int(dataset.ids[i]):
-            raise ValidationError(
-                f"line {lineno}: embedding id {row_id} does not match dataset id "
-                f"{int(dataset.ids[i])}"
-            )
-    return out
+    ids, embeddings = reader.rows(n, [int, (float, d)])
+    reader.end()
+    mismatch = np.flatnonzero(ids != dataset.ids)
+    if mismatch.size:
+        i = int(mismatch[0])
+        raise ValidationError(
+            f"{reader.where(i)}: embedding id {int(ids[i])} does not match dataset id "
+            f"{int(dataset.ids[i])}"
+        )
+    return embeddings

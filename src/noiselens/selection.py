@@ -6,11 +6,11 @@ Selection reads only noisy labels and scores, never ground truth.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, ScoreMatrix, _header_int, _parse_header, _read_text, fmt_float
+from . import codec
+from .data import Dataset, ScoreMatrix
 from .errors import FormatError, ValidationError
 
 CRITERION_CONFIDENCE = "confidence"
@@ -98,16 +98,13 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
 def _js_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Jensen-Shannon divergence in nats, zeros handled by the
     x*log(x) -> 0 limit."""
-    a = np.where(a < ZERO_CUTOFF, 0.0, a)
-    b = np.where(b < ZERO_CUTOFF, 0.0, b)
-    m = 0.5 * (a + b)
-
-    def half_kl(p):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = p * np.log(p / m)
-        return np.where(p > 0.0, terms, 0.0).sum(axis=-1)
-
-    return np.maximum(0.5 * half_kl(a) + 0.5 * half_kl(b), 0.0)
+    pq = np.array((a, b))
+    pq[pq < ZERO_CUTOFF] = 0.0
+    m = 0.5 * (pq[0] + pq[1])
+    # Both half-KL terms at once; a zero entry keeps ratio 1 and adds 0*log(1).
+    ratio = np.divide(pq, m, out=np.ones_like(pq), where=pq > 0.0)
+    half_kl = (pq * np.log(ratio)).sum(axis=-1)
+    return np.maximum(0.5 * half_kl[0] + 0.5 * half_kl[1], 0.0)
 
 
 def js_divergence(p, q) -> float:
@@ -178,45 +175,22 @@ def apply_masks(dataset: Dataset, masks) -> Dataset:
 
 
 def save_mask(path, mask: SelectionMask) -> None:
-    lines = [
-        f"#noiselens-mask v1 N={mask.sample_ids.size} "
-        f"CRITERION={mask.criterion} THRESHOLD={fmt_float(mask.threshold)}"
-    ]
-    for i in range(mask.sample_ids.size):
-        lines.append(
-            f"{int(mask.sample_ids[i])},{fmt_float(mask.scores[i])},{int(mask.verdicts[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    header = {
+        "N": mask.sample_ids.size,
+        "CRITERION": mask.criterion,
+        "THRESHOLD": codec.fmt_float(mask.threshold),
+    }
+    columns = [mask.sample_ids, mask.scores, mask.verdicts.astype(np.int64)]
+    codec.write_text(path, codec.MASK, header, [columns])
 
 
 def load_mask(path) -> SelectionMask:
-    lines = _read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    kv = _parse_header(lines[0], "mask", ("N", "CRITERION", "THRESHOLD"))
-    n = _header_int(kv, "N")
-    try:
-        threshold = float(kv["THRESHOLD"])
-    except ValueError:
-        raise FormatError("line 1: THRESHOLD is not a float") from None
-    records = [ln for ln in lines[1:] if ln.strip()]
-    if len(records) != n:
-        raise FormatError(f"header declares N={n} but file has {len(records)} records")
-    ids = np.empty(n, dtype=np.int64)
-    scores = np.empty(n, dtype=np.float64)
-    verdicts = np.empty(n, dtype=bool)
-    for i, line in enumerate(records):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            ids[i] = int(parts[0])
-            scores[i] = float(parts[1])
-            flag = int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if flag not in (0, 1):
-            raise FormatError(f"line {lineno}: verdict must be 0 or 1")
-        verdicts[i] = bool(flag)
-    return SelectionMask(ids, scores, verdicts, kv["CRITERION"], threshold)
+    reader = codec.read(path, "auto", codec.MASK)
+    (n,) = reader.counts
+    threshold = reader.real("THRESHOLD")
+    ids, scores, flags = reader.rows(n, [int, float, int])
+    reader.end()
+    bad = (flags != 0) & (flags != 1)
+    if bad.any():
+        raise FormatError(f"{reader.where(int(np.argmax(bad)))}: verdict must be 0 or 1")
+    return SelectionMask(ids, scores, flags.astype(bool), reader.header["CRITERION"], threshold)

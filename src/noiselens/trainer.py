@@ -11,16 +11,16 @@ softmax over the linear logits.
 """
 
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import codec
 from . import data as _data
-from .data import Dataset, fmt_float
-from .errors import FormatError, TrainingDivergedError, ValidationError
+from .data import Dataset
+from .errors import TrainingDivergedError, ValidationError
 from .losses import MarginConfig, nabm_loss_batch
 from .priors import ClassPrior, TransitionMatrix
 
@@ -212,65 +212,14 @@ def save_classifier(path, classifier: LinearClassifier, fmt: str = "text") -> No
     """`#noiselens-clf v1 C= D=` followed by C weight rows and one bias row,
     or the binary container (kind 4)."""
     c, d = classifier.weights.shape
-    if fmt == "text":
-        lines = [f"#noiselens-clf v1 C={c} D={d}"]
-        for row in classifier.weights:
-            lines.append(",".join(fmt_float(v) for v in row))
-        lines.append(",".join(fmt_float(v) for v in classifier.bias))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    elif fmt == "binary":
-        payload = [
-            _data.MAGIC,
-            struct.pack("<HB", _data.BINARY_VERSION, _data.KIND_CLASSIFIER),
-            struct.pack("<QQ", c, d),
-            classifier.weights.astype("<f8").tobytes(),
-            classifier.bias.astype("<f8").tobytes(),
-        ]
-        with open(path, "wb") as fh:
-            fh.write(b"".join(payload))
-    else:
-        raise ValidationError(f"unknown format {fmt!r}")
+    blocks = [[classifier.weights], [classifier.bias[None, :]]]
+    codec.save(path, fmt, codec.CLASSIFIER, {"C": c, "D": d}, blocks)
 
 
 def load_classifier(path, fmt: str = "auto") -> LinearClassifier:
-    if fmt == "auto":
-        fmt = "binary" if _data.is_binary_file(path) else "text"
-    if fmt == "binary":
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        offset = _data._binary_header(buf, _data.KIND_CLASSIFIER, path)
-        c, d = struct.unpack_from("<QQ", buf, offset)
-        offset += 16
-        weights, offset = _data._take(buf, offset, "<f8", c * d)
-        bias, offset = _data._take(buf, offset, "<f8", c)
-        if offset != len(buf):
-            raise FormatError(f"{path}: {len(buf) - offset} trailing bytes")
-        return LinearClassifier(weights=weights.reshape(c, d), bias=bias)
-    if fmt != "text":
-        raise ValidationError(f"unknown format {fmt!r}")
-    lines = _data._read_text(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = _data._parse_header(lines[0], "clf", ("C", "D"))
-    c = _data._header_int(header, "C")
-    d = _data._header_int(header, "D")
-    if len(lines) != 2 + c:
-        raise FormatError(f"{path}: expected {2 + c} lines, found {len(lines)}")
-    weights = np.zeros((c, d))
-    for i in range(c):
-        parts = lines[1 + i].split(",")
-        if len(parts) != d:
-            raise FormatError(f"{path}: weight row {i} has {len(parts)} entries, expected {d}")
-        try:
-            weights[i] = [float(tok) for tok in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}: weight row {i}: {exc}") from None
-    parts = lines[1 + c].split(",")
-    if len(parts) != c:
-        raise FormatError(f"{path}: bias row has {len(parts)} entries, expected {c}")
-    try:
-        bias = np.array([float(tok) for tok in parts])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bias row: {exc}") from None
-    return LinearClassifier(weights=weights, bias=bias)
+    reader = codec.read(path, fmt, codec.CLASSIFIER)
+    c, d = reader.counts
+    (weights,) = reader.rows(c, [(float, d)], "weight row")
+    (bias,) = reader.rows(1, [(float, c)], "bias row")
+    reader.end()
+    return LinearClassifier(weights=weights, bias=bias[0])

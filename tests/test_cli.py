@@ -41,31 +41,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: [score]")
 
-    def test_invalid_threads_value(self, tmp_path, capsys):
-        code = run(
-            ["--threads", "zero", "synth", "--classes", "2", "--per-class", "5",
-             "--dim", "3", "--sep", "2.0", "--out", str(tmp_path / "ds.txt")]
-        )
-        assert code == 1
-        assert "thread count" in capsys.readouterr().err
-
-    def test_invalid_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NOISELENS_THREADS", "0")
-        code = run(
-            ["synth", "--classes", "2", "--per-class", "5", "--dim", "3",
-             "--sep", "2.0", "--out", str(tmp_path / "ds.txt")]
-        )
-        assert code == 1
-        assert "thread count" in capsys.readouterr().err
-
-    def test_valid_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOISELENS_THREADS", "2")
-        code = run(
-            ["synth", "--classes", "2", "--per-class", "5", "--dim", "3",
-             "--sep", "2.0", "--out", str(tmp_path / "ds.txt")]
-        )
-        assert code == 0
-
 
 @pytest.fixture
 def pipeline_files(tmp_path):

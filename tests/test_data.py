@@ -218,12 +218,16 @@ class TestDatasetFiles:
         save_dataset(path, ds)
         loaded = load_dataset(path)
         assert not loaded.has_ground_truth
+        np.testing.assert_array_equal(loaded.features, ds.features)
+        np.testing.assert_array_equal(loaded.noisy_labels, ds.noisy_labels)
 
     def test_binary_round_trip_and_autodetect(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "ds.bin"
         save_dataset(path, ds, fmt="binary")
         loaded = load_dataset(path)  # fmt="auto" sniffs the magic
+        np.testing.assert_array_equal(loaded.ids, ds.ids)
+        np.testing.assert_array_equal(loaded.noisy_labels, ds.noisy_labels)
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.true_labels, ds.true_labels)
 
@@ -279,12 +283,15 @@ class TestScoreFiles:
 
     def test_binary_round_trip(self, tmp_path):
         ds = small_dataset()
-        values = np.full((4, 3), 1 / 3)
+        raw = np.random.default_rng(1).random((4, 3)) + 0.1
+        values = raw / raw.sum(axis=1, keepdims=True)
         scores = ScoreMatrix(values=values, sample_ids=ds.ids)
-        path = tmp_path / "scores.bin"
-        save_score_matrix(path, scores, fmt="binary")
-        raw = read_score_matrix(path)
-        np.testing.assert_array_equal(raw.values, values)
+        for fmt in ("binary", "text"):  # both formats are bit-exact
+            path = tmp_path / f"scores.{fmt}"
+            save_score_matrix(path, scores, fmt=fmt)
+            loaded = read_score_matrix(path)
+            np.testing.assert_array_equal(loaded.values, values)
+            np.testing.assert_array_equal(loaded.sample_ids, ds.ids)
 
     def test_misaligned_ids_rejected_on_load(self, tmp_path):
         ds = small_dataset()

@@ -54,8 +54,10 @@ class TestConfigParsing:
         entries = parse_config_text(
             "# top comment\n\ndataset.source = synth  # trailing comment\n"
             "output.dir = runs/a=b\n"
+            "dataset.path = data#1/ds.txt\n"
         )
         assert entries[("dataset", "source")] == "synth"
+        assert entries[("dataset", "path")] == "data#1/ds.txt"  # '#' inside a value
         assert entries[("output", "dir")] == "runs/a=b"  # split on first '=' only
 
     def test_exactly_one_dot(self):

@@ -160,6 +160,8 @@ class TestClassPrior:
             ClassPrior(np.array([0.7, 0.4]), np.array([2, 2]), 4)  # sum != 1
         with pytest.raises(ValidationError):
             ClassPrior(np.array([1.0, 0.0]), np.array([4, 0]), 4)  # zero entry
+        with pytest.raises(ValidationError):
+            ClassPrior(np.array([]), np.array([]), 0)  # no classes
 
 
 class TestFiles:
@@ -187,9 +189,10 @@ class TestFiles:
 
     def test_non_stochastic_file_rejected(self, tmp_path):
         path = tmp_path / "tm.txt"
-        path.write_text("#noiselens-tm v1 C=2\n0.5,0.5\n0.9,0.9\n", encoding="utf-8")
-        with pytest.raises(ValidationError):
-            load_transition_matrix(path)
+        for text in ("#noiselens-tm v1 C=2\n0.5,0.5\n0.9,0.9\n", "#noiselens-tm v1 C=0\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValidationError):
+                load_transition_matrix(path)
 
     def test_prior_round_trip(self, tmp_path):
         subset = dataset_with_labels([0, 0, 0, 1, 2], 3)

@@ -125,6 +125,10 @@ class TestBank:
         loaded = load_embedding_bank(path)
         np.testing.assert_array_equal(loaded.embeddings, BANK.embeddings)
         assert loaded.prompt_id == "ref"
+        # The same file read as a per-sample embedding table: row j is sample j.
+        n = BANK.num_classes
+        ds = Dataset(LabelSpace.default(2), np.arange(n), np.zeros((n, 1)), np.zeros(n, int))
+        np.testing.assert_array_equal(load_embedding_table(path, ds), BANK.embeddings)
 
     def test_binary_round_trip(self, tmp_path):
         path = tmp_path / "bank.bin"
