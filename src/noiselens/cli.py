@@ -13,12 +13,11 @@ import numpy as np
 
 from .data import load_dataset, load_score_matrix, save_dataset, save_score_matrix
 from .errors import NoiseLensError, ValidationError
-from .experiment import load_experiment_config, parse_pair_map, run_experiment
+from .experiment import load_experiment_config, noise_spec, run_experiment
 from .losses import MarginConfig
 from .noise import (
-    DEFAULT_BUDGET_BOUNDS,
     DEFAULT_BUDGET_SD,
-    NoiseSpec,
+    DEFAULT_NOISE_RATE,
     inject_noise,
     make_blobs,
     save_corruption_record,
@@ -32,14 +31,19 @@ from .priors import (
     save_transition_matrix,
 )
 from .report import (
-    accuracy,
     confidence_histogram,
+    evaluate,
     format_records,
     format_table,
     histogram_rows,
-    top_k_accuracy,
 )
-from .scorer import ScorerConfig, cosine_softmax_score, load_embedding_bank, load_embedding_table
+from .scorer import (
+    DEFAULT_TEMPERATURE,
+    ScorerConfig,
+    load_embedding_bank,
+    load_embedding_table,
+    score_with_surrogate,
+)
 from .selection import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_CONSISTENCY_THRESHOLD,
@@ -49,7 +53,7 @@ from .selection import (
     select_by_confidence,
     select_by_prompt_consistency,
 )
-from .trainer import TrainConfig, load_classifier, predict, save_classifier, train
+from .trainer import TrainConfig, load_classifier, save_classifier, train
 
 _NOISE_NAMES = {"sym": "symmetric", "asym": "asymmetric", "idn": "instance_dependent"}
 
@@ -59,26 +63,14 @@ def _cmd_synth(args) -> int:
     record = None
     spec = None
     if args.noise != "none":
-        kind = _NOISE_NAMES[args.noise]
-        pair_map = None
-        if kind == "asymmetric":
-            if not args.pair_map:
-                raise ValidationError("asymmetric noise requires --pair-map")
-            pair_map = parse_pair_map(args.pair_map, args.classes)
-        noise_seed = args.noise_seed if args.noise_seed is not None else args.seed + 1
-        bounds = DEFAULT_BUDGET_BOUNDS
-        if args.budget_bounds:
-            parts = args.budget_bounds.split(",")
-            if len(parts) != 2:
-                raise ValidationError("--budget-bounds must be 'low,high'")
-            bounds = (float(parts[0]), float(parts[1]))
-        spec = NoiseSpec(
-            kind=kind,
-            rate=args.rate,
-            seed=noise_seed,
-            pair_map=pair_map,
-            budget_sd=args.budget_sd,
-            budget_bounds=bounds,
+        spec = noise_spec(
+            _NOISE_NAMES[args.noise],
+            args.classes,
+            args.rate,
+            args.seed + 1 if args.noise_seed is None else args.noise_seed,
+            args.pair_map,
+            args.budget_sd,
+            args.budget_bounds,
         )
         dataset, record = inject_noise(dataset, spec)
     save_dataset(args.out, dataset, fmt="binary" if args.binary else "text")
@@ -91,22 +83,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_score(args) -> int:
     dataset = load_dataset(args.dataset)
+    source, embeddings = args.scores_file, None
     if args.bank:
-        bank = load_embedding_bank(args.bank)
-        if bank.num_classes != dataset.num_classes:
-            raise ValidationError(
-                f"bank has {bank.num_classes} classes, dataset has {dataset.num_classes}"
-            )
+        source = (load_embedding_bank(args.bank), ScorerConfig(temperature=args.temperature))
         if args.embeddings:
             embeddings = load_embedding_table(args.embeddings, dataset)
-        else:
-            embeddings = dataset.features
-        scores = cosine_softmax_score(
-            embeddings, bank, ScorerConfig(temperature=args.temperature), sample_ids=dataset.ids
-        )
-    else:
-        scores = load_score_matrix(args.scores_file, dataset)
-    save_score_matrix(args.out, scores)
+    save_score_matrix(args.out, score_with_surrogate(dataset, source, embeddings))
     return 0
 
 
@@ -164,16 +146,7 @@ def _cmd_report(args) -> int:
             raise ValidationError("--classifier reports require --dataset")
         dataset = load_dataset(args.dataset)
         classifier = load_classifier(args.classifier)
-        reference = dataset.true_labels if dataset.has_ground_truth else dataset.noisy_labels
-        prediction = predict(classifier, dataset)
-        row = {
-            "samples": dataset.num_samples,
-            "accuracy": accuracy(prediction.labels, reference),
-        }
-        if args.top_k:
-            row[f"top{args.top_k}_accuracy"] = top_k_accuracy(
-                prediction.probabilities, reference, args.top_k
-            )
+        row = {"samples": dataset.num_samples, **evaluate(classifier, dataset, args.top_k)}
         sys.stdout.write(formatter([row]))
         return 0
     if args.scores:
@@ -210,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sep", type=float, required=True)
-    p.add_argument("--noise", choices=("none", "sym", "asym", "idn"), default="none")
-    p.add_argument("--rate", type=float, default=0.2)
+    p.add_argument("--noise", choices=("none", *_NOISE_NAMES), default="none")
+    p.add_argument("--rate", type=float, default=DEFAULT_NOISE_RATE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-seed", type=int, default=None, help="default: --seed + 1")
     p.add_argument("--pair-map", default=None, help="'src:dst,...' or 'cycle' (asym only)")
@@ -227,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--bank")
     group.add_argument("--scores-file")
-    p.add_argument("--temperature", type=float, default=0.01)
+    p.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
     p.add_argument("--embeddings", default=None, help="image embeddings keyed by sample id")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_score)
@@ -255,16 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", required=True)
     p.add_argument("--tm", required=True)
     p.add_argument("--prior", required=True)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--wd", type=float, default=0.0)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float, default=MarginConfig.delta)
+    p.add_argument("--t", type=float, default=MarginConfig.t)
+    p.add_argument("--s", type=float, default=MarginConfig.s)
+    p.add_argument("--gamma", type=float, default=MarginConfig.gamma)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--wd", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)

@@ -6,7 +6,7 @@ arrays are frozen), so they can be shared freely across workers.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,20 +48,6 @@ class LabelSpace:
     @classmethod
     def default(cls, num_classes: int) -> "LabelSpace":
         return cls(num_classes, tuple(f"class_{j}" for j in range(num_classes)))
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One record: an id, a frozen-encoder feature vector, and labels.
-
-    ``true_label`` is optional ground truth carried for evaluation only;
-    no selection or training code reads it.
-    """
-
-    id: int
-    features: np.ndarray
-    noisy_label: int
-    true_label: Optional[int] = None
 
 
 class Dataset:
@@ -129,23 +115,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.num_samples
 
-    def sample(self, index: int) -> Sample:
-        true = int(self.true_labels[index]) if self.has_ground_truth else None
-        return Sample(
-            id=int(self.ids[index]),
-            features=self.features[index],
-            noisy_label=int(self.noisy_labels[index]),
-            true_label=true,
-        )
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(self.num_samples):
-            yield self.sample(i)
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [self.sample(i) for i in range(self.num_samples)]
-
     def subset(self, indices: np.ndarray) -> "Dataset":
         """New dataset restricted to ``indices``, preserving order."""
         indices = np.asarray(indices)
@@ -155,21 +124,6 @@ class Dataset:
             self.features[indices],
             self.noisy_labels[indices],
             None if self.true_labels is None else self.true_labels[indices],
-        )
-
-    @classmethod
-    def from_samples(cls, label_space: LabelSpace, samples: list[Sample]) -> "Dataset":
-        if not samples:
-            raise ValidationError("dataset must contain at least one sample")
-        has_gt = samples[0].true_label is not None
-        if any((s.true_label is not None) != has_gt for s in samples):
-            raise ValidationError("either every sample has a true label or none does")
-        return cls(
-            label_space,
-            np.array([s.id for s in samples], dtype=np.int64),
-            np.stack([np.asarray(s.features, dtype=np.float64) for s in samples]),
-            np.array([s.noisy_label for s in samples], dtype=np.int64),
-            np.array([s.true_label for s in samples], dtype=np.int64) if has_gt else None,
         )
 
 

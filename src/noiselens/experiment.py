@@ -11,20 +11,11 @@ produces byte-identical artifacts.
 import hashlib
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
-import numpy as np
-
 from . import noise as _noise
-from .data import (
-    Dataset,
-    ScoreMatrix,
-    load_dataset,
-    load_score_matrix,
-    save_dataset,
-    save_score_matrix,
-)
+from .data import Dataset, ScoreMatrix, load_dataset, save_dataset, save_score_matrix
 from .errors import NoiseLensError, ValidationError
 from .losses import MarginConfig
 from .noise import NoiseSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
@@ -34,13 +25,8 @@ from .priors import (
     save_class_prior,
     save_transition_matrix,
 )
-from .report import accuracy, format_records, top_k_accuracy
-from .scorer import (
-    ScorerConfig,
-    cosine_softmax_score,
-    load_embedding_bank,
-    load_embedding_table,
-)
+from .report import evaluate, format_records
+from .scorer import ScorerConfig, load_embedding_bank, load_embedding_table, score_with_surrogate
 from .selection import (
     CRITERION_CONFIDENCE,
     CRITERION_PROMPT_CONSISTENCY,
@@ -51,7 +37,7 @@ from .selection import (
     select_by_confidence,
     select_by_prompt_consistency,
 )
-from .trainer import TrainConfig, predict, save_classifier, train
+from .trainer import TrainConfig, save_classifier, train
 
 _DATASET_SOURCES = ("file", "synth")
 _SCORER_SOURCES = ("cosine", "file", "oracle")
@@ -125,40 +111,42 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def _get(entries, section, key, default=None):
-    return entries.get((section, key), default)
-
-
-def _as_int(entries, section, key, default):
-    value = _get(entries, section, key)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValidationError(f"config {section}.{key}: {value!r} is not an integer") from None
-
-
-def _as_float(entries, section, key, default):
-    value = _get(entries, section, key)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"config {section}.{key}: {value!r} is not a number") from None
-
-
-def _as_bool(entries, section, key, default):
-    value = _get(entries, section, key)
-    if value is None:
-        return default
-    lowered = value.lower()
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValidationError(f"config {section}.{key}: {value!r} is not a boolean")
+    raise ValueError(text)
+
+
+# parser -> what a value it rejects is not
+_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
+
+
+def _value(entries, section, key, parse, default=None):
+    """``section.key`` parsed by ``parse``, or ``default`` when absent."""
+    text = entries.get((section, key))
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValidationError(
+            f"config {section}.{key}: {text!r} is not {_EXPECTED[parse]}"
+        ) from None
+
+
+def _from_section(entries, section, cls):
+    """``cls`` built from the ``section`` keys the config sets, so the
+    dataclass defaults are the only copy of the rest. Each field's
+    annotation (int, float or bool) names its parser."""
+    kwargs = {}
+    for f in fields(cls):
+        parse = _parse_bool if f.type is bool else f.type
+        if (section, f.name) in entries:
+            kwargs[f.name] = _value(entries, section, f.name, parse)
+    return cls(**kwargs)
 
 
 def parse_pair_map(text: str, num_classes: int) -> dict:
@@ -185,26 +173,69 @@ def parse_pair_map(text: str, num_classes: int) -> dict:
     return pairs
 
 
+def noise_spec(
+    kind: str,
+    num_classes: int,
+    rate: float,
+    seed: int,
+    pair_map: Optional[str] = None,
+    budget_sd: float = _noise.DEFAULT_BUDGET_SD,
+    budget_bounds: Optional[str] = None,
+) -> NoiseSpec:
+    """The corruption for a synthetic dataset, from the text forms the CLI
+    and config files share: ``kind`` may spell '_' as '-', ``pair_map`` is
+    'src:dst,...' or 'cycle' (read for asymmetric noise only) and
+    ``budget_bounds`` is 'low,high'."""
+    kind = kind.replace("-", "_")
+    bounds = _noise.DEFAULT_BUDGET_BOUNDS
+    if budget_bounds is not None:
+        try:
+            low, high = (float(part) for part in budget_bounds.split(","))
+        except ValueError:
+            raise ValidationError(
+                f"budget_bounds {budget_bounds!r} must be two numbers 'low,high'"
+            ) from None
+        bounds = (low, high)
+    return NoiseSpec(
+        kind=kind,
+        rate=rate,
+        seed=seed,
+        pair_map=(
+            parse_pair_map(pair_map, num_classes)
+            if kind == "asymmetric" and pair_map is not None
+            else None
+        ),
+        budget_sd=budget_sd,
+        budget_bounds=bounds,
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run description; `entries` keeps the raw strings for the
-    manifest echo."""
+    """A validated run description with every value parsed; `entries` keeps
+    the raw strings for the manifest echo. Values a run does not read, such
+    as the synth sizes of a file dataset, are not parsed and stay None."""
 
     entries: dict
-    base_dir: str
     output_dir: str
+    seeds: dict  # dataset, noise, train and test
     dataset_source: str
-    scorer_source: str
+    dataset_path: Optional[str]
+    blobs: Optional[tuple]  # make_blobs (classes, per_class, dim, separation)
+    noise: Optional[NoiseSpec]
+    # One (kind, path) per score matrix: cosine (path is the bank), file or oracle.
+    score_sources: tuple
+    scorer: Optional[ScorerConfig]
+    embeddings: Optional[str]
+    correct_prob: Optional[float]
     criterion: str
+    threshold: float  # rho for confidence, mu for prompt consistency
     margin: MarginConfig
     train: TrainConfig
     test_source: str
-
-    def path(self, section: str, key: str) -> Optional[str]:
-        value = _get(self.entries, section, key)
-        if value is None:
-            return None
-        return os.path.normpath(os.path.join(self.base_dir, value))
+    test_path: Optional[str]
+    test_blobs: Optional[tuple]
+    top_k: int
 
     def normalized_text(self) -> str:
         lines = [
@@ -225,82 +256,123 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
-    """Parse and validate a config; raises before any pipeline work."""
+    """Parse and validate a config; every value a run reads is parsed here,
+    so a bad one raises before any pipeline work."""
     entries = parse_config_text(text)
 
-    output_dir = _get(entries, "output", "dir")
+    def get(section, key, default=None):
+        return entries.get((section, key), default)
+
+    def value(section, key, parse, default):
+        return _value(entries, section, key, parse, default)
+
+    def path(section, key):
+        raw = get(section, key)
+        return None if raw is None else os.path.normpath(os.path.join(base_dir, raw))
+
+    output_dir = path("output", "dir")
     if output_dir is None:
         raise ValidationError("config requires output.dir")
 
-    dataset_source = _get(entries, "dataset", "source")
+    dataset_source = get("dataset", "source")
     if dataset_source not in _DATASET_SOURCES:
         raise ValidationError(
             f"dataset.source must be one of {_DATASET_SOURCES}, got {dataset_source!r}"
         )
-    if dataset_source == "file" and _get(entries, "dataset", "path") is None:
+    if dataset_source == "file" and get("dataset", "path") is None:
         raise ValidationError("dataset.source=file requires dataset.path")
 
-    scorer_source = _get(entries, "scorer", "source")
+    scorer_source = get("scorer", "source")
     if scorer_source not in _SCORER_SOURCES:
         raise ValidationError(
             f"scorer.source must be one of {_SCORER_SOURCES}, got {scorer_source!r}"
         )
-    if scorer_source == "cosine" and _get(entries, "scorer", "bank") is None:
+    if scorer_source == "cosine" and get("scorer", "bank") is None:
         raise ValidationError("scorer.source=cosine requires scorer.bank")
-    if scorer_source == "file" and _get(entries, "scorer", "path") is None:
+    if scorer_source == "file" and get("scorer", "path") is None:
         raise ValidationError("scorer.source=file requires scorer.path")
+    first = path("scorer", "bank" if scorer_source == "cosine" else "path")
+    score_sources = [(scorer_source, first)]
 
-    criterion = _get(entries, "selection", "criterion", CRITERION_CONFIDENCE)
-    criterion = criterion.replace("-", "_")
-    if criterion not in (CRITERION_CONFIDENCE, CRITERION_PROMPT_CONSISTENCY):
-        raise ValidationError(f"unknown selection.criterion {criterion!r}")
-    if criterion == CRITERION_PROMPT_CONSISTENCY:
-        has_second = (
-            _get(entries, "scorer", "bank_b") is not None
-            or _get(entries, "scorer", "path_b") is not None
-        )
-        if not has_second:
+    criterion = get("selection", "criterion", CRITERION_CONFIDENCE).replace("-", "_")
+    if criterion == CRITERION_CONFIDENCE:
+        threshold = value("selection", "rho", float, DEFAULT_CONFIDENCE_THRESHOLD)
+    elif criterion == CRITERION_PROMPT_CONSISTENCY:
+        # The second source is whichever of bank_b / path_b is present.
+        if get("scorer", "bank_b") is not None:
+            score_sources.append(("cosine", path("scorer", "bank_b")))
+        elif get("scorer", "path_b") is not None:
+            score_sources.append(("file", path("scorer", "path_b")))
+        else:
             raise ValidationError(
                 "selection.criterion=prompt_consistency requires a second score "
                 "source (scorer.bank_b or scorer.path_b)"
             )
+        threshold = value("selection", "mu", float, DEFAULT_CONSISTENCY_THRESHOLD)
+    else:
+        raise ValidationError(f"unknown selection.criterion {criterion!r}")
+    cosine = any(kind == "cosine" for kind, _ in score_sources)
 
-    test_source = _get(entries, "test", "source", "none")
+    test_source = get("test", "source", "none")
     if test_source not in _TEST_SOURCES:
         raise ValidationError(f"test.source must be one of {_TEST_SOURCES}, got {test_source!r}")
-    if test_source == "file" and _get(entries, "test", "path") is None:
+    if test_source == "file" and get("test", "path") is None:
         raise ValidationError("test.source=file requires test.path")
     if test_source == "synth" and dataset_source != "synth":
         raise ValidationError("test.source=synth requires dataset.source=synth")
 
-    margin = MarginConfig(
-        delta=_as_float(entries, "margin", "delta", 0.5),
-        t=_as_float(entries, "margin", "t", 1.0),
-        s=_as_float(entries, "margin", "s", 1.0),
-        gamma=_as_float(entries, "margin", "gamma", 1.0),
-    )
-    train_cfg = TrainConfig(
-        epochs=_as_int(entries, "train", "epochs", 10),
-        batch_size=_as_int(entries, "train", "batch_size", 128),
-        learning_rate=_as_float(entries, "train", "learning_rate", 0.1),
-        weight_decay=_as_float(entries, "train", "weight_decay", 0.0),
-        momentum=_as_float(entries, "train", "momentum", 0.9),
-        seed=_as_int(entries, "train", "seed", 0),
-        shuffle=_as_bool(entries, "train", "shuffle", True),
-        lr_step_every=_as_int(entries, "train", "lr_step_every", 0),
-        lr_step_factor=_as_float(entries, "train", "lr_step_factor", 0.1),
-    )
+    train_cfg = _from_section(entries, "train", TrainConfig)
+    seed = value("dataset", "seed", int, 0)
+    seeds = {
+        "dataset": seed,
+        "noise": value("dataset", "noise_seed", int, seed + 1),
+        "train": train_cfg.seed,
+        "test": value("test", "seed", int, seed + 2),
+    }
+
+    blobs = test_blobs = noise = None
+    if dataset_source == "synth":
+        classes = value("dataset", "classes", int, 2)
+        per_class = value("dataset", "per_class", int, 50)
+        dim = value("dataset", "dim", int, 8)
+        separation = value("dataset", "separation", float, 3.0)
+        blobs = (classes, per_class, dim, separation)
+        if test_source == "synth":
+            test_blobs = (classes, value("test", "per_class", int, per_class), dim, separation)
+        kind = get("dataset", "noise", "none")
+        if kind != "none":
+            noise = noise_spec(
+                kind,
+                classes,
+                value("dataset", "noise_rate", float, _noise.DEFAULT_NOISE_RATE),
+                seeds["noise"],
+                get("dataset", "pair_map"),
+                value("dataset", "budget_sd", float, _noise.DEFAULT_BUDGET_SD),
+                get("dataset", "budget_bounds"),
+            )
 
     return ExperimentConfig(
         entries=entries,
-        base_dir=base_dir,
-        output_dir=os.path.normpath(os.path.join(base_dir, output_dir)),
+        output_dir=output_dir,
+        seeds=seeds,
         dataset_source=dataset_source,
-        scorer_source=scorer_source,
+        dataset_path=path("dataset", "path"),
+        blobs=blobs,
+        noise=noise,
+        score_sources=tuple(score_sources),
+        scorer=_from_section(entries, "scorer", ScorerConfig) if cosine else None,
+        embeddings=path("scorer", "embeddings"),
+        correct_prob=(
+            value("scorer", "correct_prob", float, 1.0) if scorer_source == "oracle" else None
+        ),
         criterion=criterion,
-        margin=margin,
+        threshold=threshold,
+        margin=_from_section(entries, "margin", MarginConfig),
         train=train_cfg,
         test_source=test_source,
+        test_path=path("test", "path"),
+        test_blobs=test_blobs,
+        top_k=value("report", "top_k", int, 0) if test_source != "none" else 0,
     )
 
 
@@ -330,11 +402,11 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(config: ExperimentConfig, seeds: dict, stage: str, error: str) -> None:
+def _write_manifest(config: ExperimentConfig, stage: str, error: str) -> None:
     out = config.output_dir
     lines = ["#noiselens-manifest v1", f"config_sha256={config.config_sha256}"]
-    for name in sorted(seeds):
-        lines.append(f"seed.{name}={seeds[name]}")
+    for name in sorted(config.seeds):
+        lines.append(f"seed.{name}={config.seeds[name]}")
     for (section, key), value in sorted(config.entries.items()):
         lines.append(f"config.{section}.{key}={value}")
     digest_lines = []
@@ -355,108 +427,17 @@ def _write_manifest(config: ExperimentConfig, seeds: dict, stage: str, error: st
         fh.write("\n".join(lines) + "\n")
 
 
-def _build_noise_spec(config: ExperimentConfig, num_classes: int) -> Optional[NoiseSpec]:
-    entries = config.entries
-    kind = _get(entries, "dataset", "noise", "none")
-    if kind == "none":
-        return None
-    kind = kind.replace("-", "_")
-    if kind not in _noise.NOISE_KINDS:
-        raise ValidationError(f"unknown dataset.noise {kind!r}")
-    rate = _as_float(entries, "dataset", "noise_rate", 0.2)
-    seed = _as_int(entries, "dataset", "noise_seed", _as_int(entries, "dataset", "seed", 0) + 1)
-    pair_map = None
-    if kind == "asymmetric":
-        text = _get(entries, "dataset", "pair_map")
-        if text is None:
-            raise ValidationError("asymmetric noise requires dataset.pair_map")
-        pair_map = parse_pair_map(text, num_classes)
-    bounds_text = _get(entries, "dataset", "budget_bounds")
-    if bounds_text is None:
-        bounds = _noise.DEFAULT_BUDGET_BOUNDS
-    else:
-        parts = bounds_text.split(",")
-        if len(parts) != 2:
-            raise ValidationError("dataset.budget_bounds must be 'low,high'")
-        try:
-            bounds = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ValidationError("dataset.budget_bounds must be two numbers") from None
-    return NoiseSpec(
-        kind=kind,
-        rate=rate,
-        seed=seed,
-        pair_map=pair_map,
-        budget_sd=_as_float(entries, "dataset", "budget_sd", _noise.DEFAULT_BUDGET_SD),
-        budget_bounds=bounds,
-    )
-
-
-def _stage_dataset(config: ExperimentConfig):
-    entries = config.entries
-    if config.dataset_source == "file":
-        return load_dataset(config.path("dataset", "path")), None
-    classes = _as_int(entries, "dataset", "classes", 2)
-    per_class = _as_int(entries, "dataset", "per_class", 50)
-    dim = _as_int(entries, "dataset", "dim", 8)
-    separation = _as_float(entries, "dataset", "separation", 3.0)
-    seed = _as_int(entries, "dataset", "seed", 0)
-    dataset = make_blobs(classes, per_class, dim, separation, seed)
-    spec = _build_noise_spec(config, classes)
-    record = None
-    if spec is not None:
-        dataset, record = inject_noise(dataset, spec)
-        return dataset, (spec, record)
-    return dataset, None
-
-
-def _one_score_source(config: ExperimentConfig, dataset: Dataset, suffix: str = "") -> ScoreMatrix:
-    entries = config.entries
-    source = config.scorer_source
-    if suffix:
-        # The second source for prompt consistency: whichever of bank_b /
-        # path_b is present.
-        bank_path = config.path("scorer", "bank_b")
-        file_path = config.path("scorer", "path_b")
-        if bank_path is not None:
-            source = "cosine"
-        elif file_path is not None:
-            return load_score_matrix(file_path, dataset)
-        else:
-            raise ValidationError("missing second score source")
-    else:
-        bank_path = config.path("scorer", "bank")
-        file_path = config.path("scorer", "path")
-    if source == "cosine":
-        bank = load_embedding_bank(bank_path)
-        scorer_cfg = ScorerConfig(temperature=_as_float(entries, "scorer", "temperature", 0.01))
-        embeddings_path = config.path("scorer", "embeddings")
-        if embeddings_path is not None:
-            embeddings = load_embedding_table(embeddings_path, dataset)
-        else:
-            embeddings = dataset.features
-        if bank.num_classes != dataset.num_classes:
-            raise ValidationError(
-                f"bank has {bank.num_classes} classes, dataset has {dataset.num_classes}"
-            )
-        return cosine_softmax_score(embeddings, bank, scorer_cfg, sample_ids=dataset.ids)
-    if source == "file":
-        return load_score_matrix(file_path, dataset)
-    return oracle_scores(dataset, _as_float(entries, "scorer", "correct_prob", 1.0))
-
-
-def _stage_test_dataset(config: ExperimentConfig) -> Optional[Dataset]:
-    entries = config.entries
-    if config.test_source == "none":
-        return None
-    if config.test_source == "file":
-        return load_dataset(config.path("test", "path"))
-    classes = _as_int(entries, "dataset", "classes", 2)
-    dim = _as_int(entries, "dataset", "dim", 8)
-    separation = _as_float(entries, "dataset", "separation", 3.0)
-    per_class = _as_int(entries, "test", "per_class", _as_int(entries, "dataset", "per_class", 50))
-    seed = _as_int(entries, "test", "seed", _as_int(entries, "dataset", "seed", 0) + 2)
-    return make_blobs(classes, per_class, dim, separation, seed)
+def _score(config: ExperimentConfig, dataset: Dataset, source: tuple) -> ScoreMatrix:
+    kind, path = source
+    if kind == "oracle":
+        return oracle_scores(dataset, config.correct_prob)
+    if kind == "file":
+        return score_with_surrogate(dataset, path)
+    bank = load_embedding_bank(path)
+    embeddings = None
+    if config.embeddings is not None:
+        embeddings = load_embedding_table(config.embeddings, dataset)
+    return score_with_surrogate(dataset, (bank, config.scorer), embeddings)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -467,40 +448,35 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    entries = config.entries
-    seeds = {
-        "dataset": _as_int(entries, "dataset", "seed", 0),
-        "noise": _as_int(entries, "dataset", "noise_seed", _as_int(entries, "dataset", "seed", 0) + 1),
-        "train": config.train.seed,
-        "test": _as_int(entries, "test", "seed", _as_int(entries, "dataset", "seed", 0) + 2),
-    }
     result = ExperimentResult(status=1, output_dir=out, stage="dataset")
 
     def fail(stage: str, exc: Exception) -> ExperimentResult:
         result.stage = stage
         result.error = str(exc)
-        _write_manifest(config, seeds, stage, str(exc))
+        _write_manifest(config, stage, str(exc))
         return result
 
     try:
-        dataset, corruption = _stage_dataset(config)
-        result.dataset = dataset
-        if config.dataset_source == "synth":
+        if config.dataset_source == "file":
+            dataset = result.dataset = load_dataset(config.dataset_path)
+        else:
+            dataset = make_blobs(*config.blobs, config.seeds["dataset"])
+            if config.noise is not None:
+                dataset, record = inject_noise(dataset, config.noise)
+            result.dataset = dataset
             save_dataset(os.path.join(out, "dataset.txt"), dataset)
-            if corruption is not None:
-                spec, record = corruption
-                save_corruption_record(os.path.join(out, "corruption.txt"), record, spec)
+            if config.noise is not None:
+                save_corruption_record(os.path.join(out, "corruption.txt"), record, config.noise)
     except (NoiseLensError, OSError) as exc:
         return fail("dataset", exc)
 
     try:
         result.stage = "score"
-        scores = _one_score_source(config, dataset)
+        scores = _score(config, dataset, config.score_sources[0])
         result.scores = scores
         save_score_matrix(os.path.join(out, "scores.txt"), scores)
-        scores_b = None
         if config.criterion == CRITERION_PROMPT_CONSISTENCY:
-            scores_b = _one_score_source(config, dataset, suffix="_b")
+            scores_b = _score(config, dataset, config.score_sources[1])
             save_score_matrix(os.path.join(out, "scores_b.txt"), scores_b)
     except (NoiseLensError, OSError) as exc:
         return fail("score", exc)
@@ -508,11 +484,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     try:
         result.stage = "select"
         if config.criterion == CRITERION_CONFIDENCE:
-            rho = _as_float(entries, "selection", "rho", DEFAULT_CONFIDENCE_THRESHOLD)
-            mask = select_by_confidence(dataset, scores, rho)
+            mask = select_by_confidence(dataset, scores, config.threshold)
         else:
-            mu = _as_float(entries, "selection", "mu", DEFAULT_CONSISTENCY_THRESHOLD)
-            mask = select_by_prompt_consistency(dataset, scores, scores_b, mu)
+            mask = select_by_prompt_consistency(dataset, scores, scores_b, config.threshold)
         result.mask = mask
         save_mask(os.path.join(out, "mask.txt"), mask)
         subset = apply_mask(dataset, mask)
@@ -541,7 +515,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     try:
         result.stage = "evaluate"
-        test_dataset = _stage_test_dataset(config)
+        test_dataset = None
+        if config.test_source == "file":
+            test_dataset = load_dataset(config.test_path)
+        elif config.test_source == "synth":
+            test_dataset = make_blobs(*config.test_blobs, config.seeds["test"])
         metrics = {
             "selected": mask.selected_count,
             "total": dataset.num_samples,
@@ -572,26 +550,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if test_dataset is not None:
             if config.test_source == "synth":
                 save_dataset(os.path.join(out, "test.txt"), test_dataset)
-            reference = (
-                test_dataset.true_labels
-                if test_dataset.has_ground_truth
-                else test_dataset.noisy_labels
-            )
-            prediction = predict(train_report.classifier, test_dataset)
-            test_acc = accuracy(prediction.labels, reference)
-            metrics["test_accuracy"] = test_acc
-            row = {
-                "stage": "evaluation",
-                "test_samples": test_dataset.num_samples,
-                "test_accuracy": test_acc,
-            }
-            top_k = _as_int(entries, "report", "top_k", 0)
-            if top_k:
-                row[f"top{top_k}_accuracy"] = top_k_accuracy(
-                    prediction.probabilities, reference, top_k
-                )
-                metrics[f"top{top_k}_accuracy"] = row[f"top{top_k}_accuracy"]
-            rows.append(row)
+            test = evaluate(train_report.classifier, test_dataset, config.top_k)
+            test = {"test_accuracy": test.pop("accuracy"), **test}
+            metrics.update(test)
+            rows.append({"stage": "evaluation", "test_samples": test_dataset.num_samples, **test})
         result.metrics = metrics
         with open(os.path.join(out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_records(rows))
@@ -600,5 +562,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     result.status = 0
     result.stage = "done"
-    _write_manifest(config, seeds, "done", "")
+    _write_manifest(config, "done", "")
     return result

@@ -28,6 +28,8 @@ from .selection import SelectionMask
 
 NOISE_KINDS = ("symmetric", "asymmetric", "instance_dependent")
 
+DEFAULT_NOISE_RATE = 0.2
+
 # Width and clipping range of the per-sample flip-budget distribution used
 # by the instance-dependent model.
 DEFAULT_BUDGET_SD = 0.1

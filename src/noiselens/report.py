@@ -46,6 +46,18 @@ def top_k_accuracy(probabilities: np.ndarray, reference_labels, k: int) -> float
     return float(np.mean(hits))
 
 
+def evaluate(classifier, dataset: Dataset, top_k: int = 0) -> dict:
+    """``accuracy`` of ``classifier`` on ``dataset``, plus ``top{k}_accuracy``
+    when ``top_k`` is set. The reference is the true labels when the dataset
+    has them, else its noisy labels."""
+    reference = dataset.true_labels if dataset.has_ground_truth else dataset.noisy_labels
+    prediction = predict(classifier, dataset)
+    metrics = {"accuracy": accuracy(prediction.labels, reference)}
+    if top_k:
+        metrics[f"top{top_k}_accuracy"] = top_k_accuracy(prediction.probabilities, reference, top_k)
+    return metrics
+
+
 @dataclass(frozen=True)
 class HistogramReport:
     """Counts of confidence values over the ten fixed bins
@@ -135,11 +147,6 @@ def threshold_sweep(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be strictly ascending")
     matrix = estimate_transition_matrix(dataset, scores)
-    test_reference = (
-        bundle.test_dataset.true_labels
-        if bundle.test_dataset.has_ground_truth
-        else bundle.test_dataset.noisy_labels
-    )
     points = []
     for rho in thresholds:
         try:
@@ -156,8 +163,7 @@ def threshold_sweep(
             subset = apply_mask(dataset, mask)
             prior = compute_class_prior(subset, dataset.label_space)
             report = train(subset, matrix, prior, bundle.margin, bundle.train)
-            predicted = predict(report.classifier, bundle.test_dataset).labels
-            test_acc = accuracy(predicted, test_reference)
+            test_acc = evaluate(report.classifier, bundle.test_dataset)["accuracy"]
         except NoiseLensError as exc:
             points.append(
                 SweepPoint(

@@ -152,28 +152,6 @@ def apply_mask(dataset: Dataset, mask: SelectionMask) -> Dataset:
     return dataset.subset(indices)
 
 
-def apply_masks(dataset: Dataset, masks) -> Dataset:
-    """Intersect several masks (logical AND of verdicts) and apply the result.
-
-    Combining criteria is an extrapolation beyond the two documented
-    single-criterion paths; exposed for experimentation.
-    """
-    masks = list(masks)
-    if not masks:
-        raise ValidationError("need at least one mask")
-    combined = np.ones(dataset.num_samples, dtype=bool)
-    for mask in masks:
-        if not np.array_equal(mask.sample_ids, dataset.ids):
-            raise ValidationError("mask was built against a different dataset")
-        combined &= mask.verdicts
-    indices = np.nonzero(combined)[0]
-    if indices.size == 0:
-        raise ValidationError(
-            "empty selection: no sample passed all thresholds, training cannot proceed"
-        )
-    return dataset.subset(indices)
-
-
 def save_mask(path, mask: SelectionMask) -> None:
     header = {
         "N": mask.sample_ids.size,

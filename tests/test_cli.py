@@ -41,6 +41,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: [score]")
 
+    def test_malformed_budget_bounds_is_stage_error(self, tmp_path, capsys):
+        code = run(
+            ["synth", "--classes", "3", "--per-class", "5", "--dim", "2", "--sep", "2.0",
+             "--noise", "idn", "--budget-bounds", "a,b", "--out", str(tmp_path / "ds.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [synth] budget_bounds 'a,b'")
+        assert not (tmp_path / "ds.txt").exists()
+
 
 @pytest.fixture
 def pipeline_files(tmp_path):
@@ -127,6 +136,27 @@ class TestStageChain:
         counts = [int(dict(t.split("=", 1) for t in ln.split())["count"]) for ln in lines]
         assert sum(counts) == 90
 
+    def test_embeddings_score_the_same_through_cli_and_run(self, pipeline_files):
+        tmp_path, ds, bank = pipeline_files
+        table = tmp_path / "emb.txt"
+        rng = np.random.default_rng(4)
+        save_embedding_bank(table, ClassEmbeddingBank(rng.standard_normal((90, 4)), "img"))
+        scores = tmp_path / "scores.txt"
+        plain = tmp_path / "plain.txt"
+        flags = ["--dataset", str(ds), "--bank", str(bank), "--temperature", "0.25"]
+        assert run(["score", *flags, "--embeddings", str(table), "--out", str(scores)]) == 0
+        assert run(["score", *flags, "--out", str(plain)]) == 0
+        cfg = tmp_path / "emb.cfg"
+        cfg.write_text(
+            f"dataset.source = file\ndataset.path = {ds}\n"
+            f"scorer.source = cosine\nscorer.bank = {bank}\nscorer.embeddings = {table}\n"
+            f"scorer.temperature = 0.25\ntrain.epochs = 1\noutput.dir = {tmp_path / 'run'}\n",
+            encoding="utf-8",
+        )
+        assert run(["run", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run" / "scores.txt").read_bytes() == scores.read_bytes()
+        assert scores.read_bytes() != plain.read_bytes()
+
     def test_report_without_inputs_is_an_error(self, capsys):
         assert run(["report"]) == 1
         assert "error: [report]" in capsys.readouterr().err
@@ -179,16 +209,24 @@ output.dir = {out}
 
     def test_invalid_config_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "never"
+        valid = self.CONFIG.format(out=out)
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            "dataset.source = synth\nscorer.source = oracle\n"
-            "selection.criterion = prompt_consistency\n"
-            f"output.dir = {out}\n",
-            encoding="utf-8",
-        )
-        assert run(["run", "--config", str(cfg)]) == 1
-        assert "error: [run]" in capsys.readouterr().err
-        assert not out.exists()
+        for text, reason in (
+            (
+                "dataset.source = synth\nscorer.source = oracle\n"
+                f"selection.criterion = prompt_consistency\noutput.dir = {out}\n",
+                "second score source",
+            ),
+            (valid + "report.top_k = two\n", "report.top_k"),
+            (valid.replace("selection.rho = 0.5", "selection.rho = half"), "selection.rho"),
+            (valid.replace("dataset.noise = symmetric", "dataset.noise = bogus"), "bogus"),
+            (valid + "dataset.budget_bounds = a,b\n", "budget_bounds"),
+        ):
+            cfg.write_text(text, encoding="utf-8")
+            assert run(["run", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: [run]") and reason in err, err
+            assert not out.exists()
 
     def test_failed_stage_reported_in_envelope(self, tmp_path, capsys):
         out = tmp_path / "failing"

@@ -101,30 +101,6 @@ class TestDataset:
         with pytest.raises(ValidationError):
             small_dataset().subset(np.array([], dtype=int))
 
-    def test_sample_access_and_iteration(self):
-        ds = small_dataset()
-        s = ds.sample(1)
-        assert s.id == 11 and s.noisy_label == 1 and s.true_label == 2
-        assert [x.id for x in ds] == [10, 11, 12, 13]
-
-    def test_from_samples_round_trip(self):
-        ds = small_dataset()
-        rebuilt = Dataset.from_samples(ds.label_space, ds.samples)
-        np.testing.assert_array_equal(rebuilt.features, ds.features)
-        np.testing.assert_array_equal(rebuilt.true_labels, ds.true_labels)
-
-    def test_truth_all_or_none(self):
-        ds = small_dataset()
-        samples = ds.samples
-        samples[0] = type(samples[0])(
-            id=samples[0].id,
-            features=samples[0].features,
-            noisy_label=samples[0].noisy_label,
-            true_label=None,
-        )
-        with pytest.raises(ValidationError):
-            Dataset.from_samples(ds.label_space, samples)
-
 
 class TestScoreValidation:
     def test_aligned_matrix_passes(self):

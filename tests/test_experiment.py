@@ -43,6 +43,12 @@ output.dir = {out}
 """
 
 
+def test_every_public_name_resolves():
+    import noiselens
+
+    assert [name for name in noiselens.__all__ if not hasattr(noiselens, name)] == []
+
+
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -263,6 +269,7 @@ class TestRunExperiment:
         text = (
             f"dataset.source = file\n"
             f"dataset.path = {out / 'dataset.txt'}\n"
+            f"dataset.noise = bogus\n"  # synth-only keys are not read for a file dataset
             f"scorer.source = file\n"
             f"scorer.path = {out / 'scores.txt'}\n"
             f"scorer.path_b = {out / 'scores.txt'}\n"

@@ -13,7 +13,6 @@ from noiselens.selection import (
     LN2,
     SelectionMask,
     apply_mask,
-    apply_masks,
     js_divergence,
     load_mask,
     save_mask,
@@ -289,14 +288,6 @@ class TestMaskAndSubset:
         )
         with pytest.raises(ValidationError):
             apply_mask(ds, mask)
-
-    def test_composition_is_logical_and(self):
-        ds, scores = self.make()
-        m1 = select_by_confidence(ds, scores, 0.3)
-        m2 = select_by_confidence(ds, scores, 0.6)
-        sub = apply_masks(ds, [m1, m2])
-        expected = apply_mask(ds, m2)
-        np.testing.assert_array_equal(sub.ids, expected.ids)
 
     def test_round_trip(self, tmp_path):
         ds, scores = self.make()
