@@ -58,6 +58,12 @@ from .trainer import TrainConfig, load_classifier, save_classifier, train
 _NOISE_NAMES = {"sym": "symmetric", "asym": "asymmetric", "idn": "instance_dependent"}
 
 
+def _warn_fallbacks(matrix) -> None:
+    """One stderr line per transition row that fell back to uniform."""
+    for text in matrix.warnings:
+        sys.stderr.write(f"warning: [priors] {text}\n")
+
+
 def _cmd_synth(args) -> int:
     dataset = make_blobs(args.classes, args.per_class, args.dim, args.sep, args.seed)
     record = None
@@ -112,6 +118,7 @@ def _cmd_priors(args) -> int:
     mask = load_mask(args.mask)
     subset = apply_mask(dataset, mask)
     matrix = estimate_transition_matrix(dataset, scores)
+    _warn_fallbacks(matrix)
     prior = compute_class_prior(subset, dataset.label_space)
     save_transition_matrix(args.tm_out, matrix)
     save_class_prior(args.prior_out, prior)
@@ -164,6 +171,8 @@ def _cmd_report(args) -> int:
 def _cmd_run(args) -> int:
     config = load_experiment_config(args.config)
     result = run_experiment(config)
+    if result.matrix is not None:
+        _warn_fallbacks(result.matrix)
     if result.status != 0:
         sys.stderr.write(f"error: [{result.stage}] {result.error}\n")
         return 1

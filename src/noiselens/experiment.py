@@ -337,8 +337,10 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         dim = value("dataset", "dim", int, 8)
         separation = value("dataset", "separation", float, 3.0)
         blobs = (classes, per_class, dim, separation)
+        _noise.check_blob_sizes(*blobs)
         if test_source == "synth":
             test_blobs = (classes, value("test", "per_class", int, per_class), dim, separation)
+            _noise.check_blob_sizes(*test_blobs)
         kind = get("dataset", "noise", "none")
         if kind != "none":
             noise = noise_spec(
@@ -350,6 +352,14 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 value("dataset", "budget_sd", float, _noise.DEFAULT_BUDGET_SD),
                 get("dataset", "budget_bounds"),
             )
+
+    top_k = value("report", "top_k", int, 0) if test_source != "none" else 0
+    if top_k < 0:
+        raise ValidationError(f"config report.top_k: {top_k} is negative (0 turns it off)")
+    if blobs is not None and top_k > blobs[0]:
+        raise ValidationError(
+            f"config report.top_k: {top_k} exceeds the {blobs[0]} dataset classes"
+        )
 
     return ExperimentConfig(
         entries=entries,
@@ -372,7 +382,7 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         test_source=test_source,
         test_path=path("test", "path"),
         test_blobs=test_blobs,
-        top_k=value("report", "top_k", int, 0) if test_source != "none" else 0,
+        top_k=top_k,
     )
 
 

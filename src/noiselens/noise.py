@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import codec
 from . import data as _data
@@ -110,6 +109,15 @@ def blob_means(num_classes: int, dim: int, separation: float, seed: int = 0) -> 
     return _blob_means(np.random.default_rng(seed), num_classes, dim, separation)
 
 
+def check_blob_sizes(num_classes: int, per_class: int, dim: int, separation: float) -> None:
+    """The limits `make_blobs` enforces, for callers that check a size
+    before any work is done."""
+    if num_classes < 2 or dim < 1 or per_class < 1:
+        raise ValidationError("need at least 2 classes, 1 dimension and 1 sample per class")
+    if separation < 0:
+        raise ValidationError("separation must be nonnegative")
+
+
 def make_blobs(
     num_classes: int,
     per_class: int,
@@ -122,10 +130,7 @@ def make_blobs(
     Samples are grouped by class (ids 0..N-1 in class order) and start out
     uncorrupted: noisy labels equal the true ones until an injector runs.
     """
-    if num_classes < 2 or dim < 1 or per_class < 1:
-        raise ValidationError("need at least 2 classes, 1 dimension and 1 sample per class")
-    if separation < 0:
-        raise ValidationError("separation must be nonnegative")
+    check_blob_sizes(num_classes, per_class, dim, separation)
     rng = np.random.default_rng(seed)
     means = _blob_means(rng, num_classes, dim, separation)
     n = num_classes * per_class
@@ -232,6 +237,10 @@ def inject_instance_dependent(dataset: Dataset, spec: NoiseSpec) -> tuple:
     elif spec.budget_sd == 0:
         budgets = np.full(n, min(max(spec.rate, lo), hi))
     else:
+        # Imported here, the only caller: scipy.stats costs about a second
+        # at import, which every other command would otherwise pay.
+        from scipy import stats
+
         a = (lo - spec.rate) / spec.budget_sd
         b = (hi - spec.rate) / spec.budget_sd
         budgets = stats.truncnorm.rvs(

@@ -1,11 +1,18 @@
-"""End-to-end tests of the command-line interface, run in-process."""
+"""End-to-end tests of the command-line interface, run in-process; the
+import check alone starts a fresh interpreter."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import noiselens
 from noiselens.cli import main
-from noiselens.data import load_dataset, load_score_matrix
+from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset
 from noiselens.noise import blob_means
+from noiselens.priors import load_transition_matrix
 from noiselens.scorer import ClassEmbeddingBank, save_embedding_bank
 from noiselens.selection import load_mask, select_by_confidence
 from noiselens.trainer import load_classifier
@@ -13,6 +20,18 @@ from noiselens.trainer import load_classifier
 
 def run(argv):
     return main(argv)
+
+
+def test_import_does_not_load_scipy():
+    # Each CLI stage is a fresh process; scipy.stats alone costs about a
+    # second to import, so only instance-dependent noise may load it.
+    src = os.path.dirname(os.path.dirname(noiselens.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, noiselens, noiselens.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestExitCodes:
@@ -157,6 +176,46 @@ class TestStageChain:
         assert (tmp_path / "run" / "scores.txt").read_bytes() == scores.read_bytes()
         assert scores.read_bytes() != plain.read_bytes()
 
+    def test_uniform_row_fallback_is_a_warning(self, pipeline_files, capsys):
+        tmp_path, ds, bank = pipeline_files
+        # Relabel class 2 as 0: class 2 then has no samples, so none are
+        # selected and its transition row falls back to uniform.
+        full = load_dataset(ds)
+        labels = np.where(full.noisy_labels == 2, 0, full.noisy_labels)
+        gap = tmp_path / "gap.txt"
+        save_dataset(gap, Dataset(full.label_space, full.ids, full.features, labels))
+        scores = tmp_path / "scores.txt"
+        mask = tmp_path / "mask.txt"
+        tm = tmp_path / "tm.txt"
+        assert run(["score", "--dataset", str(gap), "--bank", str(bank),
+                    "--temperature", "0.25", "--out", str(scores)]) == 0
+        assert run(["select", "--dataset", str(gap), "--scores", str(scores),
+                    "--criterion", "confidence", "--rho", "0.4", "--out", str(mask)]) == 0
+        capsys.readouterr()
+        expected = "warning: [priors] class 2 has no samples; transition row set to uniform\n"
+
+        assert run(["priors", "--dataset", str(gap), "--scores", str(scores),
+                    "--mask", str(mask), "--tm-out", str(tm),
+                    "--prior-out", str(tmp_path / "prior.txt")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == ""
+        np.testing.assert_array_equal(load_transition_matrix(tm).values[2], np.full(3, 1 / 3))
+
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(
+            f"dataset.source = file\ndataset.path = {gap}\nscorer.source = cosine\n"
+            f"scorer.bank = {bank}\nscorer.temperature = 0.25\nselection.rho = 0.4\n"
+            f"train.epochs = 1\noutput.dir = {tmp_path / 'run'}\n",
+            encoding="utf-8",
+        )
+        assert run(["run", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == f"{tmp_path / 'run'}\n"
+        uniform = load_transition_matrix(tmp_path / "run" / "transition.txt").values[2]
+        np.testing.assert_array_equal(uniform, np.full(3, 1 / 3))
+
     def test_report_without_inputs_is_an_error(self, capsys):
         assert run(["report"]) == 1
         assert "error: [report]" in capsys.readouterr().err
@@ -221,6 +280,10 @@ output.dir = {out}
             (valid.replace("selection.rho = 0.5", "selection.rho = half"), "selection.rho"),
             (valid.replace("dataset.noise = symmetric", "dataset.noise = bogus"), "bogus"),
             (valid + "dataset.budget_bounds = a,b\n", "budget_bounds"),
+            (valid + "report.top_k = 5\n", "report.top_k: 5 exceeds the 2 dataset classes"),
+            (valid + "report.top_k = -1\n", "report.top_k: -1 is negative"),
+            (valid.replace("dataset.classes = 2", "dataset.classes = 1"), "at least 2 classes"),
+            (valid.replace("test.per_class = 20", "test.per_class = 0"), "1 sample per class"),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1

@@ -1,5 +1,7 @@
 """Tests for the synthetic-benchmark generators and corruption models."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,25 @@ class TestInstanceDependentNoise:
         )
         assert noisy.noisy_labels.min() >= 0
         assert noisy.noisy_labels.max() < 5
+
+    def test_truncnorm_budgets_are_pinned(self, tmp_path):
+        # budget_sd > 0 and low < high draw budgets from scipy's truncnorm;
+        # the digests pin its draw order on the shared generator, so moving
+        # or reordering that call shows up here.
+        ds = make_blobs(3, 200, 4, 2.0, seed=31)
+        spec = NoiseSpec(
+            "instance_dependent", 0.3, seed=32, budget_sd=0.15, budget_bounds=(0.1, 0.6)
+        )
+        noisy, record = inject_instance_dependent(ds, spec)
+        labels = noisy.noisy_labels.astype("<i8").tobytes()
+        assert hashlib.sha256(labels).hexdigest() == (
+            "52b5f9a7259b89523d888301b535ee2a5ec55017ee958206bf7cd6a9609bf857"
+        )
+        path = tmp_path / "corruption.txt"
+        save_corruption_record(path, record, spec)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cb4f9914e91800d2a266f8171c279dd99164f69bc51c03d6d737493a6e353cc5"
+        )
 
     def test_bounds_validation(self):
         with pytest.raises(ValidationError):
