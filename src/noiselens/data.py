@@ -1,8 +1,11 @@
 """Core data model: labeled feature datasets, surrogate score matrices, and
 their text/binary serialization.
 
-Datasets and score matrices are immutable after construction (the backing
-arrays are frozen), so they can be shared freely across workers.
+Every value object freezes its arrays with ``_freeze``. A C-contiguous input
+of the right dtype is kept, not copied, and is marked read-only in place, so
+the caller's own array becomes read-only too; any other input is copied
+once. ``check_ids`` is the one check that an array keyed to samples lines
+up with a dataset.
 """
 
 from dataclasses import dataclass
@@ -20,8 +23,11 @@ ROW_SUM_FILE_TOL = 1e-6
 ROW_SUM_INTERNAL_TOL = 1e-9
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous ``dtype`` array, copied only when
+    its layout or dtype differ. Callers check shapes first: a 0-d input
+    comes back as a 1-element array."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -88,12 +94,12 @@ class Dataset:
                 raise ValidationError("true_labels length mismatch")
             if true_labels.min() < 0 or true_labels.max() >= c:
                 raise ValidationError("label out of range")
-            true_labels = _freeze(true_labels)
+            true_labels = _freeze(true_labels, np.int64)
 
         self.label_space = label_space
-        self.ids = _freeze(ids)
-        self.features = _freeze(features)
-        self.noisy_labels = _freeze(noisy_labels)
+        self.ids = _freeze(ids, np.int64)
+        self.features = _freeze(features, np.float64)
+        self.noisy_labels = _freeze(noisy_labels, np.int64)
         self.true_labels = true_labels
 
     @property
@@ -111,9 +117,6 @@ class Dataset:
     @property
     def has_ground_truth(self) -> bool:
         return self.true_labels is not None
-
-    def __len__(self) -> int:
-        return self.num_samples
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """New dataset restricted to ``indices``, preserving order."""
@@ -143,8 +146,8 @@ class ScoreMatrix:
             raise ValidationError("sample_ids length must equal the row count")
         if not np.all(np.isfinite(values)):
             raise ValidationError("non-finite score value")
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "sample_ids", _freeze(ids))
+        object.__setattr__(self, "values", _freeze(values, np.float64))
+        object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
 
     @property
     def num_rows(self) -> int:
@@ -168,24 +171,34 @@ class AlignmentReport:
     max_row_sum_deviation: float
 
 
-def validate_score_matrix(scores: ScoreMatrix, dataset: Dataset) -> AlignmentReport:
-    """Check row count, id alignment and row-stochasticity of ``scores``
-    against ``dataset``; returns the largest row-sum deviation seen."""
-    if scores.num_rows != dataset.num_samples:
+def check_ids(ids, dataset: Dataset, what: str) -> None:
+    """Raise unless ``ids`` lists ``dataset``'s sample ids in order: first the
+    row count, then the first row whose id differs."""
+    ids = np.asarray(ids)
+    if ids.shape != dataset.ids.shape:
+        raise ValidationError(f"{what} has {ids.size} rows, dataset has {dataset.num_samples}")
+    mismatch = np.flatnonzero(ids != dataset.ids)
+    if mismatch.size:
+        i = int(mismatch[0])
         raise ValidationError(
-            f"row count {scores.num_rows} does not match dataset size {dataset.num_samples}"
+            f"{what} id {int(ids[i])} at row {i} does not match dataset id {int(dataset.ids[i])}"
         )
+
+
+def check_scores(scores: ScoreMatrix, dataset: Dataset) -> None:
+    """Raise unless ``scores`` has one row per sample of ``dataset``, in id
+    order, and one column per class."""
+    check_ids(scores.sample_ids, dataset, "score matrix")
     if scores.num_cols != dataset.num_classes:
         raise ValidationError(
             f"column count {scores.num_cols} does not match {dataset.num_classes} classes"
         )
-    mismatch = np.nonzero(scores.sample_ids != dataset.ids)[0]
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise ValidationError(
-            f"id mismatch at row {i}: score id {int(scores.sample_ids[i])} "
-            f"!= dataset id {int(dataset.ids[i])}"
-        )
+
+
+def validate_score_matrix(scores: ScoreMatrix, dataset: Dataset) -> AlignmentReport:
+    """Check alignment (``check_scores``) and row-stochasticity of ``scores``
+    against ``dataset``; returns the largest row-sum deviation seen."""
+    check_scores(scores, dataset)
     if scores.values.min() < 0.0:
         bad = np.argwhere(scores.values < 0.0)[0]
         raise ValidationError(f"negative entry at row {bad[0]}, column {bad[1]}")

@@ -33,6 +33,7 @@ from .selection import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_CONSISTENCY_THRESHOLD,
     apply_mask,
+    check_threshold,
     save_mask,
     select_by_confidence,
     select_by_prompt_consistency,
@@ -170,6 +171,7 @@ def parse_pair_map(text: str, num_classes: int) -> dict:
         pairs[src] = dst
     if not pairs:
         raise ValidationError("pair_map is empty")
+    _noise.check_pair_map(pairs, num_classes)
     return pairs
 
 
@@ -311,6 +313,7 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         threshold = value("selection", "mu", float, DEFAULT_CONSISTENCY_THRESHOLD)
     else:
         raise ValidationError(f"unknown selection.criterion {criterion!r}")
+    check_threshold(criterion, threshold)
     cosine = any(kind == "cosine" for kind, _ in score_sources)
 
     test_source = get("test", "source", "none")
@@ -353,6 +356,11 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 get("dataset", "budget_bounds"),
             )
 
+    correct_prob = None
+    if scorer_source == "oracle":
+        correct_prob = value("scorer", "correct_prob", float, 1.0)
+        _noise.check_correct_prob(correct_prob)
+
     top_k = value("report", "top_k", int, 0) if test_source != "none" else 0
     if top_k < 0:
         raise ValidationError(f"config report.top_k: {top_k} is negative (0 turns it off)")
@@ -372,9 +380,7 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         score_sources=tuple(score_sources),
         scorer=_from_section(entries, "scorer", ScorerConfig) if cosine else None,
         embeddings=path("scorer", "embeddings"),
-        correct_prob=(
-            value("scorer", "correct_prob", float, 1.0) if scorer_source == "oracle" else None
-        ),
+        correct_prob=correct_prob,
         criterion=criterion,
         threshold=threshold,
         margin=_from_section(entries, "margin", MarginConfig),
@@ -395,11 +401,8 @@ class ExperimentResult:
     stage: str
     error: str = ""
     dataset: Optional[Dataset] = None
-    scores: Optional[ScoreMatrix] = None
     mask: object = None
-    subset: Optional[Dataset] = None
     matrix: object = None
-    prior: object = None
     train_report: object = None
     metrics: dict = field(default_factory=dict)
 
@@ -459,13 +462,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     result = ExperimentResult(status=1, output_dir=out, stage="dataset")
-
-    def fail(stage: str, exc: Exception) -> ExperimentResult:
-        result.stage = stage
-        result.error = str(exc)
-        _write_manifest(config, stage, str(exc))
-        return result
-
     try:
         if config.dataset_source == "file":
             dataset = result.dataset = load_dataset(config.dataset_path)
@@ -477,21 +473,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             save_dataset(os.path.join(out, "dataset.txt"), dataset)
             if config.noise is not None:
                 save_corruption_record(os.path.join(out, "corruption.txt"), record, config.noise)
-    except (NoiseLensError, OSError) as exc:
-        return fail("dataset", exc)
 
-    try:
         result.stage = "score"
         scores = _score(config, dataset, config.score_sources[0])
-        result.scores = scores
         save_score_matrix(os.path.join(out, "scores.txt"), scores)
         if config.criterion == CRITERION_PROMPT_CONSISTENCY:
             scores_b = _score(config, dataset, config.score_sources[1])
             save_score_matrix(os.path.join(out, "scores_b.txt"), scores_b)
-    except (NoiseLensError, OSError) as exc:
-        return fail("score", exc)
 
-    try:
         result.stage = "select"
         if config.criterion == CRITERION_CONFIDENCE:
             mask = select_by_confidence(dataset, scores, config.threshold)
@@ -500,30 +489,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.mask = mask
         save_mask(os.path.join(out, "mask.txt"), mask)
         subset = apply_mask(dataset, mask)
-        result.subset = subset
-    except (NoiseLensError, OSError) as exc:
-        return fail("select", exc)
 
-    try:
         result.stage = "priors"
-        matrix = estimate_transition_matrix(dataset, scores)
+        matrix = result.matrix = estimate_transition_matrix(dataset, scores)
         prior = compute_class_prior(subset, dataset.label_space)
-        result.matrix = matrix
-        result.prior = prior
         save_transition_matrix(os.path.join(out, "transition.txt"), matrix)
         save_class_prior(os.path.join(out, "prior.txt"), prior)
-    except (NoiseLensError, OSError) as exc:
-        return fail("priors", exc)
 
-    try:
         result.stage = "train"
         train_report = train(subset, matrix, prior, config.margin, config.train)
         result.train_report = train_report
         save_classifier(os.path.join(out, "classifier.txt"), train_report.classifier)
-    except (NoiseLensError, OSError) as exc:
-        return fail("train", exc)
 
-    try:
         result.stage = "evaluate"
         test_dataset = None
         if config.test_source == "file":
@@ -568,7 +545,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         with open(os.path.join(out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_records(rows))
     except (NoiseLensError, OSError) as exc:
-        return fail("evaluate", exc)
+        result.error = str(exc)
+        _write_manifest(config, result.stage, result.error)
+        return result
 
     result.status = 0
     result.stage = "done"

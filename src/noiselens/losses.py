@@ -76,6 +76,16 @@ def _check_logits(logits: np.ndarray, name: str = "logits") -> np.ndarray:
     return logits
 
 
+def check_classes(matrix: TransitionMatrix, prior: ClassPrior, c: int) -> None:
+    """Raise unless the transition matrix and the prior both cover ``c``
+    classes."""
+    if matrix.num_classes != c or prior.values.size != c:
+        raise ValidationError(
+            f"transition matrix ({matrix.num_classes}) / prior ({prior.values.size}) "
+            f"classes do not match {c}"
+        )
+
+
 def _adjusted_log_probs(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -101,8 +111,7 @@ def nabm_probability(
     if logits.ndim != 1:
         raise ValidationError("logits must be a 1-D vector")
     c = logits.shape[0]
-    if matrix.num_classes != c or prior.values.size != c:
-        raise ValidationError("transition matrix / prior dimensions do not match logits")
+    check_classes(matrix, prior, c)
     if not 0 <= label < c:
         raise ValidationError("label out of range")
     log_probs = _adjusted_log_probs(logits[None, :], np.array([label]), matrix, prior, cfg)
@@ -158,8 +167,7 @@ def nabm_loss_batch(
         raise ValidationError("labels length must equal the batch size")
     if labels.min() < 0 or labels.max() >= c:
         raise ValidationError("label out of range")
-    if matrix.num_classes != c or prior.values.size != c:
-        raise ValidationError("transition matrix / prior dimensions do not match logits")
+    check_classes(matrix, prior, c)
 
     log_probs = _adjusted_log_probs(logits, labels, matrix, prior, cfg)
     probs = np.exp(log_probs)

@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from . import data as _data
-from .data import Dataset, LabelSpace
+from .data import Dataset, LabelSpace, _freeze, check_ids
 from .errors import ValidationError
 from .selection import SelectionMask
 
@@ -77,9 +76,9 @@ class CorruptionRecord:
     num_samples: int
 
     def __post_init__(self):
-        object.__setattr__(self, "flipped_ids", _data._freeze(np.asarray(self.flipped_ids, dtype=np.int64)))
+        object.__setattr__(self, "flipped_ids", _freeze(self.flipped_ids, np.int64))
         object.__setattr__(
-            self, "realized_transition", _data._freeze(np.asarray(self.realized_transition, dtype=np.float64))
+            self, "realized_transition", _freeze(self.realized_transition, np.float64)
         )
 
     @property
@@ -104,8 +103,7 @@ def _blob_means(rng: np.random.Generator, num_classes: int, dim: int, separation
 
 def blob_means(num_classes: int, dim: int, separation: float, seed: int = 0) -> np.ndarray:
     """The exact class means `make_blobs` uses for the same arguments."""
-    if num_classes < 2 or dim < 1:
-        raise ValidationError("need at least 2 classes and 1 dimension")
+    check_blob_sizes(num_classes, 1, dim, separation)
     return _blob_means(np.random.default_rng(seed), num_classes, dim, separation)
 
 
@@ -143,6 +141,21 @@ def make_blobs(
         noisy_labels=labels.copy(),
         true_labels=labels.copy(),
     )
+
+
+def check_pair_map(pair_map: dict, num_classes: int) -> None:
+    """Every class an asymmetric pair map names must exist."""
+    for src, dst in pair_map.items():
+        if not (0 <= src < num_classes and 0 <= dst < num_classes):
+            raise ValidationError(
+                f"pair_map entry {src}->{dst} is out of range for {num_classes} classes"
+            )
+
+
+def check_correct_prob(correct_prob: float) -> None:
+    """The probability `oracle_scores` puts on the true class."""
+    if not 0.0 < correct_prob <= 1.0:
+        raise ValidationError(f"correct_prob {correct_prob!r} must lie in (0, 1]")
 
 
 def _require_ground_truth(dataset: Dataset, what: str) -> None:
@@ -202,10 +215,7 @@ def inject_asymmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
     if spec.kind != "asymmetric":
         raise ValidationError(f"spec kind is {spec.kind!r}, not 'asymmetric'")
     _require_ground_truth(dataset, "label corruption")
-    c = dataset.num_classes
-    for src, dst in spec.pair_map.items():
-        if not (0 <= src < c and 0 <= dst < c):
-            raise ValidationError(f"pair_map entry {src}->{dst} is out of range for {c} classes")
+    check_pair_map(spec.pair_map, dataset.num_classes)
     rng = np.random.default_rng(spec.seed)
     truth = dataset.true_labels
     noisy = truth.copy()
@@ -291,8 +301,7 @@ class SelectionQuality:
 def selection_quality(mask: SelectionMask, dataset: Dataset) -> SelectionQuality:
     """Score the mask's verdicts against the dataset's ground truth."""
     _require_ground_truth(dataset, "selection scoring")
-    if mask.sample_ids.shape != dataset.ids.shape or not np.array_equal(mask.sample_ids, dataset.ids):
-        raise ValidationError("mask ids do not match the dataset")
+    check_ids(mask.sample_ids, dataset, "mask")
     clean = dataset.noisy_labels == dataset.true_labels
     chosen = mask.verdicts
     tp = int((chosen & clean).sum())
@@ -318,8 +327,7 @@ def oracle_scores(dataset: Dataset, correct_prob: float = 1.0):
     from .data import ScoreMatrix
 
     _require_ground_truth(dataset, "oracle scoring")
-    if not 0.0 < correct_prob <= 1.0:
-        raise ValidationError("correct_prob must lie in (0, 1]")
+    check_correct_prob(correct_prob)
     n, c = dataset.num_samples, dataset.num_classes
     if c > 1:
         values = np.full((n, c), (1.0 - correct_prob) / (c - 1))

@@ -11,10 +11,16 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from .data import Dataset, LabelSpace, ScoreMatrix
+from .data import (
+    ROW_SUM_FILE_TOL,
+    ROW_SUM_INTERNAL_TOL,
+    Dataset,
+    LabelSpace,
+    ScoreMatrix,
+    _freeze,
+    check_scores,
+)
 from .errors import ValidationError
-
-ROW_SUM_TOL = 1e-9
 
 # The prior enters the loss through its logarithm, so zero counts are fatal;
 # add-half smoothing keeps every entry positive and washes out as counts grow.
@@ -41,22 +47,19 @@ class TransitionMatrix:
             raise ValidationError("transition matrix must be square and non-empty")
         if not np.all(np.isfinite(values)):
             raise ValidationError("non-finite transition matrix entry")
-        if values.min() < 0.0 or values.max() > 1.0 + ROW_SUM_TOL:
+        if values.min() < 0.0 or values.max() > 1.0 + ROW_SUM_INTERNAL_TOL:
             raise ValidationError("transition matrix entries must lie in [0, 1]")
         deviation = np.abs(values.sum(axis=1) - 1.0)
-        if deviation.max() > ROW_SUM_TOL:
+        if deviation.max() > ROW_SUM_INTERNAL_TOL:
             raise ValidationError(
                 f"transition matrix row {int(np.argmax(deviation))} does not sum to 1"
             )
-        values = np.ascontiguousarray(values)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(values, np.float64))
         if self.source_count is not None:
-            counts = np.ascontiguousarray(np.asarray(self.source_count, dtype=np.int64))
+            counts = np.asarray(self.source_count, dtype=np.int64)
             if counts.shape != (values.shape[0],):
                 raise ValidationError("source_count length must equal the class count")
-            counts.flags.writeable = False
-            object.__setattr__(self, "source_count", counts)
+            object.__setattr__(self, "source_count", _freeze(counts, np.int64))
 
     @property
     def num_classes(self) -> int:
@@ -83,23 +86,14 @@ class ClassPrior:
             raise ValidationError("prior must sum to 1")
         if counts.sum() != self.total:
             raise ValidationError("counts do not sum to the recorded total")
-        for name, arr in (("values", values), ("counts", counts)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def raw(self) -> np.ndarray:
-        return self.counts / self.total
+        object.__setattr__(self, "values", _freeze(values, np.float64))
+        object.__setattr__(self, "counts", _freeze(counts, np.int64))
 
 
 def estimate_transition_matrix(dataset: Dataset, scores: ScoreMatrix) -> TransitionMatrix:
     """Average the score rows within each noisy-label group over the FULL
     dataset; a class with no samples gets a uniform row and a warning."""
-    if scores.num_rows != dataset.num_samples or scores.num_cols != dataset.num_classes:
-        raise ValidationError("score matrix shape does not match dataset")
-    if not np.array_equal(scores.sample_ids, dataset.ids):
-        raise ValidationError("score matrix ids do not align with dataset")
+    check_scores(scores, dataset)
     c = dataset.num_classes
     values = np.empty((c, c), dtype=np.float64)
     counts = np.bincount(dataset.noisy_labels, minlength=c).astype(np.int64)
@@ -123,7 +117,7 @@ def transition_matrix_error(estimated: TransitionMatrix, reference: np.ndarray) 
         raise ValidationError(
             f"reference shape {reference.shape} does not match ({c}, {c})"
         )
-    if np.abs(reference.sum(axis=1) - 1.0).max() > 1e-6:
+    if np.abs(reference.sum(axis=1) - 1.0).max() > ROW_SUM_FILE_TOL:
         raise ValidationError("reference rows must sum to 1")
     return float(np.abs(estimated.values - reference).mean())
 

@@ -6,8 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import data as _data
-from .data import Dataset, ScoreMatrix
+from .data import Dataset, ScoreMatrix, _freeze, fmt_float
 from .errors import NoiseLensError, ValidationError
 from .losses import MarginConfig
 from .priors import compute_class_prior, estimate_transition_matrix
@@ -68,8 +67,8 @@ class HistogramReport:
     source: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "bin_edges", _data._freeze(np.asarray(self.bin_edges, dtype=np.float64)))
-        object.__setattr__(self, "counts", _data._freeze(np.asarray(self.counts, dtype=np.int64)))
+        object.__setattr__(self, "bin_edges", _freeze(self.bin_edges, np.float64))
+        object.__setattr__(self, "counts", _freeze(self.counts, np.int64))
         if self.bin_edges.shape != (NUM_BINS + 1,) or self.counts.shape != (NUM_BINS,):
             raise ValidationError("histogram must have 11 edges and 10 counts")
         if self.counts.min() < 0:
@@ -220,26 +219,8 @@ def _render(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return _data.fmt_float(value)
+        return fmt_float(value)
     return str(value)
-
-
-def sweep_rows(report: SweepReport):
-    """SweepReport as a list of dicts for the two formatters."""
-    rows = []
-    for p in report.points:
-        rows.append(
-            {
-                "threshold": p.threshold,
-                "selected": p.selected_count,
-                "precision": p.precision,
-                "recall": p.recall,
-                "test_accuracy": p.test_accuracy,
-                "skipped": p.skipped,
-                "error": p.error or "-",
-            }
-        )
-    return rows
 
 
 def histogram_rows(report: HistogramReport):

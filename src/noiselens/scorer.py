@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, load_score_matrix, validate_score_matrix
+from .data import Dataset, ScoreMatrix, _freeze, check_ids, load_score_matrix, validate_score_matrix
 from .errors import FormatError, ValidationError
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
@@ -29,7 +29,7 @@ class ClassEmbeddingBank:
     prompt_id: str = "default"
 
     def __post_init__(self):
-        emb = np.ascontiguousarray(np.asarray(self.embeddings, dtype=np.float64))
+        emb = np.asarray(self.embeddings, dtype=np.float64)
         if emb.ndim != 2:
             raise ValidationError("class embeddings must be a 2-D array")
         if not np.all(np.isfinite(emb)):
@@ -40,8 +40,7 @@ class ClassEmbeddingBank:
             raise ValidationError(f"zero-norm class embedding at index {int(bad[0])}")
         if any(ch.isspace() for ch in self.prompt_id) or not self.prompt_id:
             raise ValidationError("prompt_id must be a non-empty token without whitespace")
-        emb.flags.writeable = False
-        object.__setattr__(self, "embeddings", emb)
+        object.__setattr__(self, "embeddings", _freeze(emb, np.float64))
 
     @property
     def num_classes(self) -> int:
@@ -168,17 +167,7 @@ def load_embedding_table(path, dataset: Dataset) -> np.ndarray:
     column is the sample id; rows must match the dataset order exactly."""
     reader = codec.read(path, "auto", codec.EMBEDDING_TABLE)
     n, d = reader.counts
-    if n != dataset.num_samples:
-        raise ValidationError(
-            f"embedding table has {n} rows, dataset has {dataset.num_samples}"
-        )
     ids, embeddings = reader.rows(n, [int, (float, d)])
     reader.end()
-    mismatch = np.flatnonzero(ids != dataset.ids)
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise ValidationError(
-            f"{reader.where(i)}: embedding id {int(ids[i])} does not match dataset id "
-            f"{int(dataset.ids[i])}"
-        )
+    check_ids(ids, dataset, f"{path}: embedding table")
     return embeddings

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix
+from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, _freeze, check_ids, check_scores
 from .errors import FormatError, ValidationError
 
 CRITERION_CONFIDENCE = "confidence"
@@ -52,28 +52,32 @@ class SelectionMask:
             raise ValidationError(f"unknown criterion {self.criterion!r}")
         if not np.array_equal(verdicts, expected):
             raise ValidationError("verdicts are inconsistent with scores and threshold")
-        for name, arr in (("sample_ids", ids), ("scores", scores), ("verdicts", verdicts)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
+        object.__setattr__(self, "scores", _freeze(scores, np.float64))
+        object.__setattr__(self, "verdicts", _freeze(verdicts, bool))
 
     @property
     def selected_count(self) -> int:
         return int(self.verdicts.sum())
 
 
-def _check_alignment(dataset: Dataset, scores: ScoreMatrix) -> None:
-    if scores.num_rows != dataset.num_samples or scores.num_cols != dataset.num_classes:
-        raise ValidationError("score matrix shape does not match dataset")
-    if not np.array_equal(scores.sample_ids, dataset.ids):
-        raise ValidationError("score matrix ids do not align with dataset")
+def check_threshold(criterion: str, threshold: float) -> None:
+    """The threshold range of a criterion: rho in (0, 1) for confidence, a
+    positive mu for prompt consistency."""
+    if criterion == CRITERION_CONFIDENCE:
+        if not 0.0 < threshold < 1.0:
+            raise ValidationError(f"rho {threshold!r} must lie in (0, 1)")
+    elif criterion == CRITERION_PROMPT_CONSISTENCY:
+        if not threshold > 0.0:
+            raise ValidationError(f"mu {threshold!r} must be positive")
+    else:
+        raise ValidationError(f"unknown criterion {criterion!r}")
 
 
 def select_by_confidence(dataset: Dataset, scores: ScoreMatrix, rho: float) -> SelectionMask:
     """Keep sample i when its score at the noisy label strictly exceeds rho."""
-    if not 0.0 < rho < 1.0:
-        raise ValidationError("rho must lie in (0, 1)")
-    _check_alignment(dataset, scores)
+    check_threshold(CRITERION_CONFIDENCE, rho)
+    check_scores(scores, dataset)
     at_label = scores.values[np.arange(dataset.num_samples), dataset.noisy_labels]
     return SelectionMask(
         sample_ids=dataset.ids,
@@ -90,7 +94,7 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a 1-D probability vector")
     if p.min() < 0.0:
         raise ValidationError(f"{name} has a negative entry")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > ROW_SUM_INTERNAL_TOL:
         raise ValidationError(f"{name} sums to {p.sum()!r}, not 1")
     return p
 
@@ -125,10 +129,9 @@ def select_by_prompt_consistency(
 ) -> SelectionMask:
     """Keep sample i when the divergence between its two prompt-variant score
     rows is strictly below mu."""
-    if not mu > 0.0:
-        raise ValidationError("mu must be positive")
-    _check_alignment(dataset, scores_a)
-    _check_alignment(dataset, scores_b)
+    check_threshold(CRITERION_PROMPT_CONSISTENCY, mu)
+    check_scores(scores_a, dataset)
+    check_scores(scores_b, dataset)
     distances = _js_rows(scores_a.values, scores_b.values)
     return SelectionMask(
         sample_ids=dataset.ids,
@@ -142,8 +145,7 @@ def select_by_prompt_consistency(
 def apply_mask(dataset: Dataset, mask: SelectionMask) -> Dataset:
     """Restrict the dataset to the samples the mask marks clean, preserving
     order and ids."""
-    if not np.array_equal(mask.sample_ids, dataset.ids):
-        raise ValidationError("mask was built against a different dataset")
+    check_ids(mask.sample_ids, dataset, "mask")
     indices = np.nonzero(mask.verdicts)[0]
     if indices.size == 0:
         raise ValidationError(

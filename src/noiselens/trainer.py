@@ -18,10 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from . import data as _data
-from .data import Dataset
+from .data import Dataset, _freeze
 from .errors import TrainingDivergedError, ValidationError
-from .losses import MarginConfig, nabm_loss_batch
+from .losses import MarginConfig, check_classes, nabm_loss_batch
 from .priors import ClassPrior, TransitionMatrix
 
 
@@ -41,8 +40,8 @@ class LinearClassifier:
             raise ValidationError("bias length must equal the number of classes")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
             raise ValidationError("classifier parameters must be finite")
-        object.__setattr__(self, "weights", _data._freeze(weights))
-        object.__setattr__(self, "bias", _data._freeze(bias))
+        object.__setattr__(self, "weights", _freeze(weights, np.float64))
+        object.__setattr__(self, "bias", _freeze(bias, np.float64))
 
     @property
     def num_classes(self) -> int:
@@ -148,8 +147,7 @@ def train(
     actual size.
     """
     c = subset.num_classes
-    if matrix.num_classes != c or prior.values.size != c:
-        raise ValidationError("transition matrix / prior dimensions do not match the dataset")
+    check_classes(matrix, prior, c)
     started = time.perf_counter()
 
     head = init_classifier(subset.feature_dim, c, cfg.seed)

@@ -284,6 +284,12 @@ output.dir = {out}
             (valid + "report.top_k = -1\n", "report.top_k: -1 is negative"),
             (valid.replace("dataset.classes = 2", "dataset.classes = 1"), "at least 2 classes"),
             (valid.replace("test.per_class = 20", "test.per_class = 0"), "1 sample per class"),
+            (
+                valid.replace("noise = symmetric", "noise = asymmetric\ndataset.pair_map = 0:5"),
+                "pair_map entry 0->5 is out of range for 2 classes",
+            ),
+            (valid.replace("rho = 0.5", "rho = 1.5"), "rho 1.5 must lie in (0, 1)"),
+            (valid.replace("correct_prob = 0.9", "correct_prob = 2"), "correct_prob 2.0 must lie"),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1

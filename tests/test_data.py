@@ -19,6 +19,15 @@ from noiselens.data import (
     save_score_matrix,
     validate_score_matrix,
 )
+from noiselens.noise import selection_quality
+from noiselens.priors import estimate_transition_matrix
+from noiselens.scorer import load_embedding_table
+from noiselens.selection import (
+    SelectionMask,
+    apply_mask,
+    select_by_confidence,
+    select_by_prompt_consistency,
+)
 
 
 def small_dataset(with_truth=True):
@@ -89,6 +98,15 @@ class TestDataset:
         ds = small_dataset()
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
+
+    def test_contiguous_input_frozen_in_place_not_copied(self):
+        features = np.zeros((4, 2))
+        values = np.full((4, 3), 1 / 3)
+        ds = Dataset(LabelSpace.default(3), np.arange(4), features, np.zeros(4, dtype=np.int64))
+        scores = ScoreMatrix(values=values, sample_ids=ds.ids)
+        assert np.shares_memory(ds.features, features)
+        assert np.shares_memory(scores.values, values)
+        assert not features.flags.writeable and not values.flags.writeable
 
     def test_subset_preserves_order(self):
         ds = small_dataset()
@@ -168,6 +186,44 @@ class TestScoreValidation:
         )
         report = validate_score_matrix(scores, ds)
         assert report.max_row_sum_deviation <= 1e-12
+
+
+def _table(tmp_path, ds, ids):
+    path = tmp_path / "emb.txt"
+    rows = [f"{i}," + ",".join(map(repr, f)) for i, f in zip(ids, ds.features.tolist())]
+    path.write_text(f"#noiselens-bank v1 C={len(rows)} D=2 PROMPT=img\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _mask(ids):
+    return SelectionMask(ids, np.full(len(ids), 0.9), np.ones(len(ids), bool), "confidence", 0.5)
+
+
+# Each consumer of an array keyed to samples, given scores whose ids are
+# misaligned with the dataset (masks and tables reuse those ids).
+ID_CHECKS = {
+    "validate_score_matrix": lambda ds, bad, tmp: validate_score_matrix(bad, ds),
+    "select_by_confidence": lambda ds, bad, tmp: select_by_confidence(ds, bad, 0.5),
+    "select_by_prompt_consistency": lambda ds, bad, tmp: select_by_prompt_consistency(
+        ds, ScoreMatrix(bad.values, ds.ids), bad, 0.1
+    ),
+    "estimate_transition_matrix": lambda ds, bad, tmp: estimate_transition_matrix(ds, bad),
+    "apply_mask": lambda ds, bad, tmp: apply_mask(ds, _mask(bad.sample_ids)),
+    "selection_quality": lambda ds, bad, tmp: selection_quality(_mask(bad.sample_ids), ds),
+    "load_embedding_table": lambda ds, bad, tmp: load_embedding_table(
+        _table(tmp, ds, bad.sample_ids), ds
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ID_CHECKS))
+def test_misaligned_id_names_its_row(entry, tmp_path):
+    ds = small_dataset()
+    ids = ds.ids.copy()
+    ids[2] = 99
+    bad = ScoreMatrix(values=np.full((4, 3), 1 / 3), sample_ids=ids)
+    with pytest.raises(ValidationError, match="id 99 at row 2 does not match dataset id 12"):
+        ID_CHECKS[entry](ds, bad, tmp_path)
 
 
 class TestFloatFormatting:

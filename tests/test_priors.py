@@ -136,11 +136,6 @@ class TestClassPrior:
         assert prior.values.min() > 0.0
         assert abs(prior.values.sum() - 1.0) <= 1e-12
 
-    def test_raw_ratios(self):
-        subset = dataset_with_labels([0, 0, 1, 1], 2)
-        prior = compute_class_prior(subset, LabelSpace.default(2))
-        np.testing.assert_array_equal(prior.raw, [0.5, 0.5])
-
     def test_empty_subset_rejected(self):
         # An empty subset cannot even be constructed, so the prior is never
         # asked to divide by zero.

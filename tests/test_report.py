@@ -17,7 +17,6 @@ from noiselens.report import (
     format_records,
     format_table,
     histogram_rows,
-    sweep_rows,
     threshold_sweep,
     top_k_accuracy,
     TrainingBundle,
@@ -213,14 +212,15 @@ class TestThresholdSweep:
 class TestFormatters:
     ROWS = [
         {"name": "a", "value": 0.5, "flag": True, "note": None},
-        {"name": "bb", "value": 2.0, "flag": False, "note": "x"},
+        {"name": "bb", "value": 2.0, "flag": False, "note": "empty selection"},
     ]
 
     def test_records_format(self):
         text = format_records(self.ROWS)
         lines = text.splitlines()
         assert lines[0] == "name=a value=0.5 flag=1 note=-"
-        assert lines[1] == "name=bb value=2.0 flag=0 note=x"
+        # whitespace inside a value becomes '_' so records stay token-splittable
+        assert lines[1] == "name=bb value=2.0 flag=0 note=empty_selection"
         assert text.endswith("\n")
 
     def test_table_format(self):
@@ -230,6 +230,7 @@ class TestFormatters:
         assert lines[1].split() == ["a", "0.5", "1", "-"]
         # columns are aligned: 'name' column is padded to len('name')
         assert lines[1].startswith("a   ")
+        assert lines[2].endswith("empty selection")  # the table keeps it verbatim
 
     def test_table_requires_shared_columns(self):
         with pytest.raises(ValidationError):
@@ -238,20 +239,6 @@ class TestFormatters:
     def test_empty_rows(self):
         assert format_records([]) == ""
         assert format_table([]) == ""
-
-    def test_sweep_rows_round_trip_through_formatter(self):
-        noisy, scores, bundle = sweep_setup(seed=5)
-        report = threshold_sweep(noisy, scores, [0.5, 0.95], bundle)
-        rows = sweep_rows(report)
-        text = format_records(rows)
-        assert "threshold=0.5" in text
-        # values are whitespace-sanitized so records stay token-splittable
-        assert "error=empty_selection" in text
-        for line in text.splitlines():
-            assert all("=" in token for token in line.split())
-        table = format_table(rows)
-        assert table.splitlines()[0].startswith("threshold")
-        assert "empty selection" in table  # table keeps the verbatim message
 
     def test_histogram_rows(self):
         report = confidence_histogram(np.array([0.05, 0.95]), source="scores")
