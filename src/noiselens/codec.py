@@ -8,6 +8,12 @@ records its header declares. Floats are written as the shortest decimal
 that parses back to the identical float64, so a text round trip is
 bit-exact.
 
+Records are parsed in bulk by numpy's reader (``np.loadtxt``), one call
+per block of records, into a table with one field per column. It accepts
+integers as ASCII digits with an optional sign, and floats in the grammar
+of ``float()`` without underscores or non-ASCII digits; ``nan`` and
+``inf`` parse, and the loaders' own checks decide whether they may occur.
+
 Binary artifacts are the ``NLNS`` container: the magic bytes, a
 little-endian u16 version and u8 kind, the header counts packed with the
 kind's struct format, then every column of every block in turn as
@@ -16,6 +22,7 @@ little-endian int64/float64 arrays, with nothing after the payload.
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -27,8 +34,8 @@ from .errors import FormatError, ValidationError
 MAGIC = b"NLNS"
 BINARY_VERSION = 1
 
-# Rows converted per step when writing or parsing a block of records, so
-# the temporary Python objects stay small whatever the file size.
+# Rows formatted per step when writing a block of records, so the
+# temporary Python objects stay small whatever the file size.
 CHUNK_ROWS = 1024
 
 
@@ -97,9 +104,10 @@ def read(path, fmt: str, layout: Layout):
 
 def _column(spec) -> tuple:
     """A column spec is ``int`` or ``float`` (one field per record, read as a
-    1-D array) or ``(int|float, width)`` (a run of fields, read as 2-D)."""
+    1-D array) or ``(int|float, width)`` (a run of fields, read as 2-D);
+    returns its dtype and run width (``None`` for a single field)."""
     kind, run = spec if isinstance(spec, tuple) else (spec, None)
-    return kind, np.dtype(kind), run
+    return np.dtype(kind), run
 
 
 # ---------------------------------------------------------------------------
@@ -175,31 +183,40 @@ class TextReader:
                 f"{self.path}: header declares {first - 1 + n} records, "
                 f"file has {len(self._lines) - 1}"
             )
-        specs, width = [], 0
-        for kind, dtype, run in map(_column, columns):
-            size = 1 if run is None else run
-            specs.append((kind, dtype, width, width + size))
-            width += size
+        specs = list(map(_column, columns))
+        width = sum(1 if run is None else run for _, run in specs)
         self._first, self._next = first, first + n
         for i, line in enumerate(lines):
             got = line.count(",") + 1 if line else 0
             if got != width:
                 raise FormatError(f"{self.where(i)}: {name} has {got} fields, expected {width}")
+        if n == 0 or width == 0:
+            return [np.empty((n,) if run is None else (n, run), dtype) for dtype, run in specs]
 
-        out = [np.empty((n, hi - lo), dtype) for _, dtype, lo, hi in specs]
-        for start in range(0, n, CHUNK_ROWS):
-            split = [line.split(",") for line in lines[start : start + CHUNK_ROWS]]
-            for arr, (kind, dtype, lo, hi) in zip(out, specs):
-                try:
-                    arr[start : start + CHUNK_ROWS] = [list(map(kind, p[lo:hi])) for p in split]
-                except (ValueError, OverflowError):
-                    for i, parts in enumerate(split):
-                        try:
-                            np.array(list(map(kind, parts[lo:hi])), dtype)
-                        except (ValueError, OverflowError) as exc:
-                            raise FormatError(f"{self.where(start + i)}: {exc}") from None
-                    raise
-        return [arr if isinstance(c, tuple) else arr.ravel() for arr, c in zip(out, columns)]
+        row = np.dtype(
+            [(f"c{j}", dtype, () if run is None else (run,)) for j, (dtype, run) in enumerate(specs)]
+        )
+        try:
+            table = _loadtxt(lines, row)
+        except _REJECTED:
+            raise self._bad_record(lines, row, specs, name) from None
+        if len(table) != n:
+            raise FormatError(f"{self.path}: parsed {len(table)} records, expected {n}")
+        return [np.ascontiguousarray(table[field]) for field in row.names]
+
+    def _bad_record(self, lines, row: np.dtype, specs, name: str) -> FormatError:
+        """The error for the first line of a block the reader rejects, naming
+        its first rejected field."""
+        kinds = [dtype for dtype, run in specs for _ in range(1 if run is None else run)]
+        for i, line in enumerate(lines):
+            if _parses(line, row):
+                continue
+            for j, (dtype, token) in enumerate(zip(kinds, line.split(","))):
+                if not _parses(token, dtype):
+                    what = "an integer" if dtype.kind == "i" else "a number"
+                    return FormatError(f"{self.where(i)}: field {j + 1} is not {what}: {token!r}")
+            return FormatError(f"{self.where(i)}: {name} does not parse")
+        return FormatError(f"{self.path}: records do not parse")
 
     def end(self) -> None:
         if self._next != len(self._lines):
@@ -224,6 +241,32 @@ def _parse_header(line: str, tag: str, required) -> dict:
         if key not in header:
             raise FormatError(f"line 1: header missing {key}=")
     return header
+
+
+# What the reader raises on a record it rejects. numpy 1.23-1.26 read an
+# integer field that only parses as a float (``1.5``, ``1e3``, ``inf``, an
+# int64 overflow) through a float and truncate it after a DeprecationWarning;
+# ``_loadtxt`` raises that warning, so such a field is rejected, not truncated.
+_REJECTED = (ValueError, OverflowError, DeprecationWarning)
+
+
+def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+    """numpy's C reader over comma-separated records, one row per line."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _parses(token: str, dtype: np.dtype) -> bool:
+    """True when the reader accepts ``token`` as one record of ``dtype``. An
+    empty token is rejected here: the reader would skip it as a blank line."""
+    if not token:
+        return False
+    try:
+        _loadtxt([token], dtype)
+    except _REJECTED:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +326,7 @@ class BinaryReader:
     def rows(self, n: int, columns, name: str = "record") -> list:
         """The next ``n`` records, stored column after column."""
         out = []
-        for _, dtype, run in map(_column, columns):
+        for dtype, run in map(_column, columns):
             shape = (n,) if run is None else (n, run)
             raw = self._take(dtype.itemsize * math.prod(shape))
             out.append(np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype).reshape(shape))

@@ -14,13 +14,13 @@ what actually happened (flips, realized rate, realized transition matrix),
 so experiments can report against the truth instead of the nominal knobs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import codec
-from .data import Dataset, LabelSpace, _freeze, check_ids
+from .data import Dataset, LabelSpace, ScoreMatrix, _freeze, check_ids
 from .errors import ValidationError
 from .selection import SelectionMask
 
@@ -320,19 +320,14 @@ def selection_quality(mask: SelectionMask, dataset: Dataset) -> SelectionQuality
     )
 
 
-def oracle_scores(dataset: Dataset, correct_prob: float = 1.0):
+def oracle_scores(dataset: Dataset, correct_prob: float = 1.0) -> ScoreMatrix:
     """Ground-truth score rows: `correct_prob` on the true class and the
     remainder spread evenly over the others. correct_prob=1 gives one-hot
     rows; useful as a best-case surrogate in benchmarks."""
-    from .data import ScoreMatrix
-
     _require_ground_truth(dataset, "oracle scoring")
     check_correct_prob(correct_prob)
     n, c = dataset.num_samples, dataset.num_classes
-    if c > 1:
-        values = np.full((n, c), (1.0 - correct_prob) / (c - 1))
-    else:
-        values = np.zeros((n, c))
+    values = np.full((n, c), (1.0 - correct_prob) / (c - 1))
     values[np.arange(n), dataset.true_labels] = correct_prob
     return ScoreMatrix(values=values, sample_ids=dataset.ids)
 

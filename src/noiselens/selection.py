@@ -44,12 +44,11 @@ class SelectionMask:
         verdicts = np.asarray(self.verdicts, dtype=bool)
         if not (ids.shape == scores.shape == verdicts.shape) or ids.ndim != 1 or ids.size == 0:
             raise ValidationError("mask fields must be equal-length, non-empty 1-D arrays")
+        check_threshold(self.criterion, self.threshold)
         if self.criterion == CRITERION_CONFIDENCE:
             expected = scores > self.threshold
-        elif self.criterion == CRITERION_PROMPT_CONSISTENCY:
-            expected = scores < self.threshold
         else:
-            raise ValidationError(f"unknown criterion {self.criterion!r}")
+            expected = scores < self.threshold
         if not np.array_equal(verdicts, expected):
             raise ValidationError("verdicts are inconsistent with scores and threshold")
         object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
@@ -88,21 +87,10 @@ def select_by_confidence(dataset: Dataset, scores: ScoreMatrix, rho: float) -> S
     )
 
 
-def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-D probability vector")
-    if p.min() < 0.0:
-        raise ValidationError(f"{name} has a negative entry")
-    if abs(p.sum() - 1.0) > ROW_SUM_INTERNAL_TOL:
-        raise ValidationError(f"{name} sums to {p.sum()!r}, not 1")
-    return p
-
-
-def _js_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Jensen-Shannon divergence in nats, zeros handled by the
-    x*log(x) -> 0 limit."""
-    pq = np.array((a, b))
+def _js_rows(pq: np.ndarray) -> np.ndarray:
+    """Row-wise Jensen-Shannon divergence in nats between ``pq[0]`` and
+    ``pq[1]``, zeros handled by the x*log(x) -> 0 limit. Overwrites the
+    near-zero entries of ``pq``, so callers pass a fresh stack."""
     pq[pq < ZERO_CUTOFF] = 0.0
     m = 0.5 * (pq[0] + pq[1])
     # Both half-KL terms at once; a zero entry keeps ratio 1 and adds 0*log(1).
@@ -114,11 +102,21 @@ def _js_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence between two probability vectors, natural
     log, bounded by [0, ln 2]."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    for name, x in (("p", p), ("q", q)):
+        if x.ndim != 1:
+            raise ValidationError(f"{name} must be a 1-D probability vector")
     if p.shape != q.shape:
         raise ValidationError("p and q must have the same length")
-    return float(_js_rows(p[None, :], q[None, :])[0])
+    pq = np.array((p, q))
+    if pq.min() < 0.0:
+        name = "p" if p.min() < 0.0 else "q"
+        raise ValidationError(f"{name} has a negative entry")
+    for name, total in zip("pq", pq.sum(axis=-1).tolist()):
+        if abs(total - 1.0) > ROW_SUM_INTERNAL_TOL:
+            raise ValidationError(f"{name} sums to {total!r}, not 1")
+    return float(_js_rows(pq))
 
 
 def select_by_prompt_consistency(
@@ -132,7 +130,7 @@ def select_by_prompt_consistency(
     check_threshold(CRITERION_PROMPT_CONSISTENCY, mu)
     check_scores(scores_a, dataset)
     check_scores(scores_b, dataset)
-    distances = _js_rows(scores_a.values, scores_b.values)
+    distances = _js_rows(np.array((scores_a.values, scores_b.values)))
     return SelectionMask(
         sample_ids=dataset.ids,
         scores=distances,

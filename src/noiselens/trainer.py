@@ -12,8 +12,7 @@ softmax over the linear logits.
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

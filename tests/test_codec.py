@@ -3,9 +3,15 @@ file raises FormatError or ValidationError, never another exception and
 never a silently accepted object."""
 
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noiselens.data import (
     Dataset,
@@ -171,3 +177,132 @@ def test_damaged_file_raises_only_format_or_validation_error(tmp_path, kind, fmt
         path.write_bytes(damaged)
         with pytest.raises((FormatError, ValidationError)):
             load(path)
+
+
+# ---------------------------------------------------------------------------
+# the text reader: bit-exact numbers, hostile bytes, the number grammar
+# ---------------------------------------------------------------------------
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+    .filter(np.isfinite),
+)
+MATRICES = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=FINITE)
+IDS = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4, unique=True)
+
+
+@given(values=MATRICES, ids=IDS)
+@settings(max_examples=60, deadline=None)
+def test_text_round_trip_is_bit_exact(values, ids):
+    """Every finite float64, subnormals, -0.0 and the extremes included, and
+    every int64 id reads back with the bits it was written with."""
+    n = values.shape[0]
+    ids = np.array(ids[:n], dtype=np.int64)
+    dataset = Dataset(LabelSpace.default(2), ids, values, np.zeros(n, np.int64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.txt"
+        save_dataset(path, dataset)
+        loaded = load_dataset(path)
+        assert loaded.features.tobytes() == values.tobytes()
+        assert loaded.ids.tobytes() == ids.tobytes()
+        save_score_matrix(path, ScoreMatrix(values, ids))
+        scores = read_score_matrix(path)
+        assert scores.values.tobytes() == values.tobytes()
+        assert scores.sample_ids.tobytes() == ids.tobytes()
+
+
+def _mutate(raw: bytes, data) -> bytes:
+    """``raw`` truncated, with one byte replaced, or with one line
+    duplicated or dropped."""
+    how = data.draw(st.sampled_from(["truncate", "replace", "duplicate", "drop"]))
+    if how in ("truncate", "replace"):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if how == "truncate":
+            return raw[:at]
+        return raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1 :]
+    lines = raw.split(b"\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at : at + 1] = [lines[at]] * (2 if how == "duplicate" else 0)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mutated_text_file_loads_or_raises_format_or_validation_error(kind, data):
+    _, save, load = KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.txt"
+        save(path, "text")
+        path.write_bytes(_mutate(path.read_bytes(), data))
+        try:
+            load(path)
+        except (FormatError, ValidationError):
+            pass
+
+
+_installed_loadtxt = np.loadtxt
+
+
+def _loadtxt_with_float_fallback(lines, dtype, **kwargs):
+    """``np.loadtxt`` as numpy 1.23-1.26 ship it: an integer field that only
+    parses as a float is read as one and truncated, after a
+    DeprecationWarning."""
+    try:
+        return _installed_loadtxt(lines, dtype=dtype, **kwargs)
+    except ValueError:
+        names = dtype.names or ()
+        as_float = np.dtype([(f, np.float64, dtype[f].shape) for f in names] or np.float64)
+        table = _installed_loadtxt(lines, dtype=as_float, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return table.astype(dtype)
+
+
+DATASET_TEXT = "#noiselens-dataset v1 N=2 C=2 D=2 GT=0\n0,1,0.5,1.5\n1,0,2.5,3.5\n"
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("1,0,2.5", "1_0,0,2.5"),  # Python int() and float() accept
+        ("1,0,2.5", "1,0,2_5"),  # digit-group underscores,
+        ("1,0,2.5", "\u0663,0,2.5"),  # and non-ASCII digits;
+        ("1,0,2.5", "1,0,\u0663.5"),  # the reader does not.
+        ("1,0,2.5", "1,0,#2.5"),  # '#' starts no comment in a record
+        ("1,0,2.5", "9223372036854775808,0,2.5"),  # overflows int64
+        ("1,0,2.5", "1,0, "),  # whitespace only
+        ("1,0,2.5", "1.5,0,2.5"),  # an integer field that only
+        ("1,0,2.5", "1e3,0,2.5"),  # parses as a float
+        ("1,0,2.5", "2.0,0,2.5"),
+        ("1,0,2.5", "inf,0,2.5"),
+        ("1,0,2.5", "1,1.5,2.5"),
+    ],
+)
+@pytest.mark.parametrize("reader", ["installed", "float_fallback"])
+def test_rejected_number_names_its_line_and_token(tmp_path, monkeypatch, reader, old, new):
+    if reader == "float_fallback":
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_with_float_fallback)
+    path = tmp_path / "ds.txt"
+    path.write_text(DATASET_TEXT.replace(old, new), encoding="utf-8")
+    token = next(t for t in new.split(",") if t not in old.split(","))
+    with pytest.raises(FormatError, match=rf"^line 3: .*{re.escape(repr(token))}$"):
+        load_dataset(path)
+
+
+def test_whitespace_flipped_id_names_its_line(tmp_path):
+    path = tmp_path / "corruption.txt"
+    header = "#noiselens-corruption v1 N=2 C=2 KIND=symmetric RATE=0.5 SEED=1 FLIPPED=1 REALIZED=0.5"
+    path.write_text(f"{header}\n \n0.5,0.5\n0.5,0.5\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"^line 2: "):
+        load_corruption_record(path)
+
+
+def test_valid_numbers_in_every_spelling_parse_as_float_does(tmp_path):
+    spellings = ["+1.5", "-0", "1e-320", "1E5", ".5", "5.", " 2.5 ", "007"]
+    path = tmp_path / "scores.txt"
+    rows = "".join(f"{i},{s}\n" for i, s in enumerate(spellings))
+    path.write_text(f"#noiselens-scores v1 N={len(spellings)} C=1\n{rows}", encoding="utf-8")
+    values = read_score_matrix(path).values[:, 0]
+    assert values.tobytes() == np.array([float(s) for s in spellings]).tobytes()

@@ -289,6 +289,29 @@ class TestMaskAndSubset:
         with pytest.raises(ValidationError):
             apply_mask(ds, mask)
 
+    @pytest.mark.parametrize(
+        "criterion,threshold",
+        [
+            ("confidence", "-1"),
+            ("confidence", "0"),
+            ("confidence", "1"),
+            ("confidence", "1.5"),
+            ("prompt_consistency", "0"),
+        ],
+    )
+    def test_loaded_threshold_out_of_range(self, tmp_path, criterion, threshold):
+        # Each verdict agrees with its score, so only the threshold is wrong.
+        t = float(threshold)
+        scores = [0.2, 0.8]
+        flags = [int(s > t if criterion == "confidence" else s < t) for s in scores]
+        path = tmp_path / "mask.txt"
+        path.write_text(
+            f"#noiselens-mask v1 N=2 CRITERION={criterion} THRESHOLD={threshold}\n"
+            + "".join(f"{i},{s!r},{f}\n" for i, (s, f) in enumerate(zip(scores, flags)))
+        )
+        with pytest.raises(ValidationError):
+            load_mask(path)
+
     def test_round_trip(self, tmp_path):
         ds, scores = self.make()
         mask = select_by_confidence(ds, scores, 0.45)
