@@ -11,8 +11,10 @@ bit-exact.
 Records are parsed in bulk by numpy's reader (``np.loadtxt``), one call
 per block of records, into a table with one field per column. It accepts
 integers as ASCII digits with an optional sign, and floats in the grammar
-of ``float()`` without underscores or non-ASCII digits; ``nan`` and
-``inf`` parse, and the loaders' own checks decide whether they may occur.
+of ``float()`` without underscores or non-ASCII digits. Every float must be
+finite: ``nan`` or ``inf`` in a float column, text or binary, or in a
+header value read with ``TextReader.real``, is a ``FormatError`` naming the
+line or record.
 
 Binary artifacts are the ``NLNS`` container: the magic bytes, a
 little-endian u16 version and u8 kind, the header counts packed with the
@@ -166,9 +168,12 @@ class TextReader:
 
     def real(self, key: str) -> float:
         try:
-            return float(self.header[key])
+            value = float(self.header[key])
         except ValueError:
-            raise FormatError(f"line 1: {key}={self.header[key]!r} is not a number") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise FormatError(f"line 1: {key}={self.header[key]!r} is not a finite number")
+        return value
 
     def where(self, i: int) -> str:
         """Location of record ``i`` of the last block read."""
@@ -202,7 +207,7 @@ class TextReader:
             raise self._bad_record(lines, row, specs, name) from None
         if len(table) != n:
             raise FormatError(f"{self.path}: parsed {len(table)} records, expected {n}")
-        return [np.ascontiguousarray(table[field]) for field in row.names]
+        return _finite([np.ascontiguousarray(table[field]) for field in row.names], self.where, name)
 
     def _bad_record(self, lines, row: np.dtype, specs, name: str) -> FormatError:
         """The error for the first line of a block the reader rejects, naming
@@ -224,6 +229,21 @@ class TextReader:
                 f"{self.path}: header declares {self._next - 1} records, "
                 f"file has {len(self._lines) - 1}"
             )
+
+
+def _finite(columns: list, where, name: str) -> list:
+    """``columns`` as they are, unless a float column holds ``nan`` or
+    ``inf``; then a FormatError names the first record that does."""
+    bad = [
+        ~(np.isfinite(col).all(axis=1) if col.ndim == 2 else np.isfinite(col))
+        for col in columns
+        if col.dtype.kind == "f"
+    ]
+    if bad:
+        bad = np.logical_or.reduce(bad)
+        if bad.any():
+            raise FormatError(f"{where(int(np.argmax(bad)))}: {name} has a non-finite value")
+    return columns
 
 
 def _parse_header(line: str, tag: str, required) -> dict:
@@ -330,7 +350,7 @@ class BinaryReader:
             shape = (n,) if run is None else (n, run)
             raw = self._take(dtype.itemsize * math.prod(shape))
             out.append(np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype).reshape(shape))
-        return out
+        return _finite(out, self.where, name)
 
     def where(self, i: int) -> str:
         return f"{self.path}: record {i + 1}"

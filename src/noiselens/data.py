@@ -235,12 +235,9 @@ def load_dataset(path, fmt: str = "auto") -> Dataset:
         raise FormatError(f"{path}: GT must be 0 or 1")
     ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)])
     reader.end()
-    for problem, bad in (
-        ("label out of range", np.any([(y < 0) | (y >= c) for y in labels], axis=0)),
-        ("non-finite feature value", ~np.isfinite(feats).all(axis=1)),
-    ):
-        if bad.any():
-            raise FormatError(f"{reader.where(int(np.argmax(bad)))}: {problem}")
+    bad = np.any([(y < 0) | (y >= c) for y in labels], axis=0)
+    if bad.any():
+        raise FormatError(f"{reader.where(int(np.argmax(bad)))}: label out of range")
     return Dataset(LabelSpace.default(c), ids, feats, labels[0], labels[1] if gt else None)
 
 

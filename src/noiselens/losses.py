@@ -42,19 +42,11 @@ class MarginConfig:
             raise ValidationError("delta, t and gamma must be nonnegative")
 
 
-# Defaults that worked well for a re-trained linear head; deeper backbones
-# favor a smaller temperature and weaker margins.
-PRESET_LINEAR_HEAD = MarginConfig(delta=0.5, t=1.0, s=1.0, gamma=1.0)
-PRESET_DEEP_BACKBONE = MarginConfig(delta=0.1, t=0.01, s=0.1, gamma=1.0)
-
-
 @dataclass(frozen=True)
 class LossBatch:
     """Per-sample losses, adjusted label probabilities, and logit gradients
     for one mini-batch."""
 
-    logits: np.ndarray
-    labels: np.ndarray
     per_sample_loss: np.ndarray
     grad_logits: np.ndarray
     nabm_prob: np.ndarray
@@ -71,7 +63,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def _check_logits(logits: np.ndarray, name: str = "logits") -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValidationError(f"non-finite {name}")
     return logits
 
@@ -176,30 +168,20 @@ def nabm_loss_batch(
     p_hat = probs[rows, labels]
 
     one_minus = 1.0 - p_hat
-    loss = one_minus ** cfg.gamma * -log_p_hat
+    focal = one_minus ** cfg.gamma
+    loss = focal * -log_p_hat
 
-    if cfg.gamma == 0.0:
-        scale = np.full(b, -1.0)
-    else:
+    scale = -focal
+    if cfg.gamma != 0.0:
         # (1-p)^(gamma-1) blows up at p=1 for gamma<1, but its product with
-        # log(p) -> 0 there; evaluate only where 1-p > 0.
-        scale = -(one_minus ** cfg.gamma)
-        positive = one_minus > 0.0
-        scale[positive] += (
-            cfg.gamma
-            * one_minus[positive] ** (cfg.gamma - 1.0)
-            * p_hat[positive]
-            * log_p_hat[positive]
-        )
+        # log(p) -> 0 there; evaluate only where 1-p > 0. Saturated rows are
+        # rare, so a batch without one is evaluated whole.
+        k = ... if one_minus.min() > 0.0 else one_minus > 0.0
+        scale[k] += cfg.gamma * one_minus[k] ** (cfg.gamma - 1.0) * p_hat[k] * log_p_hat[k]
 
-    grad = probs.copy()
+    # The softmax rows become the gradient buffer; p_hat is already a copy.
+    grad = probs
     grad[rows, labels] -= 1.0
     grad *= -scale[:, None] / cfg.s
 
-    return LossBatch(
-        logits=logits,
-        labels=labels,
-        per_sample_loss=loss,
-        grad_logits=grad,
-        nabm_prob=p_hat,
-    )
+    return LossBatch(per_sample_loss=loss, grad_logits=grad, nabm_prob=p_hat)

@@ -6,6 +6,14 @@ multiplicative shrink: every step first scales the parameters by
 buffer. With learning_rate=0 the parameters therefore still shrink, and
 with weight_decay=0 the two schedules coincide bit-for-bit.
 
+Each step updates its buffers in place, in this order:
+
+    velocity *= momentum;  velocity += gradient
+    params *= (1 - weight_decay);  params -= learning_rate * velocity
+
+which rounds exactly as ``velocity = momentum * velocity + gradient`` and
+``params = (1 - weight_decay) * params - learning_rate * velocity``.
+
 The margin terms only shape the training objective; prediction is a plain
 softmax over the linear logits.
 """
@@ -13,6 +21,7 @@ softmax over the linear logits.
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +46,7 @@ class LinearClassifier:
             raise ValidationError("weights must be a 2-D array")
         if bias.shape != (weights.shape[0],):
             raise ValidationError("bias length must equal the number of classes")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ValidationError("classifier parameters must be finite")
         object.__setattr__(self, "weights", _freeze(weights, np.float64))
         object.__setattr__(self, "bias", _freeze(bias, np.float64))
@@ -95,8 +104,15 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class PredictionResult:
+    """Linear logits and their argmax labels; ``probabilities`` is the row
+    softmax of the logits, computed on first access."""
+
+    logits: np.ndarray
     labels: np.ndarray
-    probabilities: np.ndarray
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        return _softmax_rows(self.logits)
 
 
 def init_classifier(feature_dim: int, num_classes: int, seed: int = 0) -> LinearClassifier:
@@ -116,8 +132,9 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def predict(classifier: LinearClassifier, dataset: Dataset) -> PredictionResult:
-    """Softmax probabilities and argmax labels (ties go to the lowest class
-    index). Margins never enter here."""
+    """Logits and argmax labels (ties go to the lowest class index); the
+    softmax probabilities follow on first access. Margins never enter
+    here."""
     if dataset.feature_dim != classifier.feature_dim:
         raise ValidationError(
             f"feature dim {dataset.feature_dim} does not match classifier dim {classifier.feature_dim}"
@@ -127,8 +144,7 @@ def predict(classifier: LinearClassifier, dataset: Dataset) -> PredictionResult:
             f"dataset has {dataset.num_classes} classes, classifier has {classifier.num_classes}"
         )
     logits = classifier.logits(dataset.features)
-    probs = _softmax_rows(logits)
-    return PredictionResult(labels=np.argmax(logits, axis=1), probabilities=probs)
+    return PredictionResult(logits=logits, labels=np.argmax(logits, axis=1))
 
 
 def train(
@@ -169,30 +185,35 @@ def train(
         else:
             lr = cfg.learning_rate
         order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-        sample_losses = []
-        for start in range(0, n, cfg.batch_size):
-            step = start // cfg.batch_size
+        batch_losses = []
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             x = features[idx]
             z = x @ weights.T + bias
-            if not np.all(np.isfinite(z)):
+            try:
+                batch = nabm_loss_batch(z, labels[idx], matrix, prior, margin)
+            except ValidationError:
+                # The entry checks leave non-finite logits as the only
+                # per-step contract a batch can break.
                 raise TrainingDivergedError(
                     f"non-finite logits at epoch {epoch}, step {step}"
-                )
-            batch = nabm_loss_batch(z, labels[idx], matrix, prior, margin)
-            if not np.all(np.isfinite(batch.per_sample_loss)):
+                ) from None
+            if not np.isfinite(batch.per_sample_loss).all():
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {step}"
                 )
-            sample_losses.extend(batch.per_sample_loss.tolist())
-            gz = batch.grad_logits / idx.size
-            grad_w = gz.T @ x
-            grad_b = gz.sum(axis=0)
-            vel_w = cfg.momentum * vel_w + grad_w
-            vel_b = cfg.momentum * vel_b + grad_b
-            weights = shrink * weights - lr * vel_w
-            bias = shrink * bias - lr * vel_b
-        epoch_losses.append(math.fsum(sample_losses) / n)
+            batch_losses.append(batch.per_sample_loss)
+            gz = batch.grad_logits
+            gz /= idx.size
+            vel_w *= cfg.momentum
+            vel_w += gz.T @ x
+            vel_b *= cfg.momentum
+            vel_b += gz.sum(axis=0)
+            weights *= shrink
+            weights -= lr * vel_w
+            bias *= shrink
+            bias -= lr * vel_b
+        epoch_losses.append(math.fsum(np.concatenate(batch_losses).tolist()) / n)
         current = LinearClassifier(weights=weights.copy(), bias=bias.copy())
         predicted = predict(current, subset).labels
         epoch_accuracy.append(float(np.mean(predicted == labels)))

@@ -179,6 +179,45 @@ def test_damaged_file_raises_only_format_or_validation_error(tmp_path, kind, fmt
             load(path)
 
 
+# Where the first float field of a text kind sits, as (record, field), when
+# it is not the last field of the first record; and the float header value
+# of the kinds that have one. Every binary payload ends with a float column.
+FLOAT_FIELD = {"mask": (0, 1), "corruption": (1, -1)}
+FLOAT_HEADER = {"mask": "THRESHOLD", "corruption": "REALIZED"}
+NON_FINITE = [
+    (kind, fmt, part)
+    for kind, (formats, _, _) in KINDS.items()
+    for fmt in formats
+    for part in ("record",) + (("header",) if fmt == "text" and kind in FLOAT_HEADER else ())
+]
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind,fmt,part", NON_FINITE, ids=["-".join(p) for p in NON_FINITE])
+def test_non_finite_float_is_a_format_error(tmp_path, kind, fmt, part, token):
+    _, save, load = KINDS[kind]
+    path = tmp_path / f"{kind}.{fmt}"
+    save(path, fmt)
+    raw = path.read_bytes()
+    if fmt == "binary":
+        path.write_bytes(raw[:-8] + np.array(float(token), "<f8").tobytes())
+        match = r": record \d+: .*non-finite value$"
+    elif part == "header":
+        key = FLOAT_HEADER[kind]
+        path.write_bytes(re.sub(rf" {key}=\S+".encode(), f" {key}={token}".encode(), raw, count=1))
+        match = rf"^line 1: {key}='{token}' is not a finite number$"
+    else:
+        lines = raw.decode("utf-8").split("\n")
+        record, field = FLOAT_FIELD.get(kind, (0, -1))
+        fields = lines[1 + record].split(",")
+        fields[field] = token
+        lines[1 + record] = ",".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        match = rf"^line {2 + record}: .*non-finite value$"
+    with pytest.raises(FormatError, match=match):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # the text reader: bit-exact numbers, hostile bytes, the number grammar
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ import pytest
 from noiselens.data import Dataset, LabelSpace
 from noiselens.errors import ValidationError
 from noiselens.losses import (
-    PRESET_DEEP_BACKBONE,
-    PRESET_LINEAR_HEAD,
     MarginConfig,
     cross_entropy,
     focal_loss,
@@ -183,6 +181,71 @@ class TestGradients:
         assert batch.mean_loss == expected
 
 
+def reference_loss_batch(logits, labels, matrix, prior, cfg):
+    """Loss, logit gradient and adjusted label probability with the focal
+    factor always evaluated through a mask: the bitwise reference for
+    ``nabm_loss_batch``."""
+    b = logits.shape[0]
+    adjusted = (logits + cfg.delta * matrix.values[labels] + cfg.t * np.log(prior.values)) / cfg.s
+    m = adjusted.max(axis=1, keepdims=True)
+    log_probs = adjusted - (m[:, 0] + np.log(np.exp(adjusted - m).sum(axis=1)))[:, None]
+    probs = np.exp(log_probs)
+    rows = np.arange(b)
+    log_p_hat = log_probs[rows, labels]
+    p_hat = probs[rows, labels]
+
+    one_minus = 1.0 - p_hat
+    loss = one_minus ** cfg.gamma * -log_p_hat
+
+    if cfg.gamma == 0.0:
+        scale = np.full(b, -1.0)
+    else:
+        scale = -(one_minus ** cfg.gamma)
+        positive = one_minus > 0.0
+        scale[positive] += (
+            cfg.gamma
+            * one_minus[positive] ** (cfg.gamma - 1.0)
+            * p_hat[positive]
+            * log_p_hat[positive]
+        )
+
+    grad = probs.copy()
+    grad[rows, labels] -= 1.0
+    grad *= -scale[:, None] / cfg.s
+    return loss, grad, p_hat
+
+
+# Every focal exponent with its own code path or power fast path, at unit
+# and non-unit temperature.
+PINNED_MARGINS = [
+    MarginConfig(delta=0.5, t=1.0, s=s, gamma=gamma)
+    for gamma in (0.0, 0.5, 1.0, 2.0)
+    for s in (1.0, 0.7)
+]
+
+
+class TestBitwisePin:
+    @pytest.mark.parametrize("saturated", [False, True], ids=["random", "saturated"])
+    @pytest.mark.parametrize("cfg", PINNED_MARGINS, ids=lambda m: f"gamma{m.gamma}-s{m.s}")
+    def test_matches_reference_bitwise(self, cfg, saturated):
+        rng = np.random.default_rng(31)
+        b, c = 32, 3
+        logits = rng.standard_normal((b, c)) * 3.0
+        labels = rng.integers(0, c, b)
+        if saturated:
+            # p_hat rounds to exactly 1.0 on these rows.
+            rows = np.arange(0, b, 4)
+            logits[rows] = 0.0
+            logits[rows, labels[rows]] = 60.0
+        matrix, prior = make_matrix(), make_prior()
+        batch = nabm_loss_batch(logits, labels, matrix, prior, cfg)
+        loss, grad, p_hat = reference_loss_batch(logits, labels, matrix, prior, cfg)
+        assert (p_hat == 1.0).any() == saturated
+        assert batch.per_sample_loss.tobytes() == loss.tobytes()
+        assert batch.grad_logits.tobytes() == grad.tobytes()
+        assert batch.nabm_prob.tobytes() == p_hat.tobytes()
+
+
 class TestValidation:
     def test_config_bounds(self):
         with pytest.raises(ValidationError):
@@ -195,10 +258,6 @@ class TestValidation:
             MarginConfig(delta=-0.1)
         with pytest.raises(ValidationError):
             MarginConfig(t=-0.1)
-
-    def test_presets(self):
-        assert PRESET_LINEAR_HEAD == MarginConfig(delta=0.5, t=1.0, s=1.0, gamma=1.0)
-        assert PRESET_DEEP_BACKBONE == MarginConfig(delta=0.1, t=0.01, s=0.1, gamma=1.0)
 
     def test_focal_domain(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import noiselens.trainer
 from noiselens.data import Dataset, LabelSpace
 from noiselens.errors import FormatError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
@@ -119,21 +120,29 @@ class TestWeightDecaySemantics:
         np.testing.assert_array_equal(report.classifier.bias, init.bias)
 
 
+# Momentum and weight decay both on, with shuffling.
+MOMENTUM_DECAY = TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9,
+                             weight_decay=0.01, seed=2, shuffle=True)
+REPLICATION_CASES = [
+    (TrainConfig(epochs=1, batch_size=2, learning_rate=0.1, momentum=0.0,
+                 seed=1, shuffle=False), MarginConfig()),
+    (MOMENTUM_DECAY, MarginConfig()),
+    (TrainConfig(epochs=4, batch_size=2, learning_rate=0.2, momentum=0.5,
+                 seed=3, shuffle=True, lr_step_every=2, lr_step_factor=0.5), MarginConfig()),
+] + [
+    (MOMENTUM_DECAY, MarginConfig(delta=0.5, t=1.0, s=s, gamma=gamma))
+    for gamma in (0.0, 0.5, 1.0, 2.0)
+    for s in (1.0, 0.7)
+]
+
+
 class TestStepReplication:
     @pytest.mark.parametrize(
-        "cfg",
-        [
-            TrainConfig(epochs=1, batch_size=2, learning_rate=0.1, momentum=0.0,
-                        seed=1, shuffle=False),
-            TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9,
-                        weight_decay=0.01, seed=2, shuffle=True),
-            TrainConfig(epochs=4, batch_size=2, learning_rate=0.2, momentum=0.5,
-                        seed=3, shuffle=True, lr_step_every=2, lr_step_factor=0.5),
-        ],
+        "cfg,margin",
+        [pytest.param(cfg, margin, id=f"cfg{i}") for i, (cfg, margin) in enumerate(REPLICATION_CASES)],
     )
-    def test_bitwise_replication(self, cfg):
+    def test_bitwise_replication(self, cfg, margin):
         subset, matrix, prior = training_setup()
-        margin = MarginConfig(delta=0.5, t=1.0, s=1.0, gamma=1.0)
         report = train(subset, matrix, prior, margin, cfg)
         weights, bias, first_loss = replicate_training(subset, matrix, prior, margin, cfg)
         np.testing.assert_array_equal(report.classifier.weights, weights)
@@ -177,8 +186,30 @@ class TestTrainingBehavior:
         cfg = TrainConfig(epochs=3, batch_size=2, learning_rate=1e308, seed=0)
         margin = MarginConfig(delta=0.1, t=0.01, s=0.1, gamma=1.0)
         with np.errstate(over="ignore"):  # the overflow is the point
-            with pytest.raises(TrainingDivergedError, match="non-finite"):
+            with pytest.raises(TrainingDivergedError, match=r"^non-finite logits at epoch 0, step 1$"):
                 train(subset, matrix, prior, margin, cfg)
+
+    def test_one_loss_call_per_step_and_one_predict_per_epoch(self, monkeypatch):
+        # The benchmark's trace times these two names as the training
+        # step's loss and the per-epoch evaluation.
+        calls = {"nabm_loss_batch": 0, "predict": 0}
+
+        def counted(name):
+            inner = getattr(noiselens.trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(noiselens.trainer, name, counted(name))
+        subset, matrix, prior = training_setup(per_class=5)
+        cfg = TrainConfig(epochs=3, batch_size=4, seed=0)
+        train(subset, matrix, prior, MarginConfig(), cfg)
+        steps = cfg.epochs * math.ceil(subset.num_samples / cfg.batch_size)
+        assert calls == {"nabm_loss_batch": steps, "predict": cfg.epochs}
 
     def test_dimension_mismatch_rejected(self):
         subset, matrix, prior = training_setup()
