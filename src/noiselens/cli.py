@@ -88,24 +88,27 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if args.embeddings and not args.bank:
+        raise ValidationError("--embeddings requires --bank")
     dataset = load_dataset(args.dataset)
-    source, embeddings = args.scores_file, None
-    if args.bank:
+    if args.scores_file:
+        scores = load_score_matrix(args.scores_file, dataset)
+    else:
         source = (load_embedding_bank(args.bank), ScorerConfig(temperature=args.temperature))
-        if args.embeddings:
-            embeddings = load_embedding_table(args.embeddings, dataset)
-    save_score_matrix(args.out, score_with_surrogate(dataset, source, embeddings))
+        embeddings = load_embedding_table(args.embeddings, dataset) if args.embeddings else None
+        scores = score_with_surrogate(dataset, source, embeddings)
+    save_score_matrix(args.out, scores)
     return 0
 
 
 def _cmd_select(args) -> int:
+    if args.criterion == "prompt-consistency" and not args.scores_b:
+        raise ValidationError("prompt-consistency requires --scores-b")
     dataset = load_dataset(args.dataset)
     scores = load_score_matrix(args.scores, dataset)
     if args.criterion == "confidence":
         mask = select_by_confidence(dataset, scores, args.rho)
     else:
-        if not args.scores_b:
-            raise ValidationError("prompt-consistency requires --scores-b")
         scores_b = load_score_matrix(args.scores_b, dataset)
         mask = select_by_prompt_consistency(dataset, scores, scores_b, args.mu)
     save_mask(args.out, mask)

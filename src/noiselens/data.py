@@ -132,7 +132,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """N x C row-stochastic surrogate predictions aligned to a dataset by id."""
+    """N x C row-stochastic surrogate predictions aligned to a dataset by id:
+    every entry finite and non-negative, every row within
+    ``ROW_SUM_FILE_TOL`` of 1."""
 
     values: np.ndarray
     sample_ids: np.ndarray
@@ -144,8 +146,18 @@ class ScoreMatrix:
             raise ValidationError("score matrix must be 2-D")
         if ids.shape[0] != values.shape[0]:
             raise ValidationError("sample_ids length must equal the row count")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValidationError("non-finite score value")
+        if values.size and values.min() < 0.0:
+            bad = np.argwhere(values < 0.0)[0]
+            raise ValidationError(f"negative entry at row {bad[0]}, column {bad[1]}")
+        deviation = np.abs(values.sum(axis=1) - 1.0)
+        if deviation.size and deviation.max() > ROW_SUM_FILE_TOL:
+            worst = int(np.argmax(deviation))
+            raise ValidationError(
+                f"row {worst} sums to {values[worst].sum()!r}, "
+                f"deviation exceeds {ROW_SUM_FILE_TOL}"
+            )
         object.__setattr__(self, "values", _freeze(values, np.float64))
         object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
 
@@ -156,19 +168,6 @@ class ScoreMatrix:
     @property
     def num_cols(self) -> int:
         return self.values.shape[1]
-
-    def renormalized(self) -> "ScoreMatrix":
-        """Divide each row by its sum so downstream log/divergence code never
-        sees file-precision drift."""
-        sums = self.values.sum(axis=1, keepdims=True)
-        return ScoreMatrix(self.values / sums, self.sample_ids)
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    num_rows: int
-    num_cols: int
-    max_row_sum_deviation: float
 
 
 def check_ids(ids, dataset: Dataset, what: str) -> None:
@@ -193,23 +192,6 @@ def check_scores(scores: ScoreMatrix, dataset: Dataset) -> None:
         raise ValidationError(
             f"column count {scores.num_cols} does not match {dataset.num_classes} classes"
         )
-
-
-def validate_score_matrix(scores: ScoreMatrix, dataset: Dataset) -> AlignmentReport:
-    """Check alignment (``check_scores``) and row-stochasticity of ``scores``
-    against ``dataset``; returns the largest row-sum deviation seen."""
-    check_scores(scores, dataset)
-    if scores.values.min() < 0.0:
-        bad = np.argwhere(scores.values < 0.0)[0]
-        raise ValidationError(f"negative entry at row {bad[0]}, column {bad[1]}")
-    deviation = np.abs(scores.values.sum(axis=1) - 1.0)
-    worst = int(np.argmax(deviation))
-    if deviation[worst] > ROW_SUM_FILE_TOL:
-        raise ValidationError(
-            f"row {worst} sums to {scores.values[worst].sum()!r}, "
-            f"deviation exceeds {ROW_SUM_FILE_TOL}"
-        )
-    return AlignmentReport(scores.num_rows, scores.num_cols, float(deviation[worst]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +229,20 @@ def save_score_matrix(path, scores: ScoreMatrix, fmt: str = "text") -> None:
 
 
 def load_score_matrix(path, dataset: Dataset) -> ScoreMatrix:
-    """Load scores, validate alignment against ``dataset``, then renormalize
-    rows to sum exactly to one."""
-    raw = read_score_matrix(path)
-    validate_score_matrix(raw, dataset)
-    return raw.renormalized()
-
-
-def read_score_matrix(path) -> ScoreMatrix:
-    """Parse a score file without dataset alignment checks."""
+    """Load scores and check them against ``dataset``. A row that drifts
+    from 1 by more than ``ROW_SUM_INTERNAL_TOL`` (as low-precision external
+    files may) is divided by its sum; every other row stays as read, so a
+    saved matrix reloads bit for bit."""
     reader = codec.read(path, "auto", codec.SCORES)
     n, c = reader.counts
     ids, values = reader.rows(n, [int, (float, c)])
     reader.end()
-    return ScoreMatrix(values, ids)
+    scores = ScoreMatrix(values, ids)
+    check_scores(scores, dataset)
+    sums = scores.values.sum(axis=1)
+    drift = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_INTERNAL_TOL)
+    if drift.size == 0:
+        return scores
+    values = scores.values.copy()
+    values[drift] /= sums[drift, None]
+    return ScoreMatrix(values, scores.sample_ids)

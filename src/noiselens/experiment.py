@@ -15,7 +15,14 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import noise as _noise
-from .data import Dataset, ScoreMatrix, load_dataset, save_dataset, save_score_matrix
+from .data import (
+    Dataset,
+    ScoreMatrix,
+    load_dataset,
+    load_score_matrix,
+    save_dataset,
+    save_score_matrix,
+)
 from .errors import NoiseLensError, ValidationError
 from .losses import MarginConfig
 from .noise import NoiseSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
@@ -445,7 +452,7 @@ def _score(config: ExperimentConfig, dataset: Dataset, source: tuple) -> ScoreMa
     if kind == "oracle":
         return oracle_scores(dataset, config.correct_prob)
     if kind == "file":
-        return score_with_surrogate(dataset, path)
+        return load_score_matrix(path, dataset)
     bank = load_embedding_bank(path)
     embeddings = None
     if config.embeddings is not None:

@@ -80,6 +80,8 @@ class ClassPrior:
         counts = np.asarray(self.counts, dtype=np.int64)
         if values.ndim != 1 or counts.shape != values.shape or values.size == 0:
             raise ValidationError("prior values and counts must be equal-length, non-empty vectors")
+        if not np.isfinite(values).all():
+            raise ValidationError("non-finite prior entry")
         if values.min() <= 0.0:
             raise ValidationError("smoothed prior entries must be strictly positive")
         if abs(values.sum() - 1.0) > 1e-12:

@@ -9,6 +9,7 @@ import numpy as np
 from .data import Dataset, ScoreMatrix, _freeze, fmt_float
 from .errors import NoiseLensError, ValidationError
 from .losses import MarginConfig
+from .noise import selection_quality
 from .priors import compute_class_prior, estimate_transition_matrix
 from .selection import select_by_confidence, apply_mask
 from .trainer import TrainConfig, predict, train
@@ -171,8 +172,6 @@ def threshold_sweep(
             )
             continue
         if dataset.has_ground_truth:
-            from .noise import selection_quality
-
             quality = selection_quality(mask, dataset)
             precision, recall = quality.precision, quality.recall
         else:

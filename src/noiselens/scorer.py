@@ -2,16 +2,15 @@
 
 The built-in scorer turns an embedding matrix and a bank of per-class
 embeddings into a row-stochastic score matrix; scores produced elsewhere can
-enter through a score file instead.
+enter through a score file instead (``data.load_score_matrix``).
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, _freeze, check_ids, load_score_matrix, validate_score_matrix
+from .data import Dataset, ScoreMatrix, _freeze, check_ids, check_scores
 from .errors import FormatError, ValidationError
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
@@ -101,19 +100,15 @@ def cosine_softmax_score(
 
 def score_with_surrogate(
     dataset: Dataset,
-    source,
+    source: tuple,
     image_embeddings: np.ndarray | None = None,
 ) -> ScoreMatrix:
-    """Produce a score matrix aligned to ``dataset``.
-
-    ``source`` is either a path to a score file, or a
-    ``(ClassEmbeddingBank, ScorerConfig)`` pair for the built-in cosine
-    scorer. The cosine scorer runs on the dataset's own feature vectors
-    unless a separate ``image_embeddings`` matrix is supplied (for when the
-    surrogate's embedding space differs from the classifier's).
+    """Score ``dataset`` with the built-in cosine scorer; ``source`` is a
+    ``(ClassEmbeddingBank, ScorerConfig)`` pair. The scorer runs on the
+    dataset's own feature vectors unless a separate ``image_embeddings``
+    matrix is supplied (for when the surrogate's embedding space differs
+    from the classifier's).
     """
-    if isinstance(source, (str, Path)):
-        return load_score_matrix(source, dataset)
     bank, config = source
     if bank.num_classes != dataset.num_classes:
         raise ValidationError(
@@ -126,7 +121,7 @@ def score_with_surrogate(
         if image_embeddings.shape[0] != dataset.num_samples:
             raise ValidationError("embedding row count does not match dataset size")
     scores = cosine_softmax_score(image_embeddings, bank, config, sample_ids=dataset.ids)
-    validate_score_matrix(scores, dataset)
+    check_scores(scores, dataset)
     return scores
 
 

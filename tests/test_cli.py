@@ -137,11 +137,38 @@ class TestStageChain:
         scores = tmp_path / "scores.txt"
         assert run(["score", "--dataset", str(ds), "--bank", str(bank),
                     "--out", str(scores)]) == 0
-        code = run(["select", "--dataset", str(ds), "--scores", str(scores),
-                    "--criterion", "prompt-consistency",
-                    "--out", str(tmp_path / "mask.txt")])
+        # The usage is rejected before any file is read.
+        for dataset in (ds, tmp_path / "nope.txt"):
+            code = run(["select", "--dataset", str(dataset), "--scores", str(scores),
+                        "--criterion", "prompt-consistency",
+                        "--out", str(tmp_path / "mask.txt")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: [select] prompt-consistency requires --scores-b\n"
+            )
+
+    def test_embeddings_require_bank(self, pipeline_files, capsys):
+        tmp_path, ds, bank = pipeline_files
+        scores = tmp_path / "scores.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", str(scores)]) == 0
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_text("not an embedding table\n", encoding="utf-8")
+        code = run(["score", "--dataset", str(ds), "--scores-file", str(scores),
+                    "--embeddings", str(garbage), "--out", str(tmp_path / "out.txt")])
         assert code == 1
-        assert "scores-b" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: [score] --embeddings requires --bank\n"
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_scores_file_passes_through_bit_for_bit(self, pipeline_files):
+        tmp_path, ds, bank = pipeline_files
+        scores = tmp_path / "scores.txt"
+        copy = tmp_path / "copy.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", str(scores)]) == 0
+        assert run(["score", "--dataset", str(ds), "--scores-file", str(scores),
+                    "--out", str(copy)]) == 0
+        assert copy.read_bytes() == scores.read_bytes()
 
     def test_histogram_report(self, pipeline_files, capsys):
         tmp_path, ds, bank = pipeline_files
@@ -219,6 +246,59 @@ class TestStageChain:
     def test_report_without_inputs_is_an_error(self, capsys):
         assert run(["report"]) == 1
         assert "error: [report]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criterion", ["confidence", "prompt_consistency"])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_stage_chain_reproduces_run_bit_for_bit(tmp_path, seed, criterion):
+    """`noiselens run` and the per-stage commands, given the same inputs and
+    seeds, write byte-identical artifacts."""
+    classes, dim = 4, 8
+    ds = tmp_path / "dataset.txt"
+    assert run(["synth", "--classes", str(classes), "--per-class", "50", "--dim", str(dim),
+                "--sep", "2.0", "--noise", "sym", "--rate", "0.3", "--seed", str(seed),
+                "--out", str(ds)]) == 0
+    means = blob_means(classes, dim, 2.0, seed=seed)
+    shifted = means + np.random.default_rng(seed).standard_normal(means.shape)
+    save_embedding_bank(tmp_path / "bank.txt", ClassEmbeddingBank(means, "a"))
+    save_embedding_bank(tmp_path / "bank_b.txt", ClassEmbeddingBank(shifted, "b"))
+
+    def f(name):
+        return str(tmp_path / name)
+
+    scored = ["--dataset", f("dataset.txt"), "--temperature", "0.1"]
+    assert run(["score", *scored, "--bank", f("bank.txt"), "--out", f("scores.txt")]) == 0
+    names = ["scores.txt", "mask.txt", "transition.txt", "prior.txt", "classifier.txt"]
+    if criterion == "confidence":
+        select = ["--criterion", "confidence", "--rho", "0.5"]
+        config = "selection.rho = 0.5\n"
+    else:
+        assert run(["score", *scored, "--bank", f("bank_b.txt"), "--out", f("scores_b.txt")]) == 0
+        select = ["--criterion", "prompt-consistency", "--scores-b", f("scores_b.txt"),
+                  "--mu", "0.1"]
+        config = (f"selection.criterion = prompt_consistency\nselection.mu = 0.1\n"
+                  f"scorer.bank_b = {f('bank_b.txt')}\n")
+        names.append("scores_b.txt")
+    assert run(["select", "--dataset", f("dataset.txt"), "--scores", f("scores.txt"),
+                *select, "--out", f("mask.txt")]) == 0
+    assert run(["priors", "--dataset", f("dataset.txt"), "--scores", f("scores.txt"),
+                "--mask", f("mask.txt"), "--tm-out", f("transition.txt"),
+                "--prior-out", f("prior.txt")]) == 0
+    assert run(["train", "--dataset", f("dataset.txt"), "--mask", f("mask.txt"),
+                "--tm", f("transition.txt"), "--prior", f("prior.txt"), "--epochs", "3",
+                "--batch-size", "16", "--seed", str(seed), "--out", f("classifier.txt")]) == 0
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"dataset.source = file\ndataset.path = {ds}\nscorer.source = cosine\n"
+        f"scorer.bank = {f('bank.txt')}\nscorer.temperature = 0.1\n{config}"
+        f"train.epochs = 3\ntrain.batch_size = 16\ntrain.seed = {seed}\n"
+        f"output.dir = {f('run')}\n",
+        encoding="utf-8",
+    )
+    assert run(["run", "--config", str(cfg)]) == 0
+    for name in names:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestRunSubcommand:

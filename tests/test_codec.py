@@ -18,7 +18,7 @@ from noiselens.data import (
     LabelSpace,
     ScoreMatrix,
     load_dataset,
-    read_score_matrix,
+    load_score_matrix,
     save_dataset,
     save_score_matrix,
 )
@@ -75,7 +75,7 @@ KINDS = {
     "scores": (
         ("text", "binary"),
         lambda p, f: save_score_matrix(p, SCORES, fmt=f),
-        read_score_matrix,
+        lambda p: load_score_matrix(p, DATASET),
     ),
     "bank": (
         ("text", "binary"),
@@ -246,10 +246,6 @@ def test_text_round_trip_is_bit_exact(values, ids):
         loaded = load_dataset(path)
         assert loaded.features.tobytes() == values.tobytes()
         assert loaded.ids.tobytes() == ids.tobytes()
-        save_score_matrix(path, ScoreMatrix(values, ids))
-        scores = read_score_matrix(path)
-        assert scores.values.tobytes() == values.tobytes()
-        assert scores.sample_ids.tobytes() == ids.tobytes()
 
 
 def _mutate(raw: bytes, data) -> bytes:
@@ -340,8 +336,9 @@ def test_whitespace_flipped_id_names_its_line(tmp_path):
 
 def test_valid_numbers_in_every_spelling_parse_as_float_does(tmp_path):
     spellings = ["+1.5", "-0", "1e-320", "1E5", ".5", "5.", " 2.5 ", "007"]
-    path = tmp_path / "scores.txt"
-    rows = "".join(f"{i},{s}\n" for i, s in enumerate(spellings))
-    path.write_text(f"#noiselens-scores v1 N={len(spellings)} C=1\n{rows}", encoding="utf-8")
-    values = read_score_matrix(path).values[:, 0]
+    path = tmp_path / "ds.txt"
+    rows = "".join(f"{i},0,{s}\n" for i, s in enumerate(spellings))
+    header = f"#noiselens-dataset v1 N={len(spellings)} C=2 D=1 GT=0"
+    path.write_text(f"{header}\n{rows}", encoding="utf-8")
+    values = load_dataset(path).features[:, 0]
     assert values.tobytes() == np.array([float(s) for s in spellings]).tobytes()

@@ -1,5 +1,8 @@
 """Tests for the core dataset/score-matrix model and its file formats."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +14,12 @@ from noiselens.data import (
     LabelSpace,
     ScoreMatrix,
     ValidationError,
+    check_scores,
     fmt_float,
     load_dataset,
     load_score_matrix,
-    read_score_matrix,
     save_dataset,
     save_score_matrix,
-    validate_score_matrix,
 )
 from noiselens.noise import selection_quality
 from noiselens.priors import estimate_transition_matrix
@@ -125,15 +127,15 @@ class TestScoreValidation:
         ds = small_dataset()
         values = np.full((4, 3), 1.0 / 3)
         scores = ScoreMatrix(values=values, sample_ids=ds.ids)
-        report = validate_score_matrix(scores, ds)
-        assert report.num_rows == 4
-        assert report.max_row_sum_deviation <= 1e-12
+        check_scores(scores, ds)
+        assert scores.num_rows == 4
+        assert np.abs(scores.values.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_row_count_mismatch(self):
         ds = small_dataset()
         scores = ScoreMatrix(values=np.full((3, 3), 1 / 3), sample_ids=ds.ids[:3])
         with pytest.raises(ValidationError):
-            validate_score_matrix(scores, ds)
+            check_scores(scores, ds)
 
     def test_id_mismatch_reports_row(self):
         ds = small_dataset()
@@ -141,31 +143,36 @@ class TestScoreValidation:
         ids[2] = 99
         scores = ScoreMatrix(values=np.full((4, 3), 1 / 3), sample_ids=ids)
         with pytest.raises(ValidationError, match="row 2"):
-            validate_score_matrix(scores, ds)
+            check_scores(scores, ds)
 
     def test_negative_entry_rejected(self):
-        ds = small_dataset()
         values = np.full((4, 3), 1 / 3)
         values[1, 0] = -0.01
         values[1, 1] = 2 / 3 + 0.01
-        scores = ScoreMatrix(values=values, sample_ids=ds.ids)
-        with pytest.raises(ValidationError, match="row 1"):
-            validate_score_matrix(scores, ds)
+        with pytest.raises(ValidationError, match="^negative entry at row 1, column 0$"):
+            ScoreMatrix(values=values, sample_ids=np.arange(4))
 
     def test_row_sum_tolerance_boundary(self):
-        ds = small_dataset()
         good = np.full((4, 3), 1 / 3)
         good[0] *= 1 + 5e-7  # deviation 5e-7 < 1e-6: accepted
-        validate_score_matrix(ScoreMatrix(values=good, sample_ids=ds.ids), ds)
+        ScoreMatrix(values=good, sample_ids=np.arange(4))
         bad = np.full((4, 3), 1 / 3)
         bad[0] *= 1 + 5e-6  # deviation 5e-6 > 1e-6: rejected
-        with pytest.raises(ValidationError, match="row 0"):
-            validate_score_matrix(ScoreMatrix(values=bad, sample_ids=ds.ids), ds)
+        with pytest.raises(ValidationError, match="^row 0 sums to .*, deviation exceeds 1e-06$"):
+            ScoreMatrix(values=bad, sample_ids=np.arange(4))
 
-    def test_renormalized_rows_sum_to_one(self):
-        values = np.array([[0.2, 0.2, 0.1], [1.0, 3.0, 4.0]])
-        scores = ScoreMatrix(values=values, sample_ids=np.array([0, 1]))
-        np.testing.assert_allclose(scores.renormalized().values.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    def test_renormalized_rows_sum_to_one(self, tmp_path):
+        # A row within the file tolerance but beyond the internal one is
+        # divided by its sum on load.
+        ds = small_dataset()
+        values = np.full((4, 3), 1 / 3)
+        values[1] *= 1 + 5e-7
+        path = tmp_path / "scores.txt"
+        save_score_matrix(path, ScoreMatrix(values=values, sample_ids=ds.ids))
+        loaded = load_score_matrix(path, ds)
+        np.testing.assert_allclose(loaded.values.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(loaded.values[1], values[1] / values[1].sum())
+        np.testing.assert_array_equal(loaded.values[[0, 2, 3]], values[[0, 2, 3]])
 
     @given(
         st.lists(
@@ -176,16 +183,22 @@ class TestScoreValidation:
     )
     @settings(max_examples=50, deadline=None)
     def test_any_positive_matrix_validates_after_renormalization(self, rows):
+        # Normalised in memory, every row sits well within
+        # ROW_SUM_INTERNAL_TOL, so the file loads with the bits it was saved with.
         raw = np.array(rows)
-        scores = ScoreMatrix(values=raw, sample_ids=np.arange(len(rows))).renormalized()
+        values = raw / raw.sum(axis=1, keepdims=True)
+        assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-12
         ds = Dataset(
             label_space=LabelSpace.default(3),
             ids=np.arange(len(rows)),
             features=np.zeros((len(rows), 1)),
             noisy_labels=np.zeros(len(rows), dtype=int),
         )
-        report = validate_score_matrix(scores, ds)
-        assert report.max_row_sum_deviation <= 1e-12
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.txt"
+            save_score_matrix(path, ScoreMatrix(values=values, sample_ids=ds.ids))
+            loaded = load_score_matrix(path, ds)
+        assert loaded.values.tobytes() == values.tobytes()
 
 
 def _table(tmp_path, ds, ids):
@@ -202,7 +215,7 @@ def _mask(ids):
 # Each consumer of an array keyed to samples, given scores whose ids are
 # misaligned with the dataset (masks and tables reuse those ids).
 ID_CHECKS = {
-    "validate_score_matrix": lambda ds, bad, tmp: validate_score_matrix(bad, ds),
+    "check_scores": lambda ds, bad, tmp: check_scores(bad, ds),
     "select_by_confidence": lambda ds, bad, tmp: select_by_confidence(ds, bad, 0.5),
     "select_by_prompt_consistency": lambda ds, bad, tmp: select_by_prompt_consistency(
         ds, ScoreMatrix(bad.values, ds.ids), bad, 0.1
@@ -310,7 +323,7 @@ class TestScoreFiles:
         path = tmp_path / "scores.txt"
         save_score_matrix(path, scores)
         loaded = load_score_matrix(path, ds)
-        np.testing.assert_allclose(loaded.values, values, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(loaded.values, values)
         np.testing.assert_allclose(loaded.values.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_binary_round_trip(self, tmp_path):
@@ -321,7 +334,7 @@ class TestScoreFiles:
         for fmt in ("binary", "text"):  # both formats are bit-exact
             path = tmp_path / f"scores.{fmt}"
             save_score_matrix(path, scores, fmt=fmt)
-            loaded = read_score_matrix(path)
+            loaded = load_score_matrix(path, ds)
             np.testing.assert_array_equal(loaded.values, values)
             np.testing.assert_array_equal(loaded.sample_ids, ds.ids)
 

@@ -158,6 +158,14 @@ class TestClassPrior:
         with pytest.raises(ValidationError):
             ClassPrior(np.array([]), np.array([]), 0)  # no classes
 
+    @pytest.mark.parametrize(
+        "values", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.5], [-np.inf, 0.5]]
+    )
+    def test_non_finite_entry_rejected(self, values):
+        # nan passes both the positivity and the sum check, so it needs its own.
+        with pytest.raises(ValidationError, match="^non-finite prior entry$"):
+            ClassPrior(np.array(values), np.array([1, 1]), 2)
+
 
 class TestFiles:
     def test_transition_round_trip(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselens.data import Dataset, LabelSpace, ScoreMatrix, save_score_matrix
+from noiselens.data import Dataset, LabelSpace, ScoreMatrix, load_score_matrix, save_score_matrix
 from noiselens.errors import ValidationError
 from noiselens.scorer import (
     ClassEmbeddingBank,
@@ -167,8 +167,8 @@ class TestScoreWithSurrogate:
         direct = score_with_surrogate(ds, (BANK, ScorerConfig(temperature=0.2)))
         path = tmp_path / "scores.txt"
         save_score_matrix(path, direct)
-        from_file = score_with_surrogate(ds, path)
-        np.testing.assert_allclose(from_file.values, direct.values, rtol=0, atol=1e-15)
+        from_file = load_score_matrix(path, ds)
+        np.testing.assert_array_equal(from_file.values, direct.values)
 
     def test_class_count_mismatch(self):
         ds = self.make_dataset()
