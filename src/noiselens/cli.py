@@ -38,7 +38,6 @@ from .report import (
     histogram_rows,
 )
 from .scorer import (
-    DEFAULT_TEMPERATURE,
     ScorerConfig,
     load_embedding_bank,
     load_embedding_table,
@@ -65,9 +64,9 @@ def _warn_fallbacks(matrix) -> None:
 
 
 def _cmd_synth(args) -> int:
+    if args.corruption_out and args.noise == "none":
+        raise ValidationError("--corruption-out requires --noise")
     dataset = make_blobs(args.classes, args.per_class, args.dim, args.sep, args.seed)
-    record = None
-    spec = None
     if args.noise != "none":
         spec = noise_spec(
             _NOISE_NAMES[args.noise],
@@ -81,8 +80,6 @@ def _cmd_synth(args) -> int:
         dataset, record = inject_noise(dataset, spec)
     save_dataset(args.out, dataset, fmt="binary" if args.binary else "text")
     if args.corruption_out:
-        if record is None:
-            raise ValidationError("--corruption-out requires --noise")
         save_corruption_record(args.corruption_out, record, spec)
     return 0
 
@@ -90,13 +87,16 @@ def _cmd_synth(args) -> int:
 def _cmd_score(args) -> int:
     if args.embeddings and not args.bank:
         raise ValidationError("--embeddings requires --bank")
+    if args.temperature is not None and not args.bank:
+        raise ValidationError("--temperature requires --bank")
     dataset = load_dataset(args.dataset)
     if args.scores_file:
         scores = load_score_matrix(args.scores_file, dataset)
     else:
-        source = (load_embedding_bank(args.bank), ScorerConfig(temperature=args.temperature))
+        bank = load_embedding_bank(args.bank)
+        config = ScorerConfig() if args.temperature is None else ScorerConfig(args.temperature)
         embeddings = load_embedding_table(args.embeddings, dataset) if args.embeddings else None
-        scores = score_with_surrogate(dataset, source, embeddings)
+        scores = score_with_surrogate(dataset, bank, config, embeddings)
     save_score_matrix(args.out, scores)
     return 0
 
@@ -122,7 +122,7 @@ def _cmd_priors(args) -> int:
     subset = apply_mask(dataset, mask)
     matrix = estimate_transition_matrix(dataset, scores)
     _warn_fallbacks(matrix)
-    prior = compute_class_prior(subset, dataset.label_space)
+    prior = compute_class_prior(subset)
     save_transition_matrix(args.tm_out, matrix)
     save_class_prior(args.prior_out, prior)
     return 0
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--bank")
     group.add_argument("--scores-file")
-    p.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE)
+    p.add_argument("--temperature", type=float, default=None, help="bank scoring only")
     p.add_argument("--embeddings", default=None, help="image embeddings keyed by sample id")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_score)

@@ -74,12 +74,9 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def is_binary(fmt: str, path=None) -> bool:
-    """True for 'binary', False for 'text'; 'auto' (loaders only) sniffs
-    the file's magic bytes."""
-    if fmt == "auto" and path is not None:
-        with open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
+def is_binary(fmt: str) -> bool:
+    """True for a writer's 'binary', False for 'text'; any other format is
+    rejected."""
     if fmt not in ("text", "binary"):
         raise ValidationError(f"unknown format {fmt!r}")
     return fmt == "binary"
@@ -95,10 +92,12 @@ def save(path, fmt: str, layout: Layout, header: dict, blocks) -> None:
         write_text(path, layout, header, blocks)
 
 
-def read(path, fmt: str, layout: Layout):
-    """A ``TextReader`` or ``BinaryReader`` for the file, as ``fmt`` says."""
-    if not is_binary(fmt, path):
-        return TextReader(path, layout)
+def read(path, layout: Layout):
+    """A ``BinaryReader`` when the file starts with the container's magic
+    bytes, else a ``TextReader``."""
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            return TextReader(path, layout)
     if not layout.kind:
         raise FormatError(f"{path}: binary container where a text {layout.tag} file is expected")
     return BinaryReader(path, layout)
@@ -310,14 +309,13 @@ def write_binary(path, layout: Layout, counts, *payload) -> None:
 class BinaryReader:
     """Reads one ``NLNS`` container front to back, with the same ``counts``,
     ``rows``, ``where`` and ``end`` as ``TextReader``; every read is
-    bounds-checked and ``end`` rejects trailing bytes."""
+    bounds-checked and ``end`` rejects trailing bytes. ``read`` has matched
+    the magic bytes, so reading starts after them."""
 
     def __init__(self, path, layout: Layout):
         self.path = path
         self._buf = memoryview(Path(path).read_bytes())
-        self._offset = 0
-        if bytes(self._take(len(MAGIC))) != MAGIC:
-            raise FormatError(f"{path}: not a noiselens binary container")
+        self._offset = len(MAGIC)
         version, kind = self._unpack("<HB")
         if version != BINARY_VERSION:
             raise FormatError(f"{path}: unsupported binary version {version}")

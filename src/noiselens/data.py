@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from .codec import fmt_float  # noqa: F401  (re-exported)
 from .errors import FormatError, ValidationError
 
 # Files ingested from disk carry limited precision; internal computations
@@ -32,48 +31,29 @@ def _freeze(arr, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LabelSpace:
-    """The set of C class labels; names are for display only."""
-
-    num_classes: int
-    class_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValidationError("label space needs at least 2 classes")
-        if len(self.class_names) != self.num_classes:
-            raise ValidationError(
-                f"expected {self.num_classes} class names, got {len(self.class_names)}"
-            )
-        if any(not name for name in self.class_names):
-            raise ValidationError("class names must be non-empty")
-        if len(set(self.class_names)) != self.num_classes:
-            raise ValidationError("class names must be distinct")
-
-    @classmethod
-    def default(cls, num_classes: int) -> "LabelSpace":
-        return cls(num_classes, tuple(f"class_{j}" for j in range(num_classes)))
-
-
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """N samples with a shared feature dimension and label space.
+    """N samples with a shared feature dimension, each labeled with one of
+    ``num_classes`` (at least 2) class indices.
 
     Either every sample carries a true label or none does; the flag is
-    exposed as ``has_ground_truth``.
+    exposed as ``has_ground_truth``. Equality is identity, as arrays have no
+    single truth value.
     """
 
-    def __init__(
-        self,
-        label_space: LabelSpace,
-        ids: np.ndarray,
-        features: np.ndarray,
-        noisy_labels: np.ndarray,
-        true_labels: Optional[np.ndarray] = None,
-    ):
-        ids = np.asarray(ids, dtype=np.int64)
-        features = np.asarray(features, dtype=np.float64)
-        noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
+    num_classes: int
+    ids: np.ndarray
+    features: np.ndarray
+    noisy_labels: np.ndarray
+    true_labels: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        c = self.num_classes
+        if c < 2:
+            raise ValidationError("dataset needs at least 2 classes")
+        ids = np.asarray(self.ids, dtype=np.int64)
+        features = np.asarray(self.features, dtype=np.float64)
+        noisy_labels = np.asarray(self.noisy_labels, dtype=np.int64)
         if features.ndim != 2:
             raise ValidationError("features must be a 2-D array")
         n = ids.shape[0]
@@ -85,22 +65,18 @@ class Dataset:
             raise ValidationError("duplicate id in dataset")
         if not np.all(np.isfinite(features)):
             raise ValidationError("non-finite feature value")
-        c = label_space.num_classes
         if noisy_labels.min() < 0 or noisy_labels.max() >= c:
             raise ValidationError("label out of range")
-        if true_labels is not None:
-            true_labels = np.asarray(true_labels, dtype=np.int64)
+        if self.true_labels is not None:
+            true_labels = np.asarray(self.true_labels, dtype=np.int64)
             if true_labels.shape[0] != n:
                 raise ValidationError("true_labels length mismatch")
             if true_labels.min() < 0 or true_labels.max() >= c:
                 raise ValidationError("label out of range")
-            true_labels = _freeze(true_labels, np.int64)
-
-        self.label_space = label_space
-        self.ids = _freeze(ids, np.int64)
-        self.features = _freeze(features, np.float64)
-        self.noisy_labels = _freeze(noisy_labels, np.int64)
-        self.true_labels = true_labels
+            object.__setattr__(self, "true_labels", _freeze(true_labels, np.int64))
+        object.__setattr__(self, "ids", _freeze(ids, np.int64))
+        object.__setattr__(self, "features", _freeze(features, np.float64))
+        object.__setattr__(self, "noisy_labels", _freeze(noisy_labels, np.int64))
 
     @property
     def num_samples(self) -> int:
@@ -111,10 +87,6 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def num_classes(self) -> int:
-        return self.label_space.num_classes
-
-    @property
     def has_ground_truth(self) -> bool:
         return self.true_labels is not None
 
@@ -122,7 +94,7 @@ class Dataset:
         """New dataset restricted to ``indices``, preserving order."""
         indices = np.asarray(indices)
         return Dataset(
-            self.label_space,
+            self.num_classes,
             self.ids[indices],
             self.features[indices],
             self.noisy_labels[indices],
@@ -155,7 +127,7 @@ class ScoreMatrix:
         if deviation.size and deviation.max() > ROW_SUM_FILE_TOL:
             worst = int(np.argmax(deviation))
             raise ValidationError(
-                f"row {worst} sums to {values[worst].sum()!r}, "
+                f"row {worst} sums to {codec.fmt_float(values[worst].sum())}, "
                 f"deviation exceeds {ROW_SUM_FILE_TOL}"
             )
         object.__setattr__(self, "values", _freeze(values, np.float64))
@@ -209,9 +181,9 @@ def save_dataset(path, dataset: Dataset, fmt: str = "text") -> None:
     codec.save(path, fmt, codec.DATASET, header, [[dataset.ids, *labels, dataset.features]])
 
 
-def load_dataset(path, fmt: str = "auto") -> Dataset:
-    """Load a dataset, auto-detecting the binary container by magic bytes."""
-    reader = codec.read(path, fmt, codec.DATASET)
+def load_dataset(path) -> Dataset:
+    """Load a dataset, text or binary."""
+    reader = codec.read(path, codec.DATASET)
     n, c, d, gt = reader.counts
     if gt not in (0, 1):
         raise FormatError(f"{path}: GT must be 0 or 1")
@@ -220,7 +192,7 @@ def load_dataset(path, fmt: str = "auto") -> Dataset:
     bad = np.any([(y < 0) | (y >= c) for y in labels], axis=0)
     if bad.any():
         raise FormatError(f"{reader.where(int(np.argmax(bad)))}: label out of range")
-    return Dataset(LabelSpace.default(c), ids, feats, labels[0], labels[1] if gt else None)
+    return Dataset(c, ids, feats, labels[0], labels[1] if gt else None)
 
 
 def save_score_matrix(path, scores: ScoreMatrix, fmt: str = "text") -> None:
@@ -233,7 +205,7 @@ def load_score_matrix(path, dataset: Dataset) -> ScoreMatrix:
     from 1 by more than ``ROW_SUM_INTERNAL_TOL`` (as low-precision external
     files may) is divided by its sum; every other row stays as read, so a
     saved matrix reloads bit for bit."""
-    reader = codec.read(path, "auto", codec.SCORES)
+    reader = codec.read(path, codec.SCORES)
     n, c = reader.counts
     ids, values = reader.rows(n, [int, (float, c)])
     reader.end()

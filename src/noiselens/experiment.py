@@ -457,7 +457,7 @@ def _score(config: ExperimentConfig, dataset: Dataset, source: tuple) -> ScoreMa
     embeddings = None
     if config.embeddings is not None:
         embeddings = load_embedding_table(config.embeddings, dataset)
-    return score_with_surrogate(dataset, (bank, config.scorer), embeddings)
+    return score_with_surrogate(dataset, bank, config.scorer, embeddings)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -499,7 +499,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         result.stage = "priors"
         matrix = result.matrix = estimate_transition_matrix(dataset, scores)
-        prior = compute_class_prior(subset, dataset.label_space)
+        prior = compute_class_prior(subset)
         save_transition_matrix(os.path.join(out, "transition.txt"), matrix)
         save_class_prior(os.path.join(out, "prior.txt"), prior)
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from .data import Dataset, LabelSpace, ScoreMatrix, _freeze, check_ids
+from .data import Dataset, ScoreMatrix, _freeze, check_ids
 from .errors import ValidationError
 from .selection import SelectionMask
 
@@ -135,7 +135,7 @@ def make_blobs(
     labels = np.repeat(np.arange(n // per_class), per_class)
     features = means[labels] + rng.standard_normal((n, dim))
     return Dataset(
-        label_space=LabelSpace.default(num_classes),
+        num_classes=num_classes,
         ids=np.arange(n),
         features=features,
         noisy_labels=labels.copy(),
@@ -177,7 +177,7 @@ def _finish(dataset: Dataset, noisy: np.ndarray) -> tuple:
         else:
             transition[i] = np.bincount(noisy[members], minlength=c) / count
     corrupted = Dataset(
-        label_space=dataset.label_space,
+        num_classes=c,
         ids=dataset.ids,
         features=dataset.features,
         noisy_labels=noisy,
@@ -351,7 +351,7 @@ def save_corruption_record(path, record: CorruptionRecord, spec: NoiseSpec) -> N
 
 def load_corruption_record(path) -> tuple:
     """Read a corruption record; returns (record, header_dict)."""
-    reader = codec.read(path, "auto", codec.CORRUPTION)
+    reader = codec.read(path, codec.CORRUPTION)
     n, c, flipped_count = reader.counts
     realized = reader.real("REALIZED")
     (flipped,) = reader.rows(1, [(int, flipped_count)], "flipped-id row")

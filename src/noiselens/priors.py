@@ -15,7 +15,6 @@ from .data import (
     ROW_SUM_FILE_TOL,
     ROW_SUM_INTERNAL_TOL,
     Dataset,
-    LabelSpace,
     ScoreMatrix,
     _freeze,
     check_scores,
@@ -124,11 +123,10 @@ def transition_matrix_error(estimated: TransitionMatrix, reference: np.ndarray) 
     return float(np.abs(estimated.values - reference).mean())
 
 
-def compute_class_prior(clean_subset: Dataset, label_space: LabelSpace) -> ClassPrior:
-    """Count noisy labels on the clean subset and smooth with add-half."""
-    if clean_subset.num_classes != label_space.num_classes:
-        raise ValidationError("subset label space does not match")
-    c = label_space.num_classes
+def compute_class_prior(clean_subset: Dataset) -> ClassPrior:
+    """Count noisy labels on the clean subset over its classes and smooth
+    with add-half."""
+    c = clean_subset.num_classes
     counts = np.bincount(clean_subset.noisy_labels, minlength=c).astype(np.int64)
     total = int(counts.sum())
     if total == 0:
@@ -142,7 +140,7 @@ def save_transition_matrix(path, matrix: TransitionMatrix) -> None:
 
 
 def load_transition_matrix(path) -> TransitionMatrix:
-    reader = codec.read(path, "auto", codec.TRANSITION)
+    reader = codec.read(path, codec.TRANSITION)
     (c,) = reader.counts
     (values,) = reader.rows(c, [(float, c)])
     reader.end()
@@ -155,7 +153,7 @@ def save_class_prior(path, prior: ClassPrior) -> None:
 
 
 def load_class_prior(path) -> ClassPrior:
-    reader = codec.read(path, "auto", codec.PRIOR)
+    reader = codec.read(path, codec.PRIOR)
     c, total = reader.counts
     counts, values = reader.rows(c, [int, float])
     reader.end()

@@ -6,7 +6,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, ScoreMatrix, _freeze, fmt_float
+from .codec import fmt_float
+from .data import Dataset, ScoreMatrix, _freeze
 from .errors import NoiseLensError, ValidationError
 from .losses import MarginConfig
 from .noise import selection_quality
@@ -87,7 +88,7 @@ def confidence_histogram(values, source: str = "") -> HistogramReport:
         raise ValidationError("values must be a non-empty 1-D array")
     if not np.all(np.isfinite(values)) or values.min() < 0.0 or values.max() > 1.0:
         bad = int(np.argmax(~((values >= 0.0) & (values <= 1.0))))
-        raise ValidationError(f"value {values[bad]!r} at index {bad} is outside [0, 1]")
+        raise ValidationError(f"value {fmt_float(values[bad])} at index {bad} is outside [0, 1]")
     # arange/10 gives exact decimal edges (0.3, not 0.30000000000000004).
     edges = np.arange(NUM_BINS + 1) / NUM_BINS
     bins = np.searchsorted(edges, values, side="right") - 1
@@ -161,7 +162,7 @@ def threshold_sweep(
             continue
         try:
             subset = apply_mask(dataset, mask)
-            prior = compute_class_prior(subset, dataset.label_space)
+            prior = compute_class_prior(subset)
             report = train(subset, matrix, prior, bundle.margin, bundle.train)
             test_acc = evaluate(report.classifier, bundle.test_dataset)["accuracy"]
         except NoiseLensError as exc:

@@ -100,16 +100,15 @@ def cosine_softmax_score(
 
 def score_with_surrogate(
     dataset: Dataset,
-    source: tuple,
+    bank: ClassEmbeddingBank,
+    config: ScorerConfig,
     image_embeddings: np.ndarray | None = None,
 ) -> ScoreMatrix:
-    """Score ``dataset`` with the built-in cosine scorer; ``source`` is a
-    ``(ClassEmbeddingBank, ScorerConfig)`` pair. The scorer runs on the
-    dataset's own feature vectors unless a separate ``image_embeddings``
+    """Score ``dataset`` with the built-in cosine scorer. The scorer runs on
+    the dataset's own feature vectors unless a separate ``image_embeddings``
     matrix is supplied (for when the surrogate's embedding space differs
     from the classifier's).
     """
-    bank, config = source
     if bank.num_classes != dataset.num_classes:
         raise ValidationError(
             f"bank has {bank.num_classes} classes, dataset has {dataset.num_classes}"
@@ -138,7 +137,7 @@ def save_embedding_bank(path, bank: ClassEmbeddingBank, fmt: str = "text") -> No
 def load_embedding_bank(path) -> ClassEmbeddingBank:
     """Text rows carry their class index (any order, each class once); the
     binary container stores the prompt and then the rows in class order."""
-    reader = codec.read(path, "auto", codec.BANK)
+    reader = codec.read(path, codec.BANK)
     c, d = reader.counts[:2]
     if isinstance(reader, codec.BinaryReader):
         prompt = reader.text(reader.counts[2])
@@ -160,7 +159,7 @@ def load_embedding_bank(path) -> ClassEmbeddingBank:
 def load_embedding_table(path, dataset: Dataset) -> np.ndarray:
     """Load per-sample embeddings from a bank-format text file whose first
     column is the sample id; rows must match the dataset order exactly."""
-    reader = codec.read(path, "auto", codec.EMBEDDING_TABLE)
+    reader = codec.read(path, codec.EMBEDDING_TABLE)
     n, d = reader.counts
     ids, embeddings = reader.rows(n, [int, (float, d)])
     reader.end()

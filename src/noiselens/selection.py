@@ -163,7 +163,7 @@ def save_mask(path, mask: SelectionMask) -> None:
 
 
 def load_mask(path) -> SelectionMask:
-    reader = codec.read(path, "auto", codec.MASK)
+    reader = codec.read(path, codec.MASK)
     (n,) = reader.counts
     threshold = reader.real("THRESHOLD")
     ids, scores, flags = reader.rows(n, [int, float, int])

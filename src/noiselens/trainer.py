@@ -234,8 +234,8 @@ def save_classifier(path, classifier: LinearClassifier, fmt: str = "text") -> No
     codec.save(path, fmt, codec.CLASSIFIER, {"C": c, "D": d}, blocks)
 
 
-def load_classifier(path, fmt: str = "auto") -> LinearClassifier:
-    reader = codec.read(path, fmt, codec.CLASSIFIER)
+def load_classifier(path) -> LinearClassifier:
+    reader = codec.read(path, codec.CLASSIFIER)
     c, d = reader.counts
     (weights,) = reader.rows(c, [(float, d)], "weight row")
     (bias,) = reader.rows(1, [(float, c)], "bias row")

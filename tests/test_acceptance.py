@@ -235,8 +235,8 @@ def test_criterion_06_end_to_end_ordering(report):
     for seed in range(5):
         noisy, _, scores, mask = _selection_trial(seed)
         subset = apply_mask(noisy, mask)
-        subset_prior = compute_class_prior(subset, noisy.label_space)
-        full_prior = compute_class_prior(noisy, noisy.label_space)
+        subset_prior = compute_class_prior(subset)
+        full_prior = compute_class_prior(noisy)
         estimated = estimate_transition_matrix(noisy, scores)
         test = make_blobs(c, 1000, dim, sep, seed=seed + 1000)
         cfg = cfg_by_seed(seed)
@@ -269,7 +269,7 @@ def test_criterion_07_imbalance_regularization(report):
     for seed in range(5):
         base = make_blobs(2, 500, dim, sep, seed=seed)
         subset = base.subset(np.concatenate([np.arange(500), 500 + np.arange(50)]))
-        prior = compute_class_prior(subset, subset.label_space)
+        prior = compute_class_prior(subset)
         cfg = TrainConfig(
             epochs=10, batch_size=128, learning_rate=0.1, weight_decay=1e-4,
             momentum=0.95, seed=seed,
@@ -412,7 +412,7 @@ def test_criterion_09_determinism(report, tmp_path):
     mask = select_by_confidence(noisy, scores, 0.5)
     subset = apply_mask(noisy, mask)
     matrix = estimate_transition_matrix(noisy, scores)
-    prior = compute_class_prior(subset, noisy.label_space)
+    prior = compute_class_prior(subset)
     trained = train(
         subset, matrix, prior, MarginConfig(),
         TrainConfig(epochs=3, batch_size=16, learning_rate=0.1, seed=0),

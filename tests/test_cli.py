@@ -13,7 +13,7 @@ from noiselens.cli import main
 from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset
 from noiselens.noise import blob_means
 from noiselens.priors import load_transition_matrix
-from noiselens.scorer import ClassEmbeddingBank, save_embedding_bank
+from noiselens.scorer import ClassEmbeddingBank, ScorerConfig, save_embedding_bank
 from noiselens.selection import load_mask, select_by_confidence
 from noiselens.trainer import load_classifier
 
@@ -68,6 +68,15 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: [synth] budget_bounds 'a,b'")
         assert not (tmp_path / "ds.txt").exists()
+
+    def test_corruption_out_without_noise_writes_nothing(self, tmp_path, capsys):
+        code = run(
+            ["synth", "--classes", "3", "--per-class", "5", "--dim", "2", "--sep", "2.0",
+             "--out", str(tmp_path / "ds.txt"), "--corruption-out", str(tmp_path / "c.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: [synth] --corruption-out requires --noise\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture
@@ -160,6 +169,26 @@ class TestStageChain:
         assert capsys.readouterr().err == "error: [score] --embeddings requires --bank\n"
         assert not (tmp_path / "out.txt").exists()
 
+    def test_temperature_requires_bank(self, pipeline_files, capsys):
+        tmp_path, ds, bank = pipeline_files
+        scores = tmp_path / "scores.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", str(scores)]) == 0
+        code = run(["score", "--dataset", str(ds), "--scores-file", str(scores),
+                    "--temperature", "0.25", "--out", str(tmp_path / "out.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: [score] --temperature requires --bank\n"
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_bank_scoring_defaults_to_the_scorer_temperature(self, pipeline_files):
+        tmp_path, ds, bank = pipeline_files
+        implicit, explicit = tmp_path / "implicit.txt", tmp_path / "explicit.txt"
+        flags = ["score", "--dataset", str(ds), "--bank", str(bank)]
+        assert run([*flags, "--out", str(implicit)]) == 0
+        assert run([*flags, "--temperature", repr(ScorerConfig().temperature),
+                    "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_scores_file_passes_through_bit_for_bit(self, pipeline_files):
         tmp_path, ds, bank = pipeline_files
         scores = tmp_path / "scores.txt"
@@ -210,7 +239,7 @@ class TestStageChain:
         full = load_dataset(ds)
         labels = np.where(full.noisy_labels == 2, 0, full.noisy_labels)
         gap = tmp_path / "gap.txt"
-        save_dataset(gap, Dataset(full.label_space, full.ids, full.features, labels))
+        save_dataset(gap, Dataset(full.num_classes, full.ids, full.features, labels))
         scores = tmp_path / "scores.txt"
         mask = tmp_path / "mask.txt"
         tm = tmp_path / "tm.txt"

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 from noiselens.data import (
     Dataset,
-    LabelSpace,
     ScoreMatrix,
     load_dataset,
     load_score_matrix,
@@ -48,7 +47,7 @@ from noiselens.selection import load_mask, save_mask, select_by_confidence
 from noiselens.trainer import LinearClassifier, load_classifier, save_classifier
 
 DATASET = Dataset(
-    LabelSpace.default(3),
+    3,
     ids=np.arange(4),
     features=np.array([[0.5, 1.0], [-1.0, 2.0], [0.1, 0.3], [3.5, -2.25]]),
     noisy_labels=np.array([0, 1, 2, 1]),
@@ -99,7 +98,7 @@ KINDS = {
     ),
     "prior": (
         ("text",),
-        lambda p, f: save_class_prior(p, compute_class_prior(DATASET, DATASET.label_space)),
+        lambda p, f: save_class_prior(p, compute_class_prior(DATASET)),
         load_class_prior,
     ),
     "classifier": (
@@ -179,6 +178,22 @@ def test_damaged_file_raises_only_format_or_validation_error(tmp_path, kind, fmt
             load(path)
 
 
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_container_of_another_kind_is_named(tmp_path, kind):
+    """Loaders take no format: a file with the container's magic bytes is
+    read as binary, so one of another kind is a named FormatError."""
+    formats, _, load = KINDS[kind]
+    other = tmp_path / "other.bin"
+    if kind == "dataset":
+        save_classifier(other, CLASSIFIER, fmt="binary")
+        expected = "holds kind 4, expected 1"
+    else:
+        save_dataset(other, DATASET, fmt="binary")
+        expected = "holds kind 1" if "binary" in formats else "binary container where a text"
+    with pytest.raises(FormatError, match=expected):
+        load(other)
+
+
 # Where the first float field of a text kind sits, as (record, field), when
 # it is not the last field of the first record; and the float header value
 # of the kinds that have one. Every binary payload ends with a float column.
@@ -239,7 +254,7 @@ def test_text_round_trip_is_bit_exact(values, ids):
     every int64 id reads back with the bits it was written with."""
     n = values.shape[0]
     ids = np.array(ids[:n], dtype=np.int64)
-    dataset = Dataset(LabelSpace.default(2), ids, values, np.zeros(n, np.int64))
+    dataset = Dataset(2, ids, values, np.zeros(n, np.int64))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.txt"
         save_dataset(path, dataset)

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noiselens.codec import fmt_float
 from noiselens.data import (
     Dataset,
     FormatError,
-    LabelSpace,
     ScoreMatrix,
     ValidationError,
     check_scores,
-    fmt_float,
     load_dataset,
     load_score_matrix,
     save_dataset,
@@ -34,31 +33,12 @@ from noiselens.selection import (
 
 def small_dataset(with_truth=True):
     return Dataset(
-        label_space=LabelSpace.default(3),
+        num_classes=3,
         ids=np.array([10, 11, 12, 13]),
         features=np.array([[0.5, 1.0], [-1.0, 2.0], [0.0, 0.0], [3.5, -2.25]]),
         noisy_labels=np.array([0, 1, 2, 1]),
         true_labels=np.array([0, 2, 2, 1]) if with_truth else None,
     )
-
-
-class TestLabelSpace:
-    def test_default_names(self):
-        space = LabelSpace.default(3)
-        assert space.num_classes == 3
-        assert space.class_names == ("class_0", "class_1", "class_2")
-
-    def test_too_few_classes(self):
-        with pytest.raises(ValidationError):
-            LabelSpace.default(1)
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValidationError):
-            LabelSpace(num_classes=2, class_names=("a", "a"))
-
-    def test_name_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            LabelSpace(num_classes=3, class_names=("a", "b"))
 
 
 class TestDataset:
@@ -69,10 +49,26 @@ class TestDataset:
         assert ds.num_classes == 3
         assert ds.has_ground_truth
 
+    def test_too_few_classes(self):
+        with pytest.raises(ValidationError, match="^dataset needs at least 2 classes$"):
+            Dataset(
+                num_classes=1,
+                ids=np.array([0]),
+                features=np.array([[1.0]]),
+                noisy_labels=np.array([0]),
+            )
+
+    def test_fields_cannot_be_rebound(self):
+        ds = small_dataset()
+        with pytest.raises(AttributeError):
+            ds.num_classes = 4
+        with pytest.raises(AttributeError):
+            ds.features = np.zeros((4, 2))
+
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError, match="label out of range"):
             Dataset(
-                label_space=LabelSpace.default(2),
+                num_classes=2,
                 ids=np.array([0]),
                 features=np.array([[1.0]]),
                 noisy_labels=np.array([2]),
@@ -81,7 +77,7 @@ class TestDataset:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             Dataset(
-                label_space=LabelSpace.default(2),
+                num_classes=2,
                 ids=np.array([5, 5]),
                 features=np.array([[1.0], [2.0]]),
                 noisy_labels=np.array([0, 1]),
@@ -90,7 +86,7 @@ class TestDataset:
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValidationError):
             Dataset(
-                label_space=LabelSpace.default(2),
+                num_classes=2,
                 ids=np.array([0, 1]),
                 features=np.array([[1.0], [np.nan]]),
                 noisy_labels=np.array([0, 1]),
@@ -104,7 +100,7 @@ class TestDataset:
     def test_contiguous_input_frozen_in_place_not_copied(self):
         features = np.zeros((4, 2))
         values = np.full((4, 3), 1 / 3)
-        ds = Dataset(LabelSpace.default(3), np.arange(4), features, np.zeros(4, dtype=np.int64))
+        ds = Dataset(3, np.arange(4), features, np.zeros(4, dtype=np.int64))
         scores = ScoreMatrix(values=values, sample_ids=ds.ids)
         assert np.shares_memory(ds.features, features)
         assert np.shares_memory(scores.values, values)
@@ -130,6 +126,13 @@ class TestScoreValidation:
         check_scores(scores, ds)
         assert scores.num_rows == 4
         assert np.abs(scores.values.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_row_sum_message_prints_a_plain_float(self):
+        values = np.full((4, 3), 1 / 3)
+        values[0] = 0.0
+        with pytest.raises(ValidationError) as info:
+            ScoreMatrix(values=values, sample_ids=np.arange(4))
+        assert str(info.value) == "row 0 sums to 0.0, deviation exceeds 1e-06"
 
     def test_row_count_mismatch(self):
         ds = small_dataset()
@@ -189,7 +192,7 @@ class TestScoreValidation:
         values = raw / raw.sum(axis=1, keepdims=True)
         assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-12
         ds = Dataset(
-            label_space=LabelSpace.default(3),
+            num_classes=3,
             ids=np.arange(len(rows)),
             features=np.zeros((len(rows), 1)),
             noisy_labels=np.zeros(len(rows), dtype=int),
@@ -270,7 +273,7 @@ class TestDatasetFiles:
         ds = small_dataset()
         path = tmp_path / "ds.bin"
         save_dataset(path, ds, fmt="binary")
-        loaded = load_dataset(path)  # fmt="auto" sniffs the magic
+        loaded = load_dataset(path)  # the loader sniffs the magic bytes
         np.testing.assert_array_equal(loaded.ids, ds.ids)
         np.testing.assert_array_equal(loaded.noisy_labels, ds.noisy_labels)
         np.testing.assert_array_equal(loaded.features, ds.features)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from noiselens.data import Dataset, LabelSpace
+from noiselens.data import Dataset
 from noiselens.errors import ValidationError
 from noiselens.losses import (
     MarginConfig,
@@ -40,12 +40,12 @@ def make_matrix():
 
 def make_prior():
     subset = Dataset(
-        label_space=LabelSpace.default(3),
+        num_classes=3,
         ids=np.arange(4),
         features=np.zeros((4, 1)),
         noisy_labels=np.array([0, 0, 0, 1]),
     )
-    return compute_class_prior(subset, subset.label_space)
+    return compute_class_prior(subset)
 
 
 def uniform_setup(c):

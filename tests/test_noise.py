@@ -26,7 +26,7 @@ from noiselens.selection import SelectionMask
 
 def strip_truth(dataset):
     return Dataset(
-        label_space=dataset.label_space,
+        num_classes=dataset.num_classes,
         ids=dataset.ids,
         features=dataset.features,
         noisy_labels=dataset.noisy_labels,
@@ -252,7 +252,7 @@ class TestSelectionQuality:
         noisy = ds.noisy_labels.copy()
         noisy[[1, 4]] = 1 - noisy[[1, 4]]  # corrupt two samples
         corrupted = Dataset(
-            label_space=ds.label_space,
+            num_classes=ds.num_classes,
             ids=ds.ids,
             features=ds.features,
             noisy_labels=noisy,

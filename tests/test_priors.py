@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from noiselens.data import Dataset, LabelSpace, ScoreMatrix
+from noiselens.data import Dataset, ScoreMatrix
 from noiselens.errors import FormatError, ValidationError
 from noiselens.priors import (
     ClassPrior,
@@ -21,7 +21,7 @@ from noiselens.priors import (
 def dataset_with_labels(labels, num_classes):
     labels = np.asarray(labels)
     return Dataset(
-        label_space=LabelSpace.default(num_classes),
+        num_classes=num_classes,
         ids=np.arange(labels.size),
         features=np.zeros((labels.size, 1)),
         noisy_labels=labels,
@@ -123,7 +123,7 @@ class TestTransitionMatrixValidation:
 class TestClassPrior:
     def test_add_half_smoothing(self):
         subset = dataset_with_labels([0, 0, 0, 1], 3)
-        prior = compute_class_prior(subset, LabelSpace.default(3))
+        prior = compute_class_prior(subset)
         np.testing.assert_allclose(
             prior.values, [(3 + 0.5) / 5.5, (1 + 0.5) / 5.5, 0.5 / 5.5]
         )
@@ -132,7 +132,7 @@ class TestClassPrior:
 
     def test_missing_class_stays_positive(self):
         subset = dataset_with_labels([1, 1, 1], 4)
-        prior = compute_class_prior(subset, LabelSpace.default(4))
+        prior = compute_class_prior(subset)
         assert prior.values.min() > 0.0
         assert abs(prior.values.sum() - 1.0) <= 1e-12
 
@@ -142,11 +142,6 @@ class TestClassPrior:
         ds = dataset_with_labels([0, 1], 2)
         with pytest.raises(ValidationError, match="at least one sample"):
             ds.subset(np.array([], dtype=np.int64))
-
-    def test_label_space_mismatch_rejected(self):
-        subset = dataset_with_labels([0, 1], 2)
-        with pytest.raises(ValidationError):
-            compute_class_prior(subset, LabelSpace.default(3))
 
     def test_constructor_invariants(self):
         with pytest.raises(ValidationError):
@@ -199,7 +194,7 @@ class TestFiles:
 
     def test_prior_round_trip(self, tmp_path):
         subset = dataset_with_labels([0, 0, 0, 1, 2], 3)
-        prior = compute_class_prior(subset, LabelSpace.default(3))
+        prior = compute_class_prior(subset)
         path = tmp_path / "prior.txt"
         save_class_prior(path, prior)
         loaded = load_class_prior(path)

@@ -120,12 +120,15 @@ class TestConfidenceHistogram:
         assert list(edges) == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
     def test_out_of_range_names_index(self):
-        with pytest.raises(ValidationError, match="index 2"):
-            confidence_histogram(np.array([0.5, 0.5, 1.5]))
-        with pytest.raises(ValidationError):
-            confidence_histogram(np.array([-0.1]))
-        with pytest.raises(ValidationError):
-            confidence_histogram(np.array([np.nan]))
+        # The value prints as a plain float under every numpy version.
+        for values, message in (
+            ([0.5, 0.5, 1.5], "value 1.5 at index 2 is outside [0, 1]"),
+            ([-0.1], "value -0.1 at index 0 is outside [0, 1]"),
+            ([np.nan], "value nan at index 0 is outside [0, 1]"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                confidence_histogram(np.array(values))
+            assert str(info.value) == message
         with pytest.raises(ValidationError):
             confidence_histogram(np.array([]))
 
@@ -166,7 +169,7 @@ class TestThresholdSweep:
         matrix = estimate_transition_matrix(noisy, scores)
         mask = select_by_confidence(noisy, scores, 0.5)
         subset = apply_mask(noisy, mask)
-        prior = compute_class_prior(subset, noisy.label_space)
+        prior = compute_class_prior(subset)
         trained = train(subset, matrix, prior, bundle.margin, bundle.train)
         predicted = predict(trained.classifier, bundle.test_dataset).labels
         expected = float(np.mean(predicted == bundle.test_dataset.true_labels))

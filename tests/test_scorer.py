@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselens.data import Dataset, LabelSpace, ScoreMatrix, load_score_matrix, save_score_matrix
+from noiselens.data import Dataset, load_score_matrix, save_score_matrix
 from noiselens.errors import ValidationError
 from noiselens.scorer import (
     ClassEmbeddingBank,
@@ -127,7 +127,7 @@ class TestBank:
         assert loaded.prompt_id == "ref"
         # The same file read as a per-sample embedding table: row j is sample j.
         n = BANK.num_classes
-        ds = Dataset(LabelSpace.default(2), np.arange(n), np.zeros((n, 1)), np.zeros(n, int))
+        ds = Dataset(2, np.arange(n), np.zeros((n, 1)), np.zeros(n, int))
         np.testing.assert_array_equal(load_embedding_table(path, ds), BANK.embeddings)
 
     def test_binary_round_trip(self, tmp_path):
@@ -150,7 +150,7 @@ class TestScoreWithSurrogate:
     def make_dataset(self):
         rng = np.random.default_rng(1)
         return Dataset(
-            label_space=LabelSpace.default(3),
+            num_classes=3,
             ids=np.arange(6),
             features=rng.standard_normal((6, 4)),
             noisy_labels=rng.integers(0, 3, 6),
@@ -158,13 +158,13 @@ class TestScoreWithSurrogate:
 
     def test_bank_source(self):
         ds = self.make_dataset()
-        scores = score_with_surrogate(ds, (BANK, ScorerConfig(temperature=0.2)))
+        scores = score_with_surrogate(ds, BANK, ScorerConfig(temperature=0.2))
         assert scores.values.shape == (6, 3)
         np.testing.assert_array_equal(scores.sample_ids, ds.ids)
 
     def test_file_source(self, tmp_path):
         ds = self.make_dataset()
-        direct = score_with_surrogate(ds, (BANK, ScorerConfig(temperature=0.2)))
+        direct = score_with_surrogate(ds, BANK, ScorerConfig(temperature=0.2))
         path = tmp_path / "scores.txt"
         save_score_matrix(path, direct)
         from_file = load_score_matrix(path, ds)
@@ -174,13 +174,13 @@ class TestScoreWithSurrogate:
         ds = self.make_dataset()
         bad_bank = ClassEmbeddingBank(embeddings=np.eye(4))
         with pytest.raises(ValidationError):
-            score_with_surrogate(ds, (bad_bank, ScorerConfig(temperature=0.2)))
+            score_with_surrogate(ds, bad_bank, ScorerConfig(temperature=0.2))
 
     def test_separate_image_embeddings(self):
         ds = self.make_dataset()
         rng = np.random.default_rng(9)
         other = rng.standard_normal((6, 4))
-        scores = score_with_surrogate(ds, (BANK, ScorerConfig(temperature=0.2)), image_embeddings=other)
+        scores = score_with_surrogate(ds, BANK, ScorerConfig(temperature=0.2), image_embeddings=other)
         expected = cosine_softmax_score(other, BANK, ScorerConfig(temperature=0.2), sample_ids=ds.ids)
         np.testing.assert_array_equal(scores.values, expected.values)
 

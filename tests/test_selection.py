@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselens.data import Dataset, LabelSpace, ScoreMatrix
+from noiselens.data import Dataset, ScoreMatrix
 from noiselens.errors import ValidationError
 from noiselens.selection import (
     LN2,
@@ -39,7 +39,7 @@ def js_oracle(p, q):
 def dataset_with_labels(labels, num_classes):
     labels = np.asarray(labels)
     return Dataset(
-        label_space=LabelSpace.default(num_classes),
+        num_classes=num_classes,
         ids=np.arange(labels.size),
         features=np.zeros((labels.size, 1)),
         noisy_labels=labels,
@@ -157,14 +157,14 @@ class TestSelectByConfidence:
         scores = ScoreMatrix(values=values, sample_ids=np.arange(n))
         noisy = rng.integers(0, c, n)
         with_truth = Dataset(
-            label_space=LabelSpace.default(c),
+            num_classes=c,
             ids=np.arange(n),
             features=np.zeros((n, 1)),
             noisy_labels=noisy,
             true_labels=(noisy + 1) % c,
         )
         flipped = Dataset(
-            label_space=LabelSpace.default(c),
+            num_classes=c,
             ids=np.arange(n),
             features=np.zeros((n, 1)),
             noisy_labels=noisy,

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import noiselens.trainer
-from noiselens.data import Dataset, LabelSpace
 from noiselens.errors import FormatError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
 from noiselens.noise import make_blobs
@@ -30,7 +29,7 @@ from noiselens.trainer import (
 def training_setup(num_classes=3, per_class=8, dim=4, seed=0):
     subset = make_blobs(num_classes, per_class, dim, 2.0, seed=seed)
     matrix = TransitionMatrix(np.eye(num_classes))
-    prior = compute_class_prior(subset, subset.label_space)
+    prior = compute_class_prior(subset)
     return subset, matrix, prior
 
 
@@ -164,7 +163,7 @@ class TestTrainingBehavior:
     def test_loss_decreases_and_fits(self):
         subset = make_blobs(3, 50, 4, 3.5, seed=0)  # well-separated: fit should be easy
         matrix = TransitionMatrix(np.eye(3))
-        prior = compute_class_prior(subset, subset.label_space)
+        prior = compute_class_prior(subset)
         cfg = TrainConfig(epochs=8, batch_size=16, learning_rate=0.1, seed=0)
         report = train(subset, matrix, prior, MarginConfig(delta=0.0, t=0.0, s=1.0, gamma=0.0), cfg)
         assert len(report.epoch_losses) == 8
@@ -306,8 +305,8 @@ class TestCheckpointFiles:
 
         path = tmp_path / "ds.bin"
         save_dataset(path, ds, fmt="binary")
-        with pytest.raises(FormatError):
-            load_classifier(path, fmt="binary")
+        with pytest.raises(FormatError, match="holds kind 1, expected 4"):
+            load_classifier(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         head = self.trained_head()
