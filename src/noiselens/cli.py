@@ -8,12 +8,13 @@ Exit codes: 0 success, 1 stage failure (message on stderr as
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .data import load_dataset, load_score_matrix, save_dataset, save_score_matrix
 from .errors import NoiseLensError, ValidationError
-from .experiment import load_experiment_config, noise_spec, run_experiment
+from .experiment import load_experiment_config, noise_spec, run_experiment, score, select
 from .losses import MarginConfig
 from .noise import (
     DEFAULT_BUDGET_SD,
@@ -37,20 +38,13 @@ from .report import (
     format_table,
     histogram_rows,
 )
-from .scorer import (
-    ScorerConfig,
-    load_embedding_bank,
-    load_embedding_table,
-    score_with_surrogate,
-)
+from .scorer import ScorerConfig
 from .selection import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_CONSISTENCY_THRESHOLD,
     apply_mask,
     load_mask,
     save_mask,
-    select_by_confidence,
-    select_by_prompt_consistency,
 )
 from .trainer import TrainConfig, load_classifier, save_classifier, train
 
@@ -89,29 +83,31 @@ def _cmd_score(args) -> int:
         raise ValidationError("--embeddings requires --bank")
     if args.temperature is not None and not args.bank:
         raise ValidationError("--temperature requires --bank")
+    config = ScorerConfig() if args.temperature is None else ScorerConfig(args.temperature)
     dataset = load_dataset(args.dataset)
-    if args.scores_file:
-        scores = load_score_matrix(args.scores_file, dataset)
-    else:
-        bank = load_embedding_bank(args.bank)
-        config = ScorerConfig() if args.temperature is None else ScorerConfig(args.temperature)
-        embeddings = load_embedding_table(args.embeddings, dataset) if args.embeddings else None
-        scores = score_with_surrogate(dataset, bank, config, embeddings)
-    save_score_matrix(args.out, scores)
+    kind, path = ("cosine", args.bank) if args.bank else ("file", args.scores_file)
+    save_score_matrix(args.out, score(dataset, kind, path, config, args.embeddings, None))
     return 0
 
 
 def _cmd_select(args) -> int:
+    for flag, value, criterion in (
+        ("--rho", args.rho, "confidence"),
+        ("--mu", args.mu, "prompt-consistency"),
+        ("--scores-b", args.scores_b, "prompt-consistency"),
+    ):
+        if value is not None and args.criterion != criterion:
+            raise ValidationError(f"{flag} requires --criterion {criterion}")
     if args.criterion == "prompt-consistency" and not args.scores_b:
         raise ValidationError("prompt-consistency requires --scores-b")
-    dataset = load_dataset(args.dataset)
-    scores = load_score_matrix(args.scores, dataset)
     if args.criterion == "confidence":
-        mask = select_by_confidence(dataset, scores, args.rho)
+        threshold = DEFAULT_CONFIDENCE_THRESHOLD if args.rho is None else args.rho
     else:
-        scores_b = load_score_matrix(args.scores_b, dataset)
-        mask = select_by_prompt_consistency(dataset, scores, scores_b, args.mu)
-    save_mask(args.out, mask)
+        threshold = DEFAULT_CONSISTENCY_THRESHOLD if args.mu is None else args.mu
+    dataset = load_dataset(args.dataset)
+    scores = [load_score_matrix(p, dataset) for p in (args.scores, args.scores_b) if p is not None]
+    criterion = args.criterion.replace("-", "_")
+    save_mask(args.out, select(dataset, criterion, threshold, *scores))
     return 0
 
 
@@ -128,47 +124,44 @@ def _cmd_priors(args) -> int:
     return 0
 
 
+def _from_flags(args, cls):
+    """``cls`` built from the flags given on the command line, so the
+    dataclass defaults are the only copy of the rest."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+
+
 def _cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
     mask = load_mask(args.mask)
     subset = apply_mask(dataset, mask)
     matrix = load_transition_matrix(args.tm)
     prior = load_class_prior(args.prior)
-    margin = MarginConfig(delta=args.delta, t=args.t, s=args.s, gamma=args.gamma)
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        weight_decay=args.wd,
-        momentum=args.momentum,
-        seed=args.seed,
-        shuffle=not args.no_shuffle,
-    )
+    margin, cfg = _from_flags(args, MarginConfig), _from_flags(args, TrainConfig)
     report = train(subset, matrix, prior, margin, cfg)
     save_classifier(args.out, report.classifier)
     return 0
 
 
 def _cmd_report(args) -> int:
-    formatter = format_table if args.format == "table" else format_records
+    if args.top_k is not None and not args.classifier:
+        raise ValidationError("--top-k requires --classifier")
+    if not (args.classifier or args.scores):
+        raise ValidationError("report needs --classifier or --scores")
+    if not args.dataset:
+        source = "--classifier" if args.classifier else "--scores"
+        raise ValidationError(f"{source} reports require --dataset")
+    dataset = load_dataset(args.dataset)
     if args.classifier:
-        if not args.dataset:
-            raise ValidationError("--classifier reports require --dataset")
-        dataset = load_dataset(args.dataset)
-        classifier = load_classifier(args.classifier)
-        row = {"samples": dataset.num_samples, **evaluate(classifier, dataset, args.top_k)}
-        sys.stdout.write(formatter([row]))
-        return 0
-    if args.scores:
-        if not args.dataset:
-            raise ValidationError("--scores reports require --dataset")
-        dataset = load_dataset(args.dataset)
+        metrics = evaluate(load_classifier(args.classifier), dataset, args.top_k or 0)
+        rows = [{"samples": dataset.num_samples, **metrics}]
+    else:
         scores = load_score_matrix(args.scores, dataset)
         confidences = scores.values[np.arange(dataset.num_samples), dataset.noisy_labels]
         histogram = confidence_histogram(confidences, source=os.path.basename(args.scores))
-        sys.stdout.write(formatter(histogram_rows(histogram)))
-        return 0
-    raise ValidationError("report needs --classifier or --scores")
+        rows = histogram_rows(histogram)
+    formatter = format_table if args.format == "table" else format_records
+    sys.stdout.write(formatter(rows))
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -220,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="flag clean samples by confidence or prompt consistency")
     p.add_argument("--dataset", required=True)
     p.add_argument("--scores", required=True)
-    p.add_argument("--scores-b", default=None)
+    p.add_argument("--scores-b", default=None, help="prompt-consistency only")
     p.add_argument("--criterion", choices=("confidence", "prompt-consistency"), required=True)
-    p.add_argument("--rho", type=float, default=DEFAULT_CONFIDENCE_THRESHOLD)
-    p.add_argument("--mu", type=float, default=DEFAULT_CONSISTENCY_THRESHOLD)
+    p.add_argument("--rho", type=float, default=None, help="confidence only")
+    p.add_argument("--mu", type=float, default=None, help="prompt-consistency only")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_select)
 
@@ -235,31 +228,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-out", required=True)
     p.set_defaults(handler=_cmd_priors)
 
-    p = sub.add_parser("train", help="train a linear head on the selected subset")
+    # A margin or training flag left out keeps its config dataclass default.
+    p = sub.add_parser(
+        "train", help="train a linear head on the selected subset", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--dataset", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--tm", required=True)
     p.add_argument("--prior", required=True)
-    p.add_argument("--delta", type=float, default=MarginConfig.delta)
-    p.add_argument("--t", type=float, default=MarginConfig.t)
-    p.add_argument("--s", type=float, default=MarginConfig.s)
-    p.add_argument("--gamma", type=float, default=MarginConfig.gamma)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--wd", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--no-shuffle", action="store_true")
+    p.add_argument("--delta", type=float)
+    p.add_argument("--t", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--wd", type=float, dest="weight_decay")
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("report", help="accuracy or confidence-histogram reports")
     p.add_argument("--format", choices=("table", "records"), default="table")
-    p.add_argument("--classifier", default=None)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--classifier", default=None)
+    group.add_argument("--scores", default=None)
     p.add_argument("--dataset", default=None)
-    p.add_argument("--scores", default=None)
-    p.add_argument("--top-k", type=int, default=0)
+    p.add_argument("--top-k", type=int, default=None, help="--classifier reports only")
     p.set_defaults(handler=_cmd_report)
 
     p = sub.add_parser("run", help="run a full experiment from a config file")

@@ -39,6 +39,7 @@ from .selection import (
     CRITERION_PROMPT_CONSISTENCY,
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_CONSISTENCY_THRESHOLD,
+    SelectionMask,
     apply_mask,
     check_threshold,
     save_mask,
@@ -58,15 +59,12 @@ _SCHEMA = {
         "noise", "noise_rate", "noise_seed", "pair_map", "budget_sd", "budget_bounds",
     },
     "scorer": {
-        "source", "bank", "temperature", "embeddings", "path",
-        "correct_prob", "bank_b", "path_b",
+        "source", "bank", "embeddings", "path", "correct_prob", "bank_b", "path_b",
+        *(f.name for f in fields(ScorerConfig)),
     },
     "selection": {"criterion", "rho", "mu"},
-    "margin": {"delta", "t", "s", "gamma"},
-    "train": {
-        "epochs", "batch_size", "learning_rate", "weight_decay", "momentum",
-        "seed", "shuffle", "lr_step_every", "lr_step_factor",
-    },
+    "margin": {f.name for f in fields(MarginConfig)},
+    "train": {f.name for f in fields(TrainConfig)},
     "test": {"source", "path", "per_class", "seed"},
     "report": {"top_k"},
     "output": {"dir"},
@@ -447,17 +445,23 @@ def _write_manifest(config: ExperimentConfig, stage: str, error: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _score(config: ExperimentConfig, dataset: Dataset, source: tuple) -> ScoreMatrix:
-    kind, path = source
+def score(dataset, kind, path, scorer, embeddings, correct_prob) -> ScoreMatrix:
+    """Scores for ``dataset`` from an oracle, the score file at ``path`` or
+    the bank at ``path`` (on the ``embeddings`` table, else the features)."""
     if kind == "oracle":
-        return oracle_scores(dataset, config.correct_prob)
+        return oracle_scores(dataset, correct_prob)
     if kind == "file":
         return load_score_matrix(path, dataset)
     bank = load_embedding_bank(path)
-    embeddings = None
-    if config.embeddings is not None:
-        embeddings = load_embedding_table(config.embeddings, dataset)
-    return score_with_surrogate(dataset, bank, config.scorer, embeddings)
+    table = None if embeddings is None else load_embedding_table(embeddings, dataset)
+    return score_with_surrogate(dataset, bank, scorer, table)
+
+
+def select(dataset, criterion, threshold, scores, scores_b=None) -> SelectionMask:
+    """The mask of ``criterion``; prompt consistency compares ``scores`` with ``scores_b``."""
+    if criterion == CRITERION_CONFIDENCE:
+        return select_by_confidence(dataset, scores, threshold)
+    return select_by_prompt_consistency(dataset, scores, scores_b, threshold)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -482,18 +486,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 save_corruption_record(os.path.join(out, "corruption.txt"), record, config.noise)
 
         result.stage = "score"
-        scores = _score(config, dataset, config.score_sources[0])
+        settings = config.scorer, config.embeddings, config.correct_prob
+        scores = score(dataset, *config.score_sources[0], *settings)
         save_score_matrix(os.path.join(out, "scores.txt"), scores)
+        scores_b = None
         if config.criterion == CRITERION_PROMPT_CONSISTENCY:
-            scores_b = _score(config, dataset, config.score_sources[1])
+            scores_b = score(dataset, *config.score_sources[1], *settings)
             save_score_matrix(os.path.join(out, "scores_b.txt"), scores_b)
 
         result.stage = "select"
-        if config.criterion == CRITERION_CONFIDENCE:
-            mask = select_by_confidence(dataset, scores, config.threshold)
-        else:
-            mask = select_by_prompt_consistency(dataset, scores, scores_b, config.threshold)
-        result.mask = mask
+        mask = result.mask = select(dataset, config.criterion, config.threshold, scores, scores_b)
         save_mask(os.path.join(out, "mask.txt"), mask)
         subset = apply_mask(dataset, mask)
 

@@ -9,7 +9,7 @@ target class with the given probability. Instance-dependent noise gives
 every sample its own flip budget and distributes it across wrong classes
 by how strongly the sample's features project onto per-class directions.
 
-Every injector returns the corrupted dataset together with a record of
+`inject_noise` returns the corrupted dataset together with a record of
 what actually happened (flips, realized rate, realized transition matrix),
 so experiments can report against the truth instead of the nominal knobs.
 """
@@ -192,15 +192,12 @@ def _finish(dataset: Dataset, noisy: np.ndarray) -> tuple:
     return corrupted, record
 
 
-def inject_symmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
+def _symmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
     """Resample a `rate` fraction of labels uniformly over all classes.
 
     Expected transition matrix: 1 - rate*(C-1)/C on the diagonal, rate/C
     elsewhere.
     """
-    if spec.kind != "symmetric":
-        raise ValidationError(f"spec kind is {spec.kind!r}, not 'symmetric'")
-    _require_ground_truth(dataset, "label corruption")
     rng = np.random.default_rng(spec.seed)
     n = dataset.num_samples
     chosen = rng.random(n) < spec.rate
@@ -209,12 +206,9 @@ def inject_symmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
     return _finish(dataset, noisy)
 
 
-def inject_asymmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
+def _asymmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
     """Flip each mapped class to its fixed partner with probability `rate`;
     classes absent from the map never flip."""
-    if spec.kind != "asymmetric":
-        raise ValidationError(f"spec kind is {spec.kind!r}, not 'asymmetric'")
-    _require_ground_truth(dataset, "label corruption")
     check_pair_map(spec.pair_map, dataset.num_classes)
     rng = np.random.default_rng(spec.seed)
     truth = dataset.true_labels
@@ -226,7 +220,7 @@ def inject_asymmetric(dataset: Dataset, spec: NoiseSpec) -> tuple:
     return _finish(dataset, noisy)
 
 
-def inject_instance_dependent(dataset: Dataset, spec: NoiseSpec) -> tuple:
+def _instance_dependent(dataset: Dataset, spec: NoiseSpec) -> tuple:
     """Feature-driven corruption with a per-sample flip budget.
 
     Each sample draws a budget q from a truncated normal centered on
@@ -234,9 +228,6 @@ def inject_instance_dependent(dataset: Dataset, spec: NoiseSpec) -> tuple:
     projections of its features onto random per-class directions, and the
     true class keeps 1 - q.
     """
-    if spec.kind != "instance_dependent":
-        raise ValidationError(f"spec kind is {spec.kind!r}, not 'instance_dependent'")
-    _require_ground_truth(dataset, "label corruption")
     rng = np.random.default_rng(spec.seed)
     n, d = dataset.features.shape
     c = dataset.num_classes
@@ -277,12 +268,14 @@ def inject_instance_dependent(dataset: Dataset, spec: NoiseSpec) -> tuple:
 
 
 def inject_noise(dataset: Dataset, spec: NoiseSpec) -> tuple:
-    """Dispatch to the injector named by ``spec.kind``."""
+    """Corrupt the labels of ``dataset`` with the model ``spec.kind`` names;
+    returns (corrupted dataset, CorruptionRecord)."""
+    _require_ground_truth(dataset, "label corruption")
     if spec.kind == "symmetric":
-        return inject_symmetric(dataset, spec)
+        return _symmetric(dataset, spec)
     if spec.kind == "asymmetric":
-        return inject_asymmetric(dataset, spec)
-    return inject_instance_dependent(dataset, spec)
+        return _asymmetric(dataset, spec)
+    return _instance_dependent(dataset, spec)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, _freeze, check_ids, check_scores
+from .data import Dataset, ScoreMatrix, _freeze, check_ids
 from .errors import FormatError, ValidationError
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
@@ -18,6 +18,20 @@ from .errors import FormatError, ValidationError
 MIN_NORM = 1e-30
 
 DEFAULT_TEMPERATURE = 0.01
+
+
+def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
+    """The L2 norm of each row. A non-finite entry, a norm below MIN_NORM or
+    a norm that overflows float64 is rejected: a row divided by such a norm
+    would score as a zero vector."""
+    if not np.isfinite(rows).all():
+        raise ValidationError(f"non-finite {what}")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    bad = np.nonzero((norms < MIN_NORM) | np.isinf(norms))[0]
+    if bad.size:
+        raise ValidationError(f"{what} at row {int(bad[0])} has a zero or overflowing norm")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -31,12 +45,7 @@ class ClassEmbeddingBank:
         emb = np.asarray(self.embeddings, dtype=np.float64)
         if emb.ndim != 2:
             raise ValidationError("class embeddings must be a 2-D array")
-        if not np.all(np.isfinite(emb)):
-            raise ValidationError("non-finite class embedding")
-        norms = np.linalg.norm(emb, axis=1)
-        bad = np.nonzero(norms < MIN_NORM)[0]
-        if bad.size:
-            raise ValidationError(f"zero-norm class embedding at index {int(bad[0])}")
+        _row_norms(emb, "class embedding")
         if any(ch.isspace() for ch in self.prompt_id) or not self.prompt_id:
             raise ValidationError("prompt_id must be a non-empty token without whitespace")
         object.__setattr__(self, "embeddings", _freeze(emb, np.float64))
@@ -77,16 +86,8 @@ def cosine_softmax_score(
         raise ValidationError(
             f"embedding dimension {emb.shape[1]} does not match bank dimension {bank.dim}"
         )
-    if not np.all(np.isfinite(emb)):
-        raise ValidationError("non-finite image embedding")
-    norms = np.linalg.norm(emb, axis=1)
-    bad = np.nonzero(norms < MIN_NORM)[0]
-    if bad.size:
-        raise ValidationError(f"zero-norm embedding at sample index {int(bad[0])}")
-
-    unit_images = emb / norms[:, None]
-    bank_norms = np.linalg.norm(bank.embeddings, axis=1)
-    unit_classes = bank.embeddings / bank_norms[:, None]
+    unit_images = emb / _row_norms(emb, "image embedding")[:, None]
+    unit_classes = bank.embeddings / _row_norms(bank.embeddings, "class embedding")[:, None]
     cosines = unit_images @ unit_classes.T
 
     logits = cosines / config.temperature
@@ -119,9 +120,7 @@ def score_with_surrogate(
         image_embeddings = np.asarray(image_embeddings, dtype=np.float64)
         if image_embeddings.shape[0] != dataset.num_samples:
             raise ValidationError("embedding row count does not match dataset size")
-    scores = cosine_softmax_score(image_embeddings, bank, config, sample_ids=dataset.ids)
-    check_scores(scores, dataset)
-    return scores
+    return cosine_softmax_score(image_embeddings, bank, config, sample_ids=dataset.ids)
 
 
 def save_embedding_bank(path, bank: ClassEmbeddingBank, fmt: str = "text") -> None:

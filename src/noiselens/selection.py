@@ -1,11 +1,11 @@
 """Clean-sample selection: prediction confidence and prompt consistency.
 
-Both criteria compare a per-sample score against a threshold with a strict
-inequality; confidence keeps high scores, consistency keeps low divergences.
+Both criteria give each sample a score, and `SelectionMask` compares it with a
+strict threshold: confidence keeps high scores, consistency keeps low divergences.
 Selection reads only noisy labels and scores, never ground truth.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,27 +30,23 @@ DEFAULT_CONSISTENCY_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class SelectionMask:
-    """Per-sample clean/rejected verdicts plus the scores that produced them."""
+    """Per-sample scores, the criterion and threshold that judge them, and
+    the clean/rejected verdicts derived from the three."""
 
     sample_ids: np.ndarray
     scores: np.ndarray
-    verdicts: np.ndarray
     criterion: str
     threshold: float
+    verdicts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ids = np.asarray(self.sample_ids, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
-        verdicts = np.asarray(self.verdicts, dtype=bool)
-        if not (ids.shape == scores.shape == verdicts.shape) or ids.ndim != 1 or ids.size == 0:
+        if ids.shape != scores.shape or ids.ndim != 1 or ids.size == 0:
             raise ValidationError("mask fields must be equal-length, non-empty 1-D arrays")
         check_threshold(self.criterion, self.threshold)
-        if self.criterion == CRITERION_CONFIDENCE:
-            expected = scores > self.threshold
-        else:
-            expected = scores < self.threshold
-        if not np.array_equal(verdicts, expected):
-            raise ValidationError("verdicts are inconsistent with scores and threshold")
+        confidence = self.criterion == CRITERION_CONFIDENCE
+        verdicts = scores > self.threshold if confidence else scores < self.threshold
         object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
         object.__setattr__(self, "scores", _freeze(scores, np.float64))
         object.__setattr__(self, "verdicts", _freeze(verdicts, bool))
@@ -75,16 +71,9 @@ def check_threshold(criterion: str, threshold: float) -> None:
 
 def select_by_confidence(dataset: Dataset, scores: ScoreMatrix, rho: float) -> SelectionMask:
     """Keep sample i when its score at the noisy label strictly exceeds rho."""
-    check_threshold(CRITERION_CONFIDENCE, rho)
     check_scores(scores, dataset)
     at_label = scores.values[np.arange(dataset.num_samples), dataset.noisy_labels]
-    return SelectionMask(
-        sample_ids=dataset.ids,
-        scores=at_label,
-        verdicts=at_label > rho,
-        criterion=CRITERION_CONFIDENCE,
-        threshold=rho,
-    )
+    return SelectionMask(dataset.ids, at_label, CRITERION_CONFIDENCE, rho)
 
 
 def _js_rows(pq: np.ndarray) -> np.ndarray:
@@ -127,17 +116,10 @@ def select_by_prompt_consistency(
 ) -> SelectionMask:
     """Keep sample i when the divergence between its two prompt-variant score
     rows is strictly below mu."""
-    check_threshold(CRITERION_PROMPT_CONSISTENCY, mu)
     check_scores(scores_a, dataset)
     check_scores(scores_b, dataset)
     distances = _js_rows(np.array((scores_a.values, scores_b.values)))
-    return SelectionMask(
-        sample_ids=dataset.ids,
-        scores=distances,
-        verdicts=distances < mu,
-        criterion=CRITERION_PROMPT_CONSISTENCY,
-        threshold=mu,
-    )
+    return SelectionMask(dataset.ids, distances, CRITERION_PROMPT_CONSISTENCY, mu)
 
 
 def apply_mask(dataset: Dataset, mask: SelectionMask) -> Dataset:
@@ -171,4 +153,7 @@ def load_mask(path) -> SelectionMask:
     bad = (flags != 0) & (flags != 1)
     if bad.any():
         raise FormatError(f"{reader.where(int(np.argmax(bad)))}: verdict must be 0 or 1")
-    return SelectionMask(ids, scores, flags.astype(bool), reader.header["CRITERION"], threshold)
+    mask = SelectionMask(ids, scores, reader.header["CRITERION"], threshold)
+    if not np.array_equal(mask.verdicts, flags == 1):
+        raise ValidationError("verdicts are inconsistent with scores and threshold")
+    return mask

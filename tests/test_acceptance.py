@@ -20,9 +20,7 @@ from noiselens.losses import MarginConfig, cross_entropy, focal_loss, nabm_loss_
 from noiselens.noise import (
     NoiseSpec,
     blob_means,
-    inject_asymmetric,
-    inject_instance_dependent,
-    inject_symmetric,
+    inject_noise,
     make_blobs,
     selection_quality,
     oracle_scores,
@@ -156,7 +154,7 @@ def test_criterion_04_transition_matrix_recovery(report):
     started = time.perf_counter()
     c, per_class, dim, rate = 10, 1000, 16, 0.5
     ds = make_blobs(c, per_class, dim, 3.0, seed=0)
-    noisy, _ = inject_symmetric(ds, NoiseSpec("symmetric", rate, seed=100))
+    noisy, _ = inject_noise(ds, NoiseSpec("symmetric", rate, seed=100))
 
     analytic = np.full((c, c), rate / c)
     np.fill_diagonal(analytic, 1.0 - rate * (c - 1) / c)
@@ -189,7 +187,7 @@ def _selection_trial(seed: int):
     similarity to the true class means."""
     c, per_class, dim, sep, rate = 4, 500, 16, 2.0, 0.4
     ds = make_blobs(c, per_class, dim, sep, seed=seed)
-    noisy, record = inject_symmetric(ds, NoiseSpec("symmetric", rate, seed=seed + 100))
+    noisy, record = inject_noise(ds, NoiseSpec("symmetric", rate, seed=seed + 100))
     bank = ClassEmbeddingBank(blob_means(c, dim, sep, seed=seed), "true-means")
     scores = cosine_softmax_score(
         noisy.features, bank, ScorerConfig(temperature=0.01), sample_ids=noisy.ids
@@ -297,7 +295,7 @@ def test_criterion_08_monotonicity_properties(report):
     started = time.perf_counter()
     c, dim = 5, 8
     ds = make_blobs(c, 100, dim, 2.0, seed=0)
-    noisy, _ = inject_symmetric(ds, NoiseSpec("symmetric", 0.3, seed=1))
+    noisy, _ = inject_noise(ds, NoiseSpec("symmetric", 0.3, seed=1))
     bank = ClassEmbeddingBank(blob_means(c, dim, 2.0, seed=0), "true-means")
     scores = cosine_softmax_score(
         noisy.features, bank, ScorerConfig(temperature=0.25), sample_ids=noisy.ids
@@ -404,7 +402,7 @@ def test_criterion_09_determinism(report, tmp_path):
     chained = load_classifier(work / "clf.txt")
 
     ds = make_blobs(3, 30, 4, 2.5, seed=0)
-    noisy, _ = inject_symmetric(ds, NoiseSpec("symmetric", 0.3, seed=1))
+    noisy, _ = inject_noise(ds, NoiseSpec("symmetric", 0.3, seed=1))
     bank = ClassEmbeddingBank(blob_means(3, 4, 2.5, seed=0), "means")
     scores = cosine_softmax_score(
         noisy.features, bank, ScorerConfig(temperature=0.25), sample_ids=noisy.ids
@@ -437,13 +435,13 @@ def test_criterion_10_noise_injector_statistics(report):
     c, per_class, dim, rate = 4, 2500, 8, 0.4
     ds = make_blobs(c, per_class, dim, 2.0, seed=0)
 
-    _, record = inject_symmetric(ds, NoiseSpec("symmetric", rate, seed=1))
+    _, record = inject_noise(ds, NoiseSpec("symmetric", rate, seed=1))
     analytic = np.full((c, c), rate / c)
     np.fill_diagonal(analytic, 1.0 - rate * (c - 1) / c)
     sym_err = float(np.abs(record.realized_transition - analytic).max())
 
     pair_map = {0: 1, 2: 3}
-    noisy, asym_record = inject_asymmetric(ds, NoiseSpec("asymmetric", 0.3, seed=2, pair_map=pair_map))
+    noisy, asym_record = inject_noise(ds, NoiseSpec("asymmetric", 0.3, seed=2, pair_map=pair_map))
     truth = ds.true_labels
     moved = noisy.noisy_labels != truth
     asym_ok = (
@@ -455,7 +453,7 @@ def test_criterion_10_noise_injector_statistics(report):
         and np.array_equal(asym_record.realized_transition[3], [0, 0, 0, 1])
     )
 
-    _, idn_record = inject_instance_dependent(ds, NoiseSpec("instance_dependent", 0.3, seed=3))
+    _, idn_record = inject_noise(ds, NoiseSpec("instance_dependent", 0.3, seed=3))
     idn_err = abs(idn_record.realized_rate - 0.3)
 
     elapsed = time.perf_counter() - started

@@ -12,10 +12,11 @@ import noiselens
 from noiselens.cli import main
 from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset
 from noiselens.noise import blob_means
-from noiselens.priors import load_transition_matrix
+from noiselens.losses import MarginConfig
+from noiselens.priors import load_class_prior, load_transition_matrix
 from noiselens.scorer import ClassEmbeddingBank, ScorerConfig, save_embedding_bank
-from noiselens.selection import load_mask, select_by_confidence
-from noiselens.trainer import load_classifier
+from noiselens.selection import apply_mask, load_mask, select_by_confidence
+from noiselens.trainer import TrainConfig, load_classifier, save_classifier, train
 
 
 def run(argv):
@@ -275,6 +276,71 @@ class TestStageChain:
     def test_report_without_inputs_is_an_error(self, capsys):
         assert run(["report"]) == 1
         assert "error: [report]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "criterion,flags,message",
+        [
+            ("confidence", ["--mu", "0.2"], "--mu requires --criterion prompt-consistency"),
+            ("confidence", ["--scores-b", "b.txt"],
+             "--scores-b requires --criterion prompt-consistency"),
+            ("prompt-consistency", ["--scores-b", "b.txt", "--rho", "0.5"],
+             "--rho requires --criterion confidence"),
+        ],
+    )
+    def test_select_rejects_the_other_criterions_flags(
+        self, tmp_path, capsys, criterion, flags, message
+    ):
+        # The usage is rejected before any file is read.
+        code = run(["select", "--dataset", str(tmp_path / "nope.txt"), "--scores", "a.txt",
+                    "--criterion", criterion, *flags, "--out", str(tmp_path / "mask.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [select] {message}\n"
+        assert not (tmp_path / "mask.txt").exists()
+
+    def test_report_takes_one_of_classifier_and_scores(self, pipeline_files, capsys):
+        tmp_path, ds, bank = pipeline_files
+        with pytest.raises(SystemExit) as info:
+            run(["report", "--classifier", "clf.txt", "--scores", "scores.txt",
+                 "--dataset", str(ds)])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_report_top_k_requires_classifier(self, pipeline_files, capsys):
+        tmp_path, ds, bank = pipeline_files
+        scores = tmp_path / "scores.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", str(scores)]) == 0
+        code = run(["report", "--scores", str(scores), "--dataset", str(ds), "--top-k", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: [report] --top-k requires --classifier\n"
+        assert captured.out == ""
+
+    def test_train_flags_set_their_config_fields(self, pipeline_files):
+        tmp_path, ds, bank = pipeline_files
+        p = {name: tmp_path / f"{name}.txt" for name in ("scores", "mask", "tm", "prior", "clf")}
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", str(p["scores"])]) == 0
+        assert run(["select", "--dataset", str(ds), "--scores", str(p["scores"]),
+                    "--criterion", "confidence", "--out", str(p["mask"])]) == 0
+        assert run(["priors", "--dataset", str(ds), "--scores", str(p["scores"]),
+                    "--mask", str(p["mask"]), "--tm-out", str(p["tm"]),
+                    "--prior-out", str(p["prior"])]) == 0
+        assert run(["train", "--dataset", str(ds), "--mask", str(p["mask"]), "--tm", str(p["tm"]),
+                    "--prior", str(p["prior"]), "--delta", "0.7", "--t", "0.5", "--s", "0.8",
+                    "--gamma", "1.5", "--epochs", "3", "--batch-size", "16", "--lr", "0.05",
+                    "--wd", "0.01", "--momentum", "0.5", "--seed", "9", "--no-shuffle",
+                    "--out", str(p["clf"])]) == 0
+        dataset = load_dataset(ds)
+        subset = apply_mask(dataset, load_mask(p["mask"]))
+        margin = MarginConfig(delta=0.7, t=0.5, s=0.8, gamma=1.5)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, weight_decay=0.01,
+                          momentum=0.5, seed=9, shuffle=False)
+        report = train(subset, load_transition_matrix(p["tm"]), load_class_prior(p["prior"]),
+                       margin, cfg)
+        expected = tmp_path / "expected.txt"
+        save_classifier(expected, report.classifier)
+        assert p["clf"].read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("criterion", ["confidence", "prompt_consistency"])

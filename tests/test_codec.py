@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,7 @@ from noiselens.data import (
 from noiselens.errors import FormatError, ValidationError
 from noiselens.noise import (
     NoiseSpec,
-    inject_symmetric,
+    inject_noise,
     load_corruption_record,
     make_blobs,
     save_corruption_record,
@@ -62,7 +62,7 @@ CLASSIFIER = LinearClassifier(
     np.array([[0.5, -1.0], [2.0, 0.25], [1.0 / 3, 0.0]]), np.array([0.1, 0.0, -0.2])
 )
 SPEC = NoiseSpec("symmetric", 0.5, seed=3)
-_, RECORD = inject_symmetric(make_blobs(3, 10, 2, 2.0, seed=2), SPEC)
+_, RECORD = inject_noise(make_blobs(3, 10, 2, 2.0, seed=2), SPEC)
 
 # kind -> (formats, save(path, fmt), load(path))
 KINDS = {
@@ -291,6 +291,45 @@ def test_mutated_text_file_loads_or_raises_format_or_validation_error(kind, data
             load(path)
         except (FormatError, ValidationError):
             pass
+
+
+# How many u64 counts open each kind's binary packing, right after the prefix.
+BINARY_U64_COUNTS = {"dataset": 3, "scores": 2, "bank": 2, "classifier": 2}
+FUZZ = [(kind, fmt) for kind, (formats, _, _) in KINDS.items() for fmt in formats]
+
+
+def _damage(raw: bytes, kind: str, fmt: str, data) -> bytes:
+    """``raw`` changed as ``_mutate`` does, with bytes appended, or with one
+    header count made huge."""
+    how = data.draw(st.sampled_from(["mutate", "append", "huge_count"]))
+    if how == "mutate":
+        return _mutate(raw, data)
+    if how == "append":
+        return raw + data.draw(st.binary(min_size=1, max_size=32))
+    huge = data.draw(st.integers(2**31, 2**64 - 1))
+    if fmt == "binary":
+        at = PREFIX + 8 * data.draw(st.integers(0, BINARY_U64_COUNTS[kind] - 1))
+        return raw[:at] + huge.to_bytes(8, "little") + raw[at + 8 :]
+    header, rest = raw.split(b"\n", 1)
+    counts = list(re.finditer(rb" (?:N|C|D|GT|TOTAL|FLIPPED)=(\d+)", header))
+    m = data.draw(st.sampled_from(counts))
+    return header[: m.start(1)] + str(huge).encode() + header[m.end(1) :] + b"\n" + rest
+
+
+@pytest.mark.parametrize("kind,fmt", FUZZ, ids=["-".join(p) for p in FUZZ])
+@given(data=st.data())
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_fuzzed_file_loads_or_raises_format_or_validation_error(tmp_path, kind, fmt, data):
+    _, save, load = KINDS[kind]
+    path = tmp_path / f"{kind}.{fmt}"
+    save(path, fmt)
+    path.write_bytes(_damage(path.read_bytes(), kind, fmt, data))
+    try:
+        load(path)
+    except (FormatError, ValidationError):
+        pass
 
 
 _installed_loadtxt = np.loadtxt

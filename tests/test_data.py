@@ -212,7 +212,7 @@ def _table(tmp_path, ds, ids):
 
 
 def _mask(ids):
-    return SelectionMask(ids, np.full(len(ids), 0.9), np.ones(len(ids), bool), "confidence", 0.5)
+    return SelectionMask(ids, np.full(len(ids), 0.9), "confidence", 0.5)
 
 
 # Each consumer of an array keyed to samples, given scores whose ids are

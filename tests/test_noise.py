@@ -10,10 +10,7 @@ from noiselens.noise import (
     CorruptionRecord,
     NoiseSpec,
     blob_means,
-    inject_asymmetric,
-    inject_instance_dependent,
     inject_noise,
-    inject_symmetric,
     load_corruption_record,
     make_blobs,
     oracle_scores,
@@ -80,28 +77,28 @@ class TestSymmetricNoise:
     def test_realized_rate_matches_effective_rate(self):
         c, rate = 5, 0.3
         ds = make_blobs(c, 4000, 4, 2.0, seed=0)
-        _, record = inject_symmetric(ds, NoiseSpec("symmetric", rate, seed=1))
+        _, record = inject_noise(ds, NoiseSpec("symmetric", rate, seed=1))
         effective = rate * (c - 1) / c
         assert abs(record.realized_rate - effective) < 0.02
 
     def test_realized_transition_matches_analytic(self):
         c, rate = 4, 0.4
         ds = make_blobs(c, 5000, 4, 2.0, seed=2)
-        _, record = inject_symmetric(ds, NoiseSpec("symmetric", rate, seed=3))
+        _, record = inject_noise(ds, NoiseSpec("symmetric", rate, seed=3))
         analytic = np.full((c, c), rate / c)
         np.fill_diagonal(analytic, 1.0 - rate * (c - 1) / c)
         assert np.abs(record.realized_transition - analytic).max() < 0.03
 
     def test_flipped_ids_are_exactly_the_changed_samples(self):
         ds = make_blobs(3, 50, 4, 2.0, seed=4)
-        noisy, record = inject_symmetric(ds, NoiseSpec("symmetric", 0.5, seed=5))
+        noisy, record = inject_noise(ds, NoiseSpec("symmetric", 0.5, seed=5))
         changed = ds.ids[noisy.noisy_labels != ds.true_labels]
         np.testing.assert_array_equal(record.flipped_ids, changed)
         assert record.num_flipped == changed.size
 
     def test_rate_zero_flips_nothing(self):
         ds = make_blobs(3, 20, 4, 2.0, seed=6)
-        noisy, record = inject_symmetric(ds, NoiseSpec("symmetric", 0.0, seed=7))
+        noisy, record = inject_noise(ds, NoiseSpec("symmetric", 0.0, seed=7))
         assert record.num_flipped == 0
         assert record.realized_rate == 0.0
         np.testing.assert_array_equal(noisy.noisy_labels, ds.true_labels)
@@ -109,13 +106,13 @@ class TestSymmetricNoise:
 
     def test_deterministic_per_seed(self):
         ds = make_blobs(3, 100, 4, 2.0, seed=8)
-        a, _ = inject_symmetric(ds, NoiseSpec("symmetric", 0.3, seed=9))
-        b, _ = inject_symmetric(ds, NoiseSpec("symmetric", 0.3, seed=9))
+        a, _ = inject_noise(ds, NoiseSpec("symmetric", 0.3, seed=9))
+        b, _ = inject_noise(ds, NoiseSpec("symmetric", 0.3, seed=9))
         np.testing.assert_array_equal(a.noisy_labels, b.noisy_labels)
 
     def test_features_and_truth_unchanged(self):
         ds = make_blobs(3, 50, 4, 2.0, seed=10)
-        noisy, _ = inject_symmetric(ds, NoiseSpec("symmetric", 0.5, seed=11))
+        noisy, _ = inject_noise(ds, NoiseSpec("symmetric", 0.5, seed=11))
         np.testing.assert_array_equal(noisy.features, ds.features)
         np.testing.assert_array_equal(noisy.true_labels, ds.true_labels)
 
@@ -124,7 +121,7 @@ class TestAsymmetricNoise:
     def test_only_mapped_classes_flip_to_partner(self):
         ds = make_blobs(4, 500, 4, 2.0, seed=12)
         spec = NoiseSpec("asymmetric", 0.4, seed=13, pair_map={0: 1, 2: 3})
-        noisy, record = inject_asymmetric(ds, spec)
+        noisy, record = inject_noise(ds, spec)
         truth = ds.true_labels
         moved = noisy.noisy_labels != truth
         # every flip lands on the mapped partner
@@ -145,13 +142,13 @@ class TestAsymmetricNoise:
             NoiseSpec("asymmetric", 0.3, pair_map={1: 1})
         ds = make_blobs(2, 10, 3, 2.0, seed=0)
         with pytest.raises(ValidationError):
-            inject_asymmetric(ds, NoiseSpec("asymmetric", 0.3, pair_map={0: 9}))
+            inject_noise(ds, NoiseSpec("asymmetric", 0.3, pair_map={0: 9}))
 
 
 class TestInstanceDependentNoise:
     def test_realized_rate_tracks_nominal(self):
         ds = make_blobs(4, 2500, 6, 2.0, seed=14)
-        _, record = inject_instance_dependent(
+        _, record = inject_noise(
             ds, NoiseSpec("instance_dependent", 0.3, seed=15)
         )
         assert abs(record.realized_rate - 0.3) < 0.05
@@ -161,7 +158,7 @@ class TestInstanceDependentNoise:
         spec = NoiseSpec(
             "instance_dependent", 0.5, seed=17, budget_bounds=(0.2, 0.2)
         )
-        _, record = inject_instance_dependent(ds, spec)
+        _, record = inject_noise(ds, spec)
         # constant budget 0.2 regardless of the nominal rate
         assert abs(record.realized_rate - 0.2) < 0.03
 
@@ -170,19 +167,19 @@ class TestInstanceDependentNoise:
         spec = NoiseSpec(
             "instance_dependent", 0.4, seed=19, budget_sd=0.0, budget_bounds=(0.0, 0.25)
         )
-        _, record = inject_instance_dependent(ds, spec)
+        _, record = inject_noise(ds, spec)
         assert abs(record.realized_rate - 0.25) < 0.03
 
     def test_deterministic_per_seed(self):
         ds = make_blobs(3, 200, 4, 2.0, seed=20)
         spec = NoiseSpec("instance_dependent", 0.3, seed=21)
-        a, _ = inject_instance_dependent(ds, spec)
-        b, _ = inject_instance_dependent(ds, spec)
+        a, _ = inject_noise(ds, spec)
+        b, _ = inject_noise(ds, spec)
         np.testing.assert_array_equal(a.noisy_labels, b.noisy_labels)
 
     def test_labels_stay_in_range(self):
         ds = make_blobs(5, 400, 3, 1.0, seed=22)
-        noisy, _ = inject_instance_dependent(
+        noisy, _ = inject_noise(
             ds, NoiseSpec("instance_dependent", 0.8, seed=23)
         )
         assert noisy.noisy_labels.min() >= 0
@@ -196,7 +193,7 @@ class TestInstanceDependentNoise:
         spec = NoiseSpec(
             "instance_dependent", 0.3, seed=32, budget_sd=0.15, budget_bounds=(0.1, 0.6)
         )
-        noisy, record = inject_instance_dependent(ds, spec)
+        noisy, record = inject_noise(ds, spec)
         labels = noisy.noisy_labels.astype("<i8").tobytes()
         assert hashlib.sha256(labels).hexdigest() == (
             "52b5f9a7259b89523d888301b535ee2a5ec55017ee958206bf7cd6a9609bf857"
@@ -217,20 +214,6 @@ class TestInstanceDependentNoise:
 
 
 class TestDispatchAndSpec:
-    def test_dispatch_matches_direct_call(self):
-        ds = make_blobs(3, 100, 4, 2.0, seed=24)
-        spec = NoiseSpec("symmetric", 0.3, seed=25)
-        via_dispatch, _ = inject_noise(ds, spec)
-        direct, _ = inject_symmetric(ds, spec)
-        np.testing.assert_array_equal(via_dispatch.noisy_labels, direct.noisy_labels)
-
-    def test_kind_mismatch_rejected(self):
-        ds = make_blobs(2, 10, 3, 2.0, seed=0)
-        with pytest.raises(ValidationError):
-            inject_symmetric(ds, NoiseSpec("asymmetric", 0.3, pair_map={0: 1}))
-        with pytest.raises(ValidationError):
-            inject_asymmetric(ds, NoiseSpec("symmetric", 0.3))
-
     def test_unknown_kind_and_bad_rate(self):
         with pytest.raises(ValidationError):
             NoiseSpec("salt_and_pepper", 0.3)
@@ -243,7 +226,7 @@ class TestDispatchAndSpec:
         ds = make_blobs(2, 10, 3, 2.0, seed=0)
         stripped = strip_truth(ds)
         with pytest.raises(ValidationError, match="ground-truth"):
-            inject_symmetric(stripped, NoiseSpec("symmetric", 0.3))
+            inject_noise(stripped, NoiseSpec("symmetric", 0.3))
 
 
 class TestSelectionQuality:
@@ -262,7 +245,6 @@ class TestSelectionQuality:
         mask = SelectionMask(
             sample_ids=ds.ids,
             scores=np.where(verdicts, 0.9, 0.1),
-            verdicts=verdicts,
             criterion="confidence",
             threshold=0.5,
         )
@@ -285,7 +267,6 @@ class TestSelectionQuality:
         empty = SelectionMask(
             sample_ids=mask.sample_ids,
             scores=np.full(6, 0.1),
-            verdicts=np.zeros(6, dtype=bool),
             criterion="confidence",
             threshold=0.5,
         )
@@ -299,7 +280,6 @@ class TestSelectionQuality:
         shifted = SelectionMask(
             sample_ids=mask.sample_ids + 10,
             scores=mask.scores,
-            verdicts=mask.verdicts,
             criterion="confidence",
             threshold=0.5,
         )
@@ -339,7 +319,7 @@ class TestCorruptionRecordFile:
     def test_round_trip(self, tmp_path):
         ds = make_blobs(3, 100, 4, 2.0, seed=29)
         spec = NoiseSpec("symmetric", 0.3, seed=30)
-        _, record = inject_symmetric(ds, spec)
+        _, record = inject_noise(ds, spec)
         path = tmp_path / "corruption.txt"
         save_corruption_record(path, record, spec)
         loaded, header = load_corruption_record(path)
@@ -353,7 +333,7 @@ class TestCorruptionRecordFile:
     def test_zero_flip_round_trip(self, tmp_path):
         ds = make_blobs(2, 10, 3, 2.0, seed=31)
         spec = NoiseSpec("symmetric", 0.0, seed=32)
-        _, record = inject_symmetric(ds, spec)
+        _, record = inject_noise(ds, spec)
         path = tmp_path / "corruption.txt"
         save_corruption_record(path, record, spec)
         loaded, _ = load_corruption_record(path)

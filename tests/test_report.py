@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from noiselens.errors import ValidationError
 from noiselens.losses import MarginConfig
-from noiselens.noise import NoiseSpec, inject_symmetric, make_blobs, oracle_scores
+from noiselens.noise import NoiseSpec, inject_noise, make_blobs, oracle_scores
 from noiselens.report import (
     HistogramReport,
     SweepPoint,
@@ -139,7 +139,7 @@ class TestConfidenceHistogram:
 
 def sweep_setup(seed=0):
     ds = make_blobs(3, 60, 4, 2.5, seed=seed)
-    noisy, _ = inject_symmetric(ds, NoiseSpec("symmetric", 0.3, seed=seed + 100))
+    noisy, _ = inject_noise(ds, NoiseSpec("symmetric", 0.3, seed=seed + 100))
     scores = oracle_scores(noisy, correct_prob=0.9)
     test = make_blobs(3, 40, 4, 2.5, seed=seed + 1000)
     bundle = TrainingBundle(

@@ -92,6 +92,14 @@ class TestCosineSoftmax:
         with pytest.raises(ValidationError, match="1"):
             cosine_softmax_score(images, BANK, ScorerConfig(temperature=0.1))
 
+    def test_overflowing_image_norm_rejected_with_row(self):
+        # [1e200, 1e200] points along bank row [1, 1], but its norm overflows
+        # float64; divided by inf it would score as a zero vector.
+        bank = ClassEmbeddingBank(np.array([[1.0, 1.0], [1.0, -1.0]]))
+        images = np.array([[1.0, 1.0], [1e200, 1e200]])
+        with pytest.raises(ValidationError, match="image embedding at row 1 has a zero or overflowing norm"):
+            cosine_softmax_score(images, bank, ScorerConfig())
+
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValidationError):
             ScorerConfig(temperature=0.0)
@@ -114,6 +122,16 @@ class TestBank:
     def test_zero_row_rejected(self):
         with pytest.raises(ValidationError):
             ClassEmbeddingBank(embeddings=np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_overflowing_row_rejected(self):
+        with pytest.raises(ValidationError, match="class embedding at row 1 has a zero or overflowing norm"):
+            ClassEmbeddingBank(embeddings=np.array([[1.0, 0.0], [1e200, 1e200]]))
+
+    def test_loaded_overflowing_row_rejected(self, tmp_path):
+        path = tmp_path / "bank.txt"
+        path.write_text("#noiselens-bank v1 C=2 D=2 PROMPT=p\n1,1e200,1e200\n0,1.0,0.0\n")
+        with pytest.raises(ValidationError, match="class embedding at row 1 has a zero or overflowing norm"):
+            load_embedding_bank(path)
 
     def test_prompt_id_no_whitespace(self):
         with pytest.raises(ValidationError):

@@ -235,7 +235,6 @@ class TestMaskAndSubset:
         mask = SelectionMask(
             sample_ids=ds.ids,
             scores=np.full(6, 0.9),
-            verdicts=np.ones(6, dtype=bool),
             criterion="confidence",
             threshold=0.5,
         )
@@ -247,7 +246,6 @@ class TestMaskAndSubset:
         mask = SelectionMask(
             sample_ids=ds.ids,
             scores=np.full(6, 0.1),
-            verdicts=np.zeros(6, dtype=bool),
             criterion="confidence",
             threshold=0.5,
         )
@@ -260,29 +258,24 @@ class TestMaskAndSubset:
         mask = SelectionMask(
             sample_ids=ds.ids,
             scores=np.where(verdicts, 0.9, 0.1),
-            verdicts=verdicts,
             criterion="confidence",
             threshold=0.5,
         )
         sub = apply_mask(ds, mask)
         np.testing.assert_array_equal(sub.ids, [0, 2, 4])
 
-    def test_mask_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            SelectionMask(
-                sample_ids=np.array([0]),
-                scores=np.array([0.9]),
-                verdicts=np.array([False]),  # 0.9 > 0.5 must be True
-                criterion="confidence",
-                threshold=0.5,
-            )
+    def test_mask_invariant_enforced(self, tmp_path):
+        # A file's verdict column must agree with its scores: 0.9 > 0.5 reads 1.
+        path = tmp_path / "mask.txt"
+        path.write_text("#noiselens-mask v1 N=1 CRITERION=confidence THRESHOLD=0.5\n0,0.9,0\n")
+        with pytest.raises(ValidationError, match="verdicts are inconsistent with scores and threshold"):
+            load_mask(path)
 
     def test_mask_id_mismatch(self):
         ds, _ = self.make()
         mask = SelectionMask(
             sample_ids=ds.ids + 100,
             scores=np.full(6, 0.9),
-            verdicts=np.ones(6, dtype=bool),
             criterion="confidence",
             threshold=0.5,
         )
