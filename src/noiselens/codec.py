@@ -3,7 +3,7 @@
 Text artifacts are UTF-8: a header line ``#noiselens-<tag> v1 K=V ...``
 followed by records, one per line, fields separated by commas. Every line
 after the header is a record; a blank line is a record with no fields.
-Header counts are non-negative integers, and a file holds exactly the
+Header counts are integers in [0, MAX_COUNT], and a file holds exactly the
 records its header declares. Floats are written as the shortest decimal
 that parses back to the identical float64, so a text round trip is
 bit-exact.
@@ -35,6 +35,10 @@ from .errors import FormatError, ValidationError
 
 MAGIC = b"NLNS"
 BINARY_VERSION = 1
+
+# The largest header count: numpy refuses an array of more int64/float64
+# values, even one with no records, such as the (0, D) features of N=0.
+MAX_COUNT = np.iinfo(np.intp).max // 8
 
 # Rows formatted per step when writing a block of records, so the
 # temporary Python objects stay small whatever the file size.
@@ -161,8 +165,8 @@ class TextReader:
             count = int(value)
         except ValueError:
             count = -1
-        if count < 0:
-            raise FormatError(f"line 1: {key}={value!r} is not a non-negative integer")
+        if not 0 <= count <= MAX_COUNT:
+            raise FormatError(f"line 1: {key}={value!r} is not a count in [0, {MAX_COUNT}]")
         return count
 
     def real(self, key: str) -> float:
@@ -322,6 +326,8 @@ class BinaryReader:
         if kind != layout.kind:
             raise FormatError(f"{path}: binary container holds kind {kind}, expected {layout.kind}")
         self.counts = self._unpack(layout.packing)
+        if max(self.counts) > MAX_COUNT:
+            raise FormatError(f"{path}: header count {max(self.counts)} exceeds {MAX_COUNT}")
 
     def _take(self, size: int) -> memoryview:
         have = len(self._buf) - self._offset

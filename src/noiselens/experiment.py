@@ -23,7 +23,7 @@ from .data import (
     save_dataset,
     save_score_matrix,
 )
-from .errors import NoiseLensError, ValidationError
+from .errors import NoiseLensError, ValidationError, check_range
 from .losses import MarginConfig
 from .noise import NoiseSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
 from .priors import (
@@ -345,10 +345,10 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         dim = value("dataset", "dim", int, 8)
         separation = value("dataset", "separation", float, 3.0)
         blobs = (classes, per_class, dim, separation)
-        _noise.check_blob_sizes(*blobs)
+        _noise.check_blob_sizes(*blobs, seeds["dataset"])
         if test_source == "synth":
             test_blobs = (classes, value("test", "per_class", int, per_class), dim, separation)
-            _noise.check_blob_sizes(*test_blobs)
+            _noise.check_blob_sizes(*test_blobs, seeds["test"])
         kind = get("dataset", "noise", "none")
         if kind != "none":
             noise = noise_spec(
@@ -364,7 +364,7 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     correct_prob = None
     if scorer_source == "oracle":
         correct_prob = value("scorer", "correct_prob", float, 1.0)
-        _noise.check_correct_prob(correct_prob)
+        check_range("correct_prob", correct_prob, _noise.CORRECT_PROB_RANGE)
 
     top_k = value("report", "top_k", int, 0) if test_source != "none" else 0
     if top_k < 0:

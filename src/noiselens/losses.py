@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields, check_range, ranged
 from .priors import ClassPrior, TransitionMatrix
 
 
@@ -30,16 +30,13 @@ class MarginConfig:
     """Weights of the margin terms: delta (noise-aware), t (balance),
     s (temperature), gamma (focal exponent)."""
 
-    delta: float = 0.5
-    t: float = 1.0
-    s: float = 1.0
-    gamma: float = 1.0
+    delta: float = ranged("[0, inf)", 0.5)
+    t: float = ranged("[0, inf)", 1.0)
+    s: float = ranged("(0, inf)", 1.0)
+    gamma: float = ranged("[0, inf)", 1.0)
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValidationError("s must be positive")
-        if self.delta < 0 or self.t < 0 or self.gamma < 0:
-            raise ValidationError("delta, t and gamma must be nonnegative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,7 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 
 def focal_loss(prob_at_label: float, gamma: float) -> float:
     """(1 - p)^gamma * (-log p) for p in (0, 1]."""
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    check_range("gamma", gamma, "[0, inf)")
     if not prob_at_label > 0.0:
         raise ValidationError(
             f"probability {prob_at_label!r} is not positive; upstream numerics failed"

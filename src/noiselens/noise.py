@@ -21,12 +21,13 @@ import numpy as np
 
 from . import codec
 from .data import Dataset, ScoreMatrix, _freeze, check_ids
-from .errors import ValidationError
+from .errors import ValidationError, check_fields, check_range, ranged
 from .selection import SelectionMask
 
 NOISE_KINDS = ("symmetric", "asymmetric", "instance_dependent")
 
 DEFAULT_NOISE_RATE = 0.2
+CORRECT_PROB_RANGE = "(0, 1]"  # the true-class probability of `oracle_scores`
 
 # Width and clipping range of the per-sample flip-budget distribution used
 # by the instance-dependent model.
@@ -39,17 +40,19 @@ class NoiseSpec:
     """Which corruption model to run and with what knobs."""
 
     kind: str
-    rate: float
-    seed: int = 0
+    rate: float = ranged("[0, 1)")
+    seed: int = ranged("[0, inf)", 0)
     pair_map: Optional[dict] = None
-    budget_sd: float = DEFAULT_BUDGET_SD
+    budget_sd: float = ranged("[0, inf)", DEFAULT_BUDGET_SD)
     budget_bounds: tuple = DEFAULT_BUDGET_BOUNDS
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValidationError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.rate < 1.0:
-            raise ValidationError("noise rate must lie in [0, 1)")
+        check_fields(self)
+        lo, hi = self.budget_bounds
+        if not (0.0 <= lo <= hi <= 1.0):
+            raise ValidationError("budget_bounds must satisfy 0 <= lo <= hi <= 1")
         if self.kind == "asymmetric":
             if not self.pair_map:
                 raise ValidationError("asymmetric noise requires a pair_map")
@@ -58,12 +61,6 @@ class NoiseSpec:
                     raise ValidationError(
                         f"pair_map maps class {src} to itself; flips must change the label"
                     )
-        if self.kind == "instance_dependent":
-            lo, hi = self.budget_bounds
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise ValidationError("budget_bounds must satisfy 0 <= lo <= hi <= 1")
-            if self.budget_sd < 0:
-                raise ValidationError("budget_sd must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -103,17 +100,17 @@ def _blob_means(rng: np.random.Generator, num_classes: int, dim: int, separation
 
 def blob_means(num_classes: int, dim: int, separation: float, seed: int = 0) -> np.ndarray:
     """The exact class means `make_blobs` uses for the same arguments."""
-    check_blob_sizes(num_classes, 1, dim, separation)
+    check_blob_sizes(num_classes, 1, dim, separation, seed)
     return _blob_means(np.random.default_rng(seed), num_classes, dim, separation)
 
 
-def check_blob_sizes(num_classes: int, per_class: int, dim: int, separation: float) -> None:
-    """The limits `make_blobs` enforces, for callers that check a size
-    before any work is done."""
+def check_blob_sizes(num_classes: int, per_class: int, dim: int, separation: float, seed: int) -> None:
+    """The limits `make_blobs` enforces, seed included, for callers that
+    check its arguments before any work is done."""
     if num_classes < 2 or dim < 1 or per_class < 1:
         raise ValidationError("need at least 2 classes, 1 dimension and 1 sample per class")
-    if separation < 0:
-        raise ValidationError("separation must be nonnegative")
+    check_range("separation", separation, "[0, inf)")
+    check_range("seed", seed, "[0, inf)")
 
 
 def make_blobs(
@@ -128,7 +125,7 @@ def make_blobs(
     Samples are grouped by class (ids 0..N-1 in class order) and start out
     uncorrupted: noisy labels equal the true ones until an injector runs.
     """
-    check_blob_sizes(num_classes, per_class, dim, separation)
+    check_blob_sizes(num_classes, per_class, dim, separation, seed)
     rng = np.random.default_rng(seed)
     means = _blob_means(rng, num_classes, dim, separation)
     n = num_classes * per_class
@@ -150,12 +147,6 @@ def check_pair_map(pair_map: dict, num_classes: int) -> None:
             raise ValidationError(
                 f"pair_map entry {src}->{dst} is out of range for {num_classes} classes"
             )
-
-
-def check_correct_prob(correct_prob: float) -> None:
-    """The probability `oracle_scores` puts on the true class."""
-    if not 0.0 < correct_prob <= 1.0:
-        raise ValidationError(f"correct_prob {correct_prob!r} must lie in (0, 1]")
 
 
 def _require_ground_truth(dataset: Dataset, what: str) -> None:
@@ -318,7 +309,7 @@ def oracle_scores(dataset: Dataset, correct_prob: float = 1.0) -> ScoreMatrix:
     remainder spread evenly over the others. correct_prob=1 gives one-hot
     rows; useful as a best-case surrogate in benchmarks."""
     _require_ground_truth(dataset, "oracle scoring")
-    check_correct_prob(correct_prob)
+    check_range("correct_prob", correct_prob, CORRECT_PROB_RANGE)
     n, c = dataset.num_samples, dataset.num_classes
     values = np.full((n, c), (1.0 - correct_prob) / (c - 1))
     values[np.arange(n), dataset.true_labels] = correct_prob

@@ -8,7 +8,7 @@ import numpy as np
 
 from .codec import fmt_float
 from .data import Dataset, ScoreMatrix, _freeze
-from .errors import NoiseLensError, ValidationError
+from .errors import NoiseLensError, ValidationError, check_range
 from .losses import MarginConfig
 from .noise import selection_quality
 from .priors import compute_class_prior, estimate_transition_matrix
@@ -39,8 +39,7 @@ def top_k_accuracy(probabilities: np.ndarray, reference_labels, k: int) -> float
     n, c = probabilities.shape
     if reference_labels.shape != (n,):
         raise ValidationError("predictions and reference labels must be equal length")
-    if not 1 <= k <= c:
-        raise ValidationError(f"k must lie in [1, {c}]")
+    check_range("k", k, f"[1, {c}]")
     # Stable sort on negated values keeps the lowest class index first among ties.
     ranked = np.argsort(-probabilities, axis=1, kind="stable")[:, :k]
     hits = (ranked == reference_labels[:, None]).any(axis=1)

@@ -11,13 +11,11 @@ import numpy as np
 
 from . import codec
 from .data import Dataset, ScoreMatrix, _freeze, check_ids
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_fields, ranged
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
 # silent clamping would hide data corruption.
 MIN_NORM = 1e-30
-
-DEFAULT_TEMPERATURE = 0.01
 
 
 def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
@@ -61,11 +59,10 @@ class ClassEmbeddingBank:
 
 @dataclass(frozen=True)
 class ScorerConfig:
-    temperature: float = DEFAULT_TEMPERATURE
+    temperature: float = ranged("(0, inf)", 0.01)
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValidationError("temperature must be positive")
+        check_fields(self)
 
 
 def cosine_softmax_score(

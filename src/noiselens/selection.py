@@ -11,7 +11,7 @@ import numpy as np
 
 from . import codec
 from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, _freeze, check_ids, check_scores
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_range
 
 CRITERION_CONFIDENCE = "confidence"
 CRITERION_PROMPT_CONSISTENCY = "prompt_consistency"
@@ -58,13 +58,11 @@ class SelectionMask:
 
 def check_threshold(criterion: str, threshold: float) -> None:
     """The threshold range of a criterion: rho in (0, 1) for confidence, a
-    positive mu for prompt consistency."""
+    positive finite mu for prompt consistency."""
     if criterion == CRITERION_CONFIDENCE:
-        if not 0.0 < threshold < 1.0:
-            raise ValidationError(f"rho {threshold!r} must lie in (0, 1)")
+        check_range("rho", threshold, "(0, 1)")
     elif criterion == CRITERION_PROMPT_CONSISTENCY:
-        if not threshold > 0.0:
-            raise ValidationError(f"mu {threshold!r} must be positive")
+        check_range("mu", threshold, "(0, inf)")
     else:
         raise ValidationError(f"unknown criterion {criterion!r}")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import codec
 from .data import Dataset, _freeze
-from .errors import TrainingDivergedError, ValidationError
+from .errors import TrainingDivergedError, ValidationError, check_fields, ranged
 from .losses import MarginConfig, check_classes, nabm_loss_batch
 from .priors import ClassPrior, TransitionMatrix
 
@@ -65,31 +65,18 @@ class LinearClassifier:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 128
-    learning_rate: float = 0.1
-    weight_decay: float = 0.0
-    momentum: float = 0.9
-    seed: int = 0
+    epochs: int = ranged("[1, inf)", 10)
+    batch_size: int = ranged("[1, inf)", 128)
+    learning_rate: float = ranged("[0, inf)", 0.1)
+    weight_decay: float = ranged("[0, 1)", 0.0)
+    momentum: float = ranged("[0, 1)", 0.9)
+    seed: int = ranged("[0, inf)", 0)
     shuffle: bool = True
-    lr_step_every: int = 0
-    lr_step_factor: float = 0.1
+    lr_step_every: int = ranged("[0, inf)", 0)
+    lr_step_factor: float = ranged("(0, 1]", 0.1)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be nonnegative")
-        if not 0.0 <= self.weight_decay < 1.0:
-            raise ValidationError("weight_decay must lie in [0, 1)")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("momentum must lie in [0, 1)")
-        if self.lr_step_every < 0:
-            raise ValidationError("lr_step_every must be nonnegative")
-        if self.lr_step_every and not 0.0 < self.lr_step_factor <= 1.0:
-            raise ValidationError("lr_step_factor must lie in (0, 1]")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

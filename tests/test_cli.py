@@ -297,6 +297,38 @@ class TestStageChain:
         assert capsys.readouterr().err == f"error: [select] {message}\n"
         assert not (tmp_path / "mask.txt").exists()
 
+    @pytest.mark.parametrize(
+        "stage,flags,message",
+        [
+            ("synth", ["--seed", "-1"], "seed -1 must lie in [0, inf)"),
+            ("score", ["--temperature", "inf"], "temperature inf must lie in (0, inf)"),
+            ("train", ["--seed", "-1"], "seed -1 must lie in [0, inf)"),
+            ("train", ["--gamma", "nan"], "gamma nan must lie in [0, inf)"),
+        ],
+    )
+    def test_out_of_range_flag_is_one_error_line(
+        self, pipeline_files, capsys, stage, flags, message
+    ):
+        tmp_path, ds, bank = pipeline_files
+        p = {name: str(tmp_path / f"{name}.txt") for name in ("scores", "mask", "tm", "prior")}
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", p["scores"]]) == 0
+        assert run(["select", "--dataset", str(ds), "--scores", p["scores"],
+                    "--criterion", "confidence", "--out", p["mask"]]) == 0
+        assert run(["priors", "--dataset", str(ds), "--scores", p["scores"], "--mask", p["mask"],
+                    "--tm-out", p["tm"], "--prior-out", p["prior"]]) == 0
+        inputs = {
+            "synth": ["--classes", "3", "--per-class", "5", "--dim", "2", "--sep", "2.0"],
+            "score": ["--dataset", str(ds), "--bank", str(bank)],
+            "train": ["--dataset", str(ds), "--mask", p["mask"], "--tm", p["tm"],
+                      "--prior", p["prior"]],
+        }
+        capsys.readouterr()
+        out = tmp_path / "out.txt"
+        assert run([stage, *inputs[stage], *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [{stage}] {message}\n"
+        assert not out.exists()
+
     def test_report_takes_one_of_classifier_and_scores(self, pipeline_files, capsys):
         tmp_path, ds, bank = pipeline_files
         with pytest.raises(SystemExit) as info:
@@ -465,6 +497,18 @@ output.dir = {out}
             ),
             (valid.replace("rho = 0.5", "rho = 1.5"), "rho 1.5 must lie in (0, 1)"),
             (valid.replace("correct_prob = 0.9", "correct_prob = 2"), "correct_prob 2.0 must lie"),
+            (valid + "train.seed = -1\n", "seed -1 must lie in [0, inf)"),
+            (valid + "dataset.seed = -1\n", "seed -1 must lie in [0, inf)"),
+            (valid + "test.seed = -1\n", "seed -1 must lie in [0, inf)"),
+            (valid + "margin.delta = nan\n", "delta nan must lie in [0, inf)"),
+            (valid + "margin.s = inf\n", "s inf must lie in (0, inf)"),
+            (valid + "train.learning_rate = inf\n", "learning_rate inf must lie in [0, inf)"),
+            (valid.replace("separation = 3.0", "separation = nan"), "separation nan must lie"),
+            (
+                valid.replace("noise = symmetric", "noise = instance_dependent")
+                + "dataset.budget_sd = nan\n",
+                "budget_sd nan must lie in [0, inf)",
+            ),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1

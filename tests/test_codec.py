@@ -3,6 +3,7 @@ file raises FormatError or ValidationError, never another exception and
 never a silently accepted object."""
 
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from noiselens import codec
 from noiselens.data import (
     Dataset,
     ScoreMatrix,
@@ -330,6 +332,22 @@ def test_fuzzed_file_loads_or_raises_format_or_validation_error(tmp_path, kind, 
         load(path)
     except (FormatError, ValidationError):
         pass
+
+
+@pytest.mark.parametrize(
+    "name,raw",
+    [
+        ("ds.txt", b"#noiselens-dataset v1 N=0 C=2 D=100000000000000000000 GT=0\n"),
+        # magic, version 1, kind 1 (dataset), then N=0, C=2, D=2**63, GT=0
+        ("ds.bin", b"NLNS\x01\x00\x01" + struct.pack("<QQQB", 0, 2, 2**63, 0)),
+    ],
+    ids=["text", "binary"],
+)
+def test_zero_records_of_a_huge_width_are_a_format_error(tmp_path, name, raw):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"count.* {codec.MAX_COUNT}"):
+        load_dataset(path)
 
 
 _installed_loadtxt = np.loadtxt

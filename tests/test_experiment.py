@@ -1,11 +1,14 @@
 """Tests for the config format and the config-driven experiment runner."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noiselens.errors import ValidationError
+from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.experiment import (
     ARTIFACT_ORDER,
     config_from_text,
@@ -14,6 +17,7 @@ from noiselens.experiment import (
     parse_pair_map,
     run_experiment,
 )
+from noiselens.scorer import ClassEmbeddingBank, save_embedding_bank
 
 MINIMAL_CONFIG = """
 # synthetic two-class run with symmetric label noise
@@ -292,3 +296,86 @@ class TestRunExperiment:
             assert all("=" in tok for tok in tokens)
         assert lines[0].startswith("stage=selection")
         assert lines[2].startswith("stage=evaluation")
+
+
+# Every numeric key of a synth run with its in-range draw. Sizes, epochs
+# and top_k stay small: a huge one is a large allocation or a long loop,
+# not an out-of-range value.
+FLOAT_KEYS = {
+    "dataset.separation": (0.0, 5.0),
+    "dataset.noise_rate": (0.0, 0.9),
+    "dataset.budget_sd": (0.0, 1.0),
+    "scorer.temperature": (0.01, 1.0),
+    "scorer.correct_prob": (0.5, 1.0),
+    "selection.rho": (0.05, 0.95),
+    "margin.delta": (0.0, 2.0),
+    "margin.t": (0.0, 2.0),
+    "margin.s": (0.1, 3.0),
+    "margin.gamma": (0.0, 3.0),
+    "train.learning_rate": (0.0, 1.0),
+    "train.weight_decay": (0.0, 0.5),
+    "train.momentum": (0.0, 0.95),
+    "train.lr_step_factor": (0.1, 1.0),
+}
+SEED_KEYS = ("dataset.seed", "dataset.noise_seed", "train.seed", "test.seed")
+SIZE_KEYS = {
+    "dataset.classes": (2, 4),
+    "dataset.per_class": (1, 8),
+    "dataset.dim": (1, 4),
+    "test.per_class": (1, 8),
+    "train.epochs": (1, 2),
+    "train.batch_size": (1, 64),
+    "train.lr_step_every": (0, 2),
+    "report.top_k": (0, 2),
+}
+NUMERIC_KEYS = (*FLOAT_KEYS, *SEED_KEYS, *SIZE_KEYS)
+OUT_OF_RANGE = ["nan", "inf", "-inf", "-1", "0", "1e300"]
+
+
+def _numeric_value(data, key: str, bad: bool) -> str:
+    """An in-range value of ``key``, or with ``bad`` one at or past an edge."""
+    if key in SEED_KEYS:
+        return "-1" if bad else str(data.draw(st.integers(0, 2**70)))
+    if key in SIZE_KEYS:
+        strategy = st.sampled_from(["-1", "0"]) if bad else st.integers(*SIZE_KEYS[key]).map(str)
+    else:
+        strategy = st.sampled_from(OUT_OF_RANGE) if bad else st.floats(*FLOAT_KEYS[key]).map(repr)
+    return data.draw(strategy)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_config_is_rejected_or_runs_to_a_manifest(data):
+    """One or two numeric keys drawn from the edge values, the rest in range:
+    the config either fails to parse before any work, or the run ends in a
+    manifest; nothing but a NoiseLensError escapes either step."""
+    bad = data.draw(st.sets(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=2))
+    values = {key: _numeric_value(data, key, key in bad) for key in NUMERIC_KEYS}
+    noise = data.draw(st.sampled_from(["none", "symmetric", "asymmetric", "instance_dependent"]))
+    scorer = data.draw(st.sampled_from(["oracle", "cosine"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        # A bank that fits valid drawn sizes, so cosine runs get past scoring.
+        shape = [max(int(values[key]), 1) for key in ("dataset.classes", "dataset.dim")]
+        save_embedding_bank(os.path.join(tmp, "bank.txt"), ClassEmbeddingBank(np.eye(*shape) + 1))
+        text = "\n".join(
+            [
+                "dataset.source = synth",
+                f"dataset.noise = {noise}",
+                "dataset.pair_map = cycle",
+                f"scorer.source = {scorer}",
+                "scorer.bank = bank.txt",
+                "test.source = synth",
+                f"output.dir = {out}",
+                *(f"{key} = {value}" for key, value in values.items()),
+            ]
+        )
+        try:
+            config = config_from_text(text, base_dir=tmp)
+        except NoiseLensError:
+            assert not os.path.exists(out)
+            return
+        result = run_experiment(config)
+        with open(os.path.join(out, "manifest.txt"), encoding="utf-8") as fh:
+            status = [line for line in fh.read().splitlines() if line.startswith("status=")]
+        assert status == ["status=ok" if result.status == 0 else "status=failed"]

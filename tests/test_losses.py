@@ -258,6 +258,10 @@ class TestValidation:
             MarginConfig(delta=-0.1)
         with pytest.raises(ValidationError):
             MarginConfig(t=-0.1)
+        for name in ("delta", "t", "s", "gamma"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValidationError, match=f"^{name} {value} must lie in "):
+                    MarginConfig(**{name: value})
 
     def test_focal_domain(self):
         with pytest.raises(ValidationError):
@@ -268,6 +272,8 @@ class TestValidation:
             focal_loss(1.0 + 1e-9, 1.0)
         with pytest.raises(ValidationError):
             focal_loss(0.5, -1.0)
+        with pytest.raises(ValidationError):
+            focal_loss(0.5, math.nan)
 
     def test_batch_validation(self):
         matrix, prior = uniform_setup(3)

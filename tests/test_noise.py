@@ -71,6 +71,10 @@ class TestMakeBlobs:
             make_blobs(2, 0, 3, 1.0)
         with pytest.raises(ValidationError):
             make_blobs(2, 5, 3, -1.0)
+        with pytest.raises(ValidationError, match=r"^separation nan must lie in \[0, inf\)$"):
+            make_blobs(2, 5, 3, float("nan"))
+        with pytest.raises(ValidationError, match=r"^seed -1 must lie in \[0, inf\)$"):
+            make_blobs(2, 5, 3, 1.0, -1)
 
 
 class TestSymmetricNoise:
@@ -211,6 +215,11 @@ class TestInstanceDependentNoise:
             NoiseSpec("instance_dependent", 0.3, budget_bounds=(-0.1, 0.5))
         with pytest.raises(ValidationError):
             NoiseSpec("instance_dependent", 0.3, budget_sd=-0.1)
+        # Checked for every kind, not only the one that reads them.
+        with pytest.raises(ValidationError):
+            NoiseSpec("symmetric", 0.3, budget_sd=float("nan"))
+        with pytest.raises(ValidationError):
+            NoiseSpec("symmetric", 0.3, budget_bounds=(0.5, 0.2))
 
 
 class TestDispatchAndSpec:
@@ -221,6 +230,10 @@ class TestDispatchAndSpec:
             NoiseSpec("symmetric", 1.0)
         with pytest.raises(ValidationError):
             NoiseSpec("symmetric", -0.1)
+        with pytest.raises(ValidationError, match=r"^rate nan must lie in \[0, 1\)$"):
+            NoiseSpec("symmetric", float("nan"))
+        with pytest.raises(ValidationError, match=r"^seed -1 must lie in \[0, inf\)$"):
+            NoiseSpec("symmetric", 0.3, seed=-1)
 
     def test_ground_truth_required(self):
         ds = make_blobs(2, 10, 3, 2.0, seed=0)

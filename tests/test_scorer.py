@@ -101,8 +101,9 @@ class TestCosineSoftmax:
             cosine_softmax_score(images, bank, ScorerConfig())
 
     def test_temperature_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            ScorerConfig(temperature=0.0)
+        for temperature in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                ScorerConfig(temperature=temperature)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):

@@ -193,6 +193,13 @@ class TestSelectByPromptConsistency:
         mask = select_by_prompt_consistency(ds, a, b, 0.5)
         assert mask.selected_count == 0  # ln 2 > 0.5
 
+    def test_mu_must_be_positive_and_finite(self):
+        ds = dataset_with_labels([0, 1], 2)
+        a = ScoreMatrix(values=np.array([[1.0, 0.0], [0.0, 1.0]]), sample_ids=np.arange(2))
+        for mu in (0.0, -0.1, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match=f"^mu {mu!r} must lie in \\(0, inf\\)$"):
+                select_by_prompt_consistency(ds, a, a, mu)
+
     def test_verdicts_match_independent_oracle(self):
         rng = np.random.default_rng(11)
         n, c = 50, 4

@@ -226,6 +226,13 @@ class TestTrainingBehavior:
             {"momentum": 1.0},
             {"lr_step_every": -1},
             {"lr_step_every": 2, "lr_step_factor": 0.0},
+            # every value must be finite, and is checked whether or not it is used
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"momentum": math.nan},
+            {"weight_decay": math.nan},
+            {"lr_step_factor": math.nan},
+            {"seed": -1},
         ):
             with pytest.raises(ValidationError):
                 TrainConfig(**kwargs)
