@@ -6,7 +6,13 @@ after the header is a record; a blank line is a record with no fields.
 Header counts are integers in [0, MAX_COUNT], and a file holds exactly the
 records its header declares. Floats are written as the shortest decimal
 that parses back to the identical float64, so a text round trip is
-bit-exact.
+bit-exact. A block of records is formatted a chunk of about
+``CHUNK_FIELDS`` fields at a time. A block of two chunks or more is split
+into contiguous row slices, one per usable CPU: the writing process
+formats the first slice into the file, and a forked child formats each
+other slice into an anonymous temporary file beside it, appended in order.
+Each row is formatted on its own, so the bytes do not depend on the number
+of processes.
 
 Records are parsed in bulk by numpy's reader (``np.loadtxt``), one call
 per block of records, into a table with one field per column. It accepts
@@ -23,8 +29,13 @@ little-endian int64/float64 arrays, with nothing after the payload.
 """
 
 import math
+import os
+import shutil
+import signal
 import struct
+import tempfile
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -40,9 +51,10 @@ BINARY_VERSION = 1
 # values, even one with no records, such as the (0, D) features of N=0.
 MAX_COUNT = np.iinfo(np.intp).max // 8
 
-# Rows formatted per step when writing a block of records, so the
-# temporary Python objects stay small whatever the file size.
-CHUNK_ROWS = 1024
+# Fields formatted per step when writing a block of records, so the
+# temporary Python objects stay small whatever the file size. A block of
+# fewer than two chunks is formatted by the writing process alone.
+CHUNK_FIELDS = 131072
 
 
 @dataclass(frozen=True)
@@ -125,18 +137,91 @@ def write_text(path, layout: Layout, header: dict, blocks) -> None:
 
     ``header`` values are written with ``str``; pass floats through
     ``fmt_float``. A block is a list of equal-length columns: a 1-D array
-    is one field per row, a 2-D array a run of fields.
+    is one field per row, a 2-D array a run of fields. A block of several
+    chunks is formatted by up to one process per usable CPU; a failed
+    child raises ``OSError``, and no child outlives the call.
     """
     fields = " ".join(f"{key}={value}" for key, value in header.items())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#noiselens-{layout.tag} v1 {fields}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"#noiselens-{layout.tag} v1 {fields}\n".encode("utf-8"))
         for columns in blocks:
             columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
-            for start in range(0, len(columns[0]), CHUNK_ROWS):
-                parts = [c[start : start + CHUNK_ROWS].tolist() for c in columns]
-                fh.write("".join(
-                    [",".join(map(repr, chain.from_iterable(row))) + "\n" for row in zip(*parts)]
-                ))
+            _write_block(path, fh, columns)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where that is unknown or where
+    processes cannot be forked."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_block(path, fh, columns: list) -> None:
+    """Format one block's rows into ``fh``: the first row slice here, each
+    other slice in a forked child, whose file is appended once it exits."""
+    n = len(columns[0])
+    step = max(1, CHUNK_FIELDS // max(1, sum(c.shape[1] for c in columns)))
+    chunks = -(-n // step)
+    workers = max(1, min(_usable_cpus(), chunks))
+    bounds = [step * (chunks * i // workers) for i in range(workers)] + [n]
+    children = []  # (pid, temporary file, first row, end row), in row order
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_fork_rows(path, columns, lo, hi, step))
+        _format_rows(fh, columns, bounds[0], bounds[1], step)
+        while children:
+            pid, tmp, lo, hi = children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            with tmp:
+                if 0 < code < 255:
+                    raise OSError(code, os.strerror(code), str(path))
+                if code:
+                    raise OSError(
+                        f"{path}: the process formatting rows {lo}-{hi} exited with status {code}"
+                    )
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+    finally:
+        for pid, tmp, _, _ in children:
+            tmp.close()
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_rows(path, columns: list, lo: int, hi: int, step: int) -> tuple:
+    """Fork a child that formats rows ``lo:hi`` into a new anonymous file in
+    the directory of ``path`` and exits with 0, with the errno of the
+    ``OSError`` that stopped it, or with 255 after any other exception."""
+    tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        pid = os.fork()
+    except BaseException:
+        tmp.close()
+        raise
+    if pid == 0:
+        code = 255
+        try:
+            _format_rows(tmp, columns, lo, hi, step)
+            tmp.flush()
+            code = 0
+        except OSError as exc:
+            code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+        finally:
+            os._exit(code)
+    return pid, tmp, lo, hi
+
+
+def _format_rows(out, columns: list, lo: int, hi: int, step: int) -> None:
+    """Write rows ``lo:hi`` to the binary file ``out``, ``step`` rows at a
+    time; ``hi - lo`` is a multiple of ``step`` unless ``hi`` ends the block."""
+    for start in range(lo, hi, step):
+        parts = [c[start : start + step].tolist() for c in columns]
+        out.write("".join(
+            [",".join(map(repr, chain.from_iterable(row))) + "\n" for row in zip(*parts)]
+        ).encode("utf-8"))
 
 
 class TextReader:

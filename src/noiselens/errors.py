@@ -20,6 +20,15 @@ class TrainingDivergedError(NoiseLensError):
     """The optimizer produced a non-finite loss; message carries epoch/step."""
 
 
+class RangeError(ValidationError):
+    """A setting outside its interval; ``name`` is the setting's name, which
+    a caller that knows where the value came from may replace."""
+
+    def __init__(self, name: str, value, interval: str):
+        super().__init__(f"{name} {value!r} must lie in {interval}")
+        self.name, self.value, self.interval = name, value, interval
+
+
 def check_range(name: str, value, interval: str) -> None:
     """Accept ``value`` only when it is finite and inside ``interval``,
     written like ``"[0, 1)"``: a bracket includes its end, a parenthesis
@@ -28,7 +37,7 @@ def check_range(name: str, value, interval: str) -> None:
     above = low <= value if interval[0] == "[" else low < value
     below = value <= high if interval[-1] == "]" else value < high
     if not (above and below and -math.inf < value < math.inf):
-        raise ValidationError(f"{name} {value!r} must lie in {interval}")
+        raise RangeError(name, value, interval)
 
 
 def ranged(interval: str, default=MISSING):

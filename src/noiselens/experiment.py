@@ -11,6 +11,7 @@ produces byte-identical artifacts.
 import hashlib
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .data import (
     save_dataset,
     save_score_matrix,
 )
-from .errors import NoiseLensError, ValidationError, check_range
+from .errors import NoiseLensError, RangeError, ValidationError, check_range
 from .losses import MarginConfig
 from .noise import NoiseSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
 from .priors import (
@@ -143,6 +144,18 @@ def _value(entries, section, key, parse, default=None):
         ) from None
 
 
+@contextmanager
+def _config_keys(**keys):
+    """Re-raise a range error on a field named in ``keys`` as one on the
+    config key that ``keys`` maps it to."""
+    try:
+        yield
+    except RangeError as exc:
+        if exc.name not in keys:
+            raise
+        raise RangeError(keys[exc.name], exc.value, exc.interval) from None
+
+
 def _from_section(entries, section, cls):
     """``cls`` built from the ``section`` keys the config sets, so the
     dataclass defaults are the only copy of the rest. Each field's
@@ -152,7 +165,8 @@ def _from_section(entries, section, cls):
         parse = _parse_bool if f.type is bool else f.type
         if (section, f.name) in entries:
             kwargs[f.name] = _value(entries, section, f.name, parse)
-    return cls(**kwargs)
+    with _config_keys(**{name: f"{section}.{name}" for name in kwargs}):
+        return cls(**kwargs)
 
 
 def parse_pair_map(text: str, num_classes: int) -> dict:
@@ -318,7 +332,8 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         threshold = value("selection", "mu", float, DEFAULT_CONSISTENCY_THRESHOLD)
     else:
         raise ValidationError(f"unknown selection.criterion {criterion!r}")
-    check_threshold(criterion, threshold)
+    with _config_keys(rho="selection.rho", mu="selection.mu"):
+        check_threshold(criterion, threshold)
     cosine = any(kind == "cosine" for kind, _ in score_sources)
 
     test_source = get("test", "source", "none")
@@ -345,26 +360,31 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         dim = value("dataset", "dim", int, 8)
         separation = value("dataset", "separation", float, 3.0)
         blobs = (classes, per_class, dim, separation)
-        _noise.check_blob_sizes(*blobs, seeds["dataset"])
+        with _config_keys(seed="dataset.seed", separation="dataset.separation"):
+            _noise.check_blob_sizes(*blobs, seeds["dataset"])
         if test_source == "synth":
             test_blobs = (classes, value("test", "per_class", int, per_class), dim, separation)
-            _noise.check_blob_sizes(*test_blobs, seeds["test"])
+            with _config_keys(seed="test.seed"):
+                _noise.check_blob_sizes(*test_blobs, seeds["test"])
         kind = get("dataset", "noise", "none")
         if kind != "none":
-            noise = noise_spec(
-                kind,
-                classes,
-                value("dataset", "noise_rate", float, _noise.DEFAULT_NOISE_RATE),
-                seeds["noise"],
-                get("dataset", "pair_map"),
-                value("dataset", "budget_sd", float, _noise.DEFAULT_BUDGET_SD),
-                get("dataset", "budget_bounds"),
-            )
+            with _config_keys(
+                rate="dataset.noise_rate", seed="dataset.noise_seed", budget_sd="dataset.budget_sd"
+            ):
+                noise = noise_spec(
+                    kind,
+                    classes,
+                    value("dataset", "noise_rate", float, _noise.DEFAULT_NOISE_RATE),
+                    seeds["noise"],
+                    get("dataset", "pair_map"),
+                    value("dataset", "budget_sd", float, _noise.DEFAULT_BUDGET_SD),
+                    get("dataset", "budget_bounds"),
+                )
 
     correct_prob = None
     if scorer_source == "oracle":
         correct_prob = value("scorer", "correct_prob", float, 1.0)
-        check_range("correct_prob", correct_prob, _noise.CORRECT_PROB_RANGE)
+        check_range("scorer.correct_prob", correct_prob, _noise.CORRECT_PROB_RANGE)
 
     top_k = value("report", "top_k", int, 0) if test_source != "none" else 0
     if top_k < 0:

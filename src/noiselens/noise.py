@@ -106,9 +106,15 @@ def blob_means(num_classes: int, dim: int, separation: float, seed: int = 0) -> 
 
 def check_blob_sizes(num_classes: int, per_class: int, dim: int, separation: float, seed: int) -> None:
     """The limits `make_blobs` enforces, seed included, for callers that
-    check its arguments before any work is done."""
+    check its arguments before any work is done. The features, and so the
+    class means, must fit in an array that numpy can shape."""
     if num_classes < 2 or dim < 1 or per_class < 1:
         raise ValidationError("need at least 2 classes, 1 dimension and 1 sample per class")
+    if num_classes * per_class * dim > codec.MAX_COUNT:
+        raise ValidationError(
+            f"{num_classes} classes x {per_class} samples x {dim} dimensions "
+            f"exceed {codec.MAX_COUNT} feature values"
+        )
     check_range("separation", separation, "[0, inf)")
     check_range("seed", seed, "[0, inf)")
 

@@ -10,6 +10,7 @@ import pytest
 
 import noiselens
 from noiselens.cli import main
+from noiselens.codec import MAX_COUNT
 from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset
 from noiselens.noise import blob_means
 from noiselens.losses import MarginConfig
@@ -304,6 +305,12 @@ class TestStageChain:
             ("score", ["--temperature", "inf"], "temperature inf must lie in (0, inf)"),
             ("train", ["--seed", "-1"], "seed -1 must lie in [0, inf)"),
             ("train", ["--gamma", "nan"], "gamma nan must lie in [0, inf)"),
+            (
+                "synth",
+                ["--classes", "100000000000000000000"],
+                "100000000000000000000 classes x 5 samples x 2 dimensions "
+                f"exceed {MAX_COUNT} feature values",
+            ),
         ],
     )
     def test_out_of_range_flag_is_one_error_line(
@@ -495,25 +502,41 @@ output.dir = {out}
                 valid.replace("noise = symmetric", "noise = asymmetric\ndataset.pair_map = 0:5"),
                 "pair_map entry 0->5 is out of range for 2 classes",
             ),
-            (valid.replace("rho = 0.5", "rho = 1.5"), "rho 1.5 must lie in (0, 1)"),
-            (valid.replace("correct_prob = 0.9", "correct_prob = 2"), "correct_prob 2.0 must lie"),
-            (valid + "train.seed = -1\n", "seed -1 must lie in [0, inf)"),
-            (valid + "dataset.seed = -1\n", "seed -1 must lie in [0, inf)"),
-            (valid + "test.seed = -1\n", "seed -1 must lie in [0, inf)"),
-            (valid + "margin.delta = nan\n", "delta nan must lie in [0, inf)"),
-            (valid + "margin.s = inf\n", "s inf must lie in (0, inf)"),
-            (valid + "train.learning_rate = inf\n", "learning_rate inf must lie in [0, inf)"),
-            (valid.replace("separation = 3.0", "separation = nan"), "separation nan must lie"),
+            (valid.replace("rho = 0.5", "rho = 1.5"), "selection.rho 1.5 must lie in (0, 1)"),
+            (
+                valid.replace("correct_prob = 0.9", "correct_prob = 2"),
+                "scorer.correct_prob 2.0 must lie",
+            ),
+            (valid + "train.seed = -1\n", "train.seed -1 must lie in [0, inf)"),
+            (valid + "dataset.seed = -1\n", "dataset.seed -1 must lie in [0, inf)"),
+            (valid + "dataset.noise_seed = -1\n", "dataset.noise_seed -1 must lie in [0, inf)"),
+            (valid + "test.seed = -1\n", "test.seed -1 must lie in [0, inf)"),
+            (
+                valid.replace("noise_rate = 0.2", "noise_rate = nan"),
+                "dataset.noise_rate nan must lie in [0, 1)",
+            ),
+            (valid + "margin.delta = nan\n", "margin.delta nan must lie in [0, inf)"),
+            (valid + "margin.s = inf\n", "margin.s inf must lie in (0, inf)"),
+            (valid + "train.learning_rate = inf\n", "train.learning_rate inf must lie in [0, inf)"),
+            (
+                valid.replace("separation = 3.0", "separation = nan"),
+                "dataset.separation nan must lie",
+            ),
             (
                 valid.replace("noise = symmetric", "noise = instance_dependent")
                 + "dataset.budget_sd = nan\n",
-                "budget_sd nan must lie in [0, inf)",
+                "dataset.budget_sd nan must lie in [0, inf)",
+            ),
+            (
+                valid.replace("dataset.classes = 2", "dataset.classes = 100000000000000000000"),
+                f"exceed {MAX_COUNT} feature values",
             ),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: [run]") and reason in err, err
+            assert len(err.splitlines()) == 1, err
             assert not out.exists()
 
     def test_failed_stage_reported_in_envelope(self, tmp_path, capsys):

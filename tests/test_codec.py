@@ -2,10 +2,15 @@
 file raises FormatError or ValidationError, never another exception and
 never a silently accepted object."""
 
+import errno
+import os
 import re
+import signal
 import struct
 import tempfile
+import time
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -414,3 +419,138 @@ def test_valid_numbers_in_every_spelling_parse_as_float_does(tmp_path):
     path.write_text(f"{header}\n{rows}", encoding="utf-8")
     values = load_dataset(path).features[:, 0]
     assert values.tobytes() == np.array([float(s) for s in spellings]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the text writer: the same bytes from any number of processes
+# ---------------------------------------------------------------------------
+
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+WORKERS = [1, pytest.param(2, marks=FORKS), pytest.param(3, marks=FORKS)]
+# With 12 fields a chunk, a row of 1 + 1 + 2 + 0 + 2 fields makes 2-row chunks.
+SMALL_CHUNK = 12
+
+
+def _mixed_block(n: int) -> list:
+    """Int and float columns, 1-D and 2-D, a zero-width run included."""
+    rng = np.random.default_rng(n)
+    return [
+        np.arange(n) - 3,
+        rng.integers(-(2**63), 2**63 - 1, n),
+        rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2)),
+        np.empty((n, 0), np.int64),
+        rng.integers(0, 9, (n, 2)),
+    ]
+
+
+def _one_by_one(blocks) -> bytes:
+    """Each row formatted alone, the way the writer promises to format it."""
+    lines = []
+    for columns in blocks:
+        columns = [(c[:, None] if c.ndim == 1 else c).tolist() for c in map(np.asarray, columns)]
+        lines += [",".join(map(repr, chain.from_iterable(row))) + "\n" for row in zip(*columns)]
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+# 0 rows; one below, at and one above the 1-, 2- and 3-chunk boundaries
+# (2, 4 and 6 rows); many chunks with a ragged last one.
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 23])
+def test_written_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers, n):
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+    blocks = [_mixed_block(n), [np.arange(5)], _mixed_block(n + 2)]
+    codec.write_text(tmp_path / "block.txt", codec.DATASET, {"N": 0}, blocks)
+    header, records = (tmp_path / "block.txt").read_bytes().split(b"\n", 1)
+    assert header == b"#noiselens-dataset v1 N=0"
+    assert records == _one_by_one(blocks)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_corruption_record_with_no_flips_keeps_its_blank_row(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+    spec = NoiseSpec("symmetric", 0.0, seed=1)
+    _, record = inject_noise(make_blobs(12, 1, 2, 2.0, seed=2), spec)
+    path = tmp_path / "corruption.txt"
+    save_corruption_record(path, record, spec)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1] == b"" and len(lines) == 2 + 12 + 1
+    blocks = [[record.flipped_ids[None, :]], [record.realized_transition]]
+    assert b"\n".join(lines[1:]) == _one_by_one(blocks)
+    assert load_corruption_record(path)[0].num_flipped == 0
+
+
+def test_dataset_and_scores_of_several_real_chunks_match_one_process(tmp_path, monkeypatch):
+    """At the real chunk size: 2,100 rows of 2 + 128 fields are three chunks,
+    and of 1 + 62 fields two."""
+    dataset, _ = inject_noise(make_blobs(3, 700, 128, 3.0, seed=5), SPEC)
+    scores = ScoreMatrix(np.full((len(dataset.ids), 62), 1 / 62), dataset.ids)
+    assert -(-len(dataset.ids) // (codec.CHUNK_FIELDS // 130)) == 3
+    expected = [
+        _one_by_one([[dataset.ids, dataset.noisy_labels, dataset.true_labels, dataset.features]]),
+        _one_by_one([[scores.sample_ids, scores.values]]),
+    ]
+    for workers in (1, 2, 3) if hasattr(os, "fork") else (1,):
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+        save_dataset(tmp_path / "ds.txt", dataset)
+        save_score_matrix(tmp_path / "scores.txt", scores)
+        written = [(tmp_path / f).read_bytes().split(b"\n", 1)[1] for f in ("ds.txt", "scores.txt")]
+        assert written == expected, f"{workers} workers"
+
+
+def _in_children(monkeypatch, act) -> None:
+    """Run ``act`` in place of formatting in every forked child."""
+    parent, format_rows = os.getpid(), codec._format_rows
+
+    def format_or_act(*args):
+        if os.getpid() != parent:
+            act()
+        format_rows(*args)
+
+    monkeypatch.setattr(codec, "_format_rows", format_or_act)
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 3)
+
+
+def _raise(exc):
+    raise exc
+
+
+@FORKS
+@pytest.mark.parametrize(
+    "act,match",
+    [
+        (lambda: _raise(OSError(errno.ENOSPC, "full")), r"\[Errno 28\] No space left on device"),
+        (lambda: _raise(ValueError("bad")), r"rows 4-8 exited with status 255$"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), r"rows 4-8 exited with status -9$"),
+    ],
+    ids=["enospc", "exception", "killed"],
+)
+def test_failing_child_raises_oserror_and_leaves_no_child(tmp_path, monkeypatch, act, match):
+    _in_children(monkeypatch, act)
+    with pytest.raises(OSError, match=match):
+        codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, [_mixed_block(12)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORKS
+def test_interrupted_write_leaves_no_child(tmp_path, monkeypatch):
+    parent = os.getpid()
+    _in_children(monkeypatch, lambda: time.sleep(60))
+    format_rows = codec._format_rows
+
+    def interrupt_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        format_rows(*args)
+
+    monkeypatch.setattr(codec, "_format_rows", interrupt_in_parent)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, [_mixed_block(12)])
+    assert time.perf_counter() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["ds.txt"]
