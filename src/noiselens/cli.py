@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     stage = args.command
     try:
         return args.handler(args)
-    except (NoiseLensError, OSError) as exc:
+    except (NoiseLensError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: [{stage}] {exc}\n")
         return 1
 

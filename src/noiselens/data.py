@@ -1,11 +1,8 @@
 """Core data model: labeled feature datasets, surrogate score matrices, and
 their text/binary serialization.
 
-Every value object freezes its arrays with ``_freeze``. A C-contiguous input
-of the right dtype is kept, not copied, and is marked read-only in place, so
-the caller's own array becomes read-only too; any other input is copied
-once. ``check_ids`` is the one check that an array keyed to samples lines
-up with a dataset.
+``check_ids`` is the one check that an array keyed to samples lines up
+with a dataset.
 """
 
 from dataclasses import dataclass
@@ -14,21 +11,12 @@ from typing import Optional
 import numpy as np
 
 from . import codec
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, array, check_fields
 
 # Files ingested from disk carry limited precision; internal computations
 # are held to a tighter budget.
 ROW_SUM_FILE_TOL = 1e-6
 ROW_SUM_INTERNAL_TOL = 1e-9
-
-
-def _freeze(arr, dtype) -> np.ndarray:
-    """``arr`` as a read-only C-contiguous ``dtype`` array, copied only when
-    its layout or dtype differ. Callers check shapes first: a 0-d input
-    comes back as a 1-element array."""
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,41 +30,23 @@ class Dataset:
     """
 
     num_classes: int
-    ids: np.ndarray
-    features: np.ndarray
-    noisy_labels: np.ndarray
-    true_labels: Optional[np.ndarray] = None
+    ids: np.ndarray = array(int, "N")
+    features: np.ndarray = array(float, "N", "D", noun="feature value")
+    noisy_labels: np.ndarray = array(int, "N")
+    true_labels: Optional[np.ndarray] = array(int, "N", default=None)
 
     def __post_init__(self):
         c = self.num_classes
         if c < 2:
             raise ValidationError("dataset needs at least 2 classes")
-        ids = np.asarray(self.ids, dtype=np.int64)
-        features = np.asarray(self.features, dtype=np.float64)
-        noisy_labels = np.asarray(self.noisy_labels, dtype=np.int64)
-        if features.ndim != 2:
-            raise ValidationError("features must be a 2-D array")
-        n = ids.shape[0]
-        if n < 1:
+        check_fields(self)
+        if self.num_samples < 1:
             raise ValidationError("dataset must contain at least one sample")
-        if features.shape[0] != n or noisy_labels.shape[0] != n:
-            raise ValidationError("ids, features and labels must have equal length")
-        if len(np.unique(ids)) != n:
+        if np.unique(self.ids).size != self.num_samples:
             raise ValidationError("duplicate id in dataset")
-        if not np.all(np.isfinite(features)):
-            raise ValidationError("non-finite feature value")
-        if noisy_labels.min() < 0 or noisy_labels.max() >= c:
-            raise ValidationError("label out of range")
-        if self.true_labels is not None:
-            true_labels = np.asarray(self.true_labels, dtype=np.int64)
-            if true_labels.shape[0] != n:
-                raise ValidationError("true_labels length mismatch")
-            if true_labels.min() < 0 or true_labels.max() >= c:
+        for labels in (self.noisy_labels, self.true_labels):
+            if labels is not None and (labels.min() < 0 or labels.max() >= c):
                 raise ValidationError("label out of range")
-            object.__setattr__(self, "true_labels", _freeze(true_labels, np.int64))
-        object.__setattr__(self, "ids", _freeze(ids, np.int64))
-        object.__setattr__(self, "features", _freeze(features, np.float64))
-        object.__setattr__(self, "noisy_labels", _freeze(noisy_labels, np.int64))
 
     @property
     def num_samples(self) -> int:
@@ -108,18 +78,12 @@ class ScoreMatrix:
     every entry finite and non-negative, every row within
     ``ROW_SUM_FILE_TOL`` of 1."""
 
-    values: np.ndarray
-    sample_ids: np.ndarray
+    values: np.ndarray = array(float, "N", "C", noun="score value")
+    sample_ids: np.ndarray = array(int, "N")
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        ids = np.asarray(self.sample_ids, dtype=np.int64)
-        if values.ndim != 2:
-            raise ValidationError("score matrix must be 2-D")
-        if ids.shape[0] != values.shape[0]:
-            raise ValidationError("sample_ids length must equal the row count")
-        if not np.isfinite(values).all():
-            raise ValidationError("non-finite score value")
+        check_fields(self)
+        values = self.values
         if values.size and values.min() < 0.0:
             bad = np.argwhere(values < 0.0)[0]
             raise ValidationError(f"negative entry at row {bad[0]}, column {bad[1]}")
@@ -130,8 +94,6 @@ class ScoreMatrix:
                 f"row {worst} sums to {codec.fmt_float(values[worst].sum())}, "
                 f"deviation exceeds {ROW_SUM_FILE_TOL}"
             )
-        object.__setattr__(self, "values", _freeze(values, np.float64))
-        object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
 
     @property
     def num_rows(self) -> int:
@@ -145,7 +107,6 @@ class ScoreMatrix:
 def check_ids(ids, dataset: Dataset, what: str) -> None:
     """Raise unless ``ids`` lists ``dataset``'s sample ids in order: first the
     row count, then the first row whose id differs."""
-    ids = np.asarray(ids)
     if ids.shape != dataset.ids.shape:
         raise ValidationError(f"{what} has {ids.size} rows, dataset has {dataset.num_samples}")
     mismatch = np.flatnonzero(ids != dataset.ids)

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the range check every setting passes."""
+"""Exception hierarchy shared across the package, and ``check_fields``,
+the one check of every setting's range and every value object's arrays."""
 
 import math
 from dataclasses import MISSING, field, fields
+
+import numpy as np
 
 
 class NoiseLensError(Exception):
@@ -45,8 +48,57 @@ def ranged(interval: str, default=MISSING):
     return field(default=default, metadata={"interval": interval})
 
 
+def array(kind, *axes, default=MISSING, noun: str = ""):
+    """A dataclass field holding an array of ``kind`` (``int`` or ``float``)
+    with one dimension per entry of ``axes``: a literal length, or a name
+    whose length every field of the object that uses it must share.
+    ``noun`` names an entry in the non-finite message (default: the field
+    name). A field whose default is None may be left None."""
+    return field(default=default, metadata={"array": (kind, axes, noun)})
+
+
+def _freeze(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous ``dtype`` array. An input of that
+    layout and dtype is kept, not copied, and is marked read-only in place,
+    so the caller's own array becomes read-only too; any other input is
+    copied once. Callers check shapes first: a 0-d input comes back as a
+    1-element array."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _check_array(name: str, value, kind, axes: tuple, noun: str, lengths: dict) -> np.ndarray:
+    """``value`` as the frozen array that an ``array(kind, *axes)`` field
+    declares, recording the length of each named axis in ``lengths``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValidationError(f"{name} is not a rectangular array") from None
+    dtype, casting = (np.int64, "safe") if kind is int else (np.float64, "same_kind")
+    # An integer field never truncates a float; an empty input has nothing to truncate.
+    if arr.size and not np.can_cast(arr.dtype, dtype, casting):
+        raise ValidationError(f"{name} must hold {kind.__name__} values, not {arr.dtype}")
+    if arr.ndim != len(axes):
+        raise ValidationError(f"{name} must be a {len(axes)}-D array, not {arr.ndim}-D")
+    for i, (axis, length) in enumerate(zip(axes, arr.shape)):
+        want = axis if isinstance(axis, int) else lengths.setdefault(axis, length)
+        if length != want:
+            raise ValidationError(f"{name} axis {i} has length {length}, expected {want}")
+    if kind is float and not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite {noun or name}")
+    return _freeze(arr, dtype)
+
+
 def check_fields(obj) -> None:
-    """``check_range`` on every ``ranged`` field of the dataclass ``obj``."""
+    """Hold every ``ranged`` field of the dataclass ``obj`` to its interval,
+    and replace every ``array`` field with its checked, frozen array."""
+    lengths = {}
     for f in fields(obj):
         if "interval" in f.metadata:
             check_range(f.name, getattr(obj, f.name), f.metadata["interval"])
+        elif "array" in f.metadata:
+            value = getattr(obj, f.name)
+            if value is not None or f.default is not None:
+                checked = _check_array(f.name, value, *f.metadata["array"], lengths)
+                object.__setattr__(obj, f.name, checked)

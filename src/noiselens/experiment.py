@@ -573,7 +573,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.metrics = metrics
         with open(os.path.join(out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_records(rows))
-    except (NoiseLensError, OSError) as exc:
+    except (NoiseLensError, OSError, MemoryError) as exc:
         result.error = str(exc)
         _write_manifest(config, result.stage, result.error)
         return result

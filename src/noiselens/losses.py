@@ -35,8 +35,7 @@ class MarginConfig:
     s: float = ranged("(0, inf)", 1.0)
     gamma: float = ranged("[0, inf)", 1.0)
 
-    def __post_init__(self):
-        check_fields(self)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

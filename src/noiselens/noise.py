@@ -14,14 +14,14 @@ what actually happened (flips, realized rate, realized transition matrix),
 so experiments can report against the truth instead of the nominal knobs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, _freeze, check_ids
-from .errors import ValidationError, check_fields, check_range, ranged
+from .data import Dataset, ScoreMatrix, check_ids
+from .errors import ValidationError, array, check_fields, check_range, ranged
 from .selection import SelectionMask
 
 NOISE_KINDS = ("symmetric", "asymmetric", "instance_dependent")
@@ -67,16 +67,12 @@ class NoiseSpec:
 class CorruptionRecord:
     """What a corruption run actually did, measured after the fact."""
 
-    flipped_ids: np.ndarray
-    realized_rate: float
-    realized_transition: np.ndarray
-    num_samples: int
+    flipped_ids: np.ndarray = array(int, "F")
+    realized_rate: float = ranged("[0, 1]")
+    realized_transition: np.ndarray = array(float, "C", "C")
+    num_samples: int = ranged("[1, inf)")
 
-    def __post_init__(self):
-        object.__setattr__(self, "flipped_ids", _freeze(self.flipped_ids, np.int64))
-        object.__setattr__(
-            self, "realized_transition", _freeze(self.realized_transition, np.float64)
-        )
+    __post_init__ = check_fields
 
     @property
     def num_flipped(self) -> int:
@@ -173,13 +169,7 @@ def _finish(dataset: Dataset, noisy: np.ndarray) -> tuple:
             transition[i] = 1.0 / c
         else:
             transition[i] = np.bincount(noisy[members], minlength=c) / count
-    corrupted = Dataset(
-        num_classes=c,
-        ids=dataset.ids,
-        features=dataset.features,
-        noisy_labels=noisy,
-        true_labels=truth,
-    )
+    corrupted = replace(dataset, noisy_labels=noisy)
     record = CorruptionRecord(
         flipped_ids=dataset.ids[flipped],
         realized_rate=float(flipped.mean()),

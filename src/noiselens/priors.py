@@ -16,10 +16,9 @@ from .data import (
     ROW_SUM_INTERNAL_TOL,
     Dataset,
     ScoreMatrix,
-    _freeze,
     check_scores,
 )
-from .errors import ValidationError
+from .errors import ValidationError, array, check_fields
 
 # The prior enters the loss through its logarithm, so zero counts are fatal;
 # add-half smoothing keeps every entry positive and washes out as counts grow.
@@ -36,16 +35,15 @@ class TransitionMatrix:
     lists classes that had no samples and fell back to a uniform row.
     """
 
-    values: np.ndarray
-    source_count: Optional[np.ndarray] = None
+    values: np.ndarray = array(float, "C", "C", noun="transition matrix entry")
+    source_count: Optional[np.ndarray] = array(int, "C", default=None)
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
-            raise ValidationError("transition matrix must be square and non-empty")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("non-finite transition matrix entry")
+        check_fields(self)
+        values = self.values
+        if values.size == 0:
+            raise ValidationError("transition matrix must be non-empty")
         if values.min() < 0.0 or values.max() > 1.0 + ROW_SUM_INTERNAL_TOL:
             raise ValidationError("transition matrix entries must lie in [0, 1]")
         deviation = np.abs(values.sum(axis=1) - 1.0)
@@ -53,12 +51,6 @@ class TransitionMatrix:
             raise ValidationError(
                 f"transition matrix row {int(np.argmax(deviation))} does not sum to 1"
             )
-        object.__setattr__(self, "values", _freeze(values, np.float64))
-        if self.source_count is not None:
-            counts = np.asarray(self.source_count, dtype=np.int64)
-            if counts.shape != (values.shape[0],):
-                raise ValidationError("source_count length must equal the class count")
-            object.__setattr__(self, "source_count", _freeze(counts, np.int64))
 
     @property
     def num_classes(self) -> int:
@@ -70,25 +62,21 @@ class ClassPrior:
     """Smoothed class frequencies of a clean subset; raw ratios are
     recoverable as counts / total."""
 
-    values: np.ndarray
-    counts: np.ndarray
+    values: np.ndarray = array(float, "C", noun="prior entry")
+    counts: np.ndarray = array(int, "C")
     total: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if values.ndim != 1 or counts.shape != values.shape or values.size == 0:
-            raise ValidationError("prior values and counts must be equal-length, non-empty vectors")
-        if not np.isfinite(values).all():
-            raise ValidationError("non-finite prior entry")
+        check_fields(self)
+        values = self.values
+        if values.size == 0:
+            raise ValidationError("prior must cover at least one class")
         if values.min() <= 0.0:
             raise ValidationError("smoothed prior entries must be strictly positive")
         if abs(values.sum() - 1.0) > 1e-12:
             raise ValidationError("prior must sum to 1")
-        if counts.sum() != self.total:
+        if self.counts.sum() != self.total:
             raise ValidationError("counts do not sum to the recorded total")
-        object.__setattr__(self, "values", _freeze(values, np.float64))
-        object.__setattr__(self, "counts", _freeze(counts, np.int64))
 
 
 def estimate_transition_matrix(dataset: Dataset, scores: ScoreMatrix) -> TransitionMatrix:

@@ -7,8 +7,8 @@ from typing import Optional
 import numpy as np
 
 from .codec import fmt_float
-from .data import Dataset, ScoreMatrix, _freeze
-from .errors import NoiseLensError, ValidationError, check_range
+from .data import Dataset, ScoreMatrix
+from .errors import NoiseLensError, ValidationError, array, check_fields, check_range
 from .losses import MarginConfig
 from .noise import selection_quality
 from .priors import compute_class_prior, estimate_transition_matrix
@@ -63,15 +63,12 @@ class HistogramReport:
     """Counts of confidence values over the ten fixed bins
     [0,0.1), ..., [0.9,1.0]; a value of exactly 1.0 lands in the last bin."""
 
-    bin_edges: np.ndarray
-    counts: np.ndarray
+    bin_edges: np.ndarray = array(float, NUM_BINS + 1)
+    counts: np.ndarray = array(int, NUM_BINS)
     source: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "bin_edges", _freeze(self.bin_edges, np.float64))
-        object.__setattr__(self, "counts", _freeze(self.counts, np.int64))
-        if self.bin_edges.shape != (NUM_BINS + 1,) or self.counts.shape != (NUM_BINS,):
-            raise ValidationError("histogram must have 11 edges and 10 counts")
+        check_fields(self)
         if self.counts.min() < 0:
             raise ValidationError("histogram counts must be nonnegative")
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, _freeze, check_ids
-from .errors import FormatError, ValidationError, check_fields, ranged
+from .data import Dataset, ScoreMatrix, check_ids
+from .errors import FormatError, ValidationError, array, check_fields, ranged
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
 # silent clamping would hide data corruption.
@@ -36,17 +36,14 @@ def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
 class ClassEmbeddingBank:
     """One embedding per class, all produced by the same prompt variant."""
 
-    embeddings: np.ndarray
+    embeddings: np.ndarray = array(float, "C", "D", noun="class embedding")
     prompt_id: str = "default"
 
     def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2:
-            raise ValidationError("class embeddings must be a 2-D array")
-        _row_norms(emb, "class embedding")
+        check_fields(self)
+        _row_norms(self.embeddings, "class embedding")
         if any(ch.isspace() for ch in self.prompt_id) or not self.prompt_id:
             raise ValidationError("prompt_id must be a non-empty token without whitespace")
-        object.__setattr__(self, "embeddings", _freeze(emb, np.float64))
 
     @property
     def num_classes(self) -> int:
@@ -61,8 +58,7 @@ class ClassEmbeddingBank:
 class ScorerConfig:
     temperature: float = ranged("(0, inf)", 0.01)
 
-    def __post_init__(self):
-        check_fields(self)
+    __post_init__ = check_fields
 
 
 def cosine_softmax_score(

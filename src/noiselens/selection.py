@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, _freeze, check_ids, check_scores
-from .errors import FormatError, ValidationError, check_range
+from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, check_ids, check_scores
+from .errors import FormatError, ValidationError, array, check_fields, check_range
 
 CRITERION_CONFIDENCE = "confidence"
 CRITERION_PROMPT_CONSISTENCY = "prompt_consistency"
@@ -33,23 +33,21 @@ class SelectionMask:
     """Per-sample scores, the criterion and threshold that judge them, and
     the clean/rejected verdicts derived from the three."""
 
-    sample_ids: np.ndarray
-    scores: np.ndarray
+    sample_ids: np.ndarray = array(int, "N")
+    scores: np.ndarray = array(float, "N")
     criterion: str
     threshold: float
     verdicts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        ids = np.asarray(self.sample_ids, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if ids.shape != scores.shape or ids.ndim != 1 or ids.size == 0:
-            raise ValidationError("mask fields must be equal-length, non-empty 1-D arrays")
+        check_fields(self)
+        if self.sample_ids.size == 0:
+            raise ValidationError("mask must hold at least one sample")
         check_threshold(self.criterion, self.threshold)
         confidence = self.criterion == CRITERION_CONFIDENCE
-        verdicts = scores > self.threshold if confidence else scores < self.threshold
-        object.__setattr__(self, "sample_ids", _freeze(ids, np.int64))
-        object.__setattr__(self, "scores", _freeze(scores, np.float64))
-        object.__setattr__(self, "verdicts", _freeze(verdicts, bool))
+        verdicts = self.scores > self.threshold if confidence else self.scores < self.threshold
+        verdicts.flags.writeable = False
+        object.__setattr__(self, "verdicts", verdicts)
 
     @property
     def selected_count(self) -> int:

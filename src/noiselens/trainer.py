@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import codec
-from .data import Dataset, _freeze
-from .errors import TrainingDivergedError, ValidationError, check_fields, ranged
+from .data import Dataset
+from .errors import TrainingDivergedError, ValidationError, array, check_fields, ranged
 from .losses import MarginConfig, check_classes, nabm_loss_batch
 from .priors import ClassPrior, TransitionMatrix
 
@@ -36,20 +36,10 @@ from .priors import ClassPrior, TransitionMatrix
 class LinearClassifier:
     """Per-class weights (C, d) and biases (C,)."""
 
-    weights: np.ndarray
-    bias: np.ndarray
+    weights: np.ndarray = array(float, "C", "D")
+    bias: np.ndarray = array(float, "C")
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValidationError("weights must be a 2-D array")
-        if bias.shape != (weights.shape[0],):
-            raise ValidationError("bias length must equal the number of classes")
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ValidationError("classifier parameters must be finite")
-        object.__setattr__(self, "weights", _freeze(weights, np.float64))
-        object.__setattr__(self, "bias", _freeze(bias, np.float64))
+    __post_init__ = check_fields
 
     @property
     def num_classes(self) -> int:
@@ -75,8 +65,7 @@ class TrainConfig:
     lr_step_every: int = ranged("[0, inf)", 0)
     lr_step_factor: float = ranged("(0, 1]", 0.1)
 
-    def __post_init__(self):
-        check_fields(self)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

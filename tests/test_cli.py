@@ -552,3 +552,31 @@ output.dir = {out}
         assert run(["run", "--config", str(cfg)]) == 1
         assert "error: [select]" in capsys.readouterr().err
         assert (out / "manifest.txt").exists()
+
+    def test_out_of_memory_is_a_stage_error(self, tmp_path, capsys, monkeypatch):
+        # Synth sizes under codec.MAX_COUNT can still be too large to
+        # allocate; the stand-in raises as numpy does, allocating nothing.
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+        def make_blobs(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("noiselens.cli.make_blobs", make_blobs)
+        monkeypatch.setattr("noiselens.experiment.make_blobs", make_blobs)
+        out = tmp_path / "oom"
+        cfg = tmp_path / "oom.cfg"
+        cfg.write_text(
+            "dataset.source = synth\ndataset.classes = 2\ndataset.per_class = 10\n"
+            "dataset.dim = 3\nscorer.source = oracle\nscorer.correct_prob = 0.8\n"
+            f"output.dir = {out}\n",
+            encoding="utf-8",
+        )
+        assert run(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: [dataset] {message}\n"
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert manifest.endswith(f"status=failed\nstage=dataset\nerror={message}\n")
+        ds = tmp_path / "ds.txt"
+        argv = ["synth", "--classes", "2", "--per-class", "5", "--dim", "2", "--sep", "2"]
+        assert run([*argv, "--out", str(ds)]) == 1
+        assert capsys.readouterr().err == f"error: [synth] {message}\n"
+        assert not ds.exists()

@@ -1,6 +1,7 @@
 """Tests for the core dataset/score-matrix model and its file formats."""
 
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,69 @@ from noiselens.data import (
     save_dataset,
     save_score_matrix,
 )
-from noiselens.noise import selection_quality
-from noiselens.priors import estimate_transition_matrix
-from noiselens.scorer import load_embedding_table
+from noiselens.noise import CorruptionRecord, selection_quality
+from noiselens.priors import ClassPrior, TransitionMatrix, estimate_transition_matrix
+from noiselens.report import HistogramReport
+from noiselens.scorer import ClassEmbeddingBank, load_embedding_table
 from noiselens.selection import (
     SelectionMask,
     apply_mask,
     select_by_confidence,
     select_by_prompt_consistency,
 )
+from noiselens.trainer import LinearClassifier
+
+# Valid constructor arguments for every value object that holds arrays.
+VALUE_OBJECTS = {
+    Dataset: dict(
+        num_classes=2, ids=[0, 1], features=[[0.0], [1.0]], noisy_labels=[0, 1], true_labels=[1, 0]
+    ),
+    ScoreMatrix: dict(values=[[0.5, 0.5], [1.0, 0.0]], sample_ids=[0, 1]),
+    SelectionMask: dict(sample_ids=[0, 1], scores=[0.2, 0.9], criterion="confidence", threshold=0.5),
+    TransitionMatrix: dict(values=[[1.0, 0.0], [0.5, 0.5]], source_count=[3, 4]),
+    ClassPrior: dict(values=[0.25, 0.75], counts=[1, 3], total=4),
+    ClassEmbeddingBank: dict(embeddings=[[1.0, 0.0], [0.0, 1.0]]),
+    LinearClassifier: dict(weights=[[1.0, 0.0], [0.0, 1.0]], bias=[0.0, 0.5]),
+    CorruptionRecord: dict(
+        flipped_ids=[1], realized_rate=0.5, realized_transition=[[1.0, 0.0], [1.0, 0.0]], num_samples=2
+    ),
+    HistogramReport: dict(bin_edges=np.arange(11) / 10, counts=np.arange(10)),
+}
+
+# Each entry replaces some arguments of a valid object with bad ones.
+BAD_ARRAYS = [
+    (Dataset, "float labels", dict(noisy_labels=[0.7, 1.2])),
+    (Dataset, "float ids", dict(ids=[0.5, 1.5])),
+    (Dataset, "2-D ids", dict(ids=[[0], [1]])),
+    (Dataset, "2-D noisy labels", dict(noisy_labels=[[0], [1]])),
+    (Dataset, "2-D true labels", dict(true_labels=[[1], [0]])),
+    (Dataset, "0-d ids", dict(ids=5, features=[[0.0]], noisy_labels=[0], true_labels=None)),
+    (Dataset, "N mismatch", dict(true_labels=[1, 0, 1])),
+    (Dataset, "0-d features", dict(features=np.array(0.0))),
+    (ScoreMatrix, "2-D ids", dict(sample_ids=[[0], [1]])),
+    (ScoreMatrix, "N mismatch", dict(sample_ids=[0, 1, 2])),
+    (ScoreMatrix, "0-d ids", dict(sample_ids=np.array(0))),
+    (SelectionMask, "float ids", dict(sample_ids=[0.5, 1.5])),
+    (SelectionMask, "N mismatch", dict(scores=[0.2])),
+    (SelectionMask, "0-d scores", dict(scores=np.array(0.2))),
+    (TransitionMatrix, "float counts", dict(source_count=[1.5, 2])),
+    (TransitionMatrix, "C mismatch", dict(source_count=[3, 4, 5])),
+    (TransitionMatrix, "0-d values", dict(values=np.array(1.0), source_count=None)),
+    (ClassPrior, "float counts", dict(counts=[1.0, 3.0])),
+    (ClassPrior, "C mismatch", dict(counts=[1, 3, 0])),
+    (ClassPrior, "0-d counts", dict(counts=np.array(4))),
+    (ClassEmbeddingBank, "ragged rows", dict(embeddings=[[1.0, 0.0], [1.0]])),
+    (ClassEmbeddingBank, "0-d embeddings", dict(embeddings=np.array(1.0))),
+    (LinearClassifier, "C mismatch", dict(bias=[0.0])),
+    (LinearClassifier, "0-d bias", dict(bias=np.array(0.0))),
+    (CorruptionRecord, "float ids", dict(flipped_ids=[1.5])),
+    (CorruptionRecord, "C mismatch", dict(realized_transition=[[1.0, 0.0]])),
+    (CorruptionRecord, "0-d ids", dict(flipped_ids=np.array(1))),
+    (CorruptionRecord, "non-finite transition", dict(realized_transition=[[np.nan, 0.0], [1.0, 0.0]])),
+    (HistogramReport, "float counts", dict(counts=np.arange(10) + 0.5)),
+    (HistogramReport, "11 counts", dict(counts=np.arange(11))),
+    (HistogramReport, "0-d edges", dict(bin_edges=np.array(0.5))),
+]
 
 
 def small_dataset(with_truth=True):
@@ -98,13 +153,18 @@ class TestDataset:
             ds.features[0, 0] = 9.0
 
     def test_contiguous_input_frozen_in_place_not_copied(self):
-        features = np.zeros((4, 2))
-        values = np.full((4, 3), 1 / 3)
-        ds = Dataset(3, np.arange(4), features, np.zeros(4, dtype=np.int64))
-        scores = ScoreMatrix(values=values, sample_ids=ds.ids)
-        assert np.shares_memory(ds.features, features)
-        assert np.shares_memory(scores.values, values)
-        assert not features.flags.writeable and not values.flags.writeable
+        # Every array field of every value object, given at its declared dtype.
+        for cls, valid in VALUE_OBJECTS.items():
+            kwargs, inputs = dict(valid), {}
+            for f in fields(cls):
+                if "array" in f.metadata:
+                    dtype = np.int64 if f.metadata["array"][0] is int else np.float64
+                    inputs[f.name] = kwargs[f.name] = np.array(kwargs[f.name], dtype=dtype)
+            obj = cls(**kwargs)
+            assert inputs, cls
+            for name, given in inputs.items():
+                assert np.shares_memory(getattr(obj, name), given), (cls, name)
+                assert not given.flags.writeable, (cls, name)
 
     def test_subset_preserves_order(self):
         ds = small_dataset()
@@ -116,6 +176,16 @@ class TestDataset:
     def test_subset_empty_rejected(self):
         with pytest.raises(ValidationError):
             small_dataset().subset(np.array([], dtype=int))
+
+
+@pytest.mark.parametrize(
+    "cls, change", [(cls, change) for cls, _, change in BAD_ARRAYS],
+    ids=[f"{cls.__name__}-{label}" for cls, label, _ in BAD_ARRAYS],
+)
+def test_bad_array_input_is_a_validation_error(cls, change):
+    cls(**VALUE_OBJECTS[cls])
+    with pytest.raises(ValidationError):
+        cls(**{**VALUE_OBJECTS[cls], **change})
 
 
 class TestScoreValidation:
