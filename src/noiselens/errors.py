@@ -68,17 +68,29 @@ def _freeze(arr, dtype) -> np.ndarray:
     return arr
 
 
-def _check_array(name: str, value, kind, axes: tuple, noun: str, lengths: dict) -> np.ndarray:
-    """``value`` as the frozen array that an ``array(kind, *axes)`` field
-    declares, recording the length of each named axis in ``lengths``."""
+# Array kind -> stored dtype and the numpy casting rule an input must pass.
+_DTYPES = {int: (np.int64, "safe"), float: (np.float64, "same_kind")}
+
+
+def check_kind(name: str, value, kind) -> np.ndarray:
+    """``value`` as an array whose dtype casts to that of ``kind`` (``int``:
+    int64, ``float``: float64) without loss of kind: an integer array never
+    truncates a float. An empty input has nothing to truncate. The result is
+    not converted yet."""
     try:
         arr = np.asarray(value)
     except ValueError:
         raise ValidationError(f"{name} is not a rectangular array") from None
-    dtype, casting = (np.int64, "safe") if kind is int else (np.float64, "same_kind")
-    # An integer field never truncates a float; an empty input has nothing to truncate.
+    dtype, casting = _DTYPES[kind]
     if arr.size and not np.can_cast(arr.dtype, dtype, casting):
         raise ValidationError(f"{name} must hold {kind.__name__} values, not {arr.dtype}")
+    return arr
+
+
+def _check_array(name: str, value, kind, axes: tuple, noun: str, lengths: dict) -> np.ndarray:
+    """``value`` as the frozen array that an ``array(kind, *axes)`` field
+    declares, recording the length of each named axis in ``lengths``."""
+    arr = check_kind(name, value, kind)
     if arr.ndim != len(axes):
         raise ValidationError(f"{name} must be a {len(axes)}-D array, not {arr.ndim}-D")
     for i, (axis, length) in enumerate(zip(axes, arr.shape)):
@@ -87,7 +99,7 @@ def _check_array(name: str, value, kind, axes: tuple, noun: str, lengths: dict) 
             raise ValidationError(f"{name} axis {i} has length {length}, expected {want}")
     if kind is float and not np.isfinite(arr).all():
         raise ValidationError(f"non-finite {noun or name}")
-    return _freeze(arr, dtype)
+    return _freeze(arr, _DTYPES[kind][0])
 
 
 def check_fields(obj) -> None:

@@ -14,6 +14,11 @@ as a function of p_hat (full chain rule, pinned by finite-difference tests).
 
 All reductions run in float64; batch means use compensated summation so
 repeated runs are bit-identical.
+
+``nabm_loss_batch`` also takes a leading head axis, so that one call serves
+several heads trained in lockstep. Every step after the margin terms acts
+on one sample row at a time, so a head's entries come out bit for bit as
+from its own 2-D call.
 """
 
 import math
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_fields, check_range, ranged
+from .errors import ValidationError, check_fields, check_kind, check_range, ranged
 from .priors import ClassPrior, TransitionMatrix
 
 
@@ -49,7 +54,8 @@ class LossBatch:
 
     @property
     def mean_loss(self) -> float:
-        return math.fsum(self.per_sample_loss.tolist()) / self.per_sample_loss.size
+        """Mean over every sample (of every head, with a head axis)."""
+        return math.fsum(self.per_sample_loss.ravel().tolist()) / self.per_sample_loss.size
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -78,11 +84,14 @@ def _adjusted_log_probs(
     logits: np.ndarray,
     labels: np.ndarray,
     matrix: TransitionMatrix,
-    prior: ClassPrior,
+    log_prior: np.ndarray,
     cfg: MarginConfig,
 ) -> np.ndarray:
-    """Log-softmax of the margin-adjusted logits, one row per sample."""
-    adjusted = (logits + cfg.delta * matrix.values[labels] + cfg.t * np.log(prior.values)) / cfg.s
+    """Log-softmax of the margin-adjusted logits, one row per sample; a
+    leading head axis is folded into the rows. ``log_prior`` broadcasts
+    against the logits."""
+    adjusted = (logits + cfg.delta * matrix.values[labels] + cfg.t * log_prior) / cfg.s
+    adjusted = adjusted.reshape(-1, adjusted.shape[-1])
     return adjusted - _logsumexp_rows(adjusted)[:, None]
 
 
@@ -102,7 +111,8 @@ def nabm_probability(
     check_classes(matrix, prior, c)
     if not 0 <= label < c:
         raise ValidationError("label out of range")
-    log_probs = _adjusted_log_probs(logits[None, :], np.array([label]), matrix, prior, cfg)
+    log_prior = np.log(prior.values)
+    log_probs = _adjusted_log_probs(logits[None, :], np.array([label]), matrix, log_prior, cfg)
     return np.exp(log_probs[0])
 
 
@@ -132,7 +142,7 @@ def nabm_loss_batch(
     logits: np.ndarray,
     labels: np.ndarray,
     matrix: TransitionMatrix,
-    prior: ClassPrior,
+    prior,
     cfg: MarginConfig,
 ) -> LossBatch:
     """Focal loss over margin-adjusted probabilities for a batch, with
@@ -142,23 +152,39 @@ def nabm_loss_batch(
     p_y * dloss/dp_y, the gradient is g * (onehot_y - p) / s with
 
         g = gamma * (1 - p_y)^(gamma - 1) * p_y * log(p_y) - (1 - p_y)^gamma
+
+    Logits are (B, C) with labels (B,) and one ``ClassPrior``, or (G, B, C)
+    with labels (G, B) and a sequence of G priors, one per head; the outputs
+    keep the leading axes of the logits. Labels must hold integers: a float
+    label is rejected, not truncated.
     """
     logits = _check_logits(logits)
-    if logits.ndim != 2:
-        raise ValidationError("batch logits must be a 2-D array")
-    labels = np.asarray(labels, dtype=np.int64)
-    b, c = logits.shape
-    if b == 0:
+    labels = np.asarray(check_kind("labels", labels, int), dtype=np.int64)
+    if logits.ndim == 2:
+        priors = (prior,)
+    elif logits.ndim == 3:
+        priors = (prior,) if isinstance(prior, ClassPrior) else tuple(prior)
+        if len(priors) != logits.shape[0]:
+            raise ValidationError(f"{len(priors)} priors for {logits.shape[0]} heads")
+    else:
+        raise ValidationError("batch logits must be a 2-D array, or 3-D with a leading head axis")
+    c = logits.shape[-1]
+    if logits.size == 0:
         raise ValidationError("empty batch")
-    if labels.shape != (b,):
+    if labels.shape != logits.shape[:-1]:
         raise ValidationError("labels length must equal the batch size")
     if labels.min() < 0 or labels.max() >= c:
         raise ValidationError("label out of range")
-    check_classes(matrix, prior, c)
+    for p in priors:
+        check_classes(matrix, p, c)
+    # One row per head, broadcast over that head's batch.
+    log_prior = np.log(np.concatenate([p.values for p in priors]))
+    log_prior = log_prior.reshape(logits.shape[:-2] + (1, c))
 
-    log_probs = _adjusted_log_probs(logits, labels, matrix, prior, cfg)
+    log_probs = _adjusted_log_probs(logits, labels, matrix, log_prior, cfg)
     probs = np.exp(log_probs)
-    rows = np.arange(b)
+    labels = labels.reshape(-1)
+    rows = np.arange(labels.size)
     log_p_hat = log_probs[rows, labels]
     p_hat = probs[rows, labels]
 
@@ -179,4 +205,9 @@ def nabm_loss_batch(
     grad[rows, labels] -= 1.0
     grad *= -scale[:, None] / cfg.s
 
-    return LossBatch(per_sample_loss=loss, grad_logits=grad, nabm_prob=p_hat)
+    per_row = logits.shape[:-1]
+    return LossBatch(
+        per_sample_loss=loss.reshape(per_row),
+        grad_logits=grad.reshape(logits.shape),
+        nabm_prob=p_hat.reshape(per_row),
+    )

@@ -13,7 +13,7 @@ from .losses import MarginConfig
 from .noise import selection_quality
 from .priors import compute_class_prior, estimate_transition_matrix
 from .selection import select_by_confidence, apply_mask
-from .trainer import TrainConfig, predict, train
+from .trainer import TrainConfig, predict, train_heads
 
 NUM_BINS = 10
 
@@ -135,8 +135,10 @@ def threshold_sweep(
 
     The transition matrix comes from the full dataset and is shared across
     thresholds; the class prior is recomputed per threshold on that
-    threshold's selection. Thresholds whose selection is empty (or whose
-    pipeline fails) are marked skipped instead of aborting the sweep.
+    threshold's selection. The heads of every threshold train together in
+    one ``train_heads`` call, each exactly as a lone ``train`` would.
+    Thresholds whose selection is empty (or whose pipeline fails) are
+    marked skipped instead of aborting the sweep.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
@@ -144,37 +146,51 @@ def threshold_sweep(
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be strictly ascending")
     matrix = estimate_transition_matrix(dataset, scores)
-    points = []
+    points = {}
+    selected = []  # (threshold, mask, rows, prior) of each threshold that trains
     for rho in thresholds:
         try:
             mask = select_by_confidence(dataset, scores, rho)
         except ValidationError as exc:
-            points.append(SweepPoint(rho, 0, None, None, None, skipped=True, error=str(exc)))
+            points[rho] = SweepPoint(rho, 0, None, None, None, skipped=True, error=str(exc))
             continue
         if mask.selected_count == 0:
-            points.append(
-                SweepPoint(rho, 0, None, None, None, skipped=True, error="empty selection")
-            )
+            points[rho] = SweepPoint(rho, 0, None, None, None, skipped=True, error="empty selection")
             continue
         try:
-            subset = apply_mask(dataset, mask)
-            prior = compute_class_prior(subset)
-            report = train(subset, matrix, prior, bundle.margin, bundle.train)
+            prior = compute_class_prior(apply_mask(dataset, mask))
+        except NoiseLensError as exc:
+            points[rho] = _failed(rho, mask, exc)
+            continue
+        selected.append((rho, mask, np.flatnonzero(mask.verdicts), prior))
+
+    reports = train_heads(
+        dataset,
+        [rows for _, _, rows, _ in selected],
+        matrix,
+        [prior for _, _, _, prior in selected],
+        bundle.margin,
+        bundle.train,
+    )
+    for (rho, mask, _, _), report in zip(selected, reports):
+        try:
+            if isinstance(report, NoiseLensError):
+                raise report
             test_acc = evaluate(report.classifier, bundle.test_dataset)["accuracy"]
         except NoiseLensError as exc:
-            points.append(
-                SweepPoint(
-                    rho, mask.selected_count, None, None, None, skipped=True, error=str(exc)
-                )
-            )
+            points[rho] = _failed(rho, mask, exc)
             continue
         if dataset.has_ground_truth:
             quality = selection_quality(mask, dataset)
             precision, recall = quality.precision, quality.recall
         else:
             precision = recall = None
-        points.append(SweepPoint(rho, mask.selected_count, precision, recall, test_acc))
-    return SweepReport(points=tuple(points))
+        points[rho] = SweepPoint(rho, mask.selected_count, precision, recall, test_acc)
+    return SweepReport(points=tuple(points[rho] for rho in thresholds))
+
+
+def _failed(rho: float, mask, exc: NoiseLensError) -> SweepPoint:
+    return SweepPoint(rho, mask.selected_count, None, None, None, skipped=True, error=str(exc))
 
 
 def format_records(rows) -> str:

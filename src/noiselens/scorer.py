@@ -41,6 +41,8 @@ class ClassEmbeddingBank:
 
     def __post_init__(self):
         check_fields(self)
+        if self.num_classes < 1:
+            raise ValidationError("embedding bank needs at least one class")
         _row_norms(self.embeddings, "class embedding")
         if any(ch.isspace() for ch in self.prompt_id) or not self.prompt_id:
             raise ValidationError("prompt_id must be a non-empty token without whitespace")

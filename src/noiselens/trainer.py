@@ -16,18 +16,37 @@ which rounds exactly as ``velocity = momentum * velocity + gradient`` and
 
 The margin terms only shape the training objective; prediction is a plain
 softmax over the linear logits.
+
+``train_heads`` trains several heads in lockstep, each on its own rows of
+one shared dataset. Their parameters are stacked as (K, C, d), and every
+global step gathers one (G, B, d) batch, runs one stacked forward pass, one
+``nabm_loss_batch`` call and one stacked update for the G heads whose next
+batch is full. A head whose batch is short (the last of its epoch) steps on
+its own. Heads keep their own shuffle stream, epoch, step and learning
+rate, so they drift apart when their epochs differ in length. The stacked
+matmuls run one BLAS call per head and every other operation acts entry by
+entry or row by row, so each head rounds exactly as it would alone.
+``train`` is the one-head case.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import codec
 from .data import Dataset
-from .errors import TrainingDivergedError, ValidationError, array, check_fields, ranged
+from .errors import (
+    NoiseLensError,
+    TrainingDivergedError,
+    ValidationError,
+    array,
+    check_fields,
+    check_kind,
+    ranged,
+)
 from .losses import MarginConfig, check_classes, nabm_loss_batch
 from .priors import ClassPrior, TransitionMatrix
 
@@ -123,6 +142,175 @@ def predict(classifier: LinearClassifier, dataset: Dataset) -> PredictionResult:
     return PredictionResult(logits=logits, labels=np.argmax(logits, axis=1))
 
 
+@dataclass(eq=False)
+class _Head:
+    """One head's place in the lockstep: its rows, its shuffle stream, where
+    its next batch starts, and what it has recorded so far."""
+
+    rows: np.ndarray
+    rng: np.random.Generator
+    epoch: int = 0
+    lr: float = 0.0
+    order: np.ndarray = None  # dataset rows in this epoch's order
+    pos: int = 0
+    step: int = 0
+    batch_losses: list = field(default_factory=list)
+    epoch_losses: list = field(default_factory=list)
+    epoch_ends: list = field(default_factory=list)  # the head as each epoch ended
+
+    def start_epoch(self, cfg: TrainConfig) -> None:
+        if cfg.lr_step_every:
+            self.lr = cfg.learning_rate * cfg.lr_step_factor ** (self.epoch // cfg.lr_step_every)
+        else:
+            self.lr = cfg.learning_rate
+        n = self.rows.size
+        self.order = self.rows[self.rng.permutation(n)] if cfg.shuffle else self.rows
+        self.pos = self.step = 0
+        self.batch_losses = []
+
+
+def _check_rows(rows, n: int) -> np.ndarray:
+    rows = np.asarray(check_kind("rows", rows, int), dtype=np.int64)
+    if rows.ndim != 1 or rows.size == 0:
+        raise ValidationError("each head's rows must be a non-empty 1-D array")
+    if rows[0] < 0 or rows[-1] >= n or not (rows[1:] > rows[:-1]).all():
+        raise ValidationError(f"each head's rows must be strictly ascending indices below {n}")
+    return rows
+
+
+def train_heads(
+    dataset: Dataset,
+    rows,
+    matrix: TransitionMatrix,
+    priors,
+    margin: MarginConfig,
+    cfg: TrainConfig,
+) -> list:
+    """Train one fresh linear head per entry of ``rows`` in lockstep.
+
+    Head k trains on the samples at ``rows[k]`` (strictly ascending indices
+    into ``dataset``) with the class prior ``priors[k]``, exactly as
+    ``train`` would on that subset. Returns one entry per head: its
+    ``TrainReport``, or the ``NoiseLensError`` that stopped it. A head that
+    diverges stops alone; the others are unaffected. Each report's
+    ``wall_seconds`` counts from the start of the call.
+    """
+    started = time.perf_counter()
+    n, c = dataset.num_samples, dataset.num_classes
+    rows = [_check_rows(r, n) for r in rows]
+    priors = list(priors)
+    if len(priors) != len(rows):
+        raise ValidationError(f"{len(priors)} priors for {len(rows)} heads")
+    k = len(rows)
+    outcome = [None] * k
+    for i, prior in enumerate(priors):
+        try:
+            check_classes(matrix, prior, c)
+        except ValidationError as exc:
+            outcome[i] = exc
+
+    init = init_classifier(dataset.feature_dim, c, cfg.seed)
+    weights = np.repeat(init.weights[None], k, axis=0)
+    bias = np.repeat(init.bias[None], k, axis=0)
+    vel_w = np.zeros_like(weights)
+    vel_b = np.zeros_like(bias)
+    heads = [_Head(r, np.random.default_rng([cfg.seed, 1])) for r in rows]
+    features, labels = dataset.features, dataset.noisy_labels
+    shrink = 1.0 - cfg.weight_decay
+    size = cfg.batch_size
+
+    def step(group):
+        """One update of every head in ``group``, each on its own next batch.
+        A head whose logits or loss are non-finite leaves the group with its
+        error, and the rest repeat the step without it."""
+        while group:
+            batches = [heads[i].order[heads[i].pos : heads[i].pos + size] for i in group]
+            idx = np.concatenate(batches).reshape(len(group), -1)
+            # Every head: update the stacked buffers in place through views.
+            # Some heads: update gathered copies and write them back.
+            sel = slice(None) if len(group) == k else np.array(group)
+            w, b = weights[sel], bias[sel]
+            x = features[idx]
+            z = x @ w.transpose(0, 2, 1) + b[:, None, :]
+            finite, what = np.isfinite(z).all(axis=(1, 2)), "logits"
+            if finite.all():
+                batch = nabm_loss_batch(z, labels[idx], matrix, [priors[i] for i in group], margin)
+                finite, what = np.isfinite(batch.per_sample_loss).all(axis=1), "loss"
+            if not finite.all():
+                for i, ok in zip(group, finite.tolist()):
+                    if not ok:
+                        h = heads[i]
+                        outcome[i] = TrainingDivergedError(
+                            f"non-finite {what} at epoch {h.epoch}, step {h.step}"
+                        )
+                group = [i for i in group if outcome[i] is None]
+                continue
+            gz = batch.grad_logits
+            gz /= idx.shape[1]
+            vw, vb = vel_w[sel], vel_b[sel]
+            vw *= cfg.momentum
+            vw += gz.transpose(0, 2, 1) @ x
+            vb *= cfg.momentum
+            vb += gz.sum(axis=1)
+            lr = np.array([heads[i].lr for i in group])
+            w *= shrink
+            w -= lr[:, None, None] * vw
+            b *= shrink
+            b -= lr[:, None] * vb
+            if not isinstance(sel, slice):
+                weights[sel], bias[sel], vel_w[sel], vel_b[sel] = w, b, vw, vb
+            for i, loss in zip(group, batch.per_sample_loss):
+                h = heads[i]
+                h.batch_losses.append(loss)
+                h.pos += size
+                h.step += 1
+            return
+
+    live = [i for i in range(k) if outcome[i] is None]
+    for i in live:
+        heads[i].start_epoch(cfg)
+    while live:
+        # Heads whose next batch is full step together; a short last batch
+        # steps on its own.
+        full, short = [], []
+        for i in live:
+            (full if heads[i].pos + size <= heads[i].rows.size else short).append(i)
+        for group in ([full] if full else []) + [[i] for i in short]:
+            step(group)
+        for i in live:
+            h = heads[i]
+            if outcome[i] is not None or h.pos < h.rows.size:
+                continue
+            h.epoch_losses.append(math.fsum(np.concatenate(h.batch_losses).tolist()) / h.rows.size)
+            try:
+                h.epoch_ends.append(LinearClassifier(weights=weights[i].copy(), bias=bias[i].copy()))
+            except ValidationError as exc:
+                outcome[i] = exc
+                continue
+            h.epoch += 1
+            if h.epoch < cfg.epochs:
+                h.start_epoch(cfg)
+        live = [i for i in live if outcome[i] is None and heads[i].epoch < cfg.epochs]
+
+    # Train accuracy per epoch, one head's subset at a time: holding every
+    # head's subset would cost a copy of the features per head.
+    for i, h in enumerate(heads):
+        if outcome[i] is not None:
+            continue
+        subset = dataset if h.rows.size == n else dataset.subset(h.rows)
+        accuracy = []
+        for classifier in h.epoch_ends:
+            predicted = predict(classifier, subset).labels
+            accuracy.append(float(np.mean(predicted == subset.noisy_labels)))
+        outcome[i] = TrainReport(
+            epoch_losses=tuple(h.epoch_losses),
+            epoch_train_accuracy=tuple(accuracy),
+            classifier=h.epoch_ends[-1],
+            wall_seconds=time.perf_counter() - started,
+        )
+    return outcome
+
+
 def train(
     subset: Dataset,
     matrix: TransitionMatrix,
@@ -135,71 +323,13 @@ def train(
     Epoch order is deterministic in cfg.seed: initialization uses seed
     directly, shuffling uses the derived stream [seed, 1]. The last
     incomplete batch is kept, and every batch gradient is divided by its
-    actual size.
+    actual size. This is ``train_heads`` with one head over every row; the
+    error that stops the head is raised.
     """
-    c = subset.num_classes
-    check_classes(matrix, prior, c)
-    started = time.perf_counter()
-
-    head = init_classifier(subset.feature_dim, c, cfg.seed)
-    weights = head.weights.copy()
-    bias = head.bias.copy()
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(bias)
-    shuffle_rng = np.random.default_rng([cfg.seed, 1])
-
-    features = subset.features
-    labels = subset.noisy_labels
-    n = subset.num_samples
-    shrink = 1.0 - cfg.weight_decay
-
-    epoch_losses = []
-    epoch_accuracy = []
-    for epoch in range(cfg.epochs):
-        if cfg.lr_step_every:
-            lr = cfg.learning_rate * cfg.lr_step_factor ** (epoch // cfg.lr_step_every)
-        else:
-            lr = cfg.learning_rate
-        order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-        batch_losses = []
-        for step, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            x = features[idx]
-            z = x @ weights.T + bias
-            try:
-                batch = nabm_loss_batch(z, labels[idx], matrix, prior, margin)
-            except ValidationError:
-                # The entry checks leave non-finite logits as the only
-                # per-step contract a batch can break.
-                raise TrainingDivergedError(
-                    f"non-finite logits at epoch {epoch}, step {step}"
-                ) from None
-            if not np.isfinite(batch.per_sample_loss).all():
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, step {step}"
-                )
-            batch_losses.append(batch.per_sample_loss)
-            gz = batch.grad_logits
-            gz /= idx.size
-            vel_w *= cfg.momentum
-            vel_w += gz.T @ x
-            vel_b *= cfg.momentum
-            vel_b += gz.sum(axis=0)
-            weights *= shrink
-            weights -= lr * vel_w
-            bias *= shrink
-            bias -= lr * vel_b
-        epoch_losses.append(math.fsum(np.concatenate(batch_losses).tolist()) / n)
-        current = LinearClassifier(weights=weights.copy(), bias=bias.copy())
-        predicted = predict(current, subset).labels
-        epoch_accuracy.append(float(np.mean(predicted == labels)))
-
-    return TrainReport(
-        epoch_losses=tuple(epoch_losses),
-        epoch_train_accuracy=tuple(epoch_accuracy),
-        classifier=LinearClassifier(weights=weights, bias=bias),
-        wall_seconds=time.perf_counter() - started,
-    )
+    (outcome,) = train_heads(subset, (np.arange(subset.num_samples),), matrix, (prior,), margin, cfg)
+    if isinstance(outcome, NoiseLensError):
+        raise outcome
+    return outcome
 
 
 def save_classifier(path, classifier: LinearClassifier, fmt: str = "text") -> None:

@@ -246,6 +246,45 @@ class TestBitwisePin:
         assert batch.nabm_prob.tobytes() == p_hat.tobytes()
 
 
+class TestHeadAxis:
+    @pytest.mark.parametrize("cfg", PINNED_MARGINS, ids=lambda m: f"gamma{m.gamma}-s{m.s}")
+    def test_each_head_matches_its_own_call_bitwise(self, cfg):
+        # Head 1 has saturated rows and head 0 none, so the stacked call takes
+        # the masked focal branch for every head while head 0 alone would not.
+        rng = np.random.default_rng(37)
+        g, b, c = 3, 16, 3
+        logits = rng.standard_normal((g, b, c)) * 3.0
+        labels = rng.integers(0, c, (g, b))
+        saturated = np.arange(0, b, 4)
+        logits[1, saturated] = 0.0
+        logits[1, saturated, labels[1, saturated]] = 60.0
+        matrix = make_matrix()
+        priors = [make_prior(), uniform_setup(c)[1], make_prior()]
+        stacked = nabm_loss_batch(logits, labels, matrix, priors, cfg)
+        assert stacked.per_sample_loss.shape == (g, b)
+        assert stacked.grad_logits.shape == (g, b, c)
+        assert stacked.nabm_prob.shape == (g, b)
+        for h in range(g):
+            alone = nabm_loss_batch(logits[h], labels[h], matrix, priors[h], cfg)
+            assert stacked.per_sample_loss[h].tobytes() == alone.per_sample_loss.tobytes()
+            assert stacked.grad_logits[h].tobytes() == alone.grad_logits.tobytes()
+            assert stacked.nabm_prob[h].tobytes() == alone.nabm_prob.tobytes()
+
+    def test_head_axis_validation(self):
+        matrix, prior = uniform_setup(3)
+        cfg = MarginConfig()
+        logits = np.zeros((2, 4, 3))
+        labels = np.zeros((2, 4), dtype=np.int64)
+        with pytest.raises(ValidationError, match="^1 priors for 2 heads$"):
+            nabm_loss_batch(logits, labels, matrix, [prior], cfg)
+        with pytest.raises(ValidationError, match="batch size"):
+            nabm_loss_batch(logits, labels[:, :3], matrix, [prior, prior], cfg)
+        with pytest.raises(ValidationError, match="empty batch"):
+            nabm_loss_batch(np.zeros((0, 4, 3)), np.zeros((0, 4), dtype=np.int64), matrix, [], cfg)
+        with pytest.raises(ValidationError, match="3-D with a leading head axis"):
+            nabm_loss_batch(np.zeros((1, 2, 4, 3)), np.zeros((1, 2, 4), dtype=np.int64), matrix, [prior], cfg)
+
+
 class TestValidation:
     def test_config_bounds(self):
         with pytest.raises(ValidationError):
@@ -290,6 +329,24 @@ class TestValidation:
         matrix2, prior2 = uniform_setup(4)
         with pytest.raises(ValidationError):
             nabm_loss_batch(good, np.array([0, 1]), matrix2, prior2, cfg)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.7, 1.2], [0.0, 1.0], np.array([0, 1], dtype=np.uint64), ["0", "1"]],
+        ids=["fractional", "integral-float", "uint64", "str"],
+    )
+    def test_labels_must_cast_safely_to_int64(self, labels):
+        # A float label used to be truncated: [0.7, 1.2] trained as [0, 1].
+        matrix, prior = uniform_setup(2)
+        with pytest.raises(ValidationError, match="^labels must hold int values, not "):
+            nabm_loss_batch(np.zeros((2, 2)), labels, matrix, prior, MarginConfig())
+
+    def test_narrow_and_bool_labels_accepted(self):
+        matrix, prior = uniform_setup(2)
+        logits = np.array([[0.3, -0.2], [1.0, 0.5]])
+        reference = nabm_loss_batch(logits, np.array([0, 1]), matrix, prior, MarginConfig())
+        for labels in (np.array([0, 1], dtype=np.int8), np.array([False, True]), [0, 1]):
+            batch = nabm_loss_batch(logits, labels, matrix, prior, MarginConfig())
+            assert batch.per_sample_loss.tobytes() == reference.per_sample_loss.tobytes()
 
     def test_single_sample_validation(self):
         matrix, prior = uniform_setup(3)

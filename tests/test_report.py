@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselens.errors import ValidationError
+from noiselens.data import Dataset, ScoreMatrix
+from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.losses import MarginConfig
-from noiselens.noise import NoiseSpec, inject_noise, make_blobs, oracle_scores
+from noiselens.noise import NoiseSpec, inject_noise, make_blobs, oracle_scores, selection_quality
 from noiselens.report import (
     HistogramReport,
     SweepPoint,
@@ -150,6 +151,45 @@ def sweep_setup(seed=0):
     return noisy, scores, bundle
 
 
+def graded_sweep_setup(seed=7):
+    """Noisy blobs whose scores at the noisy label spread over [0.4, 0.95],
+    so each threshold keeps its own nested selection. Sample 0 is huge and
+    scores 0.32: only a threshold below that trains on it, and diverges."""
+    ds = make_blobs(3, 40, 4, 2.5, seed=seed)
+    noisy, _ = inject_noise(ds, NoiseSpec("symmetric", 0.3, seed=seed + 100))
+    n, c = noisy.num_samples, noisy.num_classes
+    at_label = np.random.default_rng(seed).uniform(0.4, 0.95, n)
+    at_label[0] = 0.32
+    values = np.repeat(((1.0 - at_label) / (c - 1))[:, None], c, axis=1)
+    values[np.arange(n), noisy.noisy_labels] = at_label
+    features = noisy.features.copy()
+    features[0] = 1e300
+    noisy = Dataset(c, noisy.ids, features, noisy.noisy_labels, noisy.true_labels)
+    test = make_blobs(3, 30, 4, 2.5, seed=seed + 1000)
+    bundle = TrainingBundle(
+        margin=MarginConfig(delta=0.5, t=1.0, s=1.0, gamma=1.0),
+        train=TrainConfig(epochs=3, batch_size=16, learning_rate=0.1, seed=seed),
+        test_dataset=test,
+    )
+    return noisy, ScoreMatrix(values, noisy.ids), bundle
+
+
+def manual_point(noisy, scores, rho, matrix, bundle):
+    """One sweep point by select -> prior -> train -> evaluate on its own."""
+    mask = select_by_confidence(noisy, scores, rho)
+    if mask.selected_count == 0:
+        return (rho, 0, None, None, None, True, "empty selection")
+    subset = apply_mask(noisy, mask)
+    try:
+        trained = train(subset, matrix, compute_class_prior(subset), bundle.margin, bundle.train)
+    except NoiseLensError as exc:
+        return (rho, mask.selected_count, None, None, None, True, str(exc))
+    predicted = predict(trained.classifier, bundle.test_dataset).labels
+    test_acc = float(np.mean(predicted == bundle.test_dataset.true_labels))
+    quality = selection_quality(mask, noisy)
+    return (rho, mask.selected_count, quality.precision, quality.recall, test_acc, False, "")
+
+
 class TestThresholdSweep:
     def test_counts_non_increasing(self):
         noisy, scores, bundle = sweep_setup()
@@ -176,6 +216,23 @@ class TestThresholdSweep:
 
         assert point.selected_count == mask.selected_count
         assert point.test_accuracy == expected
+
+    def test_points_match_the_manual_pipeline_per_threshold(self):
+        noisy, scores, bundle = graded_sweep_setup()
+        thresholds = [0.3, 0.5, 0.7, 0.9, 0.96]
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = threshold_sweep(noisy, scores, thresholds, bundle)
+            matrix = estimate_transition_matrix(noisy, scores)
+            expected = [manual_point(noisy, scores, rho, matrix, bundle) for rho in thresholds]
+        got = [
+            (p.threshold, p.selected_count, p.precision, p.recall, p.test_accuracy, p.skipped, p.error)
+            for p in report.points
+        ]
+        assert got == expected
+        # The outlier's head diverged alone; 0.96 selects nothing.
+        assert got[0][5] and got[0][6].startswith("non-finite ")
+        assert not any(point[5] for point in got[1:4])
+        assert got[4][5] and got[4][6] == "empty selection"
 
     def test_invalid_threshold_marked_skipped(self):
         noisy, scores, bundle = sweep_setup(seed=2)

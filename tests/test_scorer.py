@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noiselens import codec
 from noiselens.data import Dataset, load_score_matrix, save_score_matrix
 from noiselens.errors import ValidationError
 from noiselens.scorer import (
@@ -132,6 +133,21 @@ class TestBank:
         path = tmp_path / "bank.txt"
         path.write_text("#noiselens-bank v1 C=2 D=2 PROMPT=p\n1,1e200,1e200\n0,1.0,0.0\n")
         with pytest.raises(ValidationError, match="class embedding at row 1 has a zero or overflowing norm"):
+            load_embedding_bank(path)
+
+    def test_zero_classes_rejected(self):
+        # Scoring against an empty bank used to fail inside numpy's max.
+        with pytest.raises(ValidationError, match="^embedding bank needs at least one class$"):
+            ClassEmbeddingBank(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_zero_class_bank_file_rejected(self, tmp_path, fmt):
+        path = tmp_path / f"bank.{fmt}"
+        if fmt == "text":
+            path.write_text("#noiselens-bank v1 C=0 D=3 PROMPT=p\n")
+        else:
+            codec.write_binary(path, codec.BANK, (0, 3, 1), b"p", np.zeros((0, 3)))
+        with pytest.raises(ValidationError, match="^embedding bank needs at least one class$"):
             load_embedding_bank(path)
 
     def test_prompt_id_no_whitespace(self):

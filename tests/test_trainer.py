@@ -6,11 +6,13 @@ and require bit-identical parameters, pinning the exact operation order
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import noiselens.trainer
+from noiselens.data import Dataset
 from noiselens.errors import FormatError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
 from noiselens.noise import make_blobs
@@ -23,6 +25,7 @@ from noiselens.trainer import (
     predict,
     save_classifier,
     train,
+    train_heads,
 )
 
 
@@ -236,6 +239,129 @@ class TestTrainingBehavior:
         ):
             with pytest.raises(ValidationError):
                 TrainConfig(**kwargs)
+
+
+# Head sizes against batch 8: short last batches of 4, 5, 1 and 5 rows, one
+# head with none, and epochs of 8, 5, 3, 4 and 2 steps.
+LOCKSTEP_SIZES = (60, 37, 24, 25, 13)
+LOCKSTEP_BATCH = 8
+
+
+def lockstep_setup(sizes=LOCKSTEP_SIZES, seed=0):
+    """One shared dataset, and per head ascending rows and a prior."""
+    dataset = make_blobs(3, 20, 4, 2.0, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    rows = [np.sort(rng.choice(dataset.num_samples, size, replace=False)) for size in sizes]
+    priors = [compute_class_prior(dataset.subset(r)) for r in rows]
+    matrix = TransitionMatrix(np.array([[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]))
+    return dataset, rows, priors, matrix
+
+
+def stepped_groups(sizes, cfg):
+    """Loss calls the lockstep makes: one per global step in which some head
+    has a full batch, plus one per short batch."""
+    plans = []
+    for n in sizes:
+        batches = [min(cfg.batch_size, n - start) for start in range(0, n, cfg.batch_size)]
+        plans.append(batches * cfg.epochs)
+    calls = 0
+    for t in range(max(len(plan) for plan in plans)):
+        live = [plan[t] for plan in plans if t < len(plan)]
+        calls += any(b == cfg.batch_size for b in live) + sum(b < cfg.batch_size for b in live)
+    return calls
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffle", "ordered"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+    def test_each_head_equals_a_lone_train_bitwise(self, gamma, shuffle):
+        dataset, rows, priors, matrix = lockstep_setup()
+        margin = MarginConfig(delta=0.5, t=1.0, s=0.7, gamma=gamma)
+        cfg = TrainConfig(epochs=5, batch_size=LOCKSTEP_BATCH, learning_rate=0.2, momentum=0.9,
+                          weight_decay=0.01, seed=3, shuffle=shuffle, lr_step_every=2,
+                          lr_step_factor=0.5)
+        reports = train_heads(dataset, rows, matrix, priors, margin, cfg)
+        assert len(reports) == len(rows)
+        for r, prior, report in zip(rows, priors, reports):
+            alone = train(dataset.subset(r), matrix, prior, margin, cfg)
+            assert report.classifier.weights.tobytes() == alone.classifier.weights.tobytes()
+            assert report.classifier.bias.tobytes() == alone.classifier.bias.tobytes()
+            assert report.epoch_losses == alone.epoch_losses
+            assert report.epoch_train_accuracy == alone.epoch_train_accuracy
+
+    def test_one_loss_call_per_group_and_one_predict_per_head_epoch(self, monkeypatch):
+        calls = {"nabm_loss_batch": 0, "predict": 0}
+
+        def counted(name):
+            inner = getattr(noiselens.trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(noiselens.trainer, name, counted(name))
+        dataset, rows, priors, matrix = lockstep_setup()
+        cfg = TrainConfig(epochs=3, batch_size=LOCKSTEP_BATCH, seed=0)
+        train_heads(dataset, rows, matrix, priors, MarginConfig(), cfg)
+        assert calls == {
+            "nabm_loss_batch": stepped_groups(LOCKSTEP_SIZES, cfg),
+            "predict": cfg.epochs * len(rows),
+        }
+
+    @pytest.mark.parametrize(
+        "value,s,what", [(1e300, 1.0, "logits"), (1e307, 0.1, "loss")], ids=["logits", "loss"]
+    )
+    def test_a_diverging_head_fails_alone(self, value, s, what):
+        dataset, rows, priors, matrix = lockstep_setup()
+        # One huge sample, in the first head only, overflows that head's
+        # logits, or at a small temperature its adjusted logits and loss.
+        features = dataset.features.copy()
+        outlier = int(np.setdiff1d(rows[0], np.concatenate(rows[1:]))[0])
+        features[outlier] = value
+        dataset = Dataset(dataset.num_classes, dataset.ids, features, dataset.noisy_labels)
+        cfg = TrainConfig(epochs=3, batch_size=LOCKSTEP_BATCH, learning_rate=0.1, seed=5)
+        margin = MarginConfig(s=s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = train_heads(dataset, rows, matrix, priors, margin, cfg)
+            with pytest.raises(TrainingDivergedError) as lone:
+                train(dataset.subset(rows[0]), matrix, priors[0], margin, cfg)
+        assert isinstance(reports[0], TrainingDivergedError)
+        assert str(reports[0]) == str(lone.value)
+        assert re.fullmatch(rf"non-finite {what} at epoch \d+, step \d+", str(lone.value))
+        for r, prior, report in zip(rows[1:], priors[1:], reports[1:]):
+            alone = train(dataset.subset(r), matrix, prior, margin, cfg)
+            assert report.classifier.weights.tobytes() == alone.classifier.weights.tobytes()
+            assert report.epoch_losses == alone.epoch_losses
+
+    def test_prior_mismatch_stops_only_its_head(self):
+        dataset, rows, priors, matrix = lockstep_setup()
+        priors[1] = ClassPrior(np.full(4, 0.25), np.ones(4, dtype=np.int64), 4)
+        reports = train_heads(dataset, rows, matrix, priors, MarginConfig(), TrainConfig(epochs=1))
+        assert isinstance(reports[1], ValidationError)
+        assert all(not isinstance(r, Exception) for i, r in enumerate(reports) if i != 1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[np.array([0.5, 1.0])], [np.array([3, 1])], [np.array([1, 1])], [np.array([0, 60])],
+         [np.array([-1, 2])], [np.array([], dtype=np.int64)], [np.zeros((2, 2), dtype=np.int64)]],
+        ids=["float", "descending", "repeated", "past-end", "negative", "empty", "2-D"],
+    )
+    def test_bad_rows_rejected(self, rows):
+        dataset, _, priors, matrix = lockstep_setup()
+        with pytest.raises(ValidationError):
+            train_heads(dataset, rows, matrix, priors[:1], MarginConfig(), TrainConfig())
+
+    def test_one_prior_per_head(self):
+        dataset, rows, priors, matrix = lockstep_setup()
+        with pytest.raises(ValidationError, match="4 priors for 5 heads"):
+            train_heads(dataset, rows, matrix, priors[:4], MarginConfig(), TrainConfig())
+
+    def test_no_heads(self):
+        dataset, _, _, matrix = lockstep_setup()
+        assert train_heads(dataset, [], matrix, [], MarginConfig(), TrainConfig()) == []
 
 
 class TestPredict:
