@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 stage failure (message on stderr as
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -16,13 +16,7 @@ from .data import load_dataset, load_score_matrix, save_dataset, save_score_matr
 from .errors import NoiseLensError, ValidationError
 from .experiment import load_experiment_config, noise_spec, run_experiment, score, select
 from .losses import MarginConfig
-from .noise import (
-    DEFAULT_BUDGET_SD,
-    DEFAULT_NOISE_RATE,
-    inject_noise,
-    make_blobs,
-    save_corruption_record,
-)
+from .noise import BlobSpec, inject_noise, make_blobs, save_corruption_record
 from .priors import (
     compute_class_prior,
     estimate_transition_matrix,
@@ -57,16 +51,32 @@ def _warn_fallbacks(matrix) -> None:
         sys.stderr.write(f"warning: [priors] {text}\n")
 
 
+def _from_flags(args, cls):
+    """``cls`` built from the flags given on the command line, so the
+    dataclass defaults are the only copy of the rest."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+
+
 def _cmd_synth(args) -> int:
-    if args.corruption_out and args.noise == "none":
-        raise ValidationError("--corruption-out requires --noise")
-    dataset = make_blobs(args.classes, args.per_class, args.dim, args.sep, args.seed)
+    # A noise flag the chosen model never reads is an error; "" stands for any model.
+    for flag, value, noise in (
+        ("--corruption-out", args.corruption_out, ""),
+        ("--rate", args.rate, ""),
+        ("--noise-seed", args.noise_seed, ""),
+        ("--pair-map", args.pair_map, "asym"),
+        ("--budget-sd", args.budget_sd, "idn"),
+        ("--budget-bounds", args.budget_bounds, "idn"),
+    ):
+        if value is not None and args.noise not in ((noise,) if noise else _NOISE_NAMES):
+            raise ValidationError(f"{flag} requires --noise {noise}".rstrip())
+    blobs = _from_flags(args, BlobSpec)
+    dataset = make_blobs(*astuple(blobs))
     if args.noise != "none":
         spec = noise_spec(
             _NOISE_NAMES[args.noise],
-            args.classes,
+            blobs.classes,
             args.rate,
-            args.seed + 1 if args.noise_seed is None else args.noise_seed,
+            blobs.seed + 1 if args.noise_seed is None else args.noise_seed,
             args.pair_map,
             args.budget_sd,
             args.budget_bounds,
@@ -122,12 +132,6 @@ def _cmd_priors(args) -> int:
     save_transition_matrix(args.tm_out, matrix)
     save_class_prior(args.prior_out, prior)
     return 0
-
-
-def _from_flags(args, cls):
-    """``cls`` built from the flags given on the command line, so the
-    dataclass defaults are the only copy of the rest."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def _cmd_train(args) -> int:
@@ -187,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sep", type=float, required=True)
+    p.add_argument("--sep", type=float, required=True, dest="separation")
     p.add_argument("--noise", choices=("none", *_NOISE_NAMES), default="none")
-    p.add_argument("--rate", type=float, default=DEFAULT_NOISE_RATE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--noise-seed", type=int, default=None, help="default: --seed + 1")
     p.add_argument("--pair-map", default=None, help="'src:dst,...' or 'cycle' (asym only)")
-    p.add_argument("--budget-sd", type=float, default=DEFAULT_BUDGET_SD)
+    p.add_argument("--budget-sd", type=float, default=None, help="idn only")
     p.add_argument("--budget-bounds", default=None, help="'low,high' (idn only)")
     p.add_argument("--out", required=True)
     p.add_argument("--corruption-out", default=None)

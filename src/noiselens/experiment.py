@@ -12,7 +12,7 @@ import hashlib
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
 from . import noise as _noise
@@ -26,7 +26,7 @@ from .data import (
 )
 from .errors import NoiseLensError, RangeError, ValidationError, check_range
 from .losses import MarginConfig
-from .noise import NoiseSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
+from .noise import BlobSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
 from .priors import (
     compute_class_prior,
     estimate_transition_matrix,
@@ -49,14 +49,17 @@ from .selection import (
 )
 from .trainer import TrainConfig, save_classifier, train
 
-_DATASET_SOURCES = ("file", "synth")
-_SCORER_SOURCES = ("cosine", "file", "oracle")
-_TEST_SOURCES = ("file", "synth", "none")
+# section -> (allowed sources, default source, {source: key it requires})
+_SOURCES = {
+    "dataset": (("file", "synth"), None, {"file": "path"}),
+    "scorer": (("cosine", "file", "oracle"), None, {"cosine": "bank", "file": "path"}),
+    "test": (("file", "synth", "none"), "none", {"file": "path"}),
+}
 
 # section -> allowed keys; unknown keys are config errors so typos fail fast.
 _SCHEMA = {
     "dataset": {
-        "source", "path", "classes", "per_class", "dim", "separation", "seed",
+        "source", "path", *(f.name for f in fields(BlobSpec)),
         "noise", "noise_rate", "noise_seed", "pair_map", "budget_sd", "budget_bounds",
     },
     "scorer": {
@@ -156,17 +159,29 @@ def _config_keys(**keys):
         raise RangeError(keys[exc.name], exc.value, exc.interval) from None
 
 
-def _from_section(entries, section, cls):
+def _from_section(entries, section, cls, base=None):
     """``cls`` built from the ``section`` keys the config sets, so the
-    dataclass defaults are the only copy of the rest. Each field's
-    annotation (int, float or bool) names its parser."""
+    dataclass defaults (or ``base``) are the only copy of the rest. Each
+    field's annotation (int, float or bool) names its parser."""
     kwargs = {}
     for f in fields(cls):
         parse = _parse_bool if f.type is bool else f.type
         if (section, f.name) in entries:
             kwargs[f.name] = _value(entries, section, f.name, parse)
     with _config_keys(**{name: f"{section}.{name}" for name in kwargs}):
-        return cls(**kwargs)
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+
+
+def _source(entries, section) -> str:
+    """``section.source``, checked against its sources and the key it requires."""
+    sources, default, required = _SOURCES[section]
+    source = entries.get((section, "source"), default)
+    if source not in sources:
+        raise ValidationError(f"{section}.source must be one of {sources}, got {source!r}")
+    key = required.get(source)
+    if key is not None and (section, key) not in entries:
+        raise ValidationError(f"{section}.source={source} requires {section}.{key}")
+    return source
 
 
 def parse_pair_map(text: str, num_classes: int) -> dict:
@@ -197,16 +212,17 @@ def parse_pair_map(text: str, num_classes: int) -> dict:
 def noise_spec(
     kind: str,
     num_classes: int,
-    rate: float,
+    rate: Optional[float],
     seed: int,
     pair_map: Optional[str] = None,
-    budget_sd: float = _noise.DEFAULT_BUDGET_SD,
+    budget_sd: Optional[float] = None,
     budget_bounds: Optional[str] = None,
-) -> NoiseSpec:
+) -> _noise.NoiseSpec:
     """The corruption for a synthetic dataset, from the text forms the CLI
     and config files share: ``kind`` may spell '_' as '-', ``pair_map`` is
     'src:dst,...' or 'cycle' (read for asymmetric noise only) and
-    ``budget_bounds`` is 'low,high'."""
+    ``budget_bounds`` is 'low,high'. A ``rate`` or ``budget_sd`` of None
+    takes its default."""
     kind = kind.replace("-", "_")
     bounds = _noise.DEFAULT_BUDGET_BOUNDS
     if budget_bounds is not None:
@@ -217,16 +233,16 @@ def noise_spec(
                 f"budget_bounds {budget_bounds!r} must be two numbers 'low,high'"
             ) from None
         bounds = (low, high)
-    return NoiseSpec(
+    return _noise.NoiseSpec(
         kind=kind,
-        rate=rate,
+        rate=_noise.DEFAULT_NOISE_RATE if rate is None else rate,
         seed=seed,
         pair_map=(
             parse_pair_map(pair_map, num_classes)
             if kind == "asymmetric" and pair_map is not None
             else None
         ),
-        budget_sd=budget_sd,
+        budget_sd=_noise.DEFAULT_BUDGET_SD if budget_sd is None else budget_sd,
         budget_bounds=bounds,
     )
 
@@ -242,8 +258,8 @@ class ExperimentConfig:
     seeds: dict  # dataset, noise, train and test
     dataset_source: str
     dataset_path: Optional[str]
-    blobs: Optional[tuple]  # make_blobs (classes, per_class, dim, separation)
-    noise: Optional[NoiseSpec]
+    blobs: Optional[BlobSpec]
+    noise: Optional[_noise.NoiseSpec]
     # One (kind, path) per score matrix: cosine (path is the bank), file or oracle.
     score_sources: tuple
     scorer: Optional[ScorerConfig]
@@ -255,7 +271,7 @@ class ExperimentConfig:
     train: TrainConfig
     test_source: str
     test_path: Optional[str]
-    test_blobs: Optional[tuple]
+    test_blobs: Optional[BlobSpec]
     top_k: int
 
     def normalized_text(self) -> str:
@@ -295,23 +311,8 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     if output_dir is None:
         raise ValidationError("config requires output.dir")
 
-    dataset_source = get("dataset", "source")
-    if dataset_source not in _DATASET_SOURCES:
-        raise ValidationError(
-            f"dataset.source must be one of {_DATASET_SOURCES}, got {dataset_source!r}"
-        )
-    if dataset_source == "file" and get("dataset", "path") is None:
-        raise ValidationError("dataset.source=file requires dataset.path")
-
-    scorer_source = get("scorer", "source")
-    if scorer_source not in _SCORER_SOURCES:
-        raise ValidationError(
-            f"scorer.source must be one of {_SCORER_SOURCES}, got {scorer_source!r}"
-        )
-    if scorer_source == "cosine" and get("scorer", "bank") is None:
-        raise ValidationError("scorer.source=cosine requires scorer.bank")
-    if scorer_source == "file" and get("scorer", "path") is None:
-        raise ValidationError("scorer.source=file requires scorer.path")
+    dataset_source = _source(entries, "dataset")
+    scorer_source = _source(entries, "scorer")
     first = path("scorer", "bank" if scorer_source == "cosine" else "path")
     score_sources = [(scorer_source, first)]
 
@@ -336,16 +337,12 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         check_threshold(criterion, threshold)
     cosine = any(kind == "cosine" for kind, _ in score_sources)
 
-    test_source = get("test", "source", "none")
-    if test_source not in _TEST_SOURCES:
-        raise ValidationError(f"test.source must be one of {_TEST_SOURCES}, got {test_source!r}")
-    if test_source == "file" and get("test", "path") is None:
-        raise ValidationError("test.source=file requires test.path")
+    test_source = _source(entries, "test")
     if test_source == "synth" and dataset_source != "synth":
         raise ValidationError("test.source=synth requires dataset.source=synth")
 
     train_cfg = _from_section(entries, "train", TrainConfig)
-    seed = value("dataset", "seed", int, 0)
+    seed = value("dataset", "seed", int, BlobSpec.seed)
     seeds = {
         "dataset": seed,
         "noise": value("dataset", "noise_seed", int, seed + 1),
@@ -355,17 +352,9 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
     blobs = test_blobs = noise = None
     if dataset_source == "synth":
-        classes = value("dataset", "classes", int, 2)
-        per_class = value("dataset", "per_class", int, 50)
-        dim = value("dataset", "dim", int, 8)
-        separation = value("dataset", "separation", float, 3.0)
-        blobs = (classes, per_class, dim, separation)
-        with _config_keys(seed="dataset.seed", separation="dataset.separation"):
-            _noise.check_blob_sizes(*blobs, seeds["dataset"])
+        blobs = _from_section(entries, "dataset", BlobSpec)
         if test_source == "synth":
-            test_blobs = (classes, value("test", "per_class", int, per_class), dim, separation)
-            with _config_keys(seed="test.seed"):
-                _noise.check_blob_sizes(*test_blobs, seeds["test"])
+            test_blobs = _from_section(entries, "test", BlobSpec, replace(blobs, seed=seed + 2))
         kind = get("dataset", "noise", "none")
         if kind != "none":
             with _config_keys(
@@ -373,11 +362,11 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
             ):
                 noise = noise_spec(
                     kind,
-                    classes,
-                    value("dataset", "noise_rate", float, _noise.DEFAULT_NOISE_RATE),
+                    blobs.classes,
+                    value("dataset", "noise_rate", float, None),
                     seeds["noise"],
                     get("dataset", "pair_map"),
-                    value("dataset", "budget_sd", float, _noise.DEFAULT_BUDGET_SD),
+                    value("dataset", "budget_sd", float, None),
                     get("dataset", "budget_bounds"),
                 )
 
@@ -389,9 +378,9 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     top_k = value("report", "top_k", int, 0) if test_source != "none" else 0
     if top_k < 0:
         raise ValidationError(f"config report.top_k: {top_k} is negative (0 turns it off)")
-    if blobs is not None and top_k > blobs[0]:
+    if blobs is not None and top_k > blobs.classes:
         raise ValidationError(
-            f"config report.top_k: {top_k} exceeds the {blobs[0]} dataset classes"
+            f"config report.top_k: {top_k} exceeds the {blobs.classes} dataset classes"
         )
 
     return ExperimentConfig(
@@ -497,7 +486,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.dataset_source == "file":
             dataset = result.dataset = load_dataset(config.dataset_path)
         else:
-            dataset = make_blobs(*config.blobs, config.seeds["dataset"])
+            dataset = make_blobs(*astuple(config.blobs))
             if config.noise is not None:
                 dataset, record = inject_noise(dataset, config.noise)
             result.dataset = dataset
@@ -535,7 +524,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.test_source == "file":
             test_dataset = load_dataset(config.test_path)
         elif config.test_source == "synth":
-            test_dataset = make_blobs(*config.test_blobs, config.seeds["test"])
+            test_dataset = make_blobs(*astuple(config.test_blobs))
         metrics = {
             "selected": mask.selected_count,
             "total": dataset.num_samples,

@@ -79,6 +79,28 @@ class CorruptionRecord:
         return int(self.flipped_ids.size)
 
 
+@dataclass(frozen=True)
+class BlobSpec:
+    """The sizes, spread and seed of a `make_blobs` dataset, with the synth
+    defaults and the limits: the features must fit an array numpy can shape."""
+
+    classes: int = 2
+    per_class: int = 50
+    dim: int = 8
+    separation: float = ranged("[0, inf)", 3.0)
+    seed: int = ranged("[0, inf)", 0)
+
+    def __post_init__(self):
+        if self.classes < 2 or self.dim < 1 or self.per_class < 1:
+            raise ValidationError("need at least 2 classes, 1 dimension and 1 sample per class")
+        if self.classes * self.per_class * self.dim > codec.MAX_COUNT:
+            raise ValidationError(
+                f"{self.classes} classes x {self.per_class} samples x {self.dim} dimensions "
+                f"exceed {codec.MAX_COUNT} feature values"
+            )
+        check_fields(self)
+
+
 def _blob_means(rng: np.random.Generator, num_classes: int, dim: int, separation: float) -> np.ndarray:
     """Class means: axis-aligned for the first min(C, d) classes, random
     unit directions for any excess classes."""
@@ -96,23 +118,8 @@ def _blob_means(rng: np.random.Generator, num_classes: int, dim: int, separation
 
 def blob_means(num_classes: int, dim: int, separation: float, seed: int = 0) -> np.ndarray:
     """The exact class means `make_blobs` uses for the same arguments."""
-    check_blob_sizes(num_classes, 1, dim, separation, seed)
+    BlobSpec(num_classes, 1, dim, separation, seed)
     return _blob_means(np.random.default_rng(seed), num_classes, dim, separation)
-
-
-def check_blob_sizes(num_classes: int, per_class: int, dim: int, separation: float, seed: int) -> None:
-    """The limits `make_blobs` enforces, seed included, for callers that
-    check its arguments before any work is done. The features, and so the
-    class means, must fit in an array that numpy can shape."""
-    if num_classes < 2 or dim < 1 or per_class < 1:
-        raise ValidationError("need at least 2 classes, 1 dimension and 1 sample per class")
-    if num_classes * per_class * dim > codec.MAX_COUNT:
-        raise ValidationError(
-            f"{num_classes} classes x {per_class} samples x {dim} dimensions "
-            f"exceed {codec.MAX_COUNT} feature values"
-        )
-    check_range("separation", separation, "[0, inf)")
-    check_range("seed", seed, "[0, inf)")
 
 
 def make_blobs(
@@ -127,7 +134,7 @@ def make_blobs(
     Samples are grouped by class (ids 0..N-1 in class order) and start out
     uncorrupted: noisy labels equal the true ones until an injector runs.
     """
-    check_blob_sizes(num_classes, per_class, dim, separation, seed)
+    BlobSpec(num_classes, per_class, dim, separation, seed)
     rng = np.random.default_rng(seed)
     means = _blob_means(rng, num_classes, dim, separation)
     n = num_classes * per_class

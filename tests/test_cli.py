@@ -80,6 +80,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: [synth] --corruption-out requires --noise\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--noise", "idn", "--pair-map", "nonsense"], "--pair-map requires --noise asym"),
+            (["--noise", "sym", "--pair-map", "cycle"], "--pair-map requires --noise asym"),
+            (["--noise", "sym", "--budget-bounds", "0.1,0.2"],
+             "--budget-bounds requires --noise idn"),
+            (["--noise", "asym", "--pair-map", "cycle", "--budget-sd", "0.2"],
+             "--budget-sd requires --noise idn"),
+            (["--budget-sd", "0.2"], "--budget-sd requires --noise idn"),
+            (["--noise", "none", "--rate", "0.9"], "--rate requires --noise"),
+            (["--noise", "none", "--noise-seed", "5"], "--noise-seed requires --noise"),
+        ],
+    )
+    def test_synth_rejects_flags_the_noise_model_never_reads(
+        self, tmp_path, capsys, flags, message
+    ):
+        code = run(["synth", "--classes", "3", "--per-class", "5", "--dim", "2", "--sep", "2.0",
+                    *flags, "--out", str(tmp_path / "ds.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [synth] {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture
 def pipeline_files(tmp_path):
@@ -432,6 +455,34 @@ def test_stage_chain_reproduces_run_bit_for_bit(tmp_path, seed, criterion):
     )
     assert run(["run", "--config", str(cfg)]) == 0
     for name in names:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        (["--noise", "sym"], "dataset.noise = symmetric\n"),
+        (["--noise", "asym", "--pair-map", "cycle"],
+         "dataset.noise = asymmetric\ndataset.pair_map = cycle\n"),
+        (["--noise", "idn"], "dataset.noise = instance_dependent\n"),
+    ],
+)
+def test_synth_writes_what_run_synthesises(tmp_path, flags, config):
+    """`noiselens synth` and `run` with `dataset.source = synth`, at the same
+    sizes, seed and rate, write byte-identical dataset and corruption files."""
+    assert run(["synth", "--classes", "4", "--per-class", "20", "--dim", "3", "--sep", "2.5",
+                *flags, "--rate", "0.3", "--seed", "7", "--out", str(tmp_path / "dataset.txt"),
+                "--corruption-out", str(tmp_path / "corruption.txt")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "dataset.source = synth\ndataset.classes = 4\ndataset.per_class = 20\n"
+        f"dataset.dim = 3\ndataset.separation = 2.5\ndataset.seed = 7\n{config}"
+        "dataset.noise_rate = 0.3\nscorer.source = oracle\nscorer.correct_prob = 0.8\n"
+        f"output.dir = {tmp_path / 'run'}\n",
+        encoding="utf-8",
+    )
+    assert run(["run", "--config", str(cfg)]) == 0
+    for name in ("dataset.txt", "corruption.txt"):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from noiselens.experiment import (
     parse_pair_map,
     run_experiment,
 )
+from noiselens.noise import BlobSpec
 from noiselens.scorer import ClassEmbeddingBank, save_embedding_bank
 
 MINIMAL_CONFIG = """
@@ -128,6 +130,18 @@ class TestConfigValidation:
         assert cfg.criterion == "confidence"
         assert cfg.test_source == "none"
         assert cfg.output_dir == os.path.normpath("/tmp/x/out")
+        # The synth sizes, spread and seed default to BlobSpec's; the synth
+        # test set copies them, seeded two past the dataset.
+        assert cfg.blobs == BlobSpec() and astuple(cfg.blobs) == (2, 50, 8, 3.0, 0)
+        assert cfg.test_blobs is None
+        cfg = config_from_text(self.base(**{"test.source": "synth"}))
+        assert cfg.test_blobs == replace(BlobSpec(), seed=2)
+        cfg = config_from_text(self.base(**{"test.source": "synth", "test.per_class": "7"}))
+        assert cfg.test_blobs == replace(BlobSpec(), per_class=7, seed=2)
+        sizes = {"dataset.classes": "3", "dataset.dim": "5", "dataset.seed": "4"}
+        cfg = config_from_text(self.base(**sizes, **{"test.source": "synth", "test.seed": "9"}))
+        assert cfg.blobs == BlobSpec(classes=3, dim=5, seed=4)
+        assert cfg.test_blobs == replace(cfg.blobs, seed=9)
 
     def test_output_dir_required(self):
         with pytest.raises(ValidationError, match="output.dir"):

@@ -7,6 +7,7 @@ import pytest
 
 from noiselens.errors import FormatError, ValidationError
 from noiselens.noise import (
+    BlobSpec,
     CorruptionRecord,
     NoiseSpec,
     blob_means,
@@ -75,6 +76,20 @@ class TestMakeBlobs:
             make_blobs(2, 5, 3, float("nan"))
         with pytest.raises(ValidationError, match=r"^seed -1 must lie in \[0, inf\)$"):
             make_blobs(2, 5, 3, 1.0, -1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1, 5, 3, 1.0, 0), (2, 5, 0, 1.0, 0), (2, 5, 3, float("inf"), 0), (2, 5, 3, 1.0, -2),
+         (10**20, 1, 3, 1.0, 0)],
+    )
+    def test_blob_spec_holds_every_caller_to_its_limits(self, args):
+        with pytest.raises(ValidationError) as spec:
+            BlobSpec(*args)
+        with pytest.raises(ValidationError) as blobs:
+            make_blobs(*args)
+        with pytest.raises(ValidationError) as means:
+            blob_means(args[0], *args[2:])
+        assert str(blobs.value) == str(means.value) == str(spec.value)
 
 
 class TestSymmetricNoise:
