@@ -14,9 +14,9 @@ import numpy as np
 
 from .data import load_dataset, load_score_matrix, save_dataset, save_score_matrix
 from .errors import NoiseLensError, ValidationError
-from .experiment import load_experiment_config, noise_spec, run_experiment, score, select
+from .experiment import load_experiment_config, run_experiment, score, select
 from .losses import MarginConfig
-from .noise import BlobSpec, inject_noise, make_blobs, save_corruption_record
+from .noise import BlobSpec, NoiseSpec, inject_noise, make_blobs, noise_spec, save_corruption_record
 from .priors import (
     compute_class_prior,
     estimate_transition_matrix,
@@ -34,15 +34,28 @@ from .report import (
 )
 from .scorer import ScorerConfig
 from .selection import (
-    DEFAULT_CONFIDENCE_THRESHOLD,
-    DEFAULT_CONSISTENCY_THRESHOLD,
+    READERS,
+    THRESHOLDS,
     apply_mask,
+    criterion_threshold,
     load_mask,
     save_mask,
 )
 from .trainer import TrainConfig, load_classifier, save_classifier, train
 
 _NOISE_NAMES = {"sym": "symmetric", "asym": "asymmetric", "idn": "instance_dependent"}
+# The synth flag of each NoiseSpec field, and each noise model's choice.
+_NOISE_FLAGS = {
+    **{f.name: "--" + f.name.replace("_", "-") for f in fields(NoiseSpec)},
+    "kind": "--noise",
+    "seed": "--noise-seed",
+    **{kind: f"--noise {flag}" for flag, kind in _NOISE_NAMES.items()},
+}
+# The select flag of each selection setting, and each criterion's choice.
+_SELECT_FLAGS = {
+    **{name: "--" + name.replace("_", "-") for name in READERS},
+    **{criterion: "--criterion " + criterion.replace("_", "-") for criterion in THRESHOLDS},
+}
 
 
 def _warn_fallbacks(matrix) -> None:
@@ -58,29 +71,14 @@ def _from_flags(args, cls):
 
 
 def _cmd_synth(args) -> int:
-    # A noise flag the chosen model never reads is an error; "" stands for any model.
-    for flag, value, noise in (
-        ("--corruption-out", args.corruption_out, ""),
-        ("--rate", args.rate, ""),
-        ("--noise-seed", args.noise_seed, ""),
-        ("--pair-map", args.pair_map, "asym"),
-        ("--budget-sd", args.budget_sd, "idn"),
-        ("--budget-bounds", args.budget_bounds, "idn"),
-    ):
-        if value is not None and args.noise not in ((noise,) if noise else _NOISE_NAMES):
-            raise ValidationError(f"{flag} requires --noise {noise}".rstrip())
+    if args.corruption_out is not None and args.noise == "none":
+        raise ValidationError("--corruption-out requires --noise")
     blobs = _from_flags(args, BlobSpec)
+    knobs = {f.name: getattr(args, f.name) for f in fields(NoiseSpec)[1:] if f.name != "seed"}
+    knobs["seed"] = args.noise_seed
+    spec = noise_spec(_NOISE_NAMES.get(args.noise, "none"), blobs, knobs, _NOISE_FLAGS)
     dataset = make_blobs(*astuple(blobs))
-    if args.noise != "none":
-        spec = noise_spec(
-            _NOISE_NAMES[args.noise],
-            blobs.classes,
-            args.rate,
-            blobs.seed + 1 if args.noise_seed is None else args.noise_seed,
-            args.pair_map,
-            args.budget_sd,
-            args.budget_bounds,
-        )
+    if spec is not None:
         dataset, record = inject_noise(dataset, spec)
     save_dataset(args.out, dataset, fmt="binary" if args.binary else "text")
     if args.corruption_out:
@@ -101,22 +99,13 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    for flag, value, criterion in (
-        ("--rho", args.rho, "confidence"),
-        ("--mu", args.mu, "prompt-consistency"),
-        ("--scores-b", args.scores_b, "prompt-consistency"),
-    ):
-        if value is not None and args.criterion != criterion:
-            raise ValidationError(f"{flag} requires --criterion {criterion}")
-    if args.criterion == "prompt-consistency" and not args.scores_b:
+    criterion = args.criterion.replace("-", "_")
+    settings = {name: getattr(args, name) for name in READERS}
+    threshold = criterion_threshold(criterion, settings, _SELECT_FLAGS)
+    if criterion == READERS["scores_b"] and not args.scores_b:
         raise ValidationError("prompt-consistency requires --scores-b")
-    if args.criterion == "confidence":
-        threshold = DEFAULT_CONFIDENCE_THRESHOLD if args.rho is None else args.rho
-    else:
-        threshold = DEFAULT_CONSISTENCY_THRESHOLD if args.mu is None else args.mu
     dataset = load_dataset(args.dataset)
     scores = [load_score_matrix(p, dataset) for p in (args.scores, args.scores_b) if p is not None]
-    criterion = args.criterion.replace("-", "_")
     save_mask(args.out, select(dataset, criterion, threshold, *scores))
     return 0
 
@@ -218,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--scores-b", default=None, help="prompt-consistency only")
-    p.add_argument("--criterion", choices=("confidence", "prompt-consistency"), required=True)
+    p.add_argument("--criterion", choices=[c.replace("_", "-") for c in THRESHOLDS], required=True)
     p.add_argument("--rho", type=float, default=None, help="confidence only")
     p.add_argument("--mu", type=float, default=None, help="prompt-consistency only")
     p.add_argument("--out", required=True)

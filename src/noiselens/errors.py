@@ -43,9 +43,10 @@ def check_range(name: str, value, interval: str) -> None:
         raise RangeError(name, value, interval)
 
 
-def ranged(interval: str, default=MISSING):
-    """A dataclass field whose value ``check_fields`` holds to ``interval``."""
-    return field(default=default, metadata={"interval": interval})
+def ranged(interval: str, default=MISSING, **metadata):
+    """A dataclass field whose value ``check_fields`` holds to ``interval``,
+    with ``metadata`` for other readers."""
+    return field(default=default, metadata={"interval": interval, **metadata})
 
 
 def array(kind, *axes, default=MISSING, noun: str = ""):

@@ -38,11 +38,10 @@ from .scorer import ScorerConfig, load_embedding_bank, load_embedding_table, sco
 from .selection import (
     CRITERION_CONFIDENCE,
     CRITERION_PROMPT_CONSISTENCY,
-    DEFAULT_CONFIDENCE_THRESHOLD,
-    DEFAULT_CONSISTENCY_THRESHOLD,
+    THRESHOLDS,
     SelectionMask,
     apply_mask,
-    check_threshold,
+    criterion_threshold,
     save_mask,
     select_by_confidence,
     select_by_prompt_consistency,
@@ -56,17 +55,20 @@ _SOURCES = {
     "test": (("file", "synth", "none"), "none", {"file": "path"}),
 }
 
+# NoiseSpec field -> its dataset key, which is the field name but for these.
+_NOISE_KEYS = {
+    f.name: {"kind": "noise", "rate": "noise_rate", "seed": "noise_seed"}.get(f.name, f.name)
+    for f in fields(_noise.NoiseSpec)
+}
+
 # section -> allowed keys; unknown keys are config errors so typos fail fast.
 _SCHEMA = {
-    "dataset": {
-        "source", "path", *(f.name for f in fields(BlobSpec)),
-        "noise", "noise_rate", "noise_seed", "pair_map", "budget_sd", "budget_bounds",
-    },
+    "dataset": {"source", "path", *(f.name for f in fields(BlobSpec)), *_NOISE_KEYS.values()},
     "scorer": {
         "source", "bank", "embeddings", "path", "correct_prob", "bank_b", "path_b",
         *(f.name for f in fields(ScorerConfig)),
     },
-    "selection": {"criterion", "rho", "mu"},
+    "selection": {"criterion", *(name for name, _, _ in THRESHOLDS.values())},
     "margin": {f.name for f in fields(MarginConfig)},
     "train": {f.name for f in fields(TrainConfig)},
     "test": {"source", "path", "per_class", "seed"},
@@ -184,74 +186,13 @@ def _source(entries, section) -> str:
     return source
 
 
-def parse_pair_map(text: str, num_classes: int) -> dict:
-    """'src:dst,src:dst' pairs, or 'cycle' for i -> (i+1) mod C."""
-    if text == "cycle":
-        return {i: (i + 1) % num_classes for i in range(num_classes)}
-    pairs = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise ValidationError(f"pair_map entry {chunk!r} must look like 'src:dst'")
-        src_text, dst_text = chunk.split(":", 1)
-        try:
-            src, dst = int(src_text), int(dst_text)
-        except ValueError:
-            raise ValidationError(f"pair_map entry {chunk!r} has non-integer classes") from None
-        if src in pairs:
-            raise ValidationError(f"pair_map lists class {src} twice")
-        pairs[src] = dst
-    if not pairs:
-        raise ValidationError("pair_map is empty")
-    _noise.check_pair_map(pairs, num_classes)
-    return pairs
-
-
-def noise_spec(
-    kind: str,
-    num_classes: int,
-    rate: Optional[float],
-    seed: int,
-    pair_map: Optional[str] = None,
-    budget_sd: Optional[float] = None,
-    budget_bounds: Optional[str] = None,
-) -> _noise.NoiseSpec:
-    """The corruption for a synthetic dataset, from the text forms the CLI
-    and config files share: ``kind`` may spell '_' as '-', ``pair_map`` is
-    'src:dst,...' or 'cycle' (read for asymmetric noise only) and
-    ``budget_bounds`` is 'low,high'. A ``rate`` or ``budget_sd`` of None
-    takes its default."""
-    kind = kind.replace("-", "_")
-    bounds = _noise.DEFAULT_BUDGET_BOUNDS
-    if budget_bounds is not None:
-        try:
-            low, high = (float(part) for part in budget_bounds.split(","))
-        except ValueError:
-            raise ValidationError(
-                f"budget_bounds {budget_bounds!r} must be two numbers 'low,high'"
-            ) from None
-        bounds = (low, high)
-    return _noise.NoiseSpec(
-        kind=kind,
-        rate=_noise.DEFAULT_NOISE_RATE if rate is None else rate,
-        seed=seed,
-        pair_map=(
-            parse_pair_map(pair_map, num_classes)
-            if kind == "asymmetric" and pair_map is not None
-            else None
-        ),
-        budget_sd=_noise.DEFAULT_BUDGET_SD if budget_sd is None else budget_sd,
-        budget_bounds=bounds,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated run description with every value parsed; `entries` keeps
-    the raw strings for the manifest echo. Values a run does not read, such
-    as the synth sizes of a file dataset, are not parsed and stay None."""
+    the raw strings for the manifest echo. A noise key, threshold or second
+    score source that the chosen model or criterion never reads is an error,
+    as in `synth` and `select`; a file dataset's synth and noise keys are not
+    read, and its sizes and noise stay None. Every seed is checked."""
 
     entries: dict
     output_dir: str
@@ -317,24 +258,24 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     score_sources = [(scorer_source, first)]
 
     criterion = get("selection", "criterion", CRITERION_CONFIDENCE).replace("-", "_")
-    if criterion == CRITERION_CONFIDENCE:
-        threshold = value("selection", "rho", float, DEFAULT_CONFIDENCE_THRESHOLD)
-    elif criterion == CRITERION_PROMPT_CONSISTENCY:
-        # The second source is whichever of bank_b / path_b is present.
-        if get("scorer", "bank_b") is not None:
-            score_sources.append(("cosine", path("scorer", "bank_b")))
-        elif get("scorer", "path_b") is not None:
-            score_sources.append(("file", path("scorer", "path_b")))
-        else:
+    if criterion not in THRESHOLDS:
+        raise ValidationError(f"unknown selection.criterion {criterion!r}")
+    # The second score source is whichever of bank_b / path_b is present.
+    second = next((key for key in ("bank_b", "path_b") if get("scorer", key) is not None), None)
+    if criterion == CRITERION_PROMPT_CONSISTENCY:
+        if second is None:
             raise ValidationError(
                 "selection.criterion=prompt_consistency requires a second score "
                 "source (scorer.bank_b or scorer.path_b)"
             )
-        threshold = value("selection", "mu", float, DEFAULT_CONSISTENCY_THRESHOLD)
-    else:
-        raise ValidationError(f"unknown selection.criterion {criterion!r}")
-    with _config_keys(rho="selection.rho", mu="selection.mu"):
-        check_threshold(criterion, threshold)
+        score_sources.append(("cosine" if second == "bank_b" else "file", path("scorer", second)))
+    names = {name: f"selection.{name}" for name, _, _ in THRESHOLDS.values()}
+    own = THRESHOLDS[criterion][0]  # the one threshold parsed: any other is an error
+    settings = {name: get("selection", name) for name in names}
+    settings.update({own: value("selection", own, float, None), "scores_b": second})
+    names.update({c: f"selection.criterion={c}" for c in THRESHOLDS}, scores_b=f"scorer.{second}")
+    with _config_keys(**names):
+        threshold = criterion_threshold(criterion, settings, names)
     cosine = any(kind == "cosine" for kind, _ in score_sources)
 
     test_source = _source(entries, "test")
@@ -345,30 +286,29 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     seed = value("dataset", "seed", int, BlobSpec.seed)
     seeds = {
         "dataset": seed,
-        "noise": value("dataset", "noise_seed", int, seed + 1),
+        "noise": value("dataset", "noise_seed", int, _noise.default_noise_seed(seed)),
         "train": train_cfg.seed,
         "test": value("test", "seed", int, seed + 2),
     }
+    # Every seed the manifest records is checked, whatever the dataset source.
+    seed_keys = ("dataset.seed", "dataset.noise_seed", "train.seed", "test.seed")
+    for key, seed_value in zip(seed_keys, seeds.values()):
+        check_range(key, seed_value, "[0, inf)")
 
     blobs = test_blobs = noise = None
     if dataset_source == "synth":
         blobs = _from_section(entries, "dataset", BlobSpec)
         if test_source == "synth":
             test_blobs = _from_section(entries, "test", BlobSpec, replace(blobs, seed=seed + 2))
-        kind = get("dataset", "noise", "none")
-        if kind != "none":
-            with _config_keys(
-                rate="dataset.noise_rate", seed="dataset.noise_seed", budget_sd="dataset.budget_sd"
-            ):
-                noise = noise_spec(
-                    kind,
-                    blobs.classes,
-                    value("dataset", "noise_rate", float, None),
-                    seeds["noise"],
-                    get("dataset", "pair_map"),
-                    value("dataset", "budget_sd", float, None),
-                    get("dataset", "budget_bounds"),
-                )
+        knobs = {}  # the numbers parsed, pair_map and budget_bounds kept as text
+        for f in fields(_noise.NoiseSpec)[1:]:
+            parse = f.type if f.type in (int, float) else str
+            knobs[f.name] = value("dataset", _NOISE_KEYS[f.name], parse, None)
+        names = {name: f"dataset.{key}" for name, key in _NOISE_KEYS.items()}
+        names.update({kind: f"dataset.noise={kind}" for kind in _noise.NOISE_KINDS})
+        kind = get("dataset", "noise", "none").replace("-", "_")
+        with _config_keys(**names):
+            noise = _noise.noise_spec(kind, blobs, knobs, names)
 
     correct_prob = None
     if scorer_source == "oracle":
@@ -496,20 +436,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         result.stage = "score"
         settings = config.scorer, config.embeddings, config.correct_prob
-        scores = score(dataset, *config.score_sources[0], *settings)
-        save_score_matrix(os.path.join(out, "scores.txt"), scores)
-        scores_b = None
-        if config.criterion == CRITERION_PROMPT_CONSISTENCY:
-            scores_b = score(dataset, *config.score_sources[1], *settings)
-            save_score_matrix(os.path.join(out, "scores_b.txt"), scores_b)
+        matrices = []  # one per score source: the criterion's config reads one or two
+        for name, source in zip(("scores.txt", "scores_b.txt"), config.score_sources):
+            matrices.append(score(dataset, *source, *settings))
+            save_score_matrix(os.path.join(out, name), matrices[-1])
 
         result.stage = "select"
-        mask = result.mask = select(dataset, config.criterion, config.threshold, scores, scores_b)
+        mask = result.mask = select(dataset, config.criterion, config.threshold, *matrices)
         save_mask(os.path.join(out, "mask.txt"), mask)
         subset = apply_mask(dataset, mask)
 
         result.stage = "priors"
-        matrix = result.matrix = estimate_transition_matrix(dataset, scores)
+        matrix = result.matrix = estimate_transition_matrix(dataset, matrices[0])
         prior = compute_class_prior(subset)
         save_transition_matrix(os.path.join(out, "transition.txt"), matrix)
         save_class_prior(os.path.join(out, "prior.txt"), prior)

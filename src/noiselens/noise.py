@@ -14,7 +14,7 @@ what actually happened (flips, realized rate, realized transition matrix),
 so experiments can report against the truth instead of the nominal knobs.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -26,25 +26,21 @@ from .selection import SelectionMask
 
 NOISE_KINDS = ("symmetric", "asymmetric", "instance_dependent")
 
-DEFAULT_NOISE_RATE = 0.2
 CORRECT_PROB_RANGE = "(0, 1]"  # the true-class probability of `oracle_scores`
-
-# Width and clipping range of the per-sample flip-budget distribution used
-# by the instance-dependent model.
-DEFAULT_BUDGET_SD = 0.1
-DEFAULT_BUDGET_BOUNDS = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Which corruption model to run and with what knobs."""
+    """Which corruption model to run and with what knobs. Each knob states
+    its default, its interval and the noise ``models`` that read it."""
 
     kind: str
-    rate: float = ranged("[0, 1)")
-    seed: int = ranged("[0, inf)", 0)
-    pair_map: Optional[dict] = None
-    budget_sd: float = ranged("[0, inf)", DEFAULT_BUDGET_SD)
-    budget_bounds: tuple = DEFAULT_BUDGET_BOUNDS
+    rate: float = ranged("[0, 1)", 0.2, models=NOISE_KINDS)
+    seed: int = ranged("[0, inf)", 0, models=NOISE_KINDS)
+    pair_map: Optional[dict] = field(default=None, metadata={"models": ("asymmetric",)})
+    # Width and clipping range of the per-sample flip-budget distribution.
+    budget_sd: float = ranged("[0, inf)", 0.1, models=("instance_dependent",))
+    budget_bounds: tuple = field(default=(0.0, 1.0), metadata={"models": ("instance_dependent",)})
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -156,6 +152,63 @@ def check_pair_map(pair_map: dict, num_classes: int) -> None:
             raise ValidationError(
                 f"pair_map entry {src}->{dst} is out of range for {num_classes} classes"
             )
+
+
+def parse_pair_map(text: str, num_classes: int) -> dict:
+    """'src:dst,src:dst' pairs, or 'cycle' for i -> (i+1) mod C."""
+    if text == "cycle":
+        return {i: (i + 1) % num_classes for i in range(num_classes)}
+    pairs = {}
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ":" not in chunk:
+            raise ValidationError(f"pair_map entry {chunk!r} must look like 'src:dst'")
+        src_text, dst_text = chunk.split(":", 1)
+        try:
+            src, dst = int(src_text), int(dst_text)
+        except ValueError:
+            raise ValidationError(f"pair_map entry {chunk!r} has non-integer classes") from None
+        if src in pairs:
+            raise ValidationError(f"pair_map lists class {src} twice")
+        pairs[src] = dst
+    if not pairs:
+        raise ValidationError("pair_map is empty")
+    check_pair_map(pairs, num_classes)
+    return pairs
+
+
+def default_noise_seed(blob_seed: int) -> int:
+    """The noise seed of a synth dataset that names none."""
+    return blob_seed + 1
+
+
+def noise_spec(kind: str, blobs: BlobSpec, knobs: dict, names: dict) -> Optional[NoiseSpec]:
+    """The noise model ``kind`` ("none": None) on ``blobs``, from the knobs a
+    front end was given (field name -> value or None; ``pair_map`` and
+    ``budget_bounds`` as text), spelled in errors as ``names`` spells each
+    field and model choice: `--pair-map requires --noise asym`."""
+    if kind != "none" and kind not in NOISE_KINDS:
+        raise ValidationError(f"unknown noise kind {kind!r}")
+    given = {name: value for name, value in knobs.items() if value is not None}
+    for f in fields(NoiseSpec)[1:]:
+        models = f.metadata["models"]
+        if f.name in given and kind not in models:
+            need = names["kind"] if models == NOISE_KINDS else names[models[0]]
+            raise ValidationError(f"{names[f.name]} requires {need}")
+    if kind == "none":
+        return None
+    if "pair_map" in given:
+        given["pair_map"] = parse_pair_map(given["pair_map"], blobs.classes)
+    if "budget_bounds" in given:
+        text = given["budget_bounds"]
+        try:
+            low, high = (float(part) for part in text.split(","))
+        except ValueError:
+            raise ValidationError(f"budget_bounds {text!r} must be two numbers 'low,high'") from None
+        given["budget_bounds"] = (low, high)
+    return NoiseSpec(kind, **{"seed": default_noise_seed(blobs.seed), **given})
 
 
 def _require_ground_truth(dataset: Dataset, what: str) -> None:

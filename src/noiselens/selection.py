@@ -22,10 +22,17 @@ LN2 = float(np.log(2.0))
 # divergence, keeping x*log(x) well-defined at the boundary.
 ZERO_CUTOFF = 1e-15
 
-DEFAULT_CONFIDENCE_THRESHOLD = 0.5
-# No validated reference value exists for the consistency threshold; 0.1 keeps
-# identical score pairs selected and disjoint-support pairs rejected.
-DEFAULT_CONSISTENCY_THRESHOLD = 0.1
+# criterion -> (threshold name, interval, default). No validated reference
+# value exists for mu; 0.1 keeps identical score pairs selected and
+# disjoint-support pairs rejected.
+THRESHOLDS = {
+    CRITERION_CONFIDENCE: ("rho", "(0, 1)", 0.5),
+    CRITERION_PROMPT_CONSISTENCY: ("mu", "(0, inf)", 0.1),
+}
+# Each selection setting -> the criterion that reads it: its own threshold,
+# and the second score matrix that prompt consistency compares.
+READERS = {name: criterion for criterion, (name, _, _) in THRESHOLDS.items()}
+READERS["scores_b"] = CRITERION_PROMPT_CONSISTENCY
 
 
 @dataclass(frozen=True)
@@ -55,14 +62,25 @@ class SelectionMask:
 
 
 def check_threshold(criterion: str, threshold: float) -> None:
-    """The threshold range of a criterion: rho in (0, 1) for confidence, a
-    positive finite mu for prompt consistency."""
-    if criterion == CRITERION_CONFIDENCE:
-        check_range("rho", threshold, "(0, 1)")
-    elif criterion == CRITERION_PROMPT_CONSISTENCY:
-        check_range("mu", threshold, "(0, inf)")
-    else:
+    """Hold ``threshold`` to the interval of ``criterion``'s threshold."""
+    if criterion not in THRESHOLDS:
         raise ValidationError(f"unknown criterion {criterion!r}")
+    name, interval, _ = THRESHOLDS[criterion]
+    check_range(name, threshold, interval)
+
+
+def criterion_threshold(criterion: str, settings: dict, names: dict) -> float:
+    """The checked threshold of ``criterion``, from the settings a front end
+    was given (`READERS` name -> value or None), spelled in errors as
+    ``names`` spells each setting and criterion choice: `--mu requires
+    --criterion prompt-consistency`."""
+    for setting, value in settings.items():
+        if value is not None and READERS[setting] != criterion:
+            raise ValidationError(f"{names[setting]} requires {names[READERS[setting]]}")
+    name, _, default = THRESHOLDS[criterion]
+    threshold = default if settings[name] is None else settings[name]
+    check_threshold(criterion, threshold)
+    return threshold
 
 
 def select_by_confidence(dataset: Dataset, scores: ScoreMatrix, rho: float) -> SelectionMask:

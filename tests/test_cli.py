@@ -11,8 +11,10 @@ import pytest
 import noiselens
 from noiselens.cli import main
 from noiselens.codec import MAX_COUNT
-from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset
-from noiselens.noise import blob_means
+from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset, save_score_matrix
+from noiselens.errors import NoiseLensError
+from noiselens.experiment import config_from_text
+from noiselens.noise import blob_means, oracle_scores
 from noiselens.losses import MarginConfig
 from noiselens.priors import load_class_prior, load_transition_matrix
 from noiselens.scorer import ClassEmbeddingBank, ScorerConfig, save_embedding_bank
@@ -486,6 +488,103 @@ def test_synth_writes_what_run_synthesises(tmp_path, flags, config):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
+def _config_error(text):
+    """The message `config_from_text` raises for ``text``, or None."""
+    try:
+        config_from_text(text)
+    except NoiseLensError as exc:
+        return str(exc)
+    return None
+
+
+# knob -> (synth flag, run key, a value the knob's models accept)
+NOISE_KNOBS = {
+    "rate": ("--rate", "dataset.noise_rate", "0.3"),
+    "seed": ("--noise-seed", "dataset.noise_seed", "5"),
+    "pair_map": ("--pair-map", "dataset.pair_map", "cycle"),
+    "budget_sd": ("--budget-sd", "dataset.budget_sd", "0.2"),
+    "budget_bounds": ("--budget-bounds", "dataset.budget_bounds", "0.1,0.6"),
+}
+
+
+@pytest.mark.parametrize("knob", [None, *NOISE_KNOBS])
+@pytest.mark.parametrize(
+    "choice,model",
+    [("none", "none"), ("sym", "symmetric"), ("asym", "asymmetric"), ("idn", "instance_dependent")],
+)
+def test_synth_and_run_agree_on_which_noise_knobs_a_model_reads(
+    tmp_path, capsys, choice, model, knob
+):
+    """`synth` rejects a noise knob exactly when `run` does, both name it,
+    and neither writes anything; an explicit `none` with no knob is valid."""
+    flags, lines = ["--noise", choice], [f"dataset.noise = {model}"]
+    if model == "asymmetric" and knob != "pair_map":  # the one knob it requires
+        flags += ["--pair-map", "cycle"]
+        lines.append("dataset.pair_map = cycle")
+    if knob is not None:
+        flag, key, value = NOISE_KNOBS[knob]
+        flags += [flag, value]
+        lines.append(f"{key} = {value}")
+    code = run(["synth", "--classes", "3", "--per-class", "5", "--dim", "2", "--sep", "2.0",
+                *flags, "--out", str(tmp_path / "ds.txt")])
+    err = capsys.readouterr().err
+    message = _config_error(
+        "\n".join(["dataset.source = synth", "dataset.classes = 3", "scorer.source = oracle",
+                   f"output.dir = {tmp_path / 'run'}", *lines])
+    )
+    assert (code == 1) == (message is not None), (err, message)
+    if code == 1:
+        assert knob is not None
+        assert err.startswith(f"error: [synth] {flag} requires") and key in message, (err, message)
+        assert not (tmp_path / "ds.txt").exists()
+    assert not (tmp_path / "run").exists()
+
+
+# setting -> (select flag, run key); both second score sources map to --scores-b.
+SELECT_SETTINGS = {
+    "rho": ("--rho", "selection.rho"),
+    "mu": ("--mu", "selection.mu"),
+    "path_b": ("--scores-b", "scorer.path_b"),
+    "bank_b": ("--scores-b", "scorer.bank_b"),
+}
+
+
+@pytest.mark.parametrize("setting", [None, *SELECT_SETTINGS])
+@pytest.mark.parametrize("criterion", ["confidence", "prompt-consistency"])
+def test_select_and_run_agree_on_which_settings_a_criterion_reads(
+    tmp_path, capsys, criterion, setting
+):
+    """`select` rejects a threshold or second score source exactly when
+    `run` does, both name it, and neither writes anything."""
+    ds, scores = tmp_path / "ds.txt", tmp_path / "scores.txt"
+    assert run(["synth", "--classes", "3", "--per-class", "5", "--dim", "2", "--sep", "2.0",
+                "--noise", "sym", "--out", str(ds)]) == 0
+    save_score_matrix(scores, oracle_scores(load_dataset(ds), 0.9))
+    values = {"rho": "0.4", "mu": "0.2", "path_b": str(scores), "bank_b": "bank_b.txt"}
+    flags = ["--criterion", criterion]
+    lines = [f"selection.criterion = {criterion}"]
+    if criterion == "prompt-consistency" and setting not in ("path_b", "bank_b"):
+        flags += ["--scores-b", str(scores)]
+        lines.append(f"scorer.path_b = {scores}")
+    if setting is not None:
+        flag, key = SELECT_SETTINGS[setting]
+        flags += [flag, str(scores) if flag == "--scores-b" else values[setting]]
+        lines.append(f"{key} = {values[setting]}")
+    code = run(["select", "--dataset", str(ds), "--scores", str(scores), *flags,
+                "--out", str(tmp_path / "mask.txt")])
+    err = capsys.readouterr().err
+    message = _config_error(
+        "\n".join([f"dataset.source = file\ndataset.path = {ds}", "scorer.source = file",
+                   f"scorer.path = {scores}", f"output.dir = {tmp_path / 'run'}", *lines])
+    )
+    assert (code == 1) == (message is not None), (err, message)
+    if code == 1:
+        assert setting is not None
+        assert err.startswith(f"error: [select] {flag} requires") and key in message, (err, message)
+        assert not (tmp_path / "mask.txt").exists()
+    assert not (tmp_path / "run").exists()
+
+
 class TestRunSubcommand:
     CONFIG = """
 dataset.source = synth
@@ -534,6 +633,10 @@ output.dir = {out}
     def test_invalid_config_fails_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "never"
         valid = self.CONFIG.format(out=out)
+        on_file = (
+            "dataset.source = file\ndataset.path = ds.txt\nscorer.source = oracle\n"
+            f"output.dir = {out}\n"
+        )
         cfg = tmp_path / "bad.cfg"
         for text, reason in (
             (
@@ -562,6 +665,22 @@ output.dir = {out}
             (valid + "dataset.seed = -1\n", "dataset.seed -1 must lie in [0, inf)"),
             (valid + "dataset.noise_seed = -1\n", "dataset.noise_seed -1 must lie in [0, inf)"),
             (valid + "test.seed = -1\n", "test.seed -1 must lie in [0, inf)"),
+            (on_file + "dataset.seed = -1\n", "dataset.seed -1 must lie in [0, inf)"),
+            (on_file + "dataset.noise_seed = -1\n", "dataset.noise_seed -1 must lie in [0, inf)"),
+            (on_file + "test.seed = -7\n", "test.seed -7 must lie in [0, inf)"),
+            (
+                valid + "dataset.pair_map = nonsense\n",
+                "dataset.pair_map requires dataset.noise=asymmetric",
+            ),
+            (
+                valid + "selection.mu = banana\n",
+                "selection.mu requires selection.criterion=prompt_consistency",
+            ),
+            (
+                valid.replace("noise = symmetric", "noise = instance_dependent")
+                + "dataset.budget_bounds = a,b\n",
+                "budget_bounds 'a,b' must be two numbers 'low,high'",
+            ),
             (
                 valid.replace("noise_rate = 0.2", "noise_rate = nan"),
                 "dataset.noise_rate nan must lie in [0, 1)",

@@ -15,10 +15,9 @@ from noiselens.experiment import (
     config_from_text,
     load_experiment_config,
     parse_config_text,
-    parse_pair_map,
     run_experiment,
 )
-from noiselens.noise import BlobSpec
+from noiselens.noise import BlobSpec, parse_pair_map
 from noiselens.scorer import ClassEmbeddingBank, save_embedding_bank
 
 MINIMAL_CONFIG = """
@@ -343,6 +342,15 @@ SIZE_KEYS = {
     "report.top_k": (0, 2),
 }
 NUMERIC_KEYS = (*FLOAT_KEYS, *SEED_KEYS, *SIZE_KEYS)
+# The numeric noise keys each noise model reads; a key of another model is a
+# config error, so a draw writes only those of its own model.
+NOISE_KEYS = ("dataset.noise_rate", "dataset.noise_seed", "dataset.budget_sd")
+NOISE_READS = {
+    "none": (),
+    "symmetric": NOISE_KEYS[:2],
+    "asymmetric": NOISE_KEYS[:2],
+    "instance_dependent": NOISE_KEYS,
+}
 OUT_OF_RANGE = ["nan", "inf", "-inf", "-1", "0", "1e300"]
 
 
@@ -363,9 +371,10 @@ def test_fuzzed_config_is_rejected_or_runs_to_a_manifest(data):
     """One or two numeric keys drawn from the edge values, the rest in range:
     the config either fails to parse before any work, or the run ends in a
     manifest; nothing but a NoiseLensError escapes either step."""
-    bad = data.draw(st.sets(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=2))
-    values = {key: _numeric_value(data, key, key in bad) for key in NUMERIC_KEYS}
-    noise = data.draw(st.sampled_from(["none", "symmetric", "asymmetric", "instance_dependent"]))
+    noise = data.draw(st.sampled_from(list(NOISE_READS)))
+    keys = [key for key in NUMERIC_KEYS if key not in NOISE_KEYS or key in NOISE_READS[noise]]
+    bad = data.draw(st.sets(st.sampled_from(keys), min_size=1, max_size=2))
+    values = {key: _numeric_value(data, key, key in bad) for key in keys}
     scorer = data.draw(st.sampled_from(["oracle", "cosine"]))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -376,7 +385,7 @@ def test_fuzzed_config_is_rejected_or_runs_to_a_manifest(data):
             [
                 "dataset.source = synth",
                 f"dataset.noise = {noise}",
-                "dataset.pair_map = cycle",
+                *(["dataset.pair_map = cycle"] if noise == "asymmetric" else []),
                 f"scorer.source = {scorer}",
                 "scorer.bank = bank.txt",
                 "test.source = synth",
