@@ -6,21 +6,27 @@ after the header is a record; a blank line is a record with no fields.
 Header counts are integers in [0, MAX_COUNT], and a file holds exactly the
 records its header declares. Floats are written as the shortest decimal
 that parses back to the identical float64, so a text round trip is
-bit-exact. A block of records is formatted a chunk of about
-``CHUNK_FIELDS`` fields at a time. A block of two chunks or more is split
-into contiguous row slices, one per usable CPU: the writing process
+bit-exact. A block of records of two ``CHUNK_FIELDS`` chunks or more is
+split into contiguous row slices, one per usable CPU: the writing process
 formats the first slice into the file, and a forked child formats each
 other slice into an anonymous temporary file beside it, appended in order.
-Each row is formatted on its own, so the bytes do not depend on the number
-of processes.
+Each slice is formatted about ``PIECE_BYTES`` of text at a time, and each
+row on its own, so the bytes depend neither on the number of processes nor
+on the piece size.
 
-Records are parsed in bulk by numpy's reader (``np.loadtxt``), one call
-per block of records, into a table with one field per column. It accepts
-integers as ASCII digits with an optional sign, and floats in the grammar
-of ``float()`` without underscores or non-ASCII digits. Every float must be
+A text file is read through one handle in pieces of whole lines, about
+``PIECE_BYTES`` each, so every piece ends just after a ``\\n`` byte and
+none splits a record, a ``\\r\\n`` or a UTF-8 sequence. A first pass checks
+the UTF-8 and counts the lines; records are then parsed a piece at a time
+by numpy's reader (``np.loadtxt``) straight into their output columns, so
+besides its arrays a load holds a few pieces (about 2 MiB): one piece's
+bytes, text, lines and parsed table. The reader accepts integers as
+ASCII digits with an optional sign, and floats in the grammar of
+``float()`` without underscores or non-ASCII digits. Every float must be
 finite: ``nan`` or ``inf`` in a float column, text or binary, or in a
-header value read with ``TextReader.real``, is a ``FormatError`` naming the
-line or record.
+header value read with ``TextReader.real``, is a ``FormatError`` naming
+the line or record. Readers are context managers: a loader's file is
+closed when it returns or raises.
 
 Binary artifacts are the ``NLNS`` container: the magic bytes, a
 little-endian u16 version and u8 kind, the header counts packed with the
@@ -51,10 +57,16 @@ BINARY_VERSION = 1
 # values, even one with no records, such as the (0, D) features of N=0.
 MAX_COUNT = np.iinfo(np.intp).max // 8
 
-# Fields formatted per step when writing a block of records, so the
-# temporary Python objects stay small whatever the file size. A block of
-# fewer than two chunks is formatted by the writing process alone.
+# The fields of a chunk: a block of fewer than two chunks is formatted by
+# the writing process alone, and a larger one is sliced at chunk bounds.
 CHUNK_FIELDS = 131072
+
+# The bytes of text read, or at most formatted, per step, so a load or a
+# save holds a few pieces of text whatever the file size.
+PIECE_BYTES = 1 << 20
+# The longest formatted field with its separator: a float64's shortest repr
+# takes at most 24 characters and an int64 at most 20.
+FIELD_BYTES = 25
 
 
 @dataclass(frozen=True)
@@ -110,10 +122,11 @@ def save(path, fmt: str, layout: Layout, header: dict, blocks) -> None:
 
 def read(path, layout: Layout):
     """A ``BinaryReader`` when the file starts with the container's magic
-    bytes, else a ``TextReader``."""
+    bytes, else a ``TextReader``; use it in a ``with`` block."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            return TextReader(path, layout)
+        binary = fh.read(len(MAGIC)) == MAGIC
+    if not binary:
+        return TextReader(path, layout)
     if not layout.kind:
         raise FormatError(f"{path}: binary container where a text {layout.tag} file is expected")
     return BinaryReader(path, layout)
@@ -168,8 +181,8 @@ def _write_block(path, fh, columns: list) -> None:
     children = []  # (pid, temporary file, first row, end row), in row order
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_rows(path, columns, lo, hi, step))
-        _format_rows(fh, columns, bounds[0], bounds[1], step)
+            children.append(_fork_rows(path, columns, lo, hi))
+        _format_rows(fh, columns, bounds[0], bounds[1])
         while children:
             pid, tmp, lo, hi = children[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -191,7 +204,7 @@ def _write_block(path, fh, columns: list) -> None:
                 os.waitpid(pid, 0)
 
 
-def _fork_rows(path, columns: list, lo: int, hi: int, step: int) -> tuple:
+def _fork_rows(path, columns: list, lo: int, hi: int) -> tuple:
     """Fork a child that formats rows ``lo:hi`` into a new anonymous file in
     the directory of ``path`` and exits with 0, with the errno of the
     ``OSError`` that stopped it, or with 255 after any other exception."""
@@ -204,7 +217,7 @@ def _fork_rows(path, columns: list, lo: int, hi: int, step: int) -> tuple:
     if pid == 0:
         code = 255
         try:
-            _format_rows(tmp, columns, lo, hi, step)
+            _format_rows(tmp, columns, lo, hi)
             tmp.flush()
             code = 0
         except OSError as exc:
@@ -214,35 +227,88 @@ def _fork_rows(path, columns: list, lo: int, hi: int, step: int) -> tuple:
     return pid, tmp, lo, hi
 
 
-def _format_rows(out, columns: list, lo: int, hi: int, step: int) -> None:
-    """Write rows ``lo:hi`` to the binary file ``out``, ``step`` rows at a
-    time; ``hi - lo`` is a multiple of ``step`` unless ``hi`` ends the block."""
+def _format_rows(out, columns: list, lo: int, hi: int) -> None:
+    """Write rows ``lo:hi`` to the binary file ``out``, as many rows at a
+    time as make at most ``PIECE_BYTES`` of text."""
+    step = max(1, PIECE_BYTES // (FIELD_BYTES * max(1, sum(c.shape[1] for c in columns))))
     for start in range(lo, hi, step):
-        parts = [c[start : start + step].tolist() for c in columns]
+        parts = [c[start : min(start + step, hi)].tolist() for c in columns]
         out.write("".join(
             [",".join(map(repr, chain.from_iterable(row))) + "\n" for row in zip(*parts)]
         ).encode("utf-8"))
 
 
-class TextReader:
+class _Reader:
+    """A reader is a context manager: leaving the ``with`` block closes it."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class TextReader(_Reader):
     """Reads one text artifact: the header on construction, then blocks of
     records with ``rows`` and a final ``end`` that rejects extra records.
 
     ``counts`` holds the layout's header counts in order; ``header`` maps
-    every header key to its raw string.
+    every header key to its raw string. The file stays open until ``close``.
     """
 
     def __init__(self, path, layout: Layout):
         self.path = path
+        # Lines come from a 64 KiB buffer: with the default 8 KiB one, the
+        # extra system calls make a large load about 5% slower.
+        self._file = open(path, "rb", buffering=1 << 16)
         try:
-            self._lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from None
-        if not self._lines:
-            raise FormatError(f"{path}: empty file")
-        self.header = _parse_header(self._lines[0], layout.tag, layout.counts + layout.keys)
-        self.counts = tuple(self._count(key) for key in layout.counts)
+            self._rewind()
+            self._total = 0  # lines, the header's included
+            while text := self._piece():
+                self._total += len(text.splitlines())
+            self._size = self._offset
+            if not self._total:
+                raise FormatError(f"{path}: empty file")
+            self._rewind()
+            self.header = _parse_header(self._take(1)[0], layout.tag, layout.counts + layout.keys)
+            self.counts = tuple(self._count(key) for key in layout.counts)
+        except BaseException:
+            self.close()
+            raise
         self._next = self._first = 1
+
+    def close(self) -> None:
+        self._file.close()
+        self._lines = []
+
+    def _rewind(self) -> None:
+        self._file.seek(0)
+        self._offset = 0
+        self._lines, self._at = [], 0
+
+    def _piece(self) -> str:
+        """The next piece of text: whole lines up to about ``PIECE_BYTES``
+        (a longer line whole), the rest of the file at its end, then ''."""
+        chunk = b"".join(self._file.readlines(PIECE_BYTES))
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = self._offset + exc.start
+            raise FormatError(f"{self.path}: not UTF-8 text: byte {at}: {exc.reason}") from None
+        self._offset += len(chunk)
+        return text
+
+    def _take(self, k: int) -> list:
+        """Up to ``k`` of the next lines, all from one piece."""
+        if self._at == len(self._lines):
+            self._lines = []
+            text = self._piece()
+            if not text:
+                raise FormatError(f"{self.path}: changed while being read")
+            self._lines, self._at = text.splitlines(), 0
+        lines = self._lines[self._at : self._at + k]
+        self._at += len(lines)
+        return lines
 
     def _count(self, key: str) -> int:
         value = self.header[key]
@@ -268,40 +334,76 @@ class TextReader:
         return f"line {self._first + i + 1}"
 
     def rows(self, n: int, columns, name: str = "record") -> list:
-        """Parse the next ``n`` records into one array per column spec."""
+        """Parse the next ``n`` records into one array per column spec, a
+        piece of the file at a time. The errors are those of checking the
+        whole block at once: its first record with a wrong field count, else
+        its first record that does not parse, else its first non-finite one."""
         first = self._next
-        lines = self._lines[first : first + n]
-        if len(lines) < n:
+        if self._total - first < n:
             raise FormatError(
                 f"{self.path}: header declares {first - 1 + n} records, "
-                f"file has {len(self._lines) - 1}"
+                f"file has {self._total - 1}"
             )
         specs = list(map(_column, columns))
         width = sum(1 if run is None else run for _, run in specs)
         self._first, self._next = first, first + n
-        for i, line in enumerate(lines):
+        # A record of w > 0 fields takes at least max(1, w - 1) bytes. A block
+        # the file cannot hold is neither allocated nor parsed: one of its
+        # records has a wrong field count, and that is the error.
+        out = row = None
+        if not width or n * max(1, width - 1) <= self._size:
+            out = [np.empty((n,) if run is None else (n, run), dtype) for dtype, run in specs]
+            if n and width:
+                row = np.dtype([(f"c{j}", col.dtype, col.shape[1:]) for j, col in enumerate(out)])
+        done = parsed = 0
+        bad, nonfinite = None, -1
+        while done < n:
+            lines = self._take(n - done)
+            table = rejected = None
+            if row is not None and bad is None:
+                try:
+                    table = _loadtxt(lines, row)
+                except _REJECTED:
+                    rejected = True
+            # The reader accepts only records of exactly ``width`` fields, so
+            # a piece it read whole needs no count of its own.
+            if table is None or len(table) != len(lines):
+                self._check_fields(lines, done, width, name)
+            if rejected:
+                bad = self._bad_record(lines, done, row, specs, name)
+            elif table is not None:
+                end = parsed + len(table)
+                for col, field in zip(out, row.names):
+                    col[parsed:end] = table[field]
+                i = _first_nonfinite([col[parsed:end] for col in out])
+                if nonfinite < 0 and i >= 0:
+                    nonfinite = parsed + i
+                parsed = end
+            done += len(lines)
+            lines = table = None  # the next piece is read without this one
+        if bad is not None:
+            raise bad
+        if out is None:
+            raise FormatError(f"{self.path}: changed while being read")
+        if width and parsed != n:
+            raise FormatError(f"{self.path}: parsed {parsed} records, expected {n}")
+        if nonfinite >= 0:
+            raise FormatError(f"{self.where(nonfinite)}: {name} has a non-finite value")
+        return out
+
+    def _check_fields(self, lines, done: int, width: int, name: str) -> None:
+        """Raise for the first of ``lines`` (records ``done`` on of the block)
+        that does not hold ``width`` fields."""
+        for i, line in enumerate(lines, done):
             got = line.count(",") + 1 if line else 0
             if got != width:
                 raise FormatError(f"{self.where(i)}: {name} has {got} fields, expected {width}")
-        if n == 0 or width == 0:
-            return [np.empty((n,) if run is None else (n, run), dtype) for dtype, run in specs]
 
-        row = np.dtype(
-            [(f"c{j}", dtype, () if run is None else (run,)) for j, (dtype, run) in enumerate(specs)]
-        )
-        try:
-            table = _loadtxt(lines, row)
-        except _REJECTED:
-            raise self._bad_record(lines, row, specs, name) from None
-        if len(table) != n:
-            raise FormatError(f"{self.path}: parsed {len(table)} records, expected {n}")
-        return _finite([np.ascontiguousarray(table[field]) for field in row.names], self.where, name)
-
-    def _bad_record(self, lines, row: np.dtype, specs, name: str) -> FormatError:
-        """The error for the first line of a block the reader rejects, naming
-        its first rejected field."""
+    def _bad_record(self, lines, done: int, row: np.dtype, specs, name: str) -> FormatError:
+        """The error for the first of ``lines`` (records ``done`` on of the
+        block) that the reader rejects, naming its first rejected field."""
         kinds = [dtype for dtype, run in specs for _ in range(1 if run is None else run)]
-        for i, line in enumerate(lines):
+        for i, line in enumerate(lines, done):
             if _parses(line, row):
                 continue
             for j, (dtype, token) in enumerate(zip(kinds, line.split(","))):
@@ -312,16 +414,16 @@ class TextReader:
         return FormatError(f"{self.path}: records do not parse")
 
     def end(self) -> None:
-        if self._next != len(self._lines):
+        if self._next != self._total:
             raise FormatError(
                 f"{self.path}: header declares {self._next - 1} records, "
-                f"file has {len(self._lines) - 1}"
+                f"file has {self._total - 1}"
             )
 
 
-def _finite(columns: list, where, name: str) -> list:
-    """``columns`` as they are, unless a float column holds ``nan`` or
-    ``inf``; then a FormatError names the first record that does."""
+def _first_nonfinite(columns: list) -> int:
+    """The index of the first record holding ``nan`` or ``inf`` in a float
+    column of ``columns``, or -1."""
     bad = [
         ~(np.isfinite(col).all(axis=1) if col.ndim == 2 else np.isfinite(col))
         for col in columns
@@ -330,8 +432,8 @@ def _finite(columns: list, where, name: str) -> list:
     if bad:
         bad = np.logical_or.reduce(bad)
         if bad.any():
-            raise FormatError(f"{where(int(np.argmax(bad)))}: {name} has a non-finite value")
-    return columns
+            return int(np.argmax(bad))
+    return -1
 
 
 def _parse_header(line: str, tag: str, required) -> dict:
@@ -395,11 +497,11 @@ def write_binary(path, layout: Layout, counts, *payload) -> None:
             fh.write(item)
 
 
-class BinaryReader:
+class BinaryReader(_Reader):
     """Reads one ``NLNS`` container front to back, with the same ``counts``,
-    ``rows``, ``where`` and ``end`` as ``TextReader``; every read is
-    bounds-checked and ``end`` rejects trailing bytes. ``read`` has matched
-    the magic bytes, so reading starts after them."""
+    ``rows``, ``where``, ``end`` and ``close`` as ``TextReader``; every read
+    is bounds-checked and ``end`` rejects trailing bytes. ``read`` has
+    matched the magic bytes, so reading starts after them."""
 
     def __init__(self, path, layout: Layout):
         self.path = path
@@ -413,6 +515,9 @@ class BinaryReader:
         self.counts = self._unpack(layout.packing)
         if max(self.counts) > MAX_COUNT:
             raise FormatError(f"{path}: header count {max(self.counts)} exceeds {MAX_COUNT}")
+
+    def close(self) -> None:
+        self._buf = memoryview(b"")
 
     def _take(self, size: int) -> memoryview:
         have = len(self._buf) - self._offset
@@ -439,7 +544,10 @@ class BinaryReader:
             shape = (n,) if run is None else (n, run)
             raw = self._take(dtype.itemsize * math.prod(shape))
             out.append(np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype).reshape(shape))
-        return _finite(out, self.where, name)
+        i = _first_nonfinite(out)
+        if i >= 0:
+            raise FormatError(f"{self.where(i)}: {name} has a non-finite value")
+        return out
 
     def where(self, i: int) -> str:
         return f"{self.path}: record {i + 1}"

@@ -144,12 +144,12 @@ def save_dataset(path, dataset: Dataset, fmt: str = "text") -> None:
 
 def load_dataset(path) -> Dataset:
     """Load a dataset, text or binary."""
-    reader = codec.read(path, codec.DATASET)
-    n, c, d, gt = reader.counts
-    if gt not in (0, 1):
-        raise FormatError(f"{path}: GT must be 0 or 1")
-    ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)])
-    reader.end()
+    with codec.read(path, codec.DATASET) as reader:
+        n, c, d, gt = reader.counts
+        if gt not in (0, 1):
+            raise FormatError(f"{path}: GT must be 0 or 1")
+        ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)])
+        reader.end()
     bad = np.any([(y < 0) | (y >= c) for y in labels], axis=0)
     if bad.any():
         raise FormatError(f"{reader.where(int(np.argmax(bad)))}: label out of range")
@@ -166,10 +166,10 @@ def load_score_matrix(path, dataset: Dataset) -> ScoreMatrix:
     from 1 by more than ``ROW_SUM_INTERNAL_TOL`` (as low-precision external
     files may) is divided by its sum; every other row stays as read, so a
     saved matrix reloads bit for bit."""
-    reader = codec.read(path, codec.SCORES)
-    n, c = reader.counts
-    ids, values = reader.rows(n, [int, (float, c)])
-    reader.end()
+    with codec.read(path, codec.SCORES) as reader:
+        n, c = reader.counts
+        ids, values = reader.rows(n, [int, (float, c)])
+        reader.end()
     scores = ScoreMatrix(values, ids)
     check_scores(scores, dataset)
     sums = scores.values.sum(axis=1)

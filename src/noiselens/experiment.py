@@ -260,8 +260,12 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     criterion = get("selection", "criterion", CRITERION_CONFIDENCE).replace("-", "_")
     if criterion not in THRESHOLDS:
         raise ValidationError(f"unknown selection.criterion {criterion!r}")
-    # The second score source is whichever of bank_b / path_b is present.
-    second = next((key for key in ("bank_b", "path_b") if get("scorer", key) is not None), None)
+    # The second score source is whichever of bank_b / path_b is present;
+    # like `score --bank` and `--scores-file`, they exclude each other.
+    given = [key for key in ("bank_b", "path_b") if get("scorer", key) is not None]
+    if len(given) > 1:
+        raise ValidationError("scorer.bank_b and scorer.path_b exclude each other")
+    second = given[0] if given else None
     if criterion == CRITERION_PROMPT_CONSISTENCY:
         if second is None:
             raise ValidationError(

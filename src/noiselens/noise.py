@@ -391,12 +391,12 @@ def save_corruption_record(path, record: CorruptionRecord, spec: NoiseSpec) -> N
 
 def load_corruption_record(path) -> tuple:
     """Read a corruption record; returns (record, header_dict)."""
-    reader = codec.read(path, codec.CORRUPTION)
-    n, c, flipped_count = reader.counts
-    realized = reader.real("REALIZED")
-    (flipped,) = reader.rows(1, [(int, flipped_count)], "flipped-id row")
-    (transition,) = reader.rows(c, [(float, c)], "transition row")
-    reader.end()
+    with codec.read(path, codec.CORRUPTION) as reader:
+        n, c, flipped_count = reader.counts
+        realized = reader.real("REALIZED")
+        (flipped,) = reader.rows(1, [(int, flipped_count)], "flipped-id row")
+        (transition,) = reader.rows(c, [(float, c)], "transition row")
+        reader.end()
     record = CorruptionRecord(
         flipped_ids=flipped[0],
         realized_rate=realized,

@@ -128,10 +128,10 @@ def save_transition_matrix(path, matrix: TransitionMatrix) -> None:
 
 
 def load_transition_matrix(path) -> TransitionMatrix:
-    reader = codec.read(path, codec.TRANSITION)
-    (c,) = reader.counts
-    (values,) = reader.rows(c, [(float, c)])
-    reader.end()
+    with codec.read(path, codec.TRANSITION) as reader:
+        (c,) = reader.counts
+        (values,) = reader.rows(c, [(float, c)])
+        reader.end()
     return TransitionMatrix(values)
 
 
@@ -141,8 +141,8 @@ def save_class_prior(path, prior: ClassPrior) -> None:
 
 
 def load_class_prior(path) -> ClassPrior:
-    reader = codec.read(path, codec.PRIOR)
-    c, total = reader.counts
-    counts, values = reader.rows(c, [int, float])
-    reader.end()
+    with codec.read(path, codec.PRIOR) as reader:
+        c, total = reader.counts
+        counts, values = reader.rows(c, [int, float])
+        reader.end()
     return ClassPrior(values, counts, total)

@@ -131,31 +131,31 @@ def save_embedding_bank(path, bank: ClassEmbeddingBank, fmt: str = "text") -> No
 def load_embedding_bank(path) -> ClassEmbeddingBank:
     """Text rows carry their class index (any order, each class once); the
     binary container stores the prompt and then the rows in class order."""
-    reader = codec.read(path, codec.BANK)
-    c, d = reader.counts[:2]
-    if isinstance(reader, codec.BinaryReader):
-        prompt = reader.text(reader.counts[2])
-        (embeddings,) = reader.rows(c, [(float, d)])
-    else:
-        prompt = reader.header["PROMPT"]
-        index, rows = reader.rows(c, [int, (float, d)])
-        seen = np.zeros(c, dtype=bool)
-        for i, j in enumerate(index.tolist()):
-            if not 0 <= j < c or seen[j]:
-                raise FormatError(f"{reader.where(i)}: bad or repeated class index {j}")
-            seen[j] = True
-        embeddings = np.empty_like(rows)
-        embeddings[index] = rows
-    reader.end()
+    with codec.read(path, codec.BANK) as reader:
+        c, d = reader.counts[:2]
+        if isinstance(reader, codec.BinaryReader):
+            prompt = reader.text(reader.counts[2])
+            (embeddings,) = reader.rows(c, [(float, d)])
+        else:
+            prompt = reader.header["PROMPT"]
+            index, rows = reader.rows(c, [int, (float, d)])
+            seen = np.zeros(c, dtype=bool)
+            for i, j in enumerate(index.tolist()):
+                if not 0 <= j < c or seen[j]:
+                    raise FormatError(f"{reader.where(i)}: bad or repeated class index {j}")
+                seen[j] = True
+            embeddings = np.empty_like(rows)
+            embeddings[index] = rows
+        reader.end()
     return ClassEmbeddingBank(embeddings, prompt)
 
 
 def load_embedding_table(path, dataset: Dataset) -> np.ndarray:
     """Load per-sample embeddings from a bank-format text file whose first
     column is the sample id; rows must match the dataset order exactly."""
-    reader = codec.read(path, codec.EMBEDDING_TABLE)
-    n, d = reader.counts
-    ids, embeddings = reader.rows(n, [int, (float, d)])
-    reader.end()
+    with codec.read(path, codec.EMBEDDING_TABLE) as reader:
+        n, d = reader.counts
+        ids, embeddings = reader.rows(n, [int, (float, d)])
+        reader.end()
     check_ids(ids, dataset, f"{path}: embedding table")
     return embeddings

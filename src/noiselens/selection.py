@@ -159,11 +159,11 @@ def save_mask(path, mask: SelectionMask) -> None:
 
 
 def load_mask(path) -> SelectionMask:
-    reader = codec.read(path, codec.MASK)
-    (n,) = reader.counts
-    threshold = reader.real("THRESHOLD")
-    ids, scores, flags = reader.rows(n, [int, float, int])
-    reader.end()
+    with codec.read(path, codec.MASK) as reader:
+        (n,) = reader.counts
+        threshold = reader.real("THRESHOLD")
+        ids, scores, flags = reader.rows(n, [int, float, int])
+        reader.end()
     bad = (flags != 0) & (flags != 1)
     if bad.any():
         raise FormatError(f"{reader.where(int(np.argmax(bad)))}: verdict must be 0 or 1")

@@ -341,9 +341,9 @@ def save_classifier(path, classifier: LinearClassifier, fmt: str = "text") -> No
 
 
 def load_classifier(path) -> LinearClassifier:
-    reader = codec.read(path, codec.CLASSIFIER)
-    c, d = reader.counts
-    (weights,) = reader.rows(c, [(float, d)], "weight row")
-    (bias,) = reader.rows(1, [(float, c)], "bias row")
-    reader.end()
+    with codec.read(path, codec.CLASSIFIER) as reader:
+        c, d = reader.counts
+        (weights,) = reader.rows(c, [(float, d)], "weight row")
+        (bias,) = reader.rows(1, [(float, c)], "bias row")
+        reader.end()
     return LinearClassifier(weights=weights, bias=bias[0])

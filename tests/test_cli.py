@@ -677,6 +677,11 @@ output.dir = {out}
                 "selection.mu requires selection.criterion=prompt_consistency",
             ),
             (
+                valid.replace("selection.rho = 0.5", "selection.criterion = prompt_consistency")
+                + "scorer.bank_b = b.txt\nscorer.path_b = s.txt\n",
+                "scorer.bank_b and scorer.path_b exclude each other",
+            ),
+            (
                 valid.replace("noise = symmetric", "noise = instance_dependent")
                 + "dataset.budget_bounds = a,b\n",
                 "budget_bounds 'a,b' must be two numbers 'low,high'",

@@ -2,13 +2,17 @@
 file raises FormatError or ValidationError, never another exception and
 never a silently accepted object."""
 
+import dataclasses
 import errno
+import gc
 import os
 import re
 import signal
 import struct
+import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from itertools import chain
 from pathlib import Path
@@ -554,3 +558,223 @@ def test_interrupted_write_leaves_no_child(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.listdir(tmp_path) == ["ds.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the text reader in pieces: the same arrays and errors at any piece size
+# ---------------------------------------------------------------------------
+
+PIECES = [1, 7, 64]
+NO_FLIPS_SPEC = NoiseSpec("symmetric", 0.0, seed=1)
+_, NO_FLIPS = inject_noise(make_blobs(3, 4, 2, 2.0, seed=2), NO_FLIPS_SPEC)
+# Every text kind, plus a corruption record whose flipped-id row is blank and
+# a bank whose prompt is 15 bytes of 3-byte UTF-8 characters: a piece size of
+# 1 or 7 bytes falls inside one of them.
+PIECE_KINDS = {
+    **{kind: (save, load) for kind, (_, save, load) in KINDS.items()},
+    "corruption_no_flips": (
+        lambda p, f: save_corruption_record(p, NO_FLIPS, NO_FLIPS_SPEC),
+        load_corruption_record,
+    ),
+    "bank_multibyte_prompt": (
+        lambda p, f: save_embedding_bank(p, ClassEmbeddingBank(BANK.embeddings, "プロンプト")),
+        load_embedding_bank,
+    ),
+}
+
+
+def _flat(value):
+    """A loaded value as nested lists of its fields, with every array as
+    its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return [type(value).__name__] + [_flat(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, tuple):
+        return [_flat(v) for v in value]
+    return value
+
+
+def _outcome(load, path):
+    """What loading ``path`` gives: the loaded value flattened, or the error."""
+    try:
+        return _flat(load(path))
+    except (FormatError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _after_first_comma(raw: bytes, byte: bytes) -> bytes:
+    """``raw`` with ``byte`` inserted after the first comma of its records."""
+    header, records = raw.split(b"\n", 1)
+    at = records.index(b",") + 1
+    return header + b"\n" + records[:at] + byte + records[at:]
+
+
+# variant -> (edit of the written bytes, True when it loads what was written)
+TEXT_VARIANTS = {
+    "as_written": (lambda raw: raw, True),
+    "crlf": (lambda raw: raw.replace(b"\n", b"\r\n"), True),
+    "no_trailing_newline": (lambda raw: raw[:-1], True),
+    # str.splitlines ends a line at \x0b and at \x1c, so each one splits a
+    # record in two.
+    "vt_in_record": (lambda raw: _after_first_comma(raw, b"\x0b"), False),
+    "fs_in_record": (lambda raw: _after_first_comma(raw, b"\x1c"), False),
+}
+
+
+@pytest.mark.parametrize("variant", list(TEXT_VARIANTS))
+@pytest.mark.parametrize("kind", list(PIECE_KINDS))
+def test_every_piece_size_loads_what_one_piece_loads(tmp_path, monkeypatch, kind, variant):
+    save, load = PIECE_KINDS[kind]
+    edit, loads = TEXT_VARIANTS[variant]
+    path = tmp_path / f"{kind}.txt"
+    save(path, "text")
+    written = _outcome(load, path)
+    assert written[0] != "FormatError", written
+    path.write_bytes(edit(path.read_bytes()))
+    whole = _outcome(load, path)
+    assert (whole == written) if loads else whole[0] == "FormatError", whole
+    for piece in PIECES:
+        monkeypatch.setattr(codec, "PIECE_BYTES", piece)
+        assert _outcome(load, path) == whole, piece
+
+
+RECORDS = [f"{i},{i % 2},{i}.5,-{i}.25" for i in range(6)]
+HEADER = "#noiselens-dataset v1 N=6 C=2 D=2 GT=0"
+
+
+def _dataset_text(edits: dict, extra=()) -> bytes:
+    """The six-record dataset with ``edits`` (record index -> new text or
+    None to drop it) and ``extra`` records appended."""
+    records = [edits.get(i, r) for i, r in enumerate(RECORDS)]
+    return "\n".join([HEADER, *[r for r in records if r is not None], *extra, ""]).encode("utf-8")
+
+
+# case -> (file bytes, message with {path} for the file's path); record 3 is
+# line 5.
+PIECE_ERRORS = {
+    "bad_field": (_dataset_text({3: "3,1,x,-3.25"}), "line 5: field 3 is not a number: 'x'"),
+    "field_count": (_dataset_text({3: "3,1,3.5"}), "line 5: record has 3 fields, expected 4"),
+    "short_file": (_dataset_text({5: None}), "{path}: header declares 6 records, file has 5"),
+    "extra_record": (_dataset_text({}, ["6,0,6.5,-6.25"]), "{path}: header declares 6 records, file has 7"),
+    "non_finite": (_dataset_text({3: "3,1,inf,-3.25"}), "line 5: record has a non-finite value"),
+    "bad_utf8": (
+        _dataset_text({3: "3,1,@,-3.25"}).replace(b"@", b"\xff"),
+        "{path}: not UTF-8 text: byte %d: invalid start byte",
+    ),
+    # A record of the wrong width anywhere in a block is reported before a
+    # field that does not parse, and that before a non-finite value, as if
+    # the block were checked at once.
+    "count_after_bad_field": (
+        _dataset_text({1: "1,1,x,-1.25", 4: "4,0,4.5"}),
+        "line 6: record has 3 fields, expected 4",
+    ),
+    "bad_field_after_non_finite": (
+        _dataset_text({1: "1,1,nan,-1.25", 4: "4,0,y,-4.25"}),
+        "line 6: field 3 is not a number: 'y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PIECE_ERRORS))
+def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, case):
+    raw, message = PIECE_ERRORS[case]
+    path = tmp_path / "ds.txt"
+    path.write_bytes(raw)
+    message = message.replace("{path}", str(path))
+    if "%d" in message:
+        message %= raw.index(b"\xff")
+    # Piece sizes that end just before, just after and inside line 5.
+    line5 = len("\n".join([HEADER, *RECORDS[:3]])) + 1
+    for piece in PIECES + [line5, line5 + 1, line5 + 3, codec.PIECE_BYTES]:
+        monkeypatch.setattr(codec, "PIECE_BYTES", piece)
+        with pytest.raises(FormatError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == message, piece
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ("N=2147483648 C=2 D=2", "{path}: header declares 2147483648 records, file has 2"),
+        (f"N={codec.MAX_COUNT} C=2 D=2", f"{{path}}: header declares {codec.MAX_COUNT} records, file has 2"),
+        ("N=2 C=2 D=2147483648", "line 2: record has 4 fields, expected 2147483650"),
+        (f"N=2 C=2 D={codec.MAX_COUNT}", f"line 2: record has 4 fields, expected {codec.MAX_COUNT + 2}"),
+    ],
+    ids=["huge_n", "max_n", "huge_d", "max_d"],
+)
+def test_a_count_the_file_cannot_hold_allocates_nothing(tmp_path, counts, message):
+    path = tmp_path / "ds.txt"
+    path.write_text(DATASET_TEXT.replace("N=2 C=2 D=2", counts), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as excinfo:
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == message.replace("{path}", str(path))
+    assert peak < 2**20
+
+
+# 4,000 samples of 64 features with their true labels: a 4.8 MB text file.
+LARGE = inject_noise(make_blobs(4, 1000, 64, 3.0, seed=1), SPEC)[0]
+# What a load or a save may hold besides its arrays: a load, one piece's
+# bytes, text, lines and parsed table; a save, one piece's values, rows and
+# text.
+ALLOWANCE = 4 * codec.PIECE_BYTES
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_load_holds_its_arrays_and_a_few_pieces(tmp_path):
+    path = tmp_path / "ds.txt"
+    save_dataset(path, LARGE)
+    assert path.stat().st_size > ALLOWANCE
+    arrays = sum(a.nbytes for a in (LARGE.ids, LARGE.noisy_labels, LARGE.true_labels, LARGE.features))
+    assert _traced_peak(lambda: load_dataset(path)) < arrays + ALLOWANCE
+
+
+def test_text_save_holds_a_few_pieces(tmp_path, monkeypatch):
+    """With one process the writer holds a few pieces of text, not the
+    two-chunk block."""
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 1)
+    assert len(LARGE.ids) * (3 + 64) > 2 * codec.CHUNK_FIELDS
+    assert _traced_peak(lambda: save_dataset(tmp_path / "ds.txt", LARGE)) < ALLOWANCE
+
+
+# case -> (kind, edit of the written text file); each load fails part way
+# through the file or after it is read.
+FAILING_LOADS = {
+    "bad_record": ("dataset", lambda raw: raw.replace(b"\n2,2,2,", b"\n2,2,x,")),
+    "label_out_of_range": ("dataset", lambda raw: raw.replace(b"\n2,2,2,", b"\n2,7,2,")),
+    "repeated_class_index": ("bank", lambda raw: raw.replace(b"\n2,", b"\n1,")),
+    "embedding_table_id_mismatch": ("embedding_table", lambda raw: raw.replace(b"\n3,", b"\n9,")),
+    "extra_record": ("mask", lambda raw: raw + raw.split(b"\n")[-2] + b"\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_LOADS))
+def test_failing_loader_closes_its_file(tmp_path, monkeypatch, case):
+    kind, edit = FAILING_LOADS[case]
+    _, save, load = KINDS[kind]
+    path = tmp_path / f"{kind}.txt"
+    save(path, "text")
+    raw = path.read_bytes()
+    assert edit(raw) != raw
+    path.write_bytes(edit(raw))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises((FormatError, ValidationError)):
+            load(path)
+        gc.collect()
+    assert not unraisable, [str(u.exc_value) for u in unraisable]
