@@ -17,24 +17,35 @@ on the piece size.
 A text file is read through one handle in pieces of whole lines, about
 ``PIECE_BYTES`` each, so every piece ends just after a ``\\n`` byte and
 none splits a record, a ``\\r\\n`` or a UTF-8 sequence. A first pass checks
-the UTF-8 and counts the lines; records are then parsed a piece at a time
-by numpy's reader (``np.loadtxt``) straight into their output columns, so
-besides its arrays a load holds a few pieces (about 2 MiB): one piece's
-bytes, text, lines and parsed table. The reader accepts integers as
-ASCII digits with an optional sign, and floats in the grammar of
-``float()`` without underscores or non-ASCII digits. Every float must be
-finite: ``nan`` or ``inf`` in a float column, text or binary, or in a
-header value read with ``TextReader.real``, is a ``FormatError`` naming
-the line or record. Readers are context managers: a loader's file is
-closed when it returns or raises.
+the UTF-8, counts the lines and records where each piece starts; records
+are then parsed a piece at a time by numpy's reader (``np.loadtxt``)
+straight into their output columns, so besides its arrays a load holds a
+few pieces (about 2 MiB): one piece's bytes, text, lines and parsed table.
+A block of two ``CHUNK_FIELDS`` chunks or more is parsed by up to one
+process per usable CPU, as it is written: its columns live in one shared
+anonymous mapping, the reading process parses the first run of pieces,
+and each forked child reads another run with ``os.pread`` and parses it in
+place; the reading process's peak memory does not count the children's.
+When any run does not parse whole, the reading process parses the block
+again alone, so every error is the one-process error. Under
+``taskset -c 0`` a file is written and read by one process. The reader
+accepts integers as ASCII digits with an optional sign, and floats in the
+grammar of ``float()`` without underscores or non-ASCII digits. Every
+float must be finite: ``nan`` or ``inf`` in a float column, text or
+binary, or in a header value read with ``TextReader.real``, is a
+``FormatError`` naming the line or record. Readers are context managers:
+a loader's file is closed when it returns or raises.
 
 Binary artifacts are the ``NLNS`` container: the magic bytes, a
 little-endian u16 version and u8 kind, the header counts packed with the
 kind's struct format, then every column of every block in turn as
-little-endian int64/float64 arrays, with nothing after the payload.
+little-endian int64/float64 arrays, with nothing after the payload. A
+binary load reads each column straight into its array.
 """
 
+import bisect
 import math
+import mmap
 import os
 import shutil
 import signal
@@ -44,11 +55,10 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, all_finite
 
 MAGIC = b"NLNS"
 BINARY_VERSION = 1
@@ -170,24 +180,75 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _workers(n: int, width: int) -> tuple:
+    """The rows of a chunk, the chunks of a block of ``n`` rows of ``width``
+    fields, and the processes that write or read it: one per usable CPU, at
+    most one per chunk, so a block of one chunk stays in one process."""
+    step = max(1, CHUNK_FIELDS // max(1, width))
+    chunks = -(-n // step)
+    return step, chunks, max(1, min(_usable_cpus(), chunks))
+
+
+class _Forked:
+    """Forked children, waited for in the order they started. Leaving the
+    ``with`` block kills and reaps every child not yet waited for, so none
+    outlives it, also when the parent raises or is interrupted."""
+
+    def __init__(self):
+        self._pids = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pid in self._pids:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        self._pids = []
+
+    def fork(self, work) -> None:
+        """Call ``work()`` in a forked child, which exits with 0 once it
+        returns, with the errno of an ``OSError`` it raises, or with 255
+        after any other exception. The child calls it before ``fork``
+        returns, so ``work`` may read the caller's loop variables."""
+        pid = os.fork()
+        if pid == 0:
+            code = 255
+            try:
+                work()
+                code = 0
+            except OSError as exc:
+                code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+            finally:
+                os._exit(code)
+        self._pids.append(pid)
+
+    def wait(self) -> int:
+        """The exit status of the oldest child not yet waited for, or minus
+        the signal that killed it."""
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pids[0], 0)[1])
+        self._pids.pop(0)
+        return code
+
+
 def _write_block(path, fh, columns: list) -> None:
     """Format one block's rows into ``fh``: the first row slice here, each
-    other slice in a forked child, whose file is appended once it exits."""
+    other slice in a forked child, whose file is appended once it exits. A
+    failed child raises ``OSError``."""
     n = len(columns[0])
-    step = max(1, CHUNK_FIELDS // max(1, sum(c.shape[1] for c in columns)))
-    chunks = -(-n // step)
-    workers = max(1, min(_usable_cpus(), chunks))
+    step, chunks, workers = _workers(n, sum(c.shape[1] for c in columns))
     bounds = [step * (chunks * i // workers) for i in range(workers)] + [n]
-    children = []  # (pid, temporary file, first row, end row), in row order
+    files = []  # one anonymous file per child, in row order
     try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append(_fork_rows(path, columns, lo, hi))
-        _format_rows(fh, columns, bounds[0], bounds[1])
-        while children:
-            pid, tmp, lo, hi = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            with tmp:
+        with _Forked() as forked:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+                files.append(tmp)
+                forked.fork(lambda: (_format_rows(tmp, columns, lo, hi), tmp.flush()))
+            _format_rows(fh, columns, bounds[0], bounds[1])
+            for tmp, lo, hi in zip(files, bounds[1:], bounds[2:]):
+                code = forked.wait()
                 if 0 < code < 255:
                     raise OSError(code, os.strerror(code), str(path))
                 if code:
@@ -196,35 +257,10 @@ def _write_block(path, fh, columns: list) -> None:
                     )
                 tmp.seek(0)
                 shutil.copyfileobj(tmp, fh)
+                tmp.close()
     finally:
-        for pid, tmp, _, _ in children:
+        for tmp in files:
             tmp.close()
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_rows(path, columns: list, lo: int, hi: int) -> tuple:
-    """Fork a child that formats rows ``lo:hi`` into a new anonymous file in
-    the directory of ``path`` and exits with 0, with the errno of the
-    ``OSError`` that stopped it, or with 255 after any other exception."""
-    tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        pid = os.fork()
-    except BaseException:
-        tmp.close()
-        raise
-    if pid == 0:
-        code = 255
-        try:
-            _format_rows(tmp, columns, lo, hi)
-            tmp.flush()
-            code = 0
-        except OSError as exc:
-            code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
-        finally:
-            os._exit(code)
-    return pid, tmp, lo, hi
 
 
 def _format_rows(out, columns: list, lo: int, hi: int) -> None:
@@ -262,29 +298,37 @@ class TextReader(_Reader):
         # extra system calls make a large load about 5% slower.
         self._file = open(path, "rb", buffering=1 << 16)
         try:
-            self._rewind()
-            self._total = 0  # lines, the header's included
+            # Each piece's byte offset and first line (the header is line
+            # 0), then the file's size and line count.
+            self._offsets, self._starts = [0], [0]
+            self._goto(0)
             while text := self._piece():
-                self._total += len(text.splitlines())
-            self._size = self._offset
+                self._offsets.append(self._offset)
+                self._starts.append(self._starts[-1] + len(text.splitlines()))
+            self._size, self._total = self._offset, self._starts[-1]
             if not self._total:
                 raise FormatError(f"{path}: empty file")
-            self._rewind()
+            self._goto(0)
             self.header = _parse_header(self._take(1)[0], layout.tag, layout.counts + layout.keys)
             self.counts = tuple(self._count(key) for key in layout.counts)
         except BaseException:
             self.close()
             raise
-        self._next = self._first = 1
+        self._first = 1
 
     def close(self) -> None:
         self._file.close()
         self._lines = []
 
-    def _rewind(self) -> None:
-        self._file.seek(0)
-        self._offset = 0
+    def _goto(self, line: int) -> None:
+        """Move to ``line``: to the start of its piece, then past the lines
+        before it there."""
+        k = bisect.bisect_right(self._starts, line) - 1
+        self._file.seek(self._offsets[k])
+        self._offset, self._line = self._offsets[k], self._starts[k]
         self._lines, self._at = [], 0
+        if line > self._line:
+            self._take(line - self._line)
 
     def _piece(self) -> str:
         """The next piece of text: whole lines up to about ``PIECE_BYTES``
@@ -308,7 +352,28 @@ class TextReader(_Reader):
             self._lines, self._at = text.splitlines(), 0
         lines = self._lines[self._at : self._at + k]
         self._at += len(lines)
+        self._line += len(lines)
         return lines
+
+    def _takes(self, end: int):
+        """The lines up to line ``end``, a piece (or the rest of one) at a
+        time."""
+        while self._line < end:
+            yield self._take(end - self._line)
+
+    def _pread(self, k: int, end: int):
+        """The lines of piece ``k`` on, up to line ``end``, a piece at a
+        time, read with ``os.pread``: a forked child shares its parent's
+        file offset, so it must not move it. ``ValueError`` when a piece is
+        not what the first pass found there."""
+        while self._starts[k] < end:
+            lo, hi = self._offsets[k], self._offsets[k + 1]
+            data = os.pread(self._file.fileno(), hi - lo, lo)
+            lines = data.decode("utf-8").splitlines()
+            if len(data) != hi - lo or len(lines) != self._starts[k + 1] - self._starts[k]:
+                raise ValueError(f"{self.path}: changed while being read")
+            yield lines[: end - self._starts[k]]
+            k += 1
 
     def _count(self, key: str) -> int:
         value = self.header[key]
@@ -338,7 +403,7 @@ class TextReader(_Reader):
         piece of the file at a time. The errors are those of checking the
         whole block at once: its first record with a wrong field count, else
         its first record that does not parse, else its first non-finite one."""
-        first = self._next
+        first = self._line
         if self._total - first < n:
             raise FormatError(
                 f"{self.path}: header declares {first - 1 + n} records, "
@@ -346,19 +411,75 @@ class TextReader(_Reader):
             )
         specs = list(map(_column, columns))
         width = sum(1 if run is None else run for _, run in specs)
-        self._first, self._next = first, first + n
+        arrays = [((n,) if run is None else (n, run), dtype) for dtype, run in specs]  # shape, dtype
+        self._first = first
         # A record of w > 0 fields takes at least max(1, w - 1) bytes. A block
         # the file cannot hold is neither allocated nor parsed: one of its
         # records has a wrong field count, and that is the error.
-        out = row = None
-        if not width or n * max(1, width - 1) <= self._size:
-            out = [np.empty((n,) if run is None else (n, run), dtype) for dtype, run in specs]
-            if n and width:
-                row = np.dtype([(f"c{j}", col.dtype, col.shape[1:]) for j, col in enumerate(out)])
+        fits = not width or n * max(1, width - 1) <= self._size
+        row = out = None
+        if fits and n and width:
+            row = np.dtype([
+                (f"c{j}", dtype, () if run is None else (run,)) for j, (dtype, run) in enumerate(specs)
+            ])
+            out = self._parallel(n, arrays, row, width)
+        if out is not None:
+            nonfinite = _first_nonfinite(out)
+        else:
+            if fits:
+                out = [np.empty(shape, dtype) for shape, dtype in arrays]
+            nonfinite = self._serial(n, out, row, specs, width, name)
+        if nonfinite >= 0:
+            raise FormatError(f"{self.where(nonfinite)}: {name} has a non-finite value")
+        return out
+
+    def _parallel(self, n: int, arrays, row: np.dtype, width: int):
+        """The block's columns, parsed by up to one process per usable CPU
+        into one shared anonymous mapping, and the reader moved past the
+        block; None, with the reader at the block's first record, when the
+        block is one chunk or one piece, or when some run did not parse
+        whole."""
+        workers = _workers(n, width)[2]
+        first, end = self._line, self._line + n
+        starts, offsets = self._starts, self._offsets
+        # The block's pieces are k0 up to k1; each run is a range of whole
+        # pieces but for the first run's start and the last run's end.
+        k0 = bisect.bisect_right(starts, first) - 1
+        k1 = bisect.bisect_left(starts, end)
+        lo, hi = offsets[k0], offsets[k1]
+        cuts = sorted({
+            bisect.bisect_left(offsets, lo + (hi - lo) * i // workers, k0 + 1, k1)
+            for i in range(1, workers)
+        } - {k1})
+        if not cuts:
+            return None
+        # Each column starts on 8 bytes, and the children's writes reach the
+        # parent's pages of a shared mapping.
+        sizes = [-(-math.prod(shape) * dtype.itemsize // 8) * 8 for shape, dtype in arrays]
+        shared = mmap.mmap(-1, sum(sizes), flags=mmap.MAP_SHARED)
+        out, at = [], 0
+        for (shape, dtype), size in zip(arrays, sizes):
+            out.append(np.frombuffer(shared, dtype, math.prod(shape), at).reshape(shape))
+            at += size
+        bounds = [first] + [starts[k] for k in cuts] + [end]
+        try:
+            with _Forked() as forked:
+                for k, start, stop in zip(cuts, bounds[1:], bounds[2:]):
+                    forked.fork(lambda: _fill(out, row, start - first, self._pread(k, stop)))
+                _fill(out, row, 0, self._takes(bounds[1]))
+                parsed = all(forked.wait() == 0 for _ in cuts)
+        except _REJECTED:
+            parsed = False
+        self._goto(end if parsed else first)
+        return out if parsed else None
+
+    def _serial(self, n: int, out, row, specs, width: int, name: str) -> int:
+        """Parse the block's records into ``out`` in this process, raising
+        the block's first field-count error, else its first parse error;
+        returns the index of its first non-finite record, or -1."""
         done = parsed = 0
         bad, nonfinite = None, -1
-        while done < n:
-            lines = self._take(n - done)
+        for lines in self._takes(self._first + n):
             table = rejected = None
             if row is not None and bad is None:
                 try:
@@ -372,13 +493,11 @@ class TextReader(_Reader):
             if rejected:
                 bad = self._bad_record(lines, done, row, specs, name)
             elif table is not None:
-                end = parsed + len(table)
-                for col, field in zip(out, row.names):
-                    col[parsed:end] = table[field]
-                i = _first_nonfinite([col[parsed:end] for col in out])
+                _store(out, table, parsed)
+                i = _first_nonfinite([col[parsed : parsed + len(table)] for col in out])
                 if nonfinite < 0 and i >= 0:
                     nonfinite = parsed + i
-                parsed = end
+                parsed += len(table)
             done += len(lines)
             lines = table = None  # the next piece is read without this one
         if bad is not None:
@@ -387,9 +506,7 @@ class TextReader(_Reader):
             raise FormatError(f"{self.path}: changed while being read")
         if width and parsed != n:
             raise FormatError(f"{self.path}: parsed {parsed} records, expected {n}")
-        if nonfinite >= 0:
-            raise FormatError(f"{self.where(nonfinite)}: {name} has a non-finite value")
-        return out
+        return nonfinite
 
     def _check_fields(self, lines, done: int, width: int, name: str) -> None:
         """Raise for the first of ``lines`` (records ``done`` on of the block)
@@ -414,9 +531,9 @@ class TextReader(_Reader):
         return FormatError(f"{self.path}: records do not parse")
 
     def end(self) -> None:
-        if self._next != self._total:
+        if self._line != self._total:
             raise FormatError(
-                f"{self.path}: header declares {self._next - 1} records, "
+                f"{self.path}: header declares {self._line - 1} records, "
                 f"file has {self._total - 1}"
             )
 
@@ -424,16 +541,33 @@ class TextReader(_Reader):
 def _first_nonfinite(columns: list) -> int:
     """The index of the first record holding ``nan`` or ``inf`` in a float
     column of ``columns``, or -1."""
-    bad = [
-        ~(np.isfinite(col).all(axis=1) if col.ndim == 2 else np.isfinite(col))
-        for col in columns
-        if col.dtype.kind == "f"
-    ]
-    if bad:
-        bad = np.logical_or.reduce(bad)
-        if bad.any():
-            return int(np.argmax(bad))
-    return -1
+    floats = [col for col in columns if col.dtype.kind == "f"]
+    if all(map(all_finite, floats)):
+        return -1
+    bad = np.logical_or.reduce([
+        ~(np.isfinite(col).all(axis=1) if col.ndim == 2 else np.isfinite(col)) for col in floats
+    ])
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
+def _store(out: list, table: np.ndarray, at: int) -> None:
+    """Copy each field of the structured ``table`` into its column of
+    ``out``, from row ``at`` on."""
+    for col, field in zip(out, table.dtype.names):
+        col[at : at + len(table)] = table[field]
+
+
+def _fill(out: list, row: np.dtype, at: int, pieces) -> None:
+    """Parse each list of lines in ``pieces`` as records of ``row`` into
+    ``out``, from row ``at`` on; raise one of ``_REJECTED`` at the first
+    piece the reader does not read whole."""
+    for lines in pieces:
+        table = _loadtxt(lines, row)
+        if len(table) != len(lines):
+            raise ValueError("a blank line is not a record of the row")
+        _store(out, table, at)
+        at += len(lines)
+        lines = table = None  # the next piece is read without this one
 
 
 def _parse_header(line: str, tag: str, required) -> dict:
@@ -500,40 +634,58 @@ def write_binary(path, layout: Layout, counts, *payload) -> None:
 class BinaryReader(_Reader):
     """Reads one ``NLNS`` container front to back, with the same ``counts``,
     ``rows``, ``where``, ``end`` and ``close`` as ``TextReader``; every read
-    is bounds-checked and ``end`` rejects trailing bytes. ``read`` has
-    matched the magic bytes, so reading starts after them."""
+    is bounds-checked against the file's size, and ``end`` rejects trailing
+    bytes. ``read`` has matched the magic bytes, so reading starts after
+    them. Each column is read straight into its array."""
 
     def __init__(self, path, layout: Layout):
         self.path = path
-        self._buf = memoryview(Path(path).read_bytes())
-        self._offset = len(MAGIC)
-        version, kind = self._unpack("<HB")
-        if version != BINARY_VERSION:
-            raise FormatError(f"{path}: unsupported binary version {version}")
-        if kind != layout.kind:
-            raise FormatError(f"{path}: binary container holds kind {kind}, expected {layout.kind}")
-        self.counts = self._unpack(layout.packing)
-        if max(self.counts) > MAX_COUNT:
-            raise FormatError(f"{path}: header count {max(self.counts)} exceeds {MAX_COUNT}")
+        self._file = open(path, "rb")
+        try:
+            self._size = os.fstat(self._file.fileno()).st_size
+            self._offset = self._file.seek(len(MAGIC))
+            version, kind = self._unpack("<HB")
+            if version != BINARY_VERSION:
+                raise FormatError(f"{path}: unsupported binary version {version}")
+            if kind != layout.kind:
+                raise FormatError(f"{path}: binary container holds kind {kind}, expected {layout.kind}")
+            self.counts = self._unpack(layout.packing)
+            if max(self.counts) > MAX_COUNT:
+                raise FormatError(f"{path}: header count {max(self.counts)} exceeds {MAX_COUNT}")
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
-        self._buf = memoryview(b"")
+        self._file.close()
 
-    def _take(self, size: int) -> memoryview:
-        have = len(self._buf) - self._offset
+    def _bound(self, size: int) -> int:
+        """``size``, counted as read once the file is known to hold that many
+        more bytes; call it before allocating what they are read into."""
+        have = self._size - self._offset
         if size > have:
             raise FormatError(
                 f"{self.path}: truncated: need {size} bytes at offset {self._offset}, have {have}"
             )
         self._offset += size
-        return self._buf[self._offset - size : self._offset]
+        return size
+
+    def _read_into(self, buffer) -> None:
+        """Read the next bytes into the whole of the writable ``buffer``."""
+        if self._file.readinto(buffer) != memoryview(buffer).nbytes:
+            raise FormatError(f"{self.path}: changed while being read")
+
+    def _take(self, size: int) -> bytes:
+        data = bytearray(self._bound(size))
+        self._read_into(data)
+        return bytes(data)
 
     def _unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self._take(struct.calcsize(fmt)))
 
     def text(self, size: int) -> str:
         try:
-            return bytes(self._take(size)).decode("utf-8")
+            return self._take(size).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path}: not UTF-8 text: {exc.reason}") from None
 
@@ -542,8 +694,10 @@ class BinaryReader(_Reader):
         out = []
         for dtype, run in map(_column, columns):
             shape = (n,) if run is None else (n, run)
-            raw = self._take(dtype.itemsize * math.prod(shape))
-            out.append(np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype).reshape(shape))
+            self._bound(dtype.itemsize * math.prod(shape))
+            col = np.empty(shape, dtype.newbyteorder("<"))
+            self._read_into(col)
+            out.append(col.astype(dtype, copy=False))
         i = _first_nonfinite(out)
         if i >= 0:
             raise FormatError(f"{self.where(i)}: {name} has a non-finite value")
@@ -553,5 +707,5 @@ class BinaryReader(_Reader):
         return f"{self.path}: record {i + 1}"
 
     def end(self) -> None:
-        if self._offset != len(self._buf):
-            raise FormatError(f"{self.path}: {len(self._buf) - self._offset} trailing bytes")
+        if self._offset != self._size:
+            raise FormatError(f"{self.path}: {self._size - self._offset} trailing bytes")

@@ -42,7 +42,9 @@ class Dataset:
         check_fields(self)
         if self.num_samples < 1:
             raise ValidationError("dataset must contain at least one sample")
-        if np.unique(self.ids).size != self.num_samples:
+        # One sorted copy of the ids: np.unique would hold two and a mask.
+        ids = np.sort(self.ids)
+        if (ids[1:] == ids[:-1]).any():
             raise ValidationError("duplicate id in dataset")
         for labels in (self.noisy_labels, self.true_labels):
             if labels is not None and (labels.min() < 0 or labels.max() >= c):

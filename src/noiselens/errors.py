@@ -69,6 +69,14 @@ def _freeze(arr, dtype) -> np.ndarray:
     return arr
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no value of ``arr`` is ``nan`` or infinite. A sum is finite
+    only when every term is, so the usual all-finite array is checked
+    without a mask of its size."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(arr.sum()) or np.isfinite(arr).all())
+
+
 # Array kind -> stored dtype and the numpy casting rule an input must pass.
 _DTYPES = {int: (np.int64, "safe"), float: (np.float64, "same_kind")}
 
@@ -98,7 +106,7 @@ def _check_array(name: str, value, kind, axes: tuple, noun: str, lengths: dict) 
         want = axis if isinstance(axis, int) else lengths.setdefault(axis, length)
         if length != want:
             raise ValidationError(f"{name} axis {i} has length {length}, expected {want}")
-    if kind is float and not np.isfinite(arr).all():
+    if kind is float and not all_finite(arr):
         raise ValidationError(f"non-finite {noun or name}")
     return _freeze(arr, _DTYPES[kind][0])
 

@@ -281,6 +281,21 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     with _config_keys(**names):
         threshold = criterion_threshold(criterion, settings, names)
     cosine = any(kind == "cosine" for kind, _ in score_sources)
+    # Scorer key -> whether a chosen score source reads it, and what would;
+    # a key that none reads is an error. Every cosine source, scorer.bank_b
+    # too, reads the cosine settings.
+    readers = {
+        "bank": (scorer_source == "cosine", "scorer.source=cosine"),
+        "path": (scorer_source == "file", "scorer.source=file"),
+        "correct_prob": (scorer_source == "oracle", "scorer.source=oracle"),
+        **dict.fromkeys(
+            ("embeddings", *(f.name for f in fields(ScorerConfig))),
+            (cosine, "scorer.source=cosine or scorer.bank_b"),
+        ),
+    }
+    for key, (read, need) in readers.items():
+        if not read and get("scorer", key) is not None:
+            raise ValidationError(f"scorer.{key} requires {need}")
 
     test_source = _source(entries, "test")
     if test_source == "synth" and dataset_source != "synth":

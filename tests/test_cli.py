@@ -706,6 +706,21 @@ output.dir = {out}
                 valid.replace("dataset.classes = 2", "dataset.classes = 100000000000000000000"),
                 f"exceed {MAX_COUNT} feature values",
             ),
+            # A scorer key that no chosen score source reads.
+            (
+                valid + "scorer.temperature = 7\n",
+                "scorer.temperature requires scorer.source=cosine or scorer.bank_b",
+            ),
+            (
+                valid + "scorer.embeddings = e.txt\n",
+                "scorer.embeddings requires scorer.source=cosine or scorer.bank_b",
+            ),
+            (valid + "scorer.bank = b.txt\n", "scorer.bank requires scorer.source=cosine"),
+            (valid + "scorer.path = s.txt\n", "scorer.path requires scorer.source=file"),
+            (
+                valid.replace("scorer.source = oracle", "scorer.source = cosine\nscorer.bank = b.txt"),
+                "scorer.correct_prob requires scorer.source=oracle",
+            ),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1

@@ -14,7 +14,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -487,7 +487,8 @@ def test_corruption_record_with_no_flips_keeps_its_blank_row(tmp_path, monkeypat
 
 def test_dataset_and_scores_of_several_real_chunks_match_one_process(tmp_path, monkeypatch):
     """At the real chunk size: 2,100 rows of 2 + 128 fields are three chunks,
-    and of 1 + 62 fields two."""
+    and of 1 + 62 fields two; each is written and read back at every worker
+    count."""
     dataset, _ = inject_noise(make_blobs(3, 700, 128, 3.0, seed=5), SPEC)
     scores = ScoreMatrix(np.full((len(dataset.ids), 62), 1 / 62), dataset.ids)
     assert -(-len(dataset.ids) // (codec.CHUNK_FIELDS // 130)) == 3
@@ -501,18 +502,24 @@ def test_dataset_and_scores_of_several_real_chunks_match_one_process(tmp_path, m
         save_score_matrix(tmp_path / "scores.txt", scores)
         written = [(tmp_path / f).read_bytes().split(b"\n", 1)[1] for f in ("ds.txt", "scores.txt")]
         assert written == expected, f"{workers} workers"
+        loaded = load_dataset(tmp_path / "ds.txt")
+        assert _flat(loaded) == _flat(dataset), f"{workers} workers"
+        with codec.TextReader(tmp_path / "scores.txt", codec.SCORES) as reader:
+            ids, values = reader.rows(reader.counts[0], [int, (float, 62)])
+        assert _flat((ids, values)) == _flat((scores.sample_ids, scores.values))
 
 
-def _in_children(monkeypatch, act) -> None:
-    """Run ``act`` in place of formatting in every forked child."""
-    parent, format_rows = os.getpid(), codec._format_rows
+def _in_children(monkeypatch, act, hook: str = "_format_rows") -> None:
+    """Run ``act`` before ``hook`` in every forked child: before formatting
+    rows (the writer's children) or parsing pieces (``_fill``, the reader's)."""
+    parent, work = os.getpid(), getattr(codec, hook)
 
-    def format_or_act(*args):
+    def work_or_act(*args):
         if os.getpid() != parent:
             act()
-        format_rows(*args)
+        work(*args)
 
-    monkeypatch.setattr(codec, "_format_rows", format_or_act)
+    monkeypatch.setattr(codec, hook, work_or_act)
     monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
     monkeypatch.setattr(codec, "_usable_cpus", lambda: 3)
 
@@ -561,10 +568,101 @@ def test_interrupted_write_leaves_no_child(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the text reader: the same arrays from any number of processes
+# ---------------------------------------------------------------------------
+
+# A layout with no header counts, for blocks of any columns.
+BLOCKS = codec.Layout("blocks", ())
+MIXED_SPECS = [int, int, (float, 2), (int, 0), (int, 2)]
+
+
+def _read_blocks(path, sizes) -> list:
+    """Each block of ``sizes`` records read as ``_mixed_block``'s columns,
+    as dtype, shape and bytes, after which ``end`` has found no extra record."""
+    with codec.TextReader(path, BLOCKS) as reader:
+        blocks = [reader.rows(n, MIXED_SPECS) for n in sizes]
+        reader.end()
+    return [[(a.dtype.str, a.shape, a.tobytes()) for a in block] for block in blocks]
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+# 0 rows; one below, at and one above the 1-, 2- and 3-chunk boundaries
+# (2, 4 and 6 rows); many chunks with a ragged last one.
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 23])
+def test_read_arrays_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers, n):
+    """Two blocks of mixed columns; at 64 bytes a piece the first block
+    starts in the header's piece, and at 1 or 7 bytes each line is a piece."""
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
+    blocks = [_mixed_block(n), _mixed_block(n + 2)]
+    path = tmp_path / "blocks.txt"
+    codec.write_text(path, BLOCKS, {}, blocks)
+    written = [[(a.dtype.str, a.shape, a.tobytes()) for a in block] for block in blocks]
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+    for piece in PIECES + [codec.PIECE_BYTES]:
+        monkeypatch.setattr(codec, "PIECE_BYTES", piece)
+        assert _read_blocks(path, [n, n + 2]) == written, piece
+    with pytest.raises(FormatError, match=f"header declares {n + 1} records, file has {2 * n + 2}$"):
+        _read_blocks(path, [n, 1])
+
+
+def _forks(monkeypatch) -> list:
+    """The children the reader or writer forks from now on, one entry each."""
+    forks, fork = [], codec._Forked.fork
+    monkeypatch.setattr(codec._Forked, "fork", lambda self, work: forks.append(1) or fork(self, work))
+    return forks
+
+
+@FORKS
+@pytest.mark.parametrize(
+    "act",
+    [lambda: _raise(ValueError("bad")), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+    ids=["exception", "killed"],
+)
+def test_failing_reader_child_reads_the_block_again_and_leaves_no_child(tmp_path, monkeypatch, act):
+    path = tmp_path / "blocks.txt"
+    blocks = [_mixed_block(12)]
+    codec.write_text(path, BLOCKS, {}, blocks)
+    _in_children(monkeypatch, act, "_fill")
+    monkeypatch.setattr(codec, "PIECE_BYTES", 64)
+    forks = _forks(monkeypatch)
+    assert _read_blocks(path, [12]) == [[(a.dtype.str, a.shape, a.tobytes()) for a in blocks[0]]]
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORKS
+def test_interrupted_read_leaves_no_child(tmp_path, monkeypatch):
+    parent = os.getpid()
+    path = tmp_path / "blocks.txt"
+    codec.write_text(path, BLOCKS, {}, [_mixed_block(12)])
+    _in_children(monkeypatch, lambda: time.sleep(60), "_fill")
+    monkeypatch.setattr(codec, "PIECE_BYTES", 64)
+    fill = codec._fill
+
+    def interrupt_in_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        fill(*args)
+
+    monkeypatch.setattr(codec, "_fill", interrupt_in_parent)
+    forks = _forks(monkeypatch)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _read_blocks(path, [12])
+    assert time.perf_counter() - started < 30
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# ---------------------------------------------------------------------------
 # the text reader in pieces: the same arrays and errors at any piece size
 # ---------------------------------------------------------------------------
 
 PIECES = [1, 7, 64]
+# The reading processes each test of the pieces also runs at.
+READERS = (1, 2, 3) if hasattr(os, "fork") else (1,)
 NO_FLIPS_SPEC = NoiseSpec("symmetric", 0.0, seed=1)
 _, NO_FLIPS = inject_noise(make_blobs(3, 4, 2, 2.0, seed=2), NO_FLIPS_SPEC)
 # Every text kind, plus a corruption record whose flipped-id row is blank and
@@ -625,6 +723,9 @@ TEXT_VARIANTS = {
 @pytest.mark.parametrize("variant", list(TEXT_VARIANTS))
 @pytest.mark.parametrize("kind", list(PIECE_KINDS))
 def test_every_piece_size_loads_what_one_piece_loads(tmp_path, monkeypatch, kind, variant):
+    """With 2 fields a chunk, the smaller piece sizes split every block of
+    two records of two fields or more among the reading processes."""
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", 2)
     save, load = PIECE_KINDS[kind]
     edit, loads = TEXT_VARIANTS[variant]
     path = tmp_path / f"{kind}.txt"
@@ -634,9 +735,10 @@ def test_every_piece_size_loads_what_one_piece_loads(tmp_path, monkeypatch, kind
     path.write_bytes(edit(path.read_bytes()))
     whole = _outcome(load, path)
     assert (whole == written) if loads else whole[0] == "FormatError", whole
-    for piece in PIECES:
+    for workers, piece in product(READERS, PIECES):
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
-        assert _outcome(load, path) == whole, piece
+        assert _outcome(load, path) == whole, (workers, piece)
 
 
 RECORDS = [f"{i},{i % 2},{i}.5,-{i}.25" for i in range(6)]
@@ -678,6 +780,9 @@ PIECE_ERRORS = {
 
 @pytest.mark.parametrize("case", list(PIECE_ERRORS))
 def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, case):
+    """With 4 fields a chunk each record is a chunk, so the smaller piece
+    sizes split the block among the reading processes."""
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", 4)
     raw, message = PIECE_ERRORS[case]
     path = tmp_path / "ds.txt"
     path.write_bytes(raw)
@@ -686,11 +791,12 @@ def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, cas
         message %= raw.index(b"\xff")
     # Piece sizes that end just before, just after and inside line 5.
     line5 = len("\n".join([HEADER, *RECORDS[:3]])) + 1
-    for piece in PIECES + [line5, line5 + 1, line5 + 3, codec.PIECE_BYTES]:
+    for workers, piece in product(READERS, PIECES + [line5, line5 + 1, line5 + 3, codec.PIECE_BYTES]):
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
         with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
-        assert str(excinfo.value) == message, piece
+        assert str(excinfo.value) == message, (workers, piece)
 
 
 @pytest.mark.parametrize(
@@ -734,12 +840,26 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_text_load_holds_its_arrays_and_a_few_pieces(tmp_path):
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+def test_text_load_holds_its_arrays_and_a_few_pieces(tmp_path, monkeypatch, cpus):
+    """With one CPU the arrays are traced; with two the block is parsed by
+    two processes into a shared mapping, which is not traced, so the bound
+    then holds the parent's pieces alone."""
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: cpus)
     path = tmp_path / "ds.txt"
     save_dataset(path, LARGE)
     assert path.stat().st_size > ALLOWANCE
     arrays = sum(a.nbytes for a in (LARGE.ids, LARGE.noisy_labels, LARGE.true_labels, LARGE.features))
     assert _traced_peak(lambda: load_dataset(path)) < arrays + ALLOWANCE
+
+
+def test_binary_load_holds_its_arrays(tmp_path):
+    """Each column is read straight into its array: no copy of the file."""
+    path = tmp_path / "ds.bin"
+    save_dataset(path, LARGE, fmt="binary")
+    arrays = sum(a.nbytes for a in (LARGE.ids, LARGE.noisy_labels, LARGE.true_labels, LARGE.features))
+    assert path.stat().st_size > arrays
+    assert _traced_peak(lambda: load_dataset(path)) < arrays + (1 << 16)
 
 
 def test_text_save_holds_a_few_pieces(tmp_path, monkeypatch):

@@ -157,6 +157,14 @@ class TestConfigValidation:
             config_from_text(self.base(**{"scorer.source": "cosine"}))
         with pytest.raises(ValidationError, match="scorer.path"):
             config_from_text(self.base(**{"scorer.source": "file"}))
+        # The second score source alone may be the cosine one that reads
+        # the cosine settings.
+        cfg = config_from_text(self.base(**{
+            "scorer.source": "file", "scorer.path": "s.txt", "scorer.bank_b": "b.txt",
+            "scorer.temperature": "0.5", "scorer.embeddings": "e.txt",
+            "selection.criterion": "prompt_consistency",
+        }))
+        assert cfg.scorer.temperature == 0.5 and cfg.embeddings.endswith("e.txt")
 
     def test_prompt_consistency_needs_second_source_before_any_work(self):
         text = self.base(**{"selection.criterion": "prompt_consistency"})
@@ -351,6 +359,10 @@ NOISE_READS = {
     "asymmetric": NOISE_KEYS[:2],
     "instance_dependent": NOISE_KEYS,
 }
+# The numeric scorer keys each scorer source reads; likewise a key of another
+# source is a config error.
+SCORER_KEYS = ("scorer.temperature", "scorer.correct_prob")
+SCORER_READS = {"oracle": SCORER_KEYS[1:], "cosine": SCORER_KEYS[:1]}
 OUT_OF_RANGE = ["nan", "inf", "-inf", "-1", "0", "1e300"]
 
 
@@ -372,10 +384,14 @@ def test_fuzzed_config_is_rejected_or_runs_to_a_manifest(data):
     the config either fails to parse before any work, or the run ends in a
     manifest; nothing but a NoiseLensError escapes either step."""
     noise = data.draw(st.sampled_from(list(NOISE_READS)))
-    keys = [key for key in NUMERIC_KEYS if key not in NOISE_KEYS or key in NOISE_READS[noise]]
+    scorer = data.draw(st.sampled_from(list(SCORER_READS)))
+    keys = [
+        key for key in NUMERIC_KEYS
+        if (key not in NOISE_KEYS or key in NOISE_READS[noise])
+        and (key not in SCORER_KEYS or key in SCORER_READS[scorer])
+    ]
     bad = data.draw(st.sets(st.sampled_from(keys), min_size=1, max_size=2))
     values = {key: _numeric_value(data, key, key in bad) for key in keys}
-    scorer = data.draw(st.sampled_from(["oracle", "cosine"]))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         # A bank that fits valid drawn sizes, so cosine runs get past scoring.
@@ -387,7 +403,7 @@ def test_fuzzed_config_is_rejected_or_runs_to_a_manifest(data):
                 f"dataset.noise = {noise}",
                 *(["dataset.pair_map = cycle"] if noise == "asymmetric" else []),
                 f"scorer.source = {scorer}",
-                "scorer.bank = bank.txt",
+                *(["scorer.bank = bank.txt"] if scorer == "cosine" else []),
                 "test.source = synth",
                 f"output.dir = {out}",
                 *(f"{key} = {value}" for key, value in values.items()),
