@@ -14,27 +14,32 @@ Each slice is formatted about ``PIECE_BYTES`` of text at a time, and each
 row on its own, so the bytes depend neither on the number of processes nor
 on the piece size.
 
-A text file is read through one handle in pieces of whole lines, about
-``PIECE_BYTES`` each, so every piece ends just after a ``\\n`` byte and
-none splits a record, a ``\\r\\n`` or a UTF-8 sequence. A first pass checks
-the UTF-8, counts the lines and records where each piece starts; records
-are then parsed a piece at a time by numpy's reader (``np.loadtxt``)
-straight into their output columns, so besides its arrays a load holds a
-few pieces (about 2 MiB): one piece's bytes, text, lines and parsed table.
-A block of two ``CHUNK_FIELDS`` chunks or more is parsed by up to one
-process per usable CPU, as it is written: its columns live in one shared
-anonymous mapping, the reading process parses the first run of pieces,
-and each forked child reads another run with ``os.pread`` and parses it in
+A text file is read in pieces of whole lines, about ``PIECE_BYTES`` each,
+so every piece ends just after a ``\\n`` byte and none splits a record, a
+``\\r\\n`` or a UTF-8 sequence. A first pass checks the UTF-8, counts the
+lines and records where each piece starts. Every later read, the header's
+too, takes its pieces again with ``os.pread`` at those offsets, and a
+piece whose size or line count is not what the first pass found means the
+file changed while being read. Records are parsed a piece at a time by
+numpy's reader (``np.loadtxt``) straight into their output columns, so
+besides its arrays a load holds a few pieces (about 2 MiB): one piece's
+text, lines and parsed table. A block of two ``CHUNK_FIELDS`` chunks or
+more is parsed by up to one process per usable CPU, as it is written: its
+columns live in one shared anonymous mapping, the reading process parses
+the first run of pieces, and each forked child parses another run in
 place; the reading process's peak memory does not count the children's.
-When any run does not parse whole, the reading process parses the block
-again alone, so every error is the one-process error. Under
-``taskset -c 0`` a file is written and read by one process. The reader
-accepts integers as ASCII digits with an optional sign, and floats in the
-grammar of ``float()`` without underscores or non-ASCII digits. Every
-float must be finite: ``nan`` or ``inf`` in a float column, text or
-binary, or in a header value read with ``TextReader.real``, is a
-``FormatError`` naming the line or record. Readers are context managers:
-a loader's file is closed when it returns or raises.
+When a run of such a block does not parse whole, the reading process
+parses the block again alone; when a block parsed by one process fails, it
+looks for the error a piece at a time, so every error is the one-process
+error. Reading by offset needs ``os.pread``, so a POSIX system. Under ``taskset -c 0`` a
+file is written and read by one process. The reader accepts integers as
+ASCII digits with an optional sign, and floats in the grammar of
+``float()`` without underscores or non-ASCII digits, in records and in
+header values alike. Every float must be finite: ``nan`` or ``inf`` in a
+float column, text or binary, or in a header value read with
+``TextReader.real``, is a ``FormatError`` naming the line or record.
+Readers are context managers: a loader's file is closed when it returns
+or raises.
 
 Binary artifacts are the ``NLNS`` container: the magic bytes, a
 little-endian u16 version and u8 kind, the header counts packed with the
@@ -294,91 +299,61 @@ class TextReader(_Reader):
 
     def __init__(self, path, layout: Layout):
         self.path = path
-        # Lines come from a 64 KiB buffer: with the default 8 KiB one, the
-        # extra system calls make a large load about 5% slower.
+        # The first pass reads lines from a 64 KiB buffer: with the default
+        # 8 KiB one, the extra system calls make a large load about 5% slower.
         self._file = open(path, "rb", buffering=1 << 16)
         try:
             # Each piece's byte offset and first line (the header is line
             # 0), then the file's size and line count.
             self._offsets, self._starts = [0], [0]
-            self._goto(0)
-            while text := self._piece():
-                self._offsets.append(self._offset)
+            while chunk := b"".join(self._file.readlines(PIECE_BYTES)):
+                try:
+                    text = chunk.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    at = self._offsets[-1] + exc.start
+                    raise FormatError(f"{path}: not UTF-8 text: byte {at}: {exc.reason}") from None
+                self._offsets.append(self._offsets[-1] + len(chunk))
                 self._starts.append(self._starts[-1] + len(text.splitlines()))
-            self._size, self._total = self._offset, self._starts[-1]
+            self._size, self._total = self._offsets[-1], self._starts[-1]
             if not self._total:
                 raise FormatError(f"{path}: empty file")
-            self._goto(0)
-            self.header = _parse_header(self._take(1)[0], layout.tag, layout.counts + layout.keys)
+            line = next(self._lines(0, 1))[0]
+            self.header = _parse_header(line, layout.tag, layout.counts + layout.keys)
             self.counts = tuple(self._count(key) for key in layout.counts)
         except BaseException:
             self.close()
             raise
-        self._first = 1
+        self._first = self._line = 1
 
     def close(self) -> None:
         self._file.close()
-        self._lines = []
 
-    def _goto(self, line: int) -> None:
-        """Move to ``line``: to the start of its piece, then past the lines
-        before it there."""
-        k = bisect.bisect_right(self._starts, line) - 1
-        self._file.seek(self._offsets[k])
-        self._offset, self._line = self._offsets[k], self._starts[k]
-        self._lines, self._at = [], 0
-        if line > self._line:
-            self._take(line - self._line)
-
-    def _piece(self) -> str:
-        """The next piece of text: whole lines up to about ``PIECE_BYTES``
-        (a longer line whole), the rest of the file at its end, then ''."""
-        chunk = b"".join(self._file.readlines(PIECE_BYTES))
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            at = self._offset + exc.start
-            raise FormatError(f"{self.path}: not UTF-8 text: byte {at}: {exc.reason}") from None
-        self._offset += len(chunk)
-        return text
-
-    def _take(self, k: int) -> list:
-        """Up to ``k`` of the next lines, all from one piece."""
-        if self._at == len(self._lines):
-            self._lines = []
-            text = self._piece()
-            if not text:
-                raise FormatError(f"{self.path}: changed while being read")
-            self._lines, self._at = text.splitlines(), 0
-        lines = self._lines[self._at : self._at + k]
-        self._at += len(lines)
-        self._line += len(lines)
-        return lines
-
-    def _takes(self, end: int):
-        """The lines up to line ``end``, a piece (or the rest of one) at a
-        time."""
-        while self._line < end:
-            yield self._take(end - self._line)
-
-    def _pread(self, k: int, end: int):
-        """The lines of piece ``k`` on, up to line ``end``, a piece at a
-        time, read with ``os.pread``: a forked child shares its parent's
-        file offset, so it must not move it. ``ValueError`` when a piece is
-        not what the first pass found there."""
+    def _lines(self, start: int, end: int):
+        """Lines ``start`` up to ``end``, a piece (or part of one) at a time,
+        each piece read with ``os.pread`` where the first pass found it: a
+        forked child shares its parent's file offset, so none is moved. A
+        piece that is not what the first pass found is a ``FormatError``."""
+        k = bisect.bisect_right(self._starts, start) - 1
         while self._starts[k] < end:
-            lo, hi = self._offsets[k], self._offsets[k + 1]
+            lo, hi, first = self._offsets[k], self._offsets[k + 1], self._starts[k]
             data = os.pread(self._file.fileno(), hi - lo, lo)
-            lines = data.decode("utf-8").splitlines()
-            if len(data) != hi - lo or len(lines) != self._starts[k + 1] - self._starts[k]:
-                raise ValueError(f"{self.path}: changed while being read")
-            yield lines[: end - self._starts[k]]
+            size = len(data)
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                text = ""  # no lines, and every piece the first pass found has one
+            data = None  # the text is split without the bytes
+            lines, text = text.splitlines(), None
+            if size != hi - lo or len(lines) != self._starts[k + 1] - first:
+                raise FormatError(f"{self.path}: changed while being read")
+            yield lines[max(0, start - first) : end - first]
+            lines = None  # the next piece is read without this one
             k += 1
 
     def _count(self, key: str) -> int:
         value = self.header[key]
-        try:
-            count = int(value)
+        try:  # the reader parses "1,0" as two fields, and int() rejects it
+            count = int(value) if _parses(value, np.dtype(np.int64)) else -1
         except ValueError:
             count = -1
         if not 0 <= count <= MAX_COUNT:
@@ -386,13 +361,14 @@ class TextReader(_Reader):
         return count
 
     def real(self, key: str) -> float:
+        value = self.header[key]
         try:
-            value = float(self.header[key])
+            number = float(value) if _parses(value, np.dtype(np.float64)) else math.nan
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise FormatError(f"line 1: {key}={self.header[key]!r} is not a finite number")
-        return value
+            number = math.nan
+        if not math.isfinite(number):
+            raise FormatError(f"line 1: {key}={value!r} is not a finite number")
+        return number
 
     def where(self, i: int) -> str:
         """Location of record ``i`` of the last block read."""
@@ -409,38 +385,36 @@ class TextReader(_Reader):
                 f"{self.path}: header declares {first - 1 + n} records, "
                 f"file has {self._total - 1}"
             )
+        self._first, self._line = first, first + n
         specs = list(map(_column, columns))
         width = sum(1 if run is None else run for _, run in specs)
         arrays = [((n,) if run is None else (n, run), dtype) for dtype, run in specs]  # shape, dtype
-        self._first = first
+        row = out = None
         # A record of w > 0 fields takes at least max(1, w - 1) bytes. A block
         # the file cannot hold is neither allocated nor parsed: one of its
         # records has a wrong field count, and that is the error.
-        fits = not width or n * max(1, width - 1) <= self._size
-        row = out = None
-        if fits and n and width:
+        if n and width and n * max(1, width - 1) <= self._size:
             row = np.dtype([
                 (f"c{j}", dtype, () if run is None else (run,)) for j, (dtype, run) in enumerate(specs)
             ])
-            out = self._parallel(n, arrays, row, width)
-        if out is not None:
-            nonfinite = _first_nonfinite(out)
-        else:
-            if fits:
-                out = [np.empty(shape, dtype) for shape, dtype in arrays]
-            nonfinite = self._serial(n, out, row, specs, width, name)
+            out = self._parse(n, arrays, row, _workers(n, width)[2])
+        if out is None:
+            if n:
+                self._serial(n, row, specs, width, name)
+            out = [np.empty(shape, dtype) for shape, dtype in arrays]
+        nonfinite = _first_nonfinite(out)
         if nonfinite >= 0:
             raise FormatError(f"{self.where(nonfinite)}: {name} has a non-finite value")
         return out
 
-    def _parallel(self, n: int, arrays, row: np.dtype, width: int):
-        """The block's columns, parsed by up to one process per usable CPU
-        into one shared anonymous mapping, and the reader moved past the
-        block; None, with the reader at the block's first record, when the
-        block is one chunk or one piece, or when some run did not parse
-        whole."""
-        workers = _workers(n, width)[2]
-        first, end = self._line, self._line + n
+    def _parse(self, n: int, arrays, row: np.dtype, workers: int):
+        """The block's columns, parsed by ``_fill`` in up to ``workers``
+        processes: by this process alone into new arrays, or into one shared
+        anonymous mapping, this process parsing the first run of pieces and
+        a forked child each other run. When some run does not parse whole,
+        a block parsed by several processes is parsed again by this one
+        alone; None when a block parsed by this one alone does not."""
+        first, end = self._first, self._first + n
         starts, offsets = self._starts, self._offsets
         # The block's pieces are k0 up to k1; each run is a range of whole
         # pieces but for the first run's start and the last run's end.
@@ -451,62 +425,49 @@ class TextReader(_Reader):
             bisect.bisect_left(offsets, lo + (hi - lo) * i // workers, k0 + 1, k1)
             for i in range(1, workers)
         } - {k1})
-        if not cuts:
-            return None
-        # Each column starts on 8 bytes, and the children's writes reach the
-        # parent's pages of a shared mapping.
-        sizes = [-(-math.prod(shape) * dtype.itemsize // 8) * 8 for shape, dtype in arrays]
-        shared = mmap.mmap(-1, sum(sizes), flags=mmap.MAP_SHARED)
-        out, at = [], 0
-        for (shape, dtype), size in zip(arrays, sizes):
-            out.append(np.frombuffer(shared, dtype, math.prod(shape), at).reshape(shape))
-            at += size
+        if cuts:
+            # Each column starts on 8 bytes, and the children's writes reach
+            # the parent's pages of a shared mapping.
+            sizes = [-(-math.prod(shape) * dtype.itemsize // 8) * 8 for shape, dtype in arrays]
+            shared = mmap.mmap(-1, sum(sizes), flags=mmap.MAP_SHARED)
+            out, at = [], 0
+            for (shape, dtype), size in zip(arrays, sizes):
+                out.append(np.frombuffer(shared, dtype, math.prod(shape), at).reshape(shape))
+                at += size
+        else:
+            out = [np.empty(shape, dtype) for shape, dtype in arrays]
         bounds = [first] + [starts[k] for k in cuts] + [end]
         try:
             with _Forked() as forked:
-                for k, start, stop in zip(cuts, bounds[1:], bounds[2:]):
-                    forked.fork(lambda: _fill(out, row, start - first, self._pread(k, stop)))
-                _fill(out, row, 0, self._takes(bounds[1]))
-                parsed = all(forked.wait() == 0 for _ in cuts)
-        except _REJECTED:
-            parsed = False
-        self._goto(end if parsed else first)
-        return out if parsed else None
+                for start, stop in zip(bounds[1:], bounds[2:]):
+                    forked.fork(lambda: _fill(out, row, start - first, self._lines(start, stop)))
+                _fill(out, row, 0, self._lines(first, bounds[1]))
+                if all(forked.wait() == 0 for _ in cuts):
+                    return out
+        except (*_REJECTED, FormatError):
+            pass
+        out = shared = None  # freed before the block is parsed again
+        return self._parse(n, arrays, row, 1) if cuts else None
 
-    def _serial(self, n: int, out, row, specs, width: int, name: str) -> int:
-        """Parse the block's records into ``out`` in this process, raising
-        the block's first field-count error, else its first parse error;
-        returns the index of its first non-finite record, or -1."""
-        done = parsed = 0
-        bad, nonfinite = None, -1
-        for lines in self._takes(self._first + n):
-            table = rejected = None
-            if row is not None and bad is None:
+    def _serial(self, n: int, row, specs, width: int, name: str) -> None:
+        """Raise the block's first record with a wrong field count, else its
+        first record that does not parse, else that the file changed while
+        being read; return only for a block of no fields whose records are
+        all blank. ``row`` is None when the block was not parsed."""
+        bad, done = None, 0
+        for lines in self._lines(self._first, self._first + n):
+            self._check_fields(lines, done, width, name)
+            if bad is None and row is not None:
                 try:
-                    table = _loadtxt(lines, row)
+                    _loadtxt(lines, row)
                 except _REJECTED:
-                    rejected = True
-            # The reader accepts only records of exactly ``width`` fields, so
-            # a piece it read whole needs no count of its own.
-            if table is None or len(table) != len(lines):
-                self._check_fields(lines, done, width, name)
-            if rejected:
-                bad = self._bad_record(lines, done, row, specs, name)
-            elif table is not None:
-                _store(out, table, parsed)
-                i = _first_nonfinite([col[parsed : parsed + len(table)] for col in out])
-                if nonfinite < 0 and i >= 0:
-                    nonfinite = parsed + i
-                parsed += len(table)
+                    bad = self._bad_record(lines, done, row, specs, name)
             done += len(lines)
-            lines = table = None  # the next piece is read without this one
+            lines = None  # the next piece is read without this one
         if bad is not None:
             raise bad
-        if out is None:
+        if width:
             raise FormatError(f"{self.path}: changed while being read")
-        if width and parsed != n:
-            raise FormatError(f"{self.path}: parsed {parsed} records, expected {n}")
-        return nonfinite
 
     def _check_fields(self, lines, done: int, width: int, name: str) -> None:
         """Raise for the first of ``lines`` (records ``done`` on of the block)
@@ -550,22 +511,17 @@ def _first_nonfinite(columns: list) -> int:
     return int(np.argmax(bad)) if bad.any() else -1
 
 
-def _store(out: list, table: np.ndarray, at: int) -> None:
-    """Copy each field of the structured ``table`` into its column of
-    ``out``, from row ``at`` on."""
-    for col, field in zip(out, table.dtype.names):
-        col[at : at + len(table)] = table[field]
-
-
 def _fill(out: list, row: np.dtype, at: int, pieces) -> None:
     """Parse each list of lines in ``pieces`` as records of ``row`` into
     ``out``, from row ``at`` on; raise one of ``_REJECTED`` at the first
-    piece the reader does not read whole."""
+    piece the reader does not read whole, and the ``FormatError`` of a
+    changed file at one that ``pieces`` cannot read again."""
     for lines in pieces:
         table = _loadtxt(lines, row)
         if len(table) != len(lines):
             raise ValueError("a blank line is not a record of the row")
-        _store(out, table, at)
+        for col, field in zip(out, row.names):
+            col[at : at + len(table)] = table[field]
         at += len(lines)
         lines = table = None  # the next piece is read without this one
 
@@ -580,6 +536,8 @@ def _parse_header(line: str, tag: str, required) -> dict:
         if "=" not in token:
             raise FormatError(f"line 1: malformed header field {token!r}")
         key, value = token.split("=", 1)
+        if key in header:
+            raise FormatError(f"line 1: duplicate header field {key!r}")
         header[key] = value
     for key in required:
         if key not in header:

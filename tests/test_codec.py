@@ -407,6 +407,38 @@ def test_rejected_number_names_its_line_and_token(tmp_path, monkeypatch, reader,
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "kind,old,new,message",
+    [
+        ("dataset", "N=10", "N=1_0", f"N='1_0' is not a count in [0, {codec.MAX_COUNT}]"),
+        ("dataset", "N=2", "N=\u0662", f"N='\u0662' is not a count in [0, {codec.MAX_COUNT}]"),
+        ("mask", "THRESHOLD=0.25", "THRESHOLD=0.2_5", "THRESHOLD='0.2_5' is not a finite number"),
+        ("dataset", "N=10", "N=1,0", f"N='1,0' is not a count in [0, {codec.MAX_COUNT}]"),
+        ("mask", "THRESHOLD=0.25", "THRESHOLD=0,25", "THRESHOLD='0,25' is not a finite number"),
+    ],
+    ids=["count_underscore", "count_non_ascii_digit", "real_underscore", "count_comma", "real_comma"],
+)
+def test_header_value_follows_the_record_grammar(tmp_path, kind, old, new, message):
+    """A header count or real is read as a record field is, so ``int()``'s
+    and ``float()``'s underscores and non-ASCII digits are rejected there
+    too, and so is a comma, which would split the value into two fields;
+    each file loads before its header value is respelled."""
+    path = tmp_path / f"{kind}.txt"
+    if kind == "mask":
+        save_mask(path, select_by_confidence(DATASET, SCORES, 0.25))
+        load = load_mask
+    else:
+        n = int(old[len("N=") :])
+        records = "".join(f"{i},0,{i}.5\n" for i in range(n))
+        path.write_text(f"#noiselens-dataset v1 N={n} C=2 D=1 GT=0\n{records}", encoding="utf-8")
+        load = load_dataset
+    load(path)
+    path.write_bytes(path.read_bytes().replace(old.encode(), new.encode(), 1))
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"line 1: {message}"
+
+
 def test_whitespace_flipped_id_names_its_line(tmp_path):
     path = tmp_path / "corruption.txt"
     header = "#noiselens-corruption v1 N=2 C=2 KIND=symmetric RATE=0.5 SEED=1 FLIPPED=1 REALIZED=0.5"
@@ -797,6 +829,30 @@ def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, cas
         with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
         assert str(excinfo.value) == message, (workers, piece)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda raw: raw[: len(raw) // 2], lambda raw: raw.replace(b"5\n", b"5\n\n")],
+    ids=["truncated", "newlines_doubled"],
+)
+def test_a_file_changed_after_its_first_pass_is_a_format_error(tmp_path, monkeypatch, change):
+    """Every line is read again where the first pass found it, also in a
+    file smaller than the reader's buffer, so a file changed in between
+    cannot load; with 4 fields a chunk and 64 bytes a piece the block is
+    split among the reading processes."""
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", 4)
+    monkeypatch.setattr(codec, "PIECE_BYTES", 64)
+    raw = _dataset_text({})
+    path = tmp_path / "ds.txt"
+    for workers in READERS:
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+        path.write_bytes(raw)
+        with codec.TextReader(path, codec.DATASET) as reader:
+            path.write_bytes(change(raw))
+            with pytest.raises(FormatError) as excinfo:
+                reader.rows(reader.counts[0], [int, int, (float, 2)])
+        assert str(excinfo.value) == f"{path}: changed while being read", workers
 
 
 @pytest.mark.parametrize(

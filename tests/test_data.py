@@ -363,6 +363,9 @@ class TestDatasetFiles:
         path.write_text("#noiselens-scores v1 N=1 C=2\n0,0,1.0\n")
         with pytest.raises(FormatError):
             load_dataset(path)
+        path.write_text("#noiselens-dataset v1 N=2 C=2 D=1 GT=0 N=1\n0,0,1.0\n")
+        with pytest.raises(FormatError, match=r"^line 1: duplicate header field 'N'$"):
+            load_dataset(path)
 
     def test_bad_float_reports_line(self, tmp_path):
         path = tmp_path / "ds.txt"
