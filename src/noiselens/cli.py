@@ -40,6 +40,7 @@ from .selection import (
     criterion_threshold,
     load_mask,
     save_mask,
+    selected_rows,
 )
 from .trainer import TrainConfig, load_classifier, save_classifier, train
 
@@ -113,11 +114,10 @@ def _cmd_select(args) -> int:
 def _cmd_priors(args) -> int:
     dataset = load_dataset(args.dataset)
     scores = load_score_matrix(args.scores, dataset)
-    mask = load_mask(args.mask)
-    subset = apply_mask(dataset, mask)
+    rows = selected_rows(dataset, load_mask(args.mask))
     matrix = estimate_transition_matrix(dataset, scores)
     _warn_fallbacks(matrix)
-    prior = compute_class_prior(subset)
+    prior = compute_class_prior(dataset, rows)
     save_transition_matrix(args.tm_out, matrix)
     save_class_prior(args.prior_out, prior)
     return 0

@@ -17,7 +17,9 @@ on the piece size.
 A text file is read in pieces of whole lines, about ``PIECE_BYTES`` each,
 so every piece ends just after a ``\\n`` byte and none splits a record, a
 ``\\r\\n`` or a UTF-8 sequence. A first pass checks the UTF-8, counts the
-lines and records where each piece starts. Every later read, the header's
+lines and records where each piece starts. It counts a piece of ASCII
+whose only line break is ``\\n`` by its ``\\n`` bytes, and decodes and
+splits any other piece as the parser does. Every later read, the header's
 too, takes its pieces again with ``os.pread`` at those offsets, and a
 piece whose size or line count is not what the first pass found means the
 file changed while being read. Records are parsed a piece at a time by
@@ -308,12 +310,12 @@ class TextReader(_Reader):
             self._offsets, self._starts = [0], [0]
             while chunk := b"".join(self._file.readlines(PIECE_BYTES)):
                 try:
-                    text = chunk.decode("utf-8")
+                    count = _line_count(chunk)
                 except UnicodeDecodeError as exc:
                     at = self._offsets[-1] + exc.start
                     raise FormatError(f"{path}: not UTF-8 text: byte {at}: {exc.reason}") from None
                 self._offsets.append(self._offsets[-1] + len(chunk))
-                self._starts.append(self._starts[-1] + len(text.splitlines()))
+                self._starts.append(self._starts[-1] + count)
             self._size, self._total = self._offsets[-1], self._starts[-1]
             if not self._total:
                 raise FormatError(f"{path}: empty file")
@@ -497,6 +499,22 @@ class TextReader(_Reader):
                 f"{self.path}: header declares {self._line - 1} records, "
                 f"file has {self._total - 1}"
             )
+
+
+# The ASCII bytes besides "\n" that end a line for `str.splitlines`. Any
+# other line break it knows ("\x85", "\u2028", "\u2029") is not ASCII.
+_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _line_count(piece: bytes) -> int:
+    """The number of lines `str.splitlines` finds in ``piece`` decoded as
+    UTF-8. An ASCII piece whose only line break is ``\\n`` is counted on its
+    bytes; any other piece is decoded, which raises `UnicodeDecodeError`
+    for bytes that are not UTF-8."""
+    if piece.isascii() and not any(b in piece for b in _BREAKS):
+        n = piece.count(b"\n")
+        return n + 1 if piece and not piece.endswith(b"\n") else n
+    return len(piece.decode("utf-8").splitlines())
 
 
 def _first_nonfinite(columns: list) -> int:

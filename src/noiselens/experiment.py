@@ -11,7 +11,7 @@ produces byte-identical artifacts.
 import hashlib
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
@@ -40,11 +40,11 @@ from .selection import (
     CRITERION_PROMPT_CONSISTENCY,
     THRESHOLDS,
     SelectionMask,
-    apply_mask,
     criterion_threshold,
     save_mask,
     select_by_confidence,
     select_by_prompt_consistency,
+    selected_rows,
 )
 from .trainer import TrainConfig, save_classifier, train
 
@@ -388,7 +388,11 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(config: ExperimentConfig, stage: str, error: str) -> None:
+def _write_manifest(config: ExperimentConfig, stage: str, error: str, written) -> None:
+    """The manifest of this run: its config and seeds, a hash of each
+    `ARTIFACT_ORDER` name in ``written`` (the names this run began to
+    write) that exists, and its status. A file that a previous run left in
+    the directory is not listed."""
     out = config.output_dir
     lines = ["#noiselens-manifest v1", f"config_sha256={config.config_sha256}"]
     for name in sorted(config.seeds):
@@ -398,7 +402,7 @@ def _write_manifest(config: ExperimentConfig, stage: str, error: str) -> None:
     digest_lines = []
     for name in ARTIFACT_ORDER:
         path = os.path.join(out, name)
-        if os.path.exists(path):
+        if name in written and os.path.exists(path):
             digest_lines.append(f"{name}={_sha256_file(path)}")
     lines.extend(f"artifact.{entry}" for entry in digest_lines)
     combined = hashlib.sha256("\n".join(digest_lines).encode("utf-8")).hexdigest()
@@ -436,10 +440,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full pipeline, writing artifacts as stages finish.
 
     On a stage failure the artifacts written so far stay in place and the
-    manifest records the failing stage; the result carries status 1.
+    manifest records the failing stage; the result carries status 1. A
+    previous run's manifest is removed before the first artifact is
+    written, and the new one lists only what this run wrote; no other file
+    is removed, as an input may sit in ``output.dir``.
     """
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
+    with suppress(FileNotFoundError):
+        os.remove(os.path.join(out, "manifest.txt"))
+    written = []
+
+    def artifact(name):
+        written.append(name)
+        return os.path.join(out, name)
+
     result = ExperimentResult(status=1, output_dir=out, stage="dataset")
     try:
         if config.dataset_source == "file":
@@ -449,32 +464,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if config.noise is not None:
                 dataset, record = inject_noise(dataset, config.noise)
             result.dataset = dataset
-            save_dataset(os.path.join(out, "dataset.txt"), dataset)
+            save_dataset(artifact("dataset.txt"), dataset)
             if config.noise is not None:
-                save_corruption_record(os.path.join(out, "corruption.txt"), record, config.noise)
+                save_corruption_record(artifact("corruption.txt"), record, config.noise)
 
         result.stage = "score"
         settings = config.scorer, config.embeddings, config.correct_prob
         matrices = []  # one per score source: the criterion's config reads one or two
         for name, source in zip(("scores.txt", "scores_b.txt"), config.score_sources):
             matrices.append(score(dataset, *source, *settings))
-            save_score_matrix(os.path.join(out, name), matrices[-1])
+            save_score_matrix(artifact(name), matrices[-1])
 
         result.stage = "select"
         mask = result.mask = select(dataset, config.criterion, config.threshold, *matrices)
-        save_mask(os.path.join(out, "mask.txt"), mask)
-        subset = apply_mask(dataset, mask)
+        save_mask(artifact("mask.txt"), mask)
+        selected = selected_rows(dataset, mask)
 
         result.stage = "priors"
         matrix = result.matrix = estimate_transition_matrix(dataset, matrices[0])
-        prior = compute_class_prior(subset)
-        save_transition_matrix(os.path.join(out, "transition.txt"), matrix)
-        save_class_prior(os.path.join(out, "prior.txt"), prior)
+        prior = compute_class_prior(dataset, selected)
+        save_transition_matrix(artifact("transition.txt"), matrix)
+        save_class_prior(artifact("prior.txt"), prior)
 
         result.stage = "train"
-        train_report = train(subset, matrix, prior, config.margin, config.train)
+        train_report = train(dataset.subset(selected), matrix, prior, config.margin, config.train)
         result.train_report = train_report
-        save_classifier(os.path.join(out, "classifier.txt"), train_report.classifier)
+        save_classifier(artifact("classifier.txt"), train_report.classifier)
 
         result.stage = "evaluate"
         test_dataset = None
@@ -511,20 +526,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             rows[0]["recall"] = quality.recall
         if test_dataset is not None:
             if config.test_source == "synth":
-                save_dataset(os.path.join(out, "test.txt"), test_dataset)
+                save_dataset(artifact("test.txt"), test_dataset)
             test = evaluate(train_report.classifier, test_dataset, config.top_k)
             test = {"test_accuracy": test.pop("accuracy"), **test}
             metrics.update(test)
             rows.append({"stage": "evaluation", "test_samples": test_dataset.num_samples, **test})
         result.metrics = metrics
-        with open(os.path.join(out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        with open(artifact("report.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_records(rows))
     except (NoiseLensError, OSError, MemoryError) as exc:
         result.error = str(exc)
-        _write_manifest(config, result.stage, result.error)
+        _write_manifest(config, result.stage, result.error, written)
         return result
 
     result.status = 0
     result.stage = "done"
-    _write_manifest(config, "done", "")
+    _write_manifest(config, "done", "", written)
     return result

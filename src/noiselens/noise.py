@@ -129,13 +129,17 @@ def make_blobs(
 
     Samples are grouped by class (ids 0..N-1 in class order) and start out
     uncorrupted: noisy labels equal the true ones until an injector runs.
+    The draws land in the returned array and each class's block gets its
+    mean added in place, so the features are held once.
     """
     BlobSpec(num_classes, per_class, dim, separation, seed)
     rng = np.random.default_rng(seed)
     means = _blob_means(rng, num_classes, dim, separation)
     n = num_classes * per_class
-    labels = np.repeat(np.arange(n // per_class), per_class)
-    features = means[labels] + rng.standard_normal((n, dim))
+    labels = np.repeat(np.arange(num_classes), per_class)
+    features = rng.standard_normal((n, dim))
+    blocks = features.reshape(num_classes, per_class, dim)
+    blocks += means[:, None, :]
     return Dataset(
         num_classes=num_classes,
         ids=np.arange(n),

@@ -1,6 +1,6 @@
 """Class-level statistics feeding the margin-adjusted loss: a transition
 matrix averaged from surrogate scores over the full dataset, and a class
-frequency prior counted on the selected clean subset.
+frequency prior counted on the noisy labels of the selected clean rows.
 
 Both statistics condition on noisy labels only.
 """
@@ -111,11 +111,14 @@ def transition_matrix_error(estimated: TransitionMatrix, reference: np.ndarray) 
     return float(np.abs(estimated.values - reference).mean())
 
 
-def compute_class_prior(clean_subset: Dataset) -> ClassPrior:
-    """Count noisy labels on the clean subset over its classes and smooth
-    with add-half."""
-    c = clean_subset.num_classes
-    counts = np.bincount(clean_subset.noisy_labels, minlength=c).astype(np.int64)
+def compute_class_prior(dataset: Dataset, rows=None) -> ClassPrior:
+    """Count the noisy labels of the clean samples over the dataset's
+    classes and smooth with add-half. The clean samples are ``dataset``
+    itself, or its samples at ``rows`` (as from `selection.selected_rows`),
+    so no feature is copied to count them."""
+    c = dataset.num_classes
+    labels = dataset.noisy_labels if rows is None else dataset.noisy_labels[rows]
+    counts = np.bincount(labels, minlength=c).astype(np.int64)
     total = int(counts.sum())
     if total == 0:
         raise ValidationError("empty subset")

@@ -12,7 +12,7 @@ from .errors import NoiseLensError, ValidationError, array, check_fields, check_
 from .losses import MarginConfig
 from .noise import selection_quality
 from .priors import compute_class_prior, estimate_transition_matrix
-from .selection import select_by_confidence, apply_mask
+from .selection import select_by_confidence, selected_rows
 from .trainer import TrainConfig, predict, train_heads
 
 NUM_BINS = 10
@@ -134,9 +134,10 @@ def threshold_sweep(
     """Run select -> prior -> train -> evaluate once per threshold.
 
     The transition matrix comes from the full dataset and is shared across
-    thresholds; the class prior is recomputed per threshold on that
-    threshold's selection. The heads of every threshold train together in
-    one ``train_heads`` call, each exactly as a lone ``train`` would.
+    thresholds; the class prior is recomputed per threshold from the noisy
+    labels of that threshold's selected rows, so no features are copied.
+    The heads of every threshold train together in one ``train_heads``
+    call, each exactly as a lone ``train`` would.
     Thresholds whose selection is empty (or whose pipeline fails) are
     marked skipped instead of aborting the sweep.
     """
@@ -158,11 +159,12 @@ def threshold_sweep(
             points[rho] = SweepPoint(rho, 0, None, None, None, skipped=True, error="empty selection")
             continue
         try:
-            prior = compute_class_prior(apply_mask(dataset, mask))
+            rows = selected_rows(dataset, mask)
+            prior = compute_class_prior(dataset, rows)
         except NoiseLensError as exc:
             points[rho] = _failed(rho, mask, exc)
             continue
-        selected.append((rho, mask, np.flatnonzero(mask.verdicts), prior))
+        selected.append((rho, mask, rows, prior))
 
     reports = train_heads(
         dataset,

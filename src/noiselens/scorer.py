@@ -72,7 +72,9 @@ def cosine_softmax_score(
     """Score row i, class j as softmax_j(cos(V_i, T_j) / temperature).
 
     The softmax subtracts the per-row maximum before exponentiating, so the
-    sharp default temperature (0.01) cannot overflow float64.
+    sharp default temperature (0.01) cannot overflow float64. The unit
+    image rows are dropped after the matmul, and every later step works in
+    place on the N x C result.
     """
     emb = np.asarray(image_embeddings, dtype=np.float64)
     if emb.ndim != 2:
@@ -83,12 +85,13 @@ def cosine_softmax_score(
         )
     unit_images = emb / _row_norms(emb, "image embedding")[:, None]
     unit_classes = bank.embeddings / _row_norms(bank.embeddings, "class embedding")[:, None]
-    cosines = unit_images @ unit_classes.T
+    values = unit_images @ unit_classes.T
+    del unit_images
 
-    logits = cosines / config.temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    values = weights / weights.sum(axis=1, keepdims=True)
+    values /= config.temperature
+    values -= values.max(axis=1, keepdims=True)
+    np.exp(values, out=values)
+    values /= values.sum(axis=1, keepdims=True)
     if sample_ids is None:
         sample_ids = np.arange(emb.shape[0], dtype=np.int64)
     return ScoreMatrix(values, sample_ids)

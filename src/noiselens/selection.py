@@ -136,16 +136,23 @@ def select_by_prompt_consistency(
     return SelectionMask(dataset.ids, distances, CRITERION_PROMPT_CONSISTENCY, mu)
 
 
-def apply_mask(dataset: Dataset, mask: SelectionMask) -> Dataset:
-    """Restrict the dataset to the samples the mask marks clean, preserving
-    order and ids."""
+def selected_rows(dataset: Dataset, mask: SelectionMask) -> np.ndarray:
+    """The ascending row indices of the samples the mask marks clean, after
+    checking that the mask's ids are the dataset's; an empty selection is
+    an error."""
     check_ids(mask.sample_ids, dataset, "mask")
-    indices = np.nonzero(mask.verdicts)[0]
-    if indices.size == 0:
+    rows = np.flatnonzero(mask.verdicts)
+    if rows.size == 0:
         raise ValidationError(
             "empty selection: no sample passed the threshold, training cannot proceed"
         )
-    return dataset.subset(indices)
+    return rows
+
+
+def apply_mask(dataset: Dataset, mask: SelectionMask) -> Dataset:
+    """Restrict the dataset to the samples the mask marks clean, preserving
+    order and ids."""
+    return dataset.subset(selected_rows(dataset, mask))
 
 
 def save_mask(path, mask: SelectionMask) -> None:

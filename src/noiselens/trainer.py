@@ -292,23 +292,28 @@ def train_heads(
                 h.start_epoch(cfg)
         live = [i for i in live if outcome[i] is None and heads[i].epoch < cfg.epochs]
 
-    # Train accuracy per epoch, one head's subset at a time: holding every
-    # head's subset would cost a copy of the features per head.
     for i, h in enumerate(heads):
         if outcome[i] is not None:
             continue
-        subset = dataset if h.rows.size == n else dataset.subset(h.rows)
-        accuracy = []
-        for classifier in h.epoch_ends:
-            predicted = predict(classifier, subset).labels
-            accuracy.append(float(np.mean(predicted == subset.noisy_labels)))
         outcome[i] = TrainReport(
             epoch_losses=tuple(h.epoch_losses),
-            epoch_train_accuracy=tuple(accuracy),
+            epoch_train_accuracy=_train_accuracy(dataset, h),
             classifier=h.epoch_ends[-1],
             wall_seconds=time.perf_counter() - started,
         )
     return outcome
+
+
+def _train_accuracy(dataset: Dataset, head: _Head) -> tuple:
+    """The head's accuracy on its own rows as each epoch ended. Its subset
+    lives only in this call, so the heads' subsets are held one at a time:
+    holding them all would cost a copy of the features per head."""
+    subset = dataset if head.rows.size == dataset.num_samples else dataset.subset(head.rows)
+    accuracy = []
+    for classifier in head.epoch_ends:
+        predicted = predict(classifier, subset).labels
+        accuracy.append(float(np.mean(predicted == subset.noisy_labels)))
+    return tuple(accuracy)
 
 
 def train(

@@ -773,6 +773,26 @@ def test_every_piece_size_loads_what_one_piece_loads(tmp_path, monkeypatch, kind
         assert _outcome(load, path) == whole, (workers, piece)
 
 
+# Text that `str.splitlines` ends a line in: every ASCII break besides
+# "\n", "\r\n" and the non-ASCII breaks "\x85" and "\u2028", among fields.
+LINE_PARTS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "1", ",", "-2.5", "\u00e9"]
+
+
+@given(st.lists(st.sampled_from(LINE_PARTS), max_size=40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_first_pass_counts_the_lines_the_parser_splits(parts, newline):
+    """The first pass's count of a piece, on its bytes or not, is the count
+    of the lines each later read splits it into."""
+    piece = ("".join(parts) + "\n" * newline).encode("utf-8")
+    assert codec._line_count(piece) == len(piece.decode("utf-8").splitlines())
+
+
+def test_first_pass_count_rejects_what_is_not_utf8():
+    with pytest.raises(UnicodeDecodeError):
+        codec._line_count(b"1,2\n3,\xff\n")
+
+
 RECORDS = [f"{i},{i % 2},{i}.5,-{i}.25" for i in range(6)]
 HEADER = "#noiselens-dataset v1 N=6 C=2 D=2 GT=0"
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noiselens.experiment
 from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.experiment import (
     ARTIFACT_ORDER,
@@ -307,6 +308,49 @@ class TestRunExperiment:
         assert result.status == 0
         assert (out2 / "scores_b.txt").exists()
         assert result.mask.selected_count == result.dataset.num_samples
+
+    @staticmethod
+    def artifacts(out):
+        """The manifest's artifact lines and its artifacts_hash."""
+        lines = (out / "manifest.txt").read_text().splitlines()
+        return [ln for ln in lines if ln.startswith(("artifact.", "artifacts_hash="))]
+
+    def test_rerun_without_a_test_set_describes_only_itself(self, tmp_path):
+        first, out = self.run_minimal(tmp_path, out_name="shared")
+        assert first.status == 0 and "artifact.test.txt" in "".join(self.artifacts(out))
+        no_test = MINIMAL_CONFIG.replace("test.source = synth\n", "").replace("test.per_class = 20\n", "")
+        for name in ("shared", "fresh"):
+            config = config_from_text(no_test.format(out=tmp_path / name))
+            assert run_experiment(config).status == 0
+        assert self.artifacts(tmp_path / "shared") == self.artifacts(tmp_path / "fresh")
+        assert (out / "test.txt").exists()  # no file is removed but the manifest
+
+    def test_confidence_rerun_after_prompt_consistency_describes_only_itself(self, tmp_path):
+        fresh, fresh_out = self.run_minimal(tmp_path, out_name="fresh")
+        assert fresh.status == 0
+        out = tmp_path / "shared"
+        consistency = MINIMAL_CONFIG.replace(
+            "selection.criterion = confidence\nselection.rho = 0.5\n",
+            f"selection.criterion = prompt_consistency\nscorer.path_b = {fresh_out / 'scores.txt'}\n",
+        )
+        assert run_experiment(config_from_text(consistency.format(out=out))).status == 0
+        assert "artifact.scores_b.txt" in "".join(self.artifacts(out))
+        again, _ = self.run_minimal(tmp_path, out_name="shared")
+        assert again.status == 0
+        assert self.artifacts(out) == self.artifacts(fresh_out)
+        assert (out / "scores_b.txt").exists()
+
+    def test_interrupted_rerun_leaves_no_old_manifest(self, tmp_path, monkeypatch):
+        first, out = self.run_minimal(tmp_path)
+        assert first.status == 0
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(noiselens.experiment, "save_mask", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_minimal(tmp_path)
+        assert not (out / "manifest.txt").exists()
 
     def test_report_artifact_is_parseable_records(self, tmp_path):
         result, out = self.run_minimal(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the synthetic-benchmark generators and corruption models."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def strip_truth(dataset):
     )
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMakeBlobs:
     def test_shapes_ids_and_block_labels(self):
         ds = make_blobs(num_classes=3, per_class=4, dim=5, separation=2.0, seed=1)
@@ -46,6 +56,23 @@ class TestMakeBlobs:
         c = make_blobs(4, 10, 6, 1.5, seed=8)
         np.testing.assert_array_equal(a.features, b.features)
         assert not np.array_equal(a.features, c.features)
+
+    @pytest.mark.parametrize("classes, dim", [(3, 5), (4, 4), (6, 3)], ids=["C<D", "C=D", "C>D"])
+    def test_features_are_means_plus_draws_bit_for_bit(self, classes, dim):
+        per_class, seed = 7, 11
+        ds = make_blobs(classes, per_class, dim, 2.5, seed=seed)
+        rng = np.random.default_rng(seed)
+        if classes > dim:  # the excess classes' directions come first
+            rng.standard_normal((classes - dim, dim))
+        labels = np.repeat(np.arange(classes), per_class)
+        means = blob_means(classes, dim, 2.5, seed=seed)
+        expected = means[labels] + rng.standard_normal((classes * per_class, dim))
+        assert ds.features.tobytes() == expected.tobytes()
+
+    def test_features_are_held_once(self):
+        classes, per_class, dim = 4, 1000, 128
+        peak = _traced_peak(lambda: make_blobs(classes, per_class, dim, 2.0, seed=3))
+        assert peak <= 1.1 * classes * per_class * dim * 8
 
     def test_means_are_axis_aligned(self):
         means = blob_means(num_classes=3, dim=5, separation=2.5)

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noiselens.data import Dataset, ScoreMatrix
+import noiselens.cli
+import noiselens.experiment
+import noiselens.report
+from noiselens.data import Dataset, ScoreMatrix, save_dataset, save_score_matrix
 from noiselens.errors import FormatError, ValidationError
 from noiselens.priors import (
     ClassPrior,
@@ -16,6 +21,10 @@ from noiselens.priors import (
     save_transition_matrix,
     transition_matrix_error,
 )
+from noiselens.losses import MarginConfig
+from noiselens.noise import NoiseSpec, inject_noise, make_blobs, oracle_scores
+from noiselens.selection import save_mask, select_by_confidence
+from noiselens.trainer import TrainConfig
 
 
 def dataset_with_labels(labels, num_classes):
@@ -143,6 +152,22 @@ class TestClassPrior:
         with pytest.raises(ValidationError, match="at least one sample"):
             ds.subset(np.array([], dtype=np.int64))
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_prior_by_rows_equals_prior_of_the_subset(self, labels, data):
+        ds = dataset_with_labels(labels, 4)
+        picked = data.draw(st.lists(st.booleans(), min_size=len(labels), max_size=len(labels)))
+        rows = np.flatnonzero(picked)
+        if rows.size == 0:
+            with pytest.raises(ValidationError, match="^empty subset$"):
+                compute_class_prior(ds, rows)
+            return
+        by_rows = compute_class_prior(ds, rows)
+        of_subset = compute_class_prior(ds.subset(rows))
+        assert by_rows.values.tobytes() == of_subset.values.tobytes()
+        assert by_rows.counts.tobytes() == of_subset.counts.tobytes()
+        assert by_rows.total == of_subset.total
+
     def test_constructor_invariants(self):
         with pytest.raises(ValidationError):
             ClassPrior(np.array([0.5, 0.5]), np.array([1, 2]), 4)  # counts != total
@@ -209,3 +234,65 @@ class TestFiles:
         )
         with pytest.raises(FormatError, match="line 3"):
             load_class_prior(path)
+
+
+def _noisy_run_inputs(seed=0):
+    clean = make_blobs(3, 30, 4, 3.0, seed=seed)
+    noisy, _ = inject_noise(clean, NoiseSpec("symmetric", 0.3, seed=seed + 1))
+    return noisy, oracle_scores(noisy, 0.9)
+
+
+def _run(tmp_path):
+    text = (
+        "dataset.source = synth\ndataset.classes = 3\ndataset.per_class = 30\n"
+        "dataset.dim = 4\ndataset.noise = symmetric\nscorer.source = oracle\n"
+        f"train.epochs = 2\noutput.dir = {tmp_path / 'out'}\n"
+    )
+    config = noiselens.experiment.config_from_text(text)
+    assert noiselens.experiment.run_experiment(config).status == 0
+
+
+def _cli_priors(tmp_path):
+    noisy, scores = _noisy_run_inputs()
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("ds", "scores", "mask", "tm", "prior")}
+    save_dataset(paths["ds"], noisy)
+    save_score_matrix(paths["scores"], scores)
+    save_mask(paths["mask"], select_by_confidence(noisy, scores, 0.5))
+    argv = ["priors", "--dataset", paths["ds"], "--scores", paths["scores"],
+            "--mask", paths["mask"], "--tm-out", paths["tm"], "--prior-out", paths["prior"]]
+    assert noiselens.cli.main(argv) == 0
+
+
+def _threshold_sweep(tmp_path):
+    noisy, scores = _noisy_run_inputs()
+    test = make_blobs(3, 10, 4, 3.0, seed=2)
+    bundle = noiselens.report.TrainingBundle(MarginConfig(), TrainConfig(epochs=2, batch_size=16), test)
+    report = noiselens.report.threshold_sweep(noisy, scores, [0.3, 0.5, 0.8], bundle)
+    assert not any(p.skipped for p in report.points)
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [(noiselens.experiment, _run), (noiselens.cli, _cli_priors), (noiselens.report, _threshold_sweep)],
+    ids=["run", "cli_priors", "threshold_sweep"],
+)
+def test_no_subset_is_built_for_a_prior(tmp_path, monkeypatch, module, call):
+    """The prior counts the selected rows' labels: no stage copies a subset,
+    features and all, before it asks for a prior."""
+    subsets, at_prior = [], []
+    real_subset, real_prior = Dataset.subset, module.compute_class_prior
+
+    def subset(self, indices):
+        subsets.append(len(indices))
+        return real_subset(self, indices)
+
+    def prior(*args, **kwargs):
+        at_prior.append(len(subsets))
+        return real_prior(*args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "subset", subset)
+    monkeypatch.setattr(module, "compute_class_prior", prior)
+    call(tmp_path)
+    assert at_prior and set(at_prior) == {0}
+    if module is noiselens.cli:
+        assert subsets == []

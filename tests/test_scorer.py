@@ -1,5 +1,7 @@
 """Tests for cosine-softmax scoring and the class-embedding bank."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,16 @@ BANK = ClassEmbeddingBank(
     ),
     prompt_id="ref",
 )
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 # High-precision references (50-digit arithmetic, rounded to double).
 # Image [1,0,0,0] at tau=0.25: cosines (1, 0, 0.5).
@@ -87,6 +99,27 @@ class TestCosineSoftmax:
         unit_bank = BANK.embeddings / np.linalg.norm(BANK.embeddings, axis=1, keepdims=True)
         cosines = unit_images @ unit_bank.T
         np.testing.assert_array_equal(np.argmax(scores.values, axis=1), np.argmax(cosines, axis=1))
+
+    @pytest.mark.parametrize("temperature", [0.01, 0.3])
+    def test_values_are_the_out_of_place_softmax_bit_for_bit(self, temperature):
+        rng = np.random.default_rng(8)
+        images = rng.standard_normal((60, 4)) * 3.0
+        scores = cosine_softmax_score(images, BANK, ScorerConfig(temperature=temperature))
+        unit_images = images / np.linalg.norm(images, axis=1)[:, None]
+        unit_bank = BANK.embeddings / np.linalg.norm(BANK.embeddings, axis=1)[:, None]
+        logits = (unit_images @ unit_bank.T) / temperature
+        logits -= logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits)
+        expected = weights / weights.sum(axis=1, keepdims=True)
+        assert scores.values.tobytes() == expected.tobytes()
+
+    def test_holds_the_embeddings_once_and_the_scores_in_place(self):
+        n, d = 20000, 16
+        rng = np.random.default_rng(9)
+        images = rng.standard_normal((n, d))
+        bank = ClassEmbeddingBank(rng.standard_normal((10, d)))
+        peak = _traced_peak(lambda: cosine_softmax_score(images, bank, ScorerConfig()))
+        assert peak <= n * d * 8 + 2 * n * bank.num_classes * 8
 
     def test_zero_norm_image_rejected_with_index(self):
         images = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])

@@ -5,8 +5,10 @@ and require bit-identical parameters, pinning the exact operation order
 (decoupled weight-decay shrink, momentum buffer, derived shuffle stream).
 """
 
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -335,6 +337,26 @@ class TestLockstep:
             alone = train(dataset.subset(r), matrix, prior, margin, cfg)
             assert report.classifier.weights.tobytes() == alone.classifier.weights.tobytes()
             assert report.epoch_losses == alone.epoch_losses
+
+    def test_accuracy_phase_holds_one_subset_at_a_time(self, monkeypatch):
+        """Each head's train-accuracy subset is freed before the next head's
+        is built, so the phase holds at most one copy of the features."""
+        made, alive_at_build = [], []
+        real_subset = Dataset.subset
+
+        def subset(self, indices):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in made))
+            built = real_subset(self, indices)
+            made.append(weakref.ref(built))
+            return built
+
+        dataset, rows, priors, matrix = lockstep_setup()
+        monkeypatch.setattr(Dataset, "subset", subset)
+        cfg = TrainConfig(epochs=2, batch_size=LOCKSTEP_BATCH, seed=0)
+        reports = train_heads(dataset, rows, matrix, priors, MarginConfig(), cfg)
+        assert all(len(r.epoch_train_accuracy) == 2 for r in reports)
+        assert alive_at_build == [0] * sum(r.size < dataset.num_samples for r in rows)
 
     def test_prior_mismatch_stops_only_its_head(self):
         dataset, rows, priors, matrix = lockstep_setup()
