@@ -18,6 +18,22 @@ from .errors import FormatError, ValidationError, array, check_fields
 ROW_SUM_FILE_TOL = 1e-6
 ROW_SUM_INTERNAL_TOL = 1e-9
 
+# Row-wise steps over a whole matrix (scoring, the divergence criterion) run
+# one block of this many rows at a time, so no temporary spans every row.
+ROW_BLOCK = 2048
+
+
+def row_blocks(n: int):
+    """The ``(lo, hi)`` bounds of rows ``0..n`` in blocks of `ROW_BLOCK`
+    rows, the remainder merged into the last block, so fewer than
+    2·`ROW_BLOCK` rows are one block. A short tail is never its own block:
+    OpenBLAS can round a product of a few rows differently from the same
+    rows inside a larger product, and merged blocks give the one-shot
+    product's bits."""
+    count = max(n // ROW_BLOCK, 1)
+    for i in range(count):
+        yield i * ROW_BLOCK, n if i == count - 1 else (i + 1) * ROW_BLOCK
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:

@@ -440,7 +440,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full pipeline, writing artifacts as stages finish.
 
     On a stage failure the artifacts written so far stay in place and the
-    manifest records the failing stage; the result carries status 1. A
+    manifest records the failing stage; the result carries status 1. Any
+    other exception, ``KeyboardInterrupt`` included, leaves a manifest with
+    that stage and ``error=interrupted``, and propagates. A
     previous run's manifest is removed before the first artifact is
     written, and the new one lists only what this run wrote; no other file
     is removed, as an input may sit in ``output.dir``.
@@ -538,6 +540,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.error = str(exc)
         _write_manifest(config, result.stage, result.error, written)
         return result
+    except BaseException:
+        _write_manifest(config, result.stage, "interrupted", written)
+        raise
 
     result.status = 0
     result.stage = "done"

@@ -10,25 +10,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, check_ids
-from .errors import FormatError, ValidationError, array, check_fields, ranged
+from .data import Dataset, ScoreMatrix, check_ids, row_blocks
+from .errors import FormatError, ValidationError, all_finite, array, check_fields, ranged
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
 # silent clamping would hide data corruption.
 MIN_NORM = 1e-30
 
 
-def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
-    """The L2 norm of each row. A non-finite entry, a norm below MIN_NORM or
-    a norm that overflows float64 is rejected: a row divided by such a norm
-    would score as a zero vector."""
-    if not np.isfinite(rows).all():
+def _check_finite(rows: np.ndarray, what: str) -> None:
+    if not all_finite(rows):
         raise ValidationError(f"non-finite {what}")
+
+
+def _row_norms(rows: np.ndarray, what: str, first: int = 0) -> np.ndarray:
+    """The L2 norm of each row of the finite ``rows``. A norm below MIN_NORM
+    or one that overflows float64 is rejected, naming its row counted from
+    ``first``: a row divided by such a norm would score as a zero vector."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(rows, axis=1)
     bad = np.nonzero((norms < MIN_NORM) | np.isinf(norms))[0]
     if bad.size:
-        raise ValidationError(f"{what} at row {int(bad[0])} has a zero or overflowing norm")
+        raise ValidationError(f"{what} at row {first + int(bad[0])} has a zero or overflowing norm")
     return norms
 
 
@@ -43,6 +46,7 @@ class ClassEmbeddingBank:
         check_fields(self)
         if self.num_classes < 1:
             raise ValidationError("embedding bank needs at least one class")
+        _check_finite(self.embeddings, "class embedding")
         _row_norms(self.embeddings, "class embedding")
         if any(ch.isspace() for ch in self.prompt_id) or not self.prompt_id:
             raise ValidationError("prompt_id must be a non-empty token without whitespace")
@@ -72,9 +76,11 @@ def cosine_softmax_score(
     """Score row i, class j as softmax_j(cos(V_i, T_j) / temperature).
 
     The softmax subtracts the per-row maximum before exponentiating, so the
-    sharp default temperature (0.01) cannot overflow float64. The unit
-    image rows are dropped after the matmul, and every later step works in
-    place on the N x C result.
+    sharp default temperature (0.01) cannot overflow float64. The image
+    rows are normalised and multiplied one `row_blocks` block at a time
+    into the N x C result, so no temporary spans every image row, and the
+    softmax works in place on that result. A non-finite entry anywhere is
+    reported before a zero or overflowing norm.
     """
     emb = np.asarray(image_embeddings, dtype=np.float64)
     if emb.ndim != 2:
@@ -83,10 +89,13 @@ def cosine_softmax_score(
         raise ValidationError(
             f"embedding dimension {emb.shape[1]} does not match bank dimension {bank.dim}"
         )
-    unit_images = emb / _row_norms(emb, "image embedding")[:, None]
+    _check_finite(emb, "image embedding")
     unit_classes = bank.embeddings / _row_norms(bank.embeddings, "class embedding")[:, None]
-    values = unit_images @ unit_classes.T
-    del unit_images
+    values = np.empty((emb.shape[0], bank.num_classes))
+    for lo, hi in row_blocks(emb.shape[0]):
+        block = emb[lo:hi]
+        norms = _row_norms(block, "image embedding", lo)
+        np.matmul(block / norms[:, None], unit_classes.T, out=values[lo:hi])
 
     values /= config.temperature
     values -= values.max(axis=1, keepdims=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, check_ids, check_scores
+from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, check_ids, check_scores, row_blocks
 from .errors import FormatError, ValidationError, array, check_fields, check_range
 
 CRITERION_CONFIDENCE = "confidence"
@@ -93,7 +93,10 @@ def select_by_confidence(dataset: Dataset, scores: ScoreMatrix, rho: float) -> S
 def _js_rows(pq: np.ndarray) -> np.ndarray:
     """Row-wise Jensen-Shannon divergence in nats between ``pq[0]`` and
     ``pq[1]``, zeros handled by the x*log(x) -> 0 limit. Overwrites the
-    near-zero entries of ``pq``, so callers pass a fresh stack."""
+    near-zero entries of ``pq``, so callers pass a fresh stack. Its
+    temporaries are a few times the size of ``pq``, so a caller with many
+    rows passes one `row_blocks` block at a time; each row's divergence
+    depends on that row alone."""
     pq[pq < ZERO_CUTOFF] = 0.0
     m = 0.5 * (pq[0] + pq[1])
     # Both half-KL terms at once; a zero entry keeps ratio 1 and adds 0*log(1).
@@ -132,7 +135,10 @@ def select_by_prompt_consistency(
     rows is strictly below mu."""
     check_scores(scores_a, dataset)
     check_scores(scores_b, dataset)
-    distances = _js_rows(np.array((scores_a.values, scores_b.values)))
+    a, b = scores_a.values, scores_b.values
+    distances = np.empty(dataset.num_samples)
+    for lo, hi in row_blocks(dataset.num_samples):
+        distances[lo:hi] = _js_rows(np.array((a[lo:hi], b[lo:hi])))
     return SelectionMask(dataset.ids, distances, CRITERION_PROMPT_CONSISTENCY, mu)
 
 

@@ -340,17 +340,29 @@ class TestRunExperiment:
         assert self.artifacts(out) == self.artifacts(fresh_out)
         assert (out / "scores_b.txt").exists()
 
-    def test_interrupted_rerun_leaves_no_old_manifest(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "stage, call",
+        [
+            ("dataset", "inject_noise"),
+            ("score", "score"),
+            ("select", "save_mask"),
+            ("priors", "estimate_transition_matrix"),
+            ("train", "train"),
+            ("evaluate", "evaluate"),
+        ],
+    )
+    def test_interrupted_rerun_records_its_stage(self, tmp_path, monkeypatch, stage, call):
         first, out = self.run_minimal(tmp_path)
         assert first.status == 0
 
         def interrupted(*args):
-            raise KeyboardInterrupt
+            raise KeyboardInterrupt(call)
 
-        monkeypatch.setattr(noiselens.experiment, "save_mask", interrupted)
-        with pytest.raises(KeyboardInterrupt):
+        monkeypatch.setattr(noiselens.experiment, call, interrupted)
+        with pytest.raises(KeyboardInterrupt, match=f"^{call}$"):
             self.run_minimal(tmp_path)
-        assert not (out / "manifest.txt").exists()
+        status = (out / "manifest.txt").read_text().splitlines()[-3:]
+        assert status == ["status=failed", f"stage={stage}", "error=interrupted"]
 
     def test_report_artifact_is_parseable_records(self, tmp_path):
         result, out = self.run_minimal(tmp_path)

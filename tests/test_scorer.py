@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiselens import codec
-from noiselens.data import Dataset, load_score_matrix, save_score_matrix
+from noiselens.data import ROW_BLOCK, Dataset, load_score_matrix, save_score_matrix
 from noiselens.errors import ValidationError
 from noiselens.scorer import (
     ClassEmbeddingBank,
@@ -120,6 +120,44 @@ class TestCosineSoftmax:
         bank = ClassEmbeddingBank(rng.standard_normal((10, d)))
         peak = _traced_peak(lambda: cosine_softmax_score(images, bank, ScorerConfig()))
         assert peak <= n * d * 8 + 2 * n * bank.num_classes * 8
+
+    def test_scores_a_block_at_a_time(self):
+        # The one-shot scorer held N*D + N*C floats above its inputs.
+        n, d = 20000, 64
+        rng = np.random.default_rng(10)
+        images = rng.standard_normal((n, d))
+        bank = ClassEmbeddingBank(rng.standard_normal((10, d)))
+        peak = _traced_peak(lambda: cosine_softmax_score(images, bank, ScorerConfig()))
+        assert peak < 0.5 * n * d * 8 + 2 * n * bank.num_classes * 8
+
+    @pytest.mark.parametrize("d", [1, 4, 128])
+    @pytest.mark.parametrize(
+        "n", [1, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+    )
+    def test_row_blocks_give_the_one_shot_bits(self, n, d):
+        rng = np.random.default_rng(n * 1000 + d)
+        images = rng.standard_normal((n, d)) * 3.0
+        bank = ClassEmbeddingBank(rng.standard_normal((10, d)))
+        scores = cosine_softmax_score(images, bank, ScorerConfig(temperature=0.05))
+        unit_images = images / np.linalg.norm(images, axis=1)[:, None]
+        unit_bank = bank.embeddings / np.linalg.norm(bank.embeddings, axis=1)[:, None]
+        logits = (unit_images @ unit_bank.T) / 0.05
+        logits -= logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits)
+        assert scores.values.tobytes() == (weights / weights.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_zero_norm_row_in_a_later_block_names_its_row(self):
+        images = np.ones((2 * ROW_BLOCK + 10, 4))
+        images[2 * ROW_BLOCK + 4] = 0.0
+        with pytest.raises(ValidationError, match=f"image embedding at row {2 * ROW_BLOCK + 4} has a zero"):
+            cosine_softmax_score(images, BANK, ScorerConfig())
+
+    def test_non_finite_row_in_a_later_block_beats_an_earlier_zero_norm(self):
+        images = np.ones((2 * ROW_BLOCK + 10, 4))
+        images[3] = 0.0
+        images[2 * ROW_BLOCK + 4, 1] = np.nan
+        with pytest.raises(ValidationError, match="^non-finite image embedding$"):
+            cosine_softmax_score(images, BANK, ScorerConfig())
 
     def test_zero_norm_image_rejected_with_index(self):
         images = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])

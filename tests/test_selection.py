@@ -1,17 +1,19 @@
 """Tests for the confidence and prompt-consistency selection criteria."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselens.data import Dataset, ScoreMatrix
+from noiselens.data import ROW_BLOCK, Dataset, ScoreMatrix
 from noiselens.errors import ValidationError
 from noiselens.selection import (
     LN2,
     SelectionMask,
+    _js_rows,
     apply_mask,
     js_divergence,
     load_mask,
@@ -225,6 +227,38 @@ class TestSelectByPromptConsistency:
         small = select_by_prompt_consistency(ds, a, b, 0.05)
         large = select_by_prompt_consistency(ds, a, b, 0.3)
         assert np.all(large.verdicts | ~small.verdicts)  # grows with mu
+
+    @staticmethod
+    def random_pair(n, c, seed):
+        """Two row-stochastic score matrices with about a tenth of their
+        entries below the divergence's zero cutoff."""
+        rng = np.random.default_rng(seed)
+        pair = []
+        for _ in range(2):
+            raw = rng.random((n, c)) * (rng.random((n, c)) > 0.1) + 1e-300
+            pair.append(ScoreMatrix(raw / raw.sum(axis=1, keepdims=True), np.arange(n)))
+        return pair
+
+    @pytest.mark.parametrize(
+        "n", [1, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+    )
+    def test_row_blocks_give_the_one_shot_bits(self, n):
+        a, b = self.random_pair(n, 10, n)
+        mask = select_by_prompt_consistency(dataset_with_labels(np.zeros(n, int), 10), a, b, 0.1)
+        assert mask.scores.tobytes() == _js_rows(np.array((a.values, b.values))).tobytes()
+
+    def test_holds_one_block_of_temporaries(self):
+        # The one-shot criterion peaked at about 7 * N * C floats.
+        n, c = 20000, 10
+        a, b = self.random_pair(n, c, 14)
+        ds = dataset_with_labels(np.zeros(n, int), c)
+        tracemalloc.start()
+        try:
+            select_by_prompt_consistency(ds, a, b, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * c * 8
 
 
 class TestMaskAndSubset:
