@@ -197,9 +197,10 @@ def _workers(n: int, width: int) -> tuple:
 
 
 class _Forked:
-    """Forked children, waited for in the order they started. Leaving the
-    ``with`` block kills and reaps every child not yet waited for, so none
-    outlives it, also when the parent raises or is interrupted."""
+    """Forked children, of the text writer and reader and of
+    ``trainer.train_heads``, waited for in the order they started. Leaving
+    the ``with`` block kills and reaps every child not yet waited for, so
+    none outlives it, also when the parent raises or is interrupted."""
 
     def __init__(self):
         self._pids = []

@@ -39,6 +39,8 @@ def top_k_accuracy(probabilities: np.ndarray, reference_labels, k: int) -> float
     n, c = probabilities.shape
     if reference_labels.shape != (n,):
         raise ValidationError("predictions and reference labels must be equal length")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"k must be an integer, not {k!r}")
     check_range("k", k, f"[1, {c}]")
     # Stable sort on negated values keeps the lowest class index first among ties.
     ranked = np.argsort(-probabilities, axis=1, kind="stable")[:, :k]
@@ -141,10 +143,14 @@ def threshold_sweep(
     Thresholds whose selection is empty (or whose pipeline fails) are
     marked skipped instead of aborting the sweep.
     """
-    thresholds = [float(t) for t in thresholds]
+    try:
+        thresholds = [float(t) for t in thresholds]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"thresholds must be numbers: {exc}") from None
     if not thresholds:
         raise ValidationError("no thresholds given")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+    # Written as not-greater so that a NaN fails it.
+    if any(not b > a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be strictly ascending")
     matrix = estimate_transition_matrix(dataset, scores)
     points = {}

@@ -27,9 +27,20 @@ rate, so they drift apart when their epochs differ in length. The stacked
 matmuls run one BLAS call per head and every other operation acts entry by
 entry or row by row, so each head rounds exactly as it would alone.
 ``train`` is the one-head case.
+
+Heads never interact, so ``train_heads`` may also split them across
+processes: when two heads or more step ``FORK_ROWS`` rows or more in all
+(rows times epochs), they are dealt by rows, largest first, into up to one
+share per usable CPU. The calling process runs the lockstep on the first
+share and a forked child on each other one, and every outcome is the one a
+single process gives, bit for bit. A share whose child fails is trained
+again by the caller. One head, less work, one usable CPU
+(``taskset -c 0``) or a platform without ``fork`` runs one process.
 """
 
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,6 +60,15 @@ from .errors import (
 )
 from .losses import MarginConfig, check_classes, nabm_loss_batch
 from .priors import ClassPrior, TransitionMatrix
+
+# The stepped rows (rows times epochs, summed over the heads) from which
+# ``train_heads`` splits its heads across processes, so that a fork costs a
+# few percent of the work it moves. On 2 vCPUs, forking a 73 MB process,
+# reading three outcomes from its pipe and reaping it took about 2.4 ms,
+# and the lockstep took 1 to 3 us per stepped row: the half of 2**18 rows
+# that a child takes is 0.13 s of work or more. The benchmark's sweep steps
+# about 1.6M rows.
+FORK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -194,6 +214,14 @@ def train_heads(
     ``TrainReport``, or the ``NoiseLensError`` that stopped it. A head that
     diverges stops alone; the others are unaffected. Each report's
     ``wall_seconds`` counts from the start of the call.
+
+    When two heads or more step ``FORK_ROWS`` rows or more in all (rows
+    times epochs), they are split by rows, largest first, into up to one
+    share per usable CPU. This process trains the first share and a forked
+    child each other one, every share in the same lockstep, so each
+    outcome is the one-process outcome. A share whose child fails, or
+    whose outcomes cannot be loaded, is trained again here. No child
+    outlives the call.
     """
     started = time.perf_counter()
     n, c = dataset.num_samples, dataset.num_classes
@@ -201,15 +229,97 @@ def train_heads(
     priors = list(priors)
     if len(priors) != len(rows):
         raise ValidationError(f"{len(priors)} priors for {len(rows)} heads")
-    k = len(rows)
-    outcome = [None] * k
+    outcome = [None] * len(rows)
     for i, prior in enumerate(priors):
         try:
             check_classes(matrix, prior, c)
         except ValidationError as exc:
             outcome[i] = exc
+    live = [i for i, o in enumerate(outcome) if o is None]
 
-    init = init_classifier(dataset.feature_dim, c, cfg.seed)
+    def lockstep(share):
+        return _lockstep(dataset, [rows[i] for i in share], matrix, [priors[i] for i in share],
+                         margin, cfg, started)
+
+    shares = _shares(rows, live, cfg.epochs)
+    sources = []  # the read end of each child's pipe, in share order
+    try:
+        with codec._Forked() as forked:
+            for share in shares[1:]:
+                read, write = os.pipe()
+                sources.append(os.fdopen(read, "rb"))
+                try:
+                    forked.fork(lambda: _send(write, lockstep(share)))
+                finally:
+                    os.close(write)
+            results = [lockstep(shares[0])]
+            for share, source in zip(shares[1:], sources):
+                results.append(_received(source, forked.wait, started) or lockstep(share))
+    finally:
+        for source in sources:
+            source.close()
+    for share, result in zip(shares, results):
+        for i, o in zip(share, result):
+            outcome[i] = o
+    return outcome
+
+
+def _shares(rows: list, live: list, epochs: int) -> list:
+    """The ``live`` heads in shares, one per training process: a head goes
+    to the share with the fewest rows so far, largest head first. One share
+    holds them all when fewer than two heads step ``FORK_ROWS`` rows in all,
+    or when one CPU is usable."""
+    stepped = epochs * sum(rows[i].size for i in live)
+    processes = min(codec._usable_cpus(), len(live)) if stepped >= FORK_ROWS else 1
+    if processes < 2:
+        return [live]
+    shares = [[] for _ in range(processes)]
+    loads = [0] * processes
+    for i in sorted(live, key=lambda i: -rows[i].size):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += rows[i].size
+    return [sorted(share) for share in shares]
+
+
+def _send(fd: int, outcomes: list) -> None:
+    """Write a child's outcomes to its pipe."""
+    with open(fd, "wb") as out:
+        pickle.dump(outcomes, out)
+
+
+def _received(source, wait, started: float):
+    """A child's outcomes once it has exited: each report rebuilt here, so
+    its classifier's arrays are checked and frozen and its ``wall_seconds``
+    counts from ``started``. None when the child exited with a non-zero
+    status or was killed, or when its outcomes do not load."""
+    data = source.read()  # to the end: a child exits once it has written
+    if wait():
+        return None
+    try:
+        outcomes = pickle.loads(data)
+        return [
+            o if isinstance(o, NoiseLensError) else TrainReport(
+                epoch_losses=o.epoch_losses,
+                epoch_train_accuracy=o.epoch_train_accuracy,
+                classifier=LinearClassifier(weights=o.classifier.weights, bias=o.classifier.bias),
+                wall_seconds=time.perf_counter() - started,
+            )
+            for o in outcomes
+        ]
+    # Outcomes that do not load, such as an error whose class cannot be
+    # rebuilt from its message (``RangeError``), fail in one of several
+    # ways; the caller then trains the share itself.
+    except Exception:
+        return None
+
+
+def _lockstep(dataset: Dataset, rows: list, matrix, priors: list, margin, cfg, started) -> list:
+    """``train_heads`` on heads whose rows and priors are checked: the
+    outcome of each, in order."""
+    k = len(rows)
+    outcome = [None] * k
+    init = init_classifier(dataset.feature_dim, dataset.num_classes, cfg.seed)
     weights = np.repeat(init.weights[None], k, axis=0)
     bias = np.repeat(init.bias[None], k, axis=0)
     vel_w = np.zeros_like(weights)
@@ -266,7 +376,7 @@ def train_heads(
                 h.step += 1
             return
 
-    live = [i for i in range(k) if outcome[i] is None]
+    live = list(range(k))
     for i in live:
         heads[i].start_epoch(cfg)
     while live:

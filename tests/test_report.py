@@ -1,10 +1,14 @@
 """Tests for evaluation metrics, confidence histograms, and threshold sweeps."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noiselens.trainer
+from noiselens import codec
 from noiselens.data import Dataset, ScoreMatrix
 from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.losses import MarginConfig
@@ -75,6 +79,9 @@ class TestTopKAccuracy:
             top_k_accuracy(probs, [0, 1], 4)
         with pytest.raises(ValidationError):
             top_k_accuracy(probs, [0], 1)
+        for k in (1.5, 2.0, True):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                top_k_accuracy(probs, [0, 1], k)
 
 
 class TestConfidenceHistogram:
@@ -234,6 +241,19 @@ class TestThresholdSweep:
         assert not any(point[5] for point in got[1:4])
         assert got[4][5] and got[4][6] == "empty selection"
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_points_do_not_depend_on_the_training_processes(self, monkeypatch):
+        noisy, scores, bundle = graded_sweep_setup()
+        thresholds = [0.3, 0.5, 0.7, 0.9, 0.96]
+        monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
+        points = []
+        for processes in (1, 2):
+            monkeypatch.setattr(codec, "_usable_cpus", lambda: processes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                points.append(threshold_sweep(noisy, scores, thresholds, bundle).points)
+        assert points[0] == points[1]
+        assert points[0][0].error.startswith("non-finite ")
+
     def test_invalid_threshold_marked_skipped(self):
         noisy, scores, bundle = sweep_setup(seed=2)
         report = threshold_sweep(noisy, scores, [0.5, 1.0], bundle)
@@ -258,6 +278,10 @@ class TestThresholdSweep:
             threshold_sweep(noisy, scores, [0.5, 0.5], bundle)
         with pytest.raises(ValidationError):
             threshold_sweep(noisy, scores, [], bundle)
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            threshold_sweep(noisy, scores, [0.3, float("nan"), 0.5], bundle)
+        with pytest.raises(ValidationError, match="thresholds must be numbers"):
+            threshold_sweep(noisy, scores, ["abc"], bundle)
 
     def test_report_invariant(self):
         with pytest.raises(ValidationError):

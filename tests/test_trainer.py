@@ -7,15 +7,19 @@ and require bit-identical parameters, pinning the exact operation order
 
 import gc
 import math
+import os
 import re
+import signal
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 import noiselens.trainer
+from noiselens import codec
 from noiselens.data import Dataset
-from noiselens.errors import FormatError, TrainingDivergedError, ValidationError
+from noiselens.errors import FormatError, RangeError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
 from noiselens.noise import make_blobs
 from noiselens.priors import ClassPrior, TransitionMatrix, compute_class_prior
@@ -384,6 +388,189 @@ class TestLockstep:
     def test_no_heads(self):
         dataset, _, _, matrix = lockstep_setup()
         assert train_heads(dataset, [], matrix, [], MarginConfig(), TrainConfig()) == []
+
+
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+SPLIT_CFG = TrainConfig(epochs=3, batch_size=LOCKSTEP_BATCH, learning_rate=0.2, momentum=0.9,
+                        weight_decay=0.01, seed=3, lr_step_every=2, lr_step_factor=0.5)
+SPLIT_MARGIN = MarginConfig(delta=0.5, t=1.0, s=0.7, gamma=1.0)
+
+
+def split_setup():
+    """The lockstep heads, the first holding a prior of four classes and
+    the third diverging on a huge negative sample that no other trained
+    head holds. The largest trained head goes to this process, so the
+    diverging one trains in a forked child."""
+    dataset, rows, priors, matrix = lockstep_setup()
+    features = dataset.features.copy()
+    others = np.concatenate([rows[1], rows[3], rows[4]])
+    features[int(np.setdiff1d(rows[2], others)[0])] = -1e300
+    dataset = Dataset(dataset.num_classes, dataset.ids, features, dataset.noisy_labels)
+    priors[0] = ClassPrior(np.full(4, 0.25), np.ones(4, dtype=np.int64), 4)
+    return dataset, rows, priors, matrix
+
+
+def split_outcomes(monkeypatch, processes: int) -> list:
+    """``split_setup``'s outcomes from up to ``processes`` processes, each
+    as its type and message or its report's bytes and trajectories."""
+    monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: processes)
+    dataset, rows, priors, matrix = split_setup()
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
+    return [
+        (type(o), str(o)) if isinstance(o, Exception) else (
+            o.classifier.weights.tobytes(), o.classifier.bias.tobytes(),
+            o.epoch_losses, o.epoch_train_accuracy,
+        )
+        for o in outcomes
+    ]
+
+
+def forks(monkeypatch) -> list:
+    """The children forked from now on, one entry each."""
+    forked, fork = [], codec._Forked.fork
+    monkeypatch.setattr(codec._Forked, "fork", lambda self, work: forked.append(1) or fork(self, work))
+    return forked
+
+
+def before_lockstep(act):
+    """A patch that calls ``act`` in every forked child before its
+    lockstep; what ``act`` returns, if anything, is that child's outcomes
+    instead."""
+
+    def install(monkeypatch):
+        parent, lockstep = os.getpid(), noiselens.trainer._lockstep
+
+        def act_or_train(*args):
+            return (os.getpid() != parent and act()) or lockstep(*args)
+
+        monkeypatch.setattr(noiselens.trainer, "_lockstep", act_or_train)
+
+    return install
+
+
+def killed_after_sending(monkeypatch) -> None:
+    """A patch under which every child is killed once it has written its
+    outcomes whole."""
+    send = noiselens.trainer._send
+
+    def send_and_die(*args):
+        send(*args)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(noiselens.trainer, "_send", send_and_die)
+
+
+def parent_locksteps(monkeypatch) -> list:
+    """The lockstep runs of this process from now on, one entry each."""
+    parent, lockstep, runs = os.getpid(), noiselens.trainer._lockstep, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            runs.append(1)
+        return lockstep(*args)
+
+    monkeypatch.setattr(noiselens.trainer, "_lockstep", counted)
+    return runs
+
+
+def _raise(exc):
+    raise exc
+
+
+def no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplit:
+    @pytest.fixture(scope="class")
+    def alone(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            forked = forks(monkeypatch)
+            outcomes = split_outcomes(monkeypatch, 1)
+        assert not forked
+        assert [type(o[0]) for o in outcomes] == [type, bytes, type, bytes, bytes]
+        assert (outcomes[0][0], outcomes[2][0]) == (ValidationError, TrainingDivergedError)
+        return outcomes
+
+    @FORKS
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_outcomes_equal_one_process_bitwise(self, monkeypatch, alone, processes):
+        runs, forked = parent_locksteps(monkeypatch), forks(monkeypatch)
+        assert split_outcomes(monkeypatch, processes) == alone
+        assert (len(forked), len(runs)) == (processes - 1, 1)
+        no_child_left()
+
+    @pytest.mark.parametrize("processes", [1, pytest.param(2, marks=FORKS)])
+    def test_classifier_arrays_are_read_only(self, monkeypatch, processes):
+        monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: processes)
+        dataset, rows, priors, matrix = lockstep_setup()
+        reports = train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
+        for report in reports:
+            assert not report.classifier.weights.flags.writeable
+            assert not report.classifier.bias.flags.writeable
+
+    def test_work_under_the_bound_stays_in_one_process(self, monkeypatch):
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+        forked = forks(monkeypatch)
+        dataset, rows, priors, matrix = lockstep_setup()
+        assert sum(r.size for r in rows) * SPLIT_CFG.epochs < noiselens.trainer.FORK_ROWS
+        train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
+        monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
+        train(dataset, matrix, compute_class_prior(dataset), SPLIT_MARGIN, SPLIT_CFG)
+        assert not forked
+
+    def test_shares_split_by_rows_largest_first(self, monkeypatch):
+        monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
+        rows = [np.arange(n) for n in LOCKSTEP_SIZES]
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+        assert noiselens.trainer._shares(rows, [0, 1, 2, 3, 4], 1) == [[0, 2], [1, 3, 4]]
+        assert noiselens.trainer._shares(rows, [1, 2, 3], 1) == [[1], [2, 3]]
+        assert noiselens.trainer._shares(rows, [2], 1) == [[2]]
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: 1)
+        assert noiselens.trainer._shares(rows, [0, 1, 2, 3, 4], 1) == [[0, 1, 2, 3, 4]]
+
+    @FORKS
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            before_lockstep(lambda: _raise(ValueError("bad"))),
+            before_lockstep(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+            # A RangeError pickles, but its class cannot be rebuilt from
+            # the message alone.
+            before_lockstep(lambda: [RangeError("k", 0, "[1, 2]")]),
+            killed_after_sending,
+        ],
+        ids=["exception", "killed", "unloadable", "killed-after-sending"],
+    )
+    def test_failed_worker_heads_train_here(self, monkeypatch, alone, patch):
+        patch(monkeypatch)
+        runs, forked = parent_locksteps(monkeypatch), forks(monkeypatch)
+        assert split_outcomes(monkeypatch, 3) == alone
+        assert (len(forked), len(runs)) == (2, 3)
+        no_child_left()
+
+    @FORKS
+    def test_interrupted_parent_leaves_no_child(self, monkeypatch):
+        parent, lockstep = os.getpid(), noiselens.trainer._lockstep
+
+        def interrupt_in_parent(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return lockstep(*args)
+
+        monkeypatch.setattr(noiselens.trainer, "_lockstep", interrupt_in_parent)
+        forked = forks(monkeypatch)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            split_outcomes(monkeypatch, 3)
+        assert time.perf_counter() - started < 30
+        assert len(forked) == 2
+        no_child_left()
 
 
 class TestPredict:
