@@ -7,9 +7,9 @@ Header counts are integers in [0, MAX_COUNT], and a file holds exactly the
 records its header declares. Floats are written as the shortest decimal
 that parses back to the identical float64, so a text round trip is
 bit-exact. A block of records of two ``CHUNK_FIELDS`` chunks or more is
-split into contiguous row slices, one per usable CPU: the writing process
-formats the first slice into the file, and a forked child formats each
-other slice into an anonymous temporary file beside it, appended in order.
+split into contiguous row slices, one per usable CPU, formatted through
+``parallel.forked``: the writing process formats the first slice into the
+file, and each other slice's file, made beside it, is appended in order.
 Each slice is formatted about ``PIECE_BYTES`` of text at a time, and each
 row on its own, so the bytes depend neither on the number of processes nor
 on the piece size.
@@ -26,14 +26,14 @@ file changed while being read. Records are parsed a piece at a time by
 numpy's reader (``np.loadtxt``) straight into their output columns, so
 besides its arrays a load holds a few pieces (about 2 MiB): one piece's
 text, lines and parsed table. A block of two ``CHUNK_FIELDS`` chunks or
-more is parsed by up to one process per usable CPU, as it is written: its
-columns live in one shared anonymous mapping, the reading process parses
-the first run of pieces, and each forked child parses another run in
-place; the reading process's peak memory does not count the children's.
-When a run of such a block does not parse whole, the reading process
-parses the block again alone; when a block parsed by one process fails, it
-looks for the error a piece at a time, so every error is the one-process
-error. Reading by offset needs ``os.pread``, so a POSIX system. Under ``taskset -c 0`` a
+more is parsed through ``parallel.forked``, as it is written: its columns
+live in one shared anonymous mapping, the reading process parses the first
+run of pieces, and each child parses another run in place; the reading
+process's peak memory does not count the children's. When a run of such a
+block does not parse whole, the reading process parses the block again
+alone; when a block parsed by one process fails, it looks for the error a
+piece at a time, so every error is the one-process error. Reading by
+offset needs ``os.pread``, so a POSIX system. Under ``taskset -c 0`` a
 file is written and read by one process. The reader accepts integers as
 ASCII digits with an optional sign, and floats in the grammar of
 ``float()`` without underscores or non-ASCII digits, in records and in
@@ -55,16 +55,14 @@ import math
 import mmap
 import os
 import shutil
-import signal
 import struct
-import tempfile
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
+from . import parallel
 from .errors import FormatError, ValidationError, all_finite
 
 MAGIC = b"NLNS"
@@ -169,7 +167,7 @@ def write_text(path, layout: Layout, header: dict, blocks) -> None:
     ``fmt_float``. A block is a list of equal-length columns: a 1-D array
     is one field per row, a 2-D array a run of fields. A block of several
     chunks is formatted by up to one process per usable CPU; a failed
-    child raises ``OSError``, and no child outlives the call.
+    child raises ``OSError``.
     """
     fields = " ".join(f"{key}={value}" for key, value in header.items())
     with open(path, "wb") as fh:
@@ -179,65 +177,13 @@ def write_text(path, layout: Layout, header: dict, blocks) -> None:
             _write_block(path, fh, columns)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where that is unknown or where
-    processes cannot be forked."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _workers(n: int, width: int) -> tuple:
     """The rows of a chunk, the chunks of a block of ``n`` rows of ``width``
     fields, and the processes that write or read it: one per usable CPU, at
     most one per chunk, so a block of one chunk stays in one process."""
     step = max(1, CHUNK_FIELDS // max(1, width))
     chunks = -(-n // step)
-    return step, chunks, max(1, min(_usable_cpus(), chunks))
-
-
-class _Forked:
-    """Forked children, of the text writer and reader and of
-    ``trainer.train_heads``, waited for in the order they started. Leaving
-    the ``with`` block kills and reaps every child not yet waited for, so
-    none outlives it, also when the parent raises or is interrupted."""
-
-    def __init__(self):
-        self._pids = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for pid in self._pids:
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        self._pids = []
-
-    def fork(self, work) -> None:
-        """Call ``work()`` in a forked child, which exits with 0 once it
-        returns, with the errno of an ``OSError`` it raises, or with 255
-        after any other exception. The child calls it before ``fork``
-        returns, so ``work`` may read the caller's loop variables."""
-        pid = os.fork()
-        if pid == 0:
-            code = 255
-            try:
-                work()
-                code = 0
-            except OSError as exc:
-                code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
-            finally:
-                os._exit(code)
-        self._pids.append(pid)
-
-    def wait(self) -> int:
-        """The exit status of the oldest child not yet waited for, or minus
-        the signal that killed it."""
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pids[0], 0)[1])
-        self._pids.pop(0)
-        return code
+    return step, chunks, max(1, min(parallel.usable_cpus(), chunks))
 
 
 def _write_block(path, fh, columns: list) -> None:
@@ -247,28 +193,18 @@ def _write_block(path, fh, columns: list) -> None:
     n = len(columns[0])
     step, chunks, workers = _workers(n, sum(c.shape[1] for c in columns))
     bounds = [step * (chunks * i // workers) for i in range(workers)] + [n]
-    files = []  # one anonymous file per child, in row order
-    try:
-        with _Forked() as forked:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                tmp = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
-                files.append(tmp)
-                forked.fork(lambda: (_format_rows(tmp, columns, lo, hi), tmp.flush()))
-            _format_rows(fh, columns, bounds[0], bounds[1])
-            for tmp, lo, hi in zip(files, bounds[1:], bounds[2:]):
-                code = forked.wait()
-                if 0 < code < 255:
-                    raise OSError(code, os.strerror(code), str(path))
-                if code:
-                    raise OSError(
-                        f"{path}: the process formatting rows {lo}-{hi} exited with status {code}"
-                    )
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-                tmp.close()
-    finally:
-        for tmp in files:
-            tmp.close()
+    slices = list(zip(bounds, bounds[1:]))
+    here = os.path.dirname(os.path.abspath(path))
+    with parallel.forked(slices, lambda rows, out: _format_rows(out, columns, *rows), here) as children:
+        _format_rows(fh, columns, *slices[0])
+        for (lo, hi), (code, out) in zip(slices[1:], children):
+            if 0 < code < 255:
+                raise OSError(code, os.strerror(code), str(path))
+            if code:
+                raise OSError(
+                    f"{path}: the process formatting rows {lo}-{hi} exited with status {code}"
+                )
+            shutil.copyfileobj(out, fh)
 
 
 def _format_rows(out, columns: list, lo: int, hi: int) -> None:
@@ -440,12 +376,11 @@ class TextReader(_Reader):
         else:
             out = [np.empty(shape, dtype) for shape, dtype in arrays]
         bounds = [first] + [starts[k] for k in cuts] + [end]
+        runs = [(start - first, self._lines(start, stop)) for start, stop in zip(bounds, bounds[1:])]
         try:
-            with _Forked() as forked:
-                for start, stop in zip(bounds[1:], bounds[2:]):
-                    forked.fork(lambda: _fill(out, row, start - first, self._lines(start, stop)))
-                _fill(out, row, 0, self._lines(first, bounds[1]))
-                if all(forked.wait() == 0 for _ in cuts):
+            with parallel.forked(runs, lambda run, _: _fill(out, row, *run)) as children:
+                _fill(out, row, *runs[0])
+                if all(code == 0 for code, _ in children):
                     return out
         except (*_REJECTED, FormatError):
             pass

@@ -31,15 +31,15 @@ entry or row by row, so each head rounds exactly as it would alone.
 Heads never interact, so ``train_heads`` may also split them across
 processes: when two heads or more step ``FORK_ROWS`` rows or more in all
 (rows times epochs), they are dealt by rows, largest first, into up to one
-share per usable CPU. The calling process runs the lockstep on the first
-share and a forked child on each other one, and every outcome is the one a
-single process gives, bit for bit. A share whose child fails is trained
-again by the caller. One head, less work, one usable CPU
-(``taskset -c 0``) or a platform without ``fork`` runs one process.
+share per usable CPU, and each share runs the lockstep in one of the
+processes of ``parallel.forked``, so every outcome is the one a single
+process gives, bit for bit. A child pickles its outcomes into its file; a
+share whose child fails, or whose outcomes do not load, is trained again
+by the caller. One head, less work, one usable CPU (``taskset -c 0``) or a
+platform without ``fork`` runs one process.
 """
 
 import math
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import codec
+from . import codec, parallel
 from .data import Dataset
 from .errors import (
     NoiseLensError,
@@ -64,7 +64,7 @@ from .priors import ClassPrior, TransitionMatrix
 # The stepped rows (rows times epochs, summed over the heads) from which
 # ``train_heads`` splits its heads across processes, so that a fork costs a
 # few percent of the work it moves. On 2 vCPUs, forking a 73 MB process,
-# reading three outcomes from its pipe and reaping it took about 2.4 ms,
+# reading three outcomes back and reaping it took about 2.4 ms,
 # and the lockstep took 1 to 3 us per stepped row: the half of 2**18 rows
 # that a child takes is 0.13 s of work or more. The benchmark's sweep steps
 # about 1.6M rows.
@@ -217,11 +217,10 @@ def train_heads(
 
     When two heads or more step ``FORK_ROWS`` rows or more in all (rows
     times epochs), they are split by rows, largest first, into up to one
-    share per usable CPU. This process trains the first share and a forked
-    child each other one, every share in the same lockstep, so each
-    outcome is the one-process outcome. A share whose child fails, or
-    whose outcomes cannot be loaded, is trained again here. No child
-    outlives the call.
+    share per usable CPU, each trained by one process of
+    ``parallel.forked`` in the same lockstep, so each outcome is the
+    one-process outcome. A share whose child fails, or whose outcomes
+    cannot be loaded, is trained again here.
     """
     started = time.perf_counter()
     n, c = dataset.num_samples, dataset.num_classes
@@ -242,22 +241,10 @@ def train_heads(
                          margin, cfg, started)
 
     shares = _shares(rows, live, cfg.epochs)
-    sources = []  # the read end of each child's pipe, in share order
-    try:
-        with codec._Forked() as forked:
-            for share in shares[1:]:
-                read, write = os.pipe()
-                sources.append(os.fdopen(read, "rb"))
-                try:
-                    forked.fork(lambda: _send(write, lockstep(share)))
-                finally:
-                    os.close(write)
-            results = [lockstep(shares[0])]
-            for share, source in zip(shares[1:], sources):
-                results.append(_received(source, forked.wait, started) or lockstep(share))
-    finally:
-        for source in sources:
-            source.close()
+    with parallel.forked(shares, lambda share, out: pickle.dump(lockstep(share), out)) as children:
+        results = [lockstep(shares[0])]
+        for share, (code, out) in zip(shares[1:], children):
+            results.append((code == 0 and _received(out, started)) or lockstep(share))
     for share, result in zip(shares, results):
         for i, o in zip(share, result):
             outcome[i] = o
@@ -270,7 +257,7 @@ def _shares(rows: list, live: list, epochs: int) -> list:
     holds them all when fewer than two heads step ``FORK_ROWS`` rows in all,
     or when one CPU is usable."""
     stepped = epochs * sum(rows[i].size for i in live)
-    processes = min(codec._usable_cpus(), len(live)) if stepped >= FORK_ROWS else 1
+    processes = min(parallel.usable_cpus(), len(live)) if stepped >= FORK_ROWS else 1
     if processes < 2:
         return [live]
     shares = [[] for _ in range(processes)]
@@ -282,22 +269,12 @@ def _shares(rows: list, live: list, epochs: int) -> list:
     return [sorted(share) for share in shares]
 
 
-def _send(fd: int, outcomes: list) -> None:
-    """Write a child's outcomes to its pipe."""
-    with open(fd, "wb") as out:
-        pickle.dump(outcomes, out)
-
-
-def _received(source, wait, started: float):
-    """A child's outcomes once it has exited: each report rebuilt here, so
-    its classifier's arrays are checked and frozen and its ``wall_seconds``
-    counts from ``started``. None when the child exited with a non-zero
-    status or was killed, or when its outcomes do not load."""
-    data = source.read()  # to the end: a child exits once it has written
-    if wait():
-        return None
+def _received(out, started: float):
+    """The outcomes a child pickled into its file ``out``: each report
+    rebuilt here, so its classifier's arrays are checked and frozen and its
+    ``wall_seconds`` counts from ``started``. None when they do not load."""
     try:
-        outcomes = pickle.loads(data)
+        outcomes = pickle.load(out)
         return [
             o if isinstance(o, NoiseLensError) else TrainReport(
                 epoch_losses=o.epoch_losses,

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noiselens import codec
+from noiselens import codec, parallel
 from noiselens.data import (
     Dataset,
     ScoreMatrix,
@@ -494,7 +494,7 @@ def _one_by_one(blocks) -> bytes:
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 23])
 def test_written_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, workers, n):
     monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
     blocks = [_mixed_block(n), [np.arange(5)], _mixed_block(n + 2)]
     codec.write_text(tmp_path / "block.txt", codec.DATASET, {"N": 0}, blocks)
     header, records = (tmp_path / "block.txt").read_bytes().split(b"\n", 1)
@@ -505,7 +505,7 @@ def test_written_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_corruption_record_with_no_flips_keeps_its_blank_row(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
     spec = NoiseSpec("symmetric", 0.0, seed=1)
     _, record = inject_noise(make_blobs(12, 1, 2, 2.0, seed=2), spec)
     path = tmp_path / "corruption.txt"
@@ -529,7 +529,7 @@ def test_dataset_and_scores_of_several_real_chunks_match_one_process(tmp_path, m
         _one_by_one([[scores.sample_ids, scores.values]]),
     ]
     for workers in (1, 2, 3) if hasattr(os, "fork") else (1,):
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         save_dataset(tmp_path / "ds.txt", dataset)
         save_score_matrix(tmp_path / "scores.txt", scores)
         written = [(tmp_path / f).read_bytes().split(b"\n", 1)[1] for f in ("ds.txt", "scores.txt")]
@@ -553,29 +553,66 @@ def _in_children(monkeypatch, act, hook: str = "_format_rows") -> None:
 
     monkeypatch.setattr(codec, hook, work_or_act)
     monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
 
 
 def _raise(exc):
     raise exc
 
 
+def _before_work(act):
+    """A failure under which every child calls ``act`` before its work."""
+    return lambda monkeypatch, hook: _in_children(monkeypatch, act, hook)
+
+
+def _killed_after_work(monkeypatch, hook: str) -> None:
+    """A failure under which every child is killed once its work has
+    returned and its file is flushed."""
+    _in_children(monkeypatch, lambda: None, hook)
+    run = parallel._run
+
+    def run_and_die(*args):
+        run(*args)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(parallel, "_run", run_and_die)
+
+
+def _fork_fails(monkeypatch, hook: str) -> None:
+    """A failure under which every fork fails, as at a process limit."""
+    _in_children(monkeypatch, lambda: None, hook)
+    monkeypatch.setattr(os, "fork", lambda: _raise(BlockingIOError(errno.EAGAIN, "fork")))
+
+
 @FORKS
 @pytest.mark.parametrize(
-    "act,match",
+    "failure,match",
     [
-        (lambda: _raise(OSError(errno.ENOSPC, "full")), r"\[Errno 28\] No space left on device"),
-        (lambda: _raise(ValueError("bad")), r"rows 4-8 exited with status 255$"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), r"rows 4-8 exited with status -9$"),
+        (
+            _before_work(lambda: _raise(OSError(errno.ENOSPC, "full"))),
+            r"\[Errno 28\] No space left on device",
+        ),
+        (_before_work(lambda: _raise(ValueError("bad"))), r"rows 4-8 exited with status 255$"),
+        (_before_work(lambda: os.kill(os.getpid(), signal.SIGKILL)), r"rows 4-8 exited with status -9$"),
+        (_killed_after_work, r"rows 4-8 exited with status -9$"),
+        (_fork_fails, None),
     ],
-    ids=["enospc", "exception", "killed"],
+    ids=["enospc", "exception", "killed", "killed-after-writing", "fork-fails"],
 )
-def test_failing_child_raises_oserror_and_leaves_no_child(tmp_path, monkeypatch, act, match):
-    _in_children(monkeypatch, act)
-    with pytest.raises(OSError, match=match):
-        codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, [_mixed_block(12)])
+def test_failing_child_raises_oserror_and_leaves_no_child(tmp_path, monkeypatch, failure, match):
+    """A failed fork is no failed child: the writing process formats that
+    slice itself, so the write gives the one-process bytes."""
+    failure(monkeypatch, "_format_rows")
+    blocks = [_mixed_block(12)]
+    if match is None:
+        codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, blocks)
+        assert (tmp_path / "ds.txt").read_bytes().split(b"\n", 1)[1] == _one_by_one(blocks)
+    else:
+        with pytest.raises(OSError, match=match):
+            codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, blocks)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["ds.txt"]
 
 
 @FORKS
@@ -629,7 +666,7 @@ def test_read_arrays_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, wo
     path = tmp_path / "blocks.txt"
     codec.write_text(path, BLOCKS, {}, blocks)
     written = [[(a.dtype.str, a.shape, a.tobytes()) for a in block] for block in blocks]
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
     for piece in PIECES + [codec.PIECE_BYTES]:
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
         assert _read_blocks(path, [n, n + 2]) == written, piece
@@ -639,28 +676,35 @@ def test_read_arrays_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, wo
 
 def _forks(monkeypatch) -> list:
     """The children the reader or writer forks from now on, one entry each."""
-    forks, fork = [], codec._Forked.fork
-    monkeypatch.setattr(codec._Forked, "fork", lambda self, work: forks.append(1) or fork(self, work))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
 
 
 @FORKS
 @pytest.mark.parametrize(
-    "act",
-    [lambda: _raise(ValueError("bad")), lambda: os.kill(os.getpid(), signal.SIGKILL)],
-    ids=["exception", "killed"],
+    "failure",
+    [
+        _before_work(lambda: _raise(ValueError("bad"))),
+        _before_work(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+        _killed_after_work,
+        _fork_fails,
+    ],
+    ids=["exception", "killed", "killed-after-writing", "fork-fails"],
 )
-def test_failing_reader_child_reads_the_block_again_and_leaves_no_child(tmp_path, monkeypatch, act):
+def test_failing_reader_child_reads_the_block_again_and_leaves_no_child(tmp_path, monkeypatch, failure):
+    """A run whose fork fails is parsed by the reading process in place."""
     path = tmp_path / "blocks.txt"
     blocks = [_mixed_block(12)]
     codec.write_text(path, BLOCKS, {}, blocks)
-    _in_children(monkeypatch, act, "_fill")
+    failure(monkeypatch, "_fill")
     monkeypatch.setattr(codec, "PIECE_BYTES", 64)
     forks = _forks(monkeypatch)
     assert _read_blocks(path, [12]) == [[(a.dtype.str, a.shape, a.tobytes()) for a in blocks[0]]]
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["blocks.txt"]
 
 
 @FORKS
@@ -768,7 +812,7 @@ def test_every_piece_size_loads_what_one_piece_loads(tmp_path, monkeypatch, kind
     whole = _outcome(load, path)
     assert (whole == written) if loads else whole[0] == "FormatError", whole
     for workers, piece in product(READERS, PIECES):
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
         assert _outcome(load, path) == whole, (workers, piece)
 
@@ -844,7 +888,7 @@ def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, cas
     # Piece sizes that end just before, just after and inside line 5.
     line5 = len("\n".join([HEADER, *RECORDS[:3]])) + 1
     for workers, piece in product(READERS, PIECES + [line5, line5 + 1, line5 + 3, codec.PIECE_BYTES]):
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
         with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
@@ -866,7 +910,7 @@ def test_a_file_changed_after_its_first_pass_is_a_format_error(tmp_path, monkeyp
     raw = _dataset_text({})
     path = tmp_path / "ds.txt"
     for workers in READERS:
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         path.write_bytes(raw)
         with codec.TextReader(path, codec.DATASET) as reader:
             path.write_bytes(change(raw))
@@ -921,7 +965,7 @@ def test_text_load_holds_its_arrays_and_a_few_pieces(tmp_path, monkeypatch, cpus
     """With one CPU the arrays are traced; with two the block is parsed by
     two processes into a shared mapping, which is not traced, so the bound
     then holds the parent's pieces alone."""
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     path = tmp_path / "ds.txt"
     save_dataset(path, LARGE)
     assert path.stat().st_size > ALLOWANCE
@@ -941,7 +985,7 @@ def test_binary_load_holds_its_arrays(tmp_path):
 def test_text_save_holds_a_few_pieces(tmp_path, monkeypatch):
     """With one process the writer holds a few pieces of text, not the
     two-chunk block."""
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     assert len(LARGE.ids) * (3 + 64) > 2 * codec.CHUNK_FIELDS
     assert _traced_peak(lambda: save_dataset(tmp_path / "ds.txt", LARGE)) < ALLOWANCE
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselens.trainer
-from noiselens import codec
+from noiselens import parallel
 from noiselens.data import Dataset, ScoreMatrix
 from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.losses import MarginConfig
@@ -248,7 +248,7 @@ class TestThresholdSweep:
         monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
         points = []
         for processes in (1, 2):
-            monkeypatch.setattr(codec, "_usable_cpus", lambda: processes)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
             with np.errstate(over="ignore", invalid="ignore"):
                 points.append(threshold_sweep(noisy, scores, thresholds, bundle).points)
         assert points[0] == points[1]

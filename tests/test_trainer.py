@@ -5,11 +5,13 @@ and require bit-identical parameters, pinning the exact operation order
 (decoupled weight-decay shrink, momentum buffer, derived shuffle stream).
 """
 
+import errno
 import gc
 import math
 import os
 import re
 import signal
+import tempfile
 import time
 import weakref
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 import noiselens.trainer
-from noiselens import codec
+from noiselens import parallel
 from noiselens.data import Dataset
 from noiselens.errors import FormatError, RangeError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
@@ -414,7 +416,7 @@ def split_outcomes(monkeypatch, processes: int) -> list:
     """``split_setup``'s outcomes from up to ``processes`` processes, each
     as its type and message or its report's bytes and trajectories."""
     monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
     dataset, rows, priors, matrix = split_setup()
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
@@ -429,8 +431,8 @@ def split_outcomes(monkeypatch, processes: int) -> list:
 
 def forks(monkeypatch) -> list:
     """The children forked from now on, one entry each."""
-    forked, fork = [], codec._Forked.fork
-    monkeypatch.setattr(codec._Forked, "fork", lambda self, work: forked.append(1) or fork(self, work))
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
     return forked
 
 
@@ -453,13 +455,18 @@ def before_lockstep(act):
 def killed_after_sending(monkeypatch) -> None:
     """A patch under which every child is killed once it has written its
     outcomes whole."""
-    send = noiselens.trainer._send
+    run = parallel._run
 
-    def send_and_die(*args):
-        send(*args)
+    def run_and_die(*args):
+        run(*args)
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(noiselens.trainer, "_send", send_and_die)
+    monkeypatch.setattr(parallel, "_run", run_and_die)
+
+
+def fork_fails(monkeypatch) -> None:
+    """A patch under which every fork fails, as at a process limit."""
+    monkeypatch.setattr(os, "fork", lambda: _raise(BlockingIOError(errno.EAGAIN, "fork")))
 
 
 def parent_locksteps(monkeypatch) -> list:
@@ -506,7 +513,7 @@ class TestSplit:
     @pytest.mark.parametrize("processes", [1, pytest.param(2, marks=FORKS)])
     def test_classifier_arrays_are_read_only(self, monkeypatch, processes):
         monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: processes)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
         dataset, rows, priors, matrix = lockstep_setup()
         reports = train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
         for report in reports:
@@ -514,7 +521,7 @@ class TestSplit:
             assert not report.classifier.bias.flags.writeable
 
     def test_work_under_the_bound_stays_in_one_process(self, monkeypatch):
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         forked = forks(monkeypatch)
         dataset, rows, priors, matrix = lockstep_setup()
         assert sum(r.size for r in rows) * SPLIT_CFG.epochs < noiselens.trainer.FORK_ROWS
@@ -526,11 +533,11 @@ class TestSplit:
     def test_shares_split_by_rows_largest_first(self, monkeypatch):
         monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
         rows = [np.arange(n) for n in LOCKSTEP_SIZES]
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         assert noiselens.trainer._shares(rows, [0, 1, 2, 3, 4], 1) == [[0, 2], [1, 3, 4]]
         assert noiselens.trainer._shares(rows, [1, 2, 3], 1) == [[1], [2, 3]]
         assert noiselens.trainer._shares(rows, [2], 1) == [[2]]
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         assert noiselens.trainer._shares(rows, [0, 1, 2, 3, 4], 1) == [[0, 1, 2, 3, 4]]
 
     @FORKS
@@ -543,15 +550,20 @@ class TestSplit:
             # the message alone.
             before_lockstep(lambda: [RangeError("k", 0, "[1, 2]")]),
             killed_after_sending,
+            fork_fails,
         ],
-        ids=["exception", "killed", "unloadable", "killed-after-sending"],
+        ids=["exception", "killed", "unloadable", "killed-after-sending", "fork-fails"],
     )
-    def test_failed_worker_heads_train_here(self, monkeypatch, alone, patch):
+    def test_failed_worker_heads_train_here(self, monkeypatch, tmp_path, alone, patch):
+        """A share whose fork fails is trained here, and its outcomes are
+        read back as a child's; every child's file is anonymous."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         patch(monkeypatch)
         runs, forked = parent_locksteps(monkeypatch), forks(monkeypatch)
         assert split_outcomes(monkeypatch, 3) == alone
         assert (len(forked), len(runs)) == (2, 3)
         no_child_left()
+        assert os.listdir(tmp_path) == []
 
     @FORKS
     def test_interrupted_parent_leaves_no_child(self, monkeypatch):
