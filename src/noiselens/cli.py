@@ -13,7 +13,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .data import load_dataset, load_score_matrix, save_dataset, save_score_matrix
-from .errors import NoiseLensError, ValidationError
+from .errors import NoiseLensError, ValidationError, check_reads
 from .experiment import load_experiment_config, run_experiment, score, select
 from .losses import MarginConfig
 from .noise import BlobSpec, NoiseSpec, inject_noise, make_blobs, noise_spec, save_corruption_record
@@ -32,7 +32,7 @@ from .report import (
     format_table,
     histogram_rows,
 )
-from .scorer import ScorerConfig
+from .scorer import COSINE_SOURCES, SOURCE_READERS, ScorerConfig
 from .selection import (
     READERS,
     THRESHOLDS,
@@ -88,13 +88,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    if args.embeddings and not args.bank:
-        raise ValidationError("--embeddings requires --bank")
-    if args.temperature is not None and not args.bank:
-        raise ValidationError("--temperature requires --bank")
+    kind, path = ("cosine", args.bank) if args.bank else ("file", args.scores_file)
+    given = {"embeddings": args.embeddings, "temperature": args.temperature}
+    flags = {COSINE_SOURCES: "--bank", **{name: "--" + name for name in given}}
+    check_reads(given, SOURCE_READERS, (kind,), flags)
     config = ScorerConfig() if args.temperature is None else ScorerConfig(args.temperature)
     dataset = load_dataset(args.dataset)
-    kind, path = ("cosine", args.bank) if args.bank else ("file", args.scores_file)
     save_score_matrix(args.out, score(dataset, kind, path, config, args.embeddings, None))
     return 0
 
@@ -103,7 +102,7 @@ def _cmd_select(args) -> int:
     criterion = args.criterion.replace("-", "_")
     settings = {name: getattr(args, name) for name in READERS}
     threshold = criterion_threshold(criterion, settings, _SELECT_FLAGS)
-    if criterion == READERS["scores_b"] and not args.scores_b:
+    if criterion in READERS["scores_b"] and not args.scores_b:
         raise ValidationError("prompt-consistency requires --scores-b")
     dataset = load_dataset(args.dataset)
     scores = [load_score_matrix(p, dataset) for p in (args.scores, args.scores_b) if p is not None]

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and ``check_fields``,
-the one check of every setting's range and every value object's arrays."""
+"""Exception hierarchy shared across the package, and the checks of every
+setting: ``check_fields`` (ranges and arrays) and ``check_reads``."""
 
 import math
 from dataclasses import MISSING, field, fields
@@ -41,6 +41,17 @@ def check_range(name: str, value, interval: str) -> None:
     below = value <= high if interval[-1] == "]" else value < high
     if not (above and below and -math.inf < value < math.inf):
         raise RangeError(name, value, interval)
+
+
+def check_reads(given: dict, readers: dict, chosen, names: dict) -> None:
+    """Raise `<setting> requires <options>` for the first setting, in the order
+    of ``readers`` (setting -> the options that read it), that ``given`` sets
+    (not None) and no ``chosen`` option reads. ``names`` spells settings and
+    options, or a whole tuple of options; what it lacks is spelled as itself."""
+    for setting, options in readers.items():
+        if given.get(setting) is not None and set(options).isdisjoint(chosen):
+            need = names.get(options) or " or ".join(names.get(o, o) for o in options)
+            raise ValidationError(f"{names.get(setting, setting)} requires {need}")
 
 
 def ranged(interval: str, default=MISSING, **metadata):

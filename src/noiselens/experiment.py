@@ -15,7 +15,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
-from . import noise as _noise
+from . import noise as _noise, scorer as _scorer
 from .data import (
     Dataset,
     ScoreMatrix,
@@ -24,7 +24,7 @@ from .data import (
     save_dataset,
     save_score_matrix,
 )
-from .errors import NoiseLensError, RangeError, ValidationError, check_range
+from .errors import NoiseLensError, RangeError, ValidationError, check_range, check_reads
 from .losses import MarginConfig
 from .noise import BlobSpec, inject_noise, make_blobs, oracle_scores, save_corruption_record
 from .priors import (
@@ -54,6 +54,15 @@ _SOURCES = {
     "scorer": (("cosine", "file", "oracle"), None, {"cosine": "bank", "file": "path"}),
     "test": (("file", "synth", "none"), "none", {"file": "path"}),
 }
+# Dataset, test and report key -> the sources that read it, checked after every
+# other rule. Each seed is read whatever the source, and a file dataset's synth
+# and noise keys are not read, so they are not checked either.
+_SOURCE_KEYS = {
+    "dataset.path": ("dataset.source=file",),
+    "test.path": ("test.source=file",),
+    "test.per_class": ("test.source=synth",),
+    "report.top_k": ("test.source=file", "test.source=synth"),
+}
 
 # NoiseSpec field -> its dataset key, which is the field name but for these.
 _NOISE_KEYS = {
@@ -64,10 +73,7 @@ _NOISE_KEYS = {
 # section -> allowed keys; unknown keys are config errors so typos fail fast.
 _SCHEMA = {
     "dataset": {"source", "path", *(f.name for f in fields(BlobSpec)), *_NOISE_KEYS.values()},
-    "scorer": {
-        "source", "bank", "embeddings", "path", "correct_prob", "bank_b", "path_b",
-        *(f.name for f in fields(ScorerConfig)),
-    },
+    "scorer": {"source", *_scorer.SECOND_SOURCES, *_scorer.SOURCE_READERS},
     "selection": {"criterion", *(name for name, _, _ in THRESHOLDS.values())},
     "margin": {f.name for f in fields(MarginConfig)},
     "train": {f.name for f in fields(TrainConfig)},
@@ -189,10 +195,10 @@ def _source(entries, section) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated run description with every value parsed; `entries` keeps
-    the raw strings for the manifest echo. A noise key, threshold or second
-    score source that the chosen model or criterion never reads is an error,
-    as in `synth` and `select`; a file dataset's synth and noise keys are not
-    read, and its sizes and noise stay None. Every seed is checked."""
+    the raw strings for the manifest echo. A key that no chosen noise model,
+    criterion or source reads is an error, as in `synth`, `select` and
+    `score`; a file dataset's synth and noise keys are not read, and its
+    sizes and noise stay None. Every seed is checked."""
 
     entries: dict
     output_dir: str
@@ -260,9 +266,7 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     criterion = get("selection", "criterion", CRITERION_CONFIDENCE).replace("-", "_")
     if criterion not in THRESHOLDS:
         raise ValidationError(f"unknown selection.criterion {criterion!r}")
-    # The second score source is whichever of bank_b / path_b is present;
-    # like `score --bank` and `--scores-file`, they exclude each other.
-    given = [key for key in ("bank_b", "path_b") if get("scorer", key) is not None]
+    given = [key for key in _scorer.SECOND_SOURCES if get("scorer", key) is not None]
     if len(given) > 1:
         raise ValidationError("scorer.bank_b and scorer.path_b exclude each other")
     second = given[0] if given else None
@@ -272,7 +276,7 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 "selection.criterion=prompt_consistency requires a second score "
                 "source (scorer.bank_b or scorer.path_b)"
             )
-        score_sources.append(("cosine" if second == "bank_b" else "file", path("scorer", second)))
+        score_sources.append((_scorer.SECOND_SOURCES[second], path("scorer", second)))
     names = {name: f"selection.{name}" for name, _, _ in THRESHOLDS.values()}
     own = THRESHOLDS[criterion][0]  # the one threshold parsed: any other is an error
     settings = {name: get("selection", name) for name in names}
@@ -281,21 +285,10 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     with _config_keys(**names):
         threshold = criterion_threshold(criterion, settings, names)
     cosine = any(kind == "cosine" for kind, _ in score_sources)
-    # Scorer key -> whether a chosen score source reads it, and what would;
-    # a key that none reads is an error. Every cosine source, scorer.bank_b
-    # too, reads the cosine settings.
-    readers = {
-        "bank": (scorer_source == "cosine", "scorer.source=cosine"),
-        "path": (scorer_source == "file", "scorer.source=file"),
-        "correct_prob": (scorer_source == "oracle", "scorer.source=oracle"),
-        **dict.fromkeys(
-            ("embeddings", *(f.name for f in fields(ScorerConfig))),
-            (cosine, "scorer.source=cosine or scorer.bank_b"),
-        ),
-    }
-    for key, (read, need) in readers.items():
-        if not read and get("scorer", key) is not None:
-            raise ValidationError(f"scorer.{key} requires {need}")
+    names = {key: f"scorer.{key}" for key in _SCHEMA["scorer"]}
+    names.update({source: f"scorer.source={source}" for source in _SOURCES["scorer"][0]})
+    readers = _scorer.SOURCE_READERS
+    check_reads({key: get("scorer", key) for key in readers}, readers, (scorer_source, second), names)
 
     test_source = _source(entries, "test")
     if test_source == "synth" and dataset_source != "synth":
@@ -341,6 +334,8 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         raise ValidationError(
             f"config report.top_k: {top_k} exceeds the {blobs.classes} dataset classes"
         )
+    chosen = (f"dataset.source={dataset_source}", f"test.source={test_source}")
+    check_reads({".".join(key): text for key, text in entries.items()}, _SOURCE_KEYS, chosen, {})
 
     return ExperimentConfig(
         entries=entries,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import codec
 from .data import Dataset, ScoreMatrix, check_ids
-from .errors import ValidationError, array, check_fields, check_range, ranged
+from .errors import ValidationError, array, check_fields, check_range, check_reads, ranged
 from .selection import SelectionMask
 
 NOISE_KINDS = ("symmetric", "asymmetric", "instance_dependent")
@@ -195,14 +195,11 @@ def noise_spec(kind: str, blobs: BlobSpec, knobs: dict, names: dict) -> Optional
     field and model choice: `--pair-map requires --noise asym`."""
     if kind != "none" and kind not in NOISE_KINDS:
         raise ValidationError(f"unknown noise kind {kind!r}")
-    given = {name: value for name, value in knobs.items() if value is not None}
-    for f in fields(NoiseSpec)[1:]:
-        models = f.metadata["models"]
-        if f.name in given and kind not in models:
-            need = names["kind"] if models == NOISE_KINDS else names[models[0]]
-            raise ValidationError(f"{names[f.name]} requires {need}")
+    readers = {f.name: f.metadata["models"] for f in fields(NoiseSpec)[1:]}
+    check_reads(knobs, readers, (kind,), {**names, NOISE_KINDS: names["kind"]})
     if kind == "none":
         return None
+    given = {name: value for name, value in knobs.items() if value is not None}
     if "pair_map" in given:
         given["pair_map"] = parse_pair_map(given["pair_map"], blobs.classes)
     if "budget_bounds" in given:

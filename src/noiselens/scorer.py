@@ -5,7 +5,7 @@ embeddings into a row-stochastic score matrix; scores produced elsewhere can
 enter through a score file instead (``data.load_score_matrix``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,19 @@ class ScorerConfig:
     temperature: float = ranged("(0, inf)", 0.01)
 
     __post_init__ = check_fields
+
+
+# Each scorer setting -> the score sources that read it. Every cosine source,
+# `scorer.source = cosine` and a second bank (`bank_b`), reads the image
+# embeddings and each ScorerConfig field.
+COSINE_SOURCES = ("cosine", "bank_b")
+SOURCE_READERS = {
+    "bank": ("cosine",), "path": ("file",), "correct_prob": ("oracle",),
+    **dict.fromkeys(("embeddings", *(f.name for f in fields(ScorerConfig))), COSINE_SOURCES),
+}
+# Prompt consistency's second score source: its key -> its kind. Like `score
+# --bank` and `--scores-file`, the two keys exclude each other.
+SECOND_SOURCES = {"bank_b": "cosine", "path_b": "file"}
 
 
 def cosine_softmax_score(

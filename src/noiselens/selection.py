@@ -11,7 +11,7 @@ import numpy as np
 
 from . import codec
 from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, check_ids, check_scores, row_blocks
-from .errors import FormatError, ValidationError, array, check_fields, check_range
+from .errors import FormatError, ValidationError, array, check_fields, check_range, check_reads
 
 CRITERION_CONFIDENCE = "confidence"
 CRITERION_PROMPT_CONSISTENCY = "prompt_consistency"
@@ -29,10 +29,10 @@ THRESHOLDS = {
     CRITERION_CONFIDENCE: ("rho", "(0, 1)", 0.5),
     CRITERION_PROMPT_CONSISTENCY: ("mu", "(0, inf)", 0.1),
 }
-# Each selection setting -> the criterion that reads it: its own threshold,
+# Each selection setting -> the criteria that read it: its own threshold,
 # and the second score matrix that prompt consistency compares.
-READERS = {name: criterion for criterion, (name, _, _) in THRESHOLDS.items()}
-READERS["scores_b"] = CRITERION_PROMPT_CONSISTENCY
+READERS = {name: (criterion,) for criterion, (name, _, _) in THRESHOLDS.items()}
+READERS["scores_b"] = (CRITERION_PROMPT_CONSISTENCY,)
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,7 @@ def criterion_threshold(criterion: str, settings: dict, names: dict) -> float:
     was given (`READERS` name -> value or None), spelled in errors as
     ``names`` spells each setting and criterion choice: `--mu requires
     --criterion prompt-consistency`."""
-    for setting, value in settings.items():
-        if value is not None and READERS[setting] != criterion:
-            raise ValidationError(f"{names[setting]} requires {names[READERS[setting]]}")
+    check_reads(settings, READERS, (criterion,), names)
     name, _, default = THRESHOLDS[criterion]
     threshold = default if settings[name] is None else settings[name]
     check_threshold(criterion, threshold)

@@ -318,11 +318,13 @@ def _lockstep(dataset: Dataset, rows: list, matrix, priors: list, margin, cfg, s
             sel = slice(None) if len(group) == k else np.array(group)
             w, b = weights[sel], bias[sel]
             x = features[idx]
-            z = x @ w.transpose(0, 2, 1) + b[:, None, :]
-            finite, what = np.isfinite(z).all(axis=(1, 2)), "logits"
-            if finite.all():
-                batch = nabm_loss_batch(z, labels[idx], matrix, [priors[i] for i in group], margin)
-                finite, what = np.isfinite(batch.per_sample_loss).all(axis=1), "loss"
+            # An overflow leaves a non-finite logit or loss, which is the head's error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = x @ w.transpose(0, 2, 1) + b[:, None, :]
+                finite, what = np.isfinite(z).all(axis=(1, 2)), "logits"
+                if finite.all():
+                    batch = nabm_loss_batch(z, labels[idx], matrix, [priors[i] for i in group], margin)
+                    finite, what = np.isfinite(batch.per_sample_loss).all(axis=1), "loss"
             if not finite.all():
                 for i, ok in zip(group, finite.tolist()):
                     if not ok:
@@ -398,7 +400,8 @@ def _train_accuracy(dataset: Dataset, head: _Head) -> tuple:
     subset = dataset if head.rows.size == dataset.num_samples else dataset.subset(head.rows)
     accuracy = []
     for classifier in head.epoch_ends:
-        predicted = predict(classifier, subset).labels
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing logit still ranks
+            predicted = predict(classifier, subset).labels
         accuracy.append(float(np.mean(predicted == subset.noisy_labels)))
     return tuple(accuracy)
 

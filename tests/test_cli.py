@@ -94,6 +94,8 @@ class TestExitCodes:
             (["--budget-sd", "0.2"], "--budget-sd requires --noise idn"),
             (["--noise", "none", "--rate", "0.9"], "--rate requires --noise"),
             (["--noise", "none", "--noise-seed", "5"], "--noise-seed requires --noise"),
+            (["--noise", "none", "--noise-seed", "5", "--pair-map", "cycle"],
+             "--noise-seed requires --noise"),
         ],
     )
     def test_synth_rejects_flags_the_noise_model_never_reads(
@@ -311,6 +313,8 @@ class TestStageChain:
              "--scores-b requires --criterion prompt-consistency"),
             ("prompt-consistency", ["--scores-b", "b.txt", "--rho", "0.5"],
              "--rho requires --criterion confidence"),
+            ("confidence", ["--scores-b", "b.txt", "--mu", "0.2"],
+             "--mu requires --criterion prompt-consistency"),
         ],
     )
     def test_select_rejects_the_other_criterions_flags(
@@ -585,6 +589,50 @@ def test_select_and_run_agree_on_which_settings_a_criterion_reads(
     assert not (tmp_path / "run").exists()
 
 
+# setting -> (score flag, run key)
+SCORER_SETTINGS = {
+    "temperature": ("--temperature", "scorer.temperature"),
+    "embeddings": ("--embeddings", "scorer.embeddings"),
+}
+
+
+@pytest.mark.parametrize("setting", [None, *SCORER_SETTINGS])
+@pytest.mark.parametrize("source", ["cosine", "file"])
+def test_score_and_run_agree_on_which_scorer_settings_a_source_reads(
+    pipeline_files, capsys, source, setting
+):
+    """`score` rejects a scorer setting exactly when `run` does, both name
+    it, and neither writes anything."""
+    tmp_path, ds, bank = pipeline_files
+    scores, table = tmp_path / "scores.txt", tmp_path / "emb.txt"
+    assert run(["score", "--dataset", str(ds), "--bank", str(bank), "--out", str(scores)]) == 0
+    # A bank with one row per sample id reads as an embedding table.
+    rng = np.random.default_rng(4)
+    save_embedding_bank(table, ClassEmbeddingBank(rng.standard_normal((90, 4)), "img"))
+    values = {"temperature": "0.25", "embeddings": str(table)}
+    flag, key, path = {
+        "cosine": ("--bank", "scorer.bank", bank), "file": ("--scores-file", "scorer.path", scores)
+    }[source]
+    flags, lines = [flag, str(path)], [f"scorer.source = {source}", f"{key} = {path}"]
+    if setting is not None:
+        flag, key = SCORER_SETTINGS[setting]
+        flags += [flag, values[setting]]
+        lines.append(f"{key} = {values[setting]}")
+    out = tmp_path / "out.txt"
+    code = run(["score", "--dataset", str(ds), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    message = _config_error(
+        "\n".join([f"dataset.source = file\ndataset.path = {ds}",
+                   f"output.dir = {tmp_path / 'run'}", *lines])
+    )
+    assert (code == 1) == (message is not None), (err, message)
+    if code == 1:
+        assert setting is not None
+        assert err.startswith(f"error: [score] {flag} requires") and key in message, (err, message)
+        assert not out.exists()
+    assert not (tmp_path / "run").exists()
+
+
 class TestRunSubcommand:
     CONFIG = """
 dataset.source = synth
@@ -721,6 +769,22 @@ output.dir = {out}
                 valid.replace("scorer.source = oracle", "scorer.source = cosine\nscorer.bank = b.txt"),
                 "scorer.correct_prob requires scorer.source=oracle",
             ),
+            # Two unread scorer keys: the first declared is named.
+            (
+                valid + "scorer.temperature = 7\nscorer.bank = b.txt\n",
+                "scorer.bank requires scorer.source=cosine",
+            ),
+            # A dataset, test or report key that the chosen source never reads.
+            (valid + "dataset.path = ds.txt\n", "dataset.path requires dataset.source=file"),
+            (valid + "test.path = t.txt\n", "test.path requires test.source=file"),
+            (on_file + "test.path = t.txt\n", "test.path requires test.source=file"),
+            (on_file + "test.per_class = 3\n", "test.per_class requires test.source=synth"),
+            (
+                on_file + "report.top_k = 2\n",
+                "report.top_k requires test.source=file or test.source=synth",
+            ),
+            # Checked after every other rule.
+            (on_file + "test.path = t.txt\ntest.seed = -7\n", "test.seed -7 must lie in [0, inf)"),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1

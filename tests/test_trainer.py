@@ -199,6 +199,23 @@ class TestTrainingBehavior:
             with pytest.raises(TrainingDivergedError, match=r"^non-finite logits at epoch 0, step 1$"):
                 train(subset, matrix, prior, margin, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_an_overflow_is_an_outcome_not_a_warning(self, epochs):
+        # One 1e300 feature drives the weights to 5e301. Its logits overflow
+        # in the accuracy pass, where they still rank the classes, and in the
+        # next epoch's first step, which diverges.
+        features = np.array([[1.0, 0.0], [1e300, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        subset = Dataset(2, np.arange(4), features, np.array([0, 1, 0, 1]))
+        matrix, prior = TransitionMatrix(np.eye(2)), compute_class_prior(subset)
+        cfg = TrainConfig(epochs=epochs, batch_size=2, learning_rate=100, seed=0)
+        if epochs == 1:
+            report = train(subset, matrix, prior, MarginConfig(), cfg)
+            assert len(report.epoch_train_accuracy) == 1
+        else:
+            with pytest.raises(TrainingDivergedError, match=r"^non-finite logits at epoch 1, step 0$"):
+                train(subset, matrix, prior, MarginConfig(), cfg)
+
     def test_one_loss_call_per_step_and_one_predict_per_epoch(self, monkeypatch):
         # The benchmark's trace times these two names as the training
         # step's loss and the per-epoch evaluation.
