@@ -88,7 +88,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    kind, path = ("cosine", args.bank) if args.bank else ("file", args.scores_file)
+    kind, path = ("cosine", args.bank) if args.bank is not None else ("file", args.scores_file)
     given = {"embeddings": args.embeddings, "temperature": args.temperature}
     flags = {COSINE_SOURCES: "--bank", **{name: "--" + name for name in given}}
     check_reads(given, SOURCE_READERS, (kind,), flags)

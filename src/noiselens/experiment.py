@@ -48,39 +48,47 @@ from .selection import (
 )
 from .trainer import TrainConfig, save_classifier, train
 
-# section -> (allowed sources, default source, {source: key it requires})
+# section -> (allowed sources, default source)
 _SOURCES = {
-    "dataset": (("file", "synth"), None, {"file": "path"}),
-    "scorer": (("cosine", "file", "oracle"), None, {"cosine": "bank", "file": "path"}),
-    "test": (("file", "synth", "none"), "none", {"file": "path"}),
+    "dataset": (("file", "synth"), None),
+    "scorer": (("cosine", "file", "oracle"), None),
+    "test": (("file", "synth", "none"), "none"),
 }
-# Dataset, test and report key -> the sources that read it, checked after every
-# other rule. Each seed is read whatever the source, and a file dataset's synth
-# and noise keys are not read, so they are not checked either.
-_SOURCE_KEYS = {
-    "dataset.path": ("dataset.source=file",),
-    "test.path": ("test.source=file",),
-    "test.per_class": ("test.source=synth",),
-    "report.top_k": ("test.source=file", "test.source=synth"),
+# A score source, or a second one, as a config names it.
+_SCORER_OPTIONS = {source: f"scorer.source={source}" for source in _SOURCES["scorer"][0]}
+_SCORER_OPTIONS.update({key: f"scorer.{key}" for key in _scorer.SECOND_SOURCES})
+# Each key that a source chooses, or that every config reads -> its parser
+# (`os.fspath`: a path from the config's directory), the sources that read it
+# (none: every config) and True when the one source that reads it requires it.
+# A key that no chosen source reads is an error (`_READERS`): a scorer key once
+# the score sources are known, any other after every other rule.
+_KEYS = {
+    "output.dir": (os.fspath, (), False),
+    **dict.fromkeys(("dataset.seed", "dataset.noise_seed", "test.seed"), (int, (), False)),
+    "dataset.path": (os.fspath, ("dataset.source=file",), True),
+    **{f"scorer.{key}": (parse, tuple(map(_SCORER_OPTIONS.get, readers)), required)
+       for key, (parse, readers, required) in _scorer.SETTINGS.items()},
+    **{f"scorer.{key}": (os.fspath, (), False) for key in _scorer.SECOND_SOURCES},
+    "test.path": (os.fspath, ("test.source=file",), True),
+    "test.per_class": (int, ("test.source=synth",), False),
+    "report.top_k": (int, ("test.source=file", "test.source=synth"), False),
 }
+_READERS = {name: readers for name, (_, readers, _) in _KEYS.items() if readers}
 
-# NoiseSpec field -> its dataset key, which is the field name but for these.
-_NOISE_KEYS = {
-    f.name: {"kind": "noise", "rate": "noise_rate", "seed": "noise_seed"}.get(f.name, f.name)
-    for f in fields(_noise.NoiseSpec)
-}
+# NoiseSpec field -> its config key: `dataset.` and the field name, but for these.
+_NOISE_KEYS = {f.name: f"dataset.{f.name}" for f in fields(_noise.NoiseSpec)}
+_NOISE_KEYS.update(kind="dataset.noise", rate="dataset.noise_rate", seed="dataset.noise_seed")
 
 # section -> allowed keys; unknown keys are config errors so typos fail fast.
 _SCHEMA = {
-    "dataset": {"source", "path", *(f.name for f in fields(BlobSpec)), *_NOISE_KEYS.values()},
-    "scorer": {"source", *_scorer.SECOND_SOURCES, *_scorer.SOURCE_READERS},
+    "dataset": {f.name for f in fields(BlobSpec)},
     "selection": {"criterion", *(name for name, _, _ in THRESHOLDS.values())},
     "margin": {f.name for f in fields(MarginConfig)},
     "train": {f.name for f in fields(TrainConfig)},
-    "test": {"source", "path", "per_class", "seed"},
-    "report": {"top_k"},
-    "output": {"dir"},
 }
+for _name in [*(f"{section}.source" for section in _SOURCES), *_NOISE_KEYS.values(), *_KEYS]:
+    _section, _key = _name.split(".")
+    _SCHEMA.setdefault(_section, set()).add(_key)
 
 # '#' opens a comment at the start of a line or after whitespace, so values
 # such as `data#1/ds.txt` keep their '#'.
@@ -142,17 +150,15 @@ def _parse_bool(text: str) -> bool:
 _EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
 
 
-def _value(entries, section, key, parse, default=None):
-    """``section.key`` parsed by ``parse``, or ``default`` when absent."""
-    text = entries.get((section, key))
+def _value(raw, name, parse, default=None):
+    """Key ``name`` of ``raw`` parsed by ``parse``, or ``default`` when absent."""
+    text = raw.get(name)
     if text is None:
         return default
     try:
         return parse(text)
     except ValueError:
-        raise ValidationError(
-            f"config {section}.{key}: {text!r} is not {_EXPECTED[parse]}"
-        ) from None
+        raise ValidationError(f"config {name}: {text!r} is not {_EXPECTED[parse]}") from None
 
 
 @contextmanager
@@ -167,28 +173,31 @@ def _config_keys(**keys):
         raise RangeError(keys[exc.name], exc.value, exc.interval) from None
 
 
-def _from_section(entries, section, cls, base=None):
+def _from_section(raw, section, cls):
     """``cls`` built from the ``section`` keys the config sets, so the
-    dataclass defaults (or ``base``) are the only copy of the rest. Each
-    field's annotation (int, float or bool) names its parser."""
+    dataclass defaults are the only copy of the rest. Each field's
+    annotation (int, float or bool) names its parser."""
     kwargs = {}
     for f in fields(cls):
         parse = _parse_bool if f.type is bool else f.type
-        if (section, f.name) in entries:
-            kwargs[f.name] = _value(entries, section, f.name, parse)
+        if f"{section}.{f.name}" in raw:
+            kwargs[f.name] = _value(raw, f"{section}.{f.name}", parse)
     with _config_keys(**{name: f"{section}.{name}" for name in kwargs}):
-        return cls(**kwargs) if base is None else replace(base, **kwargs)
+        return cls(**kwargs)
 
 
-def _source(entries, section) -> str:
-    """``section.source``, checked against its sources and the key it requires."""
-    sources, default, required = _SOURCES[section]
-    source = entries.get((section, "source"), default)
+def _source(raw, section, chosen: set) -> str:
+    """``section.source``, checked against its sources and the key it
+    requires, and added to ``chosen`` as `section.source=<source>`."""
+    sources, default = _SOURCES[section]
+    source = raw.get(f"{section}.source", default)
     if source not in sources:
         raise ValidationError(f"{section}.source must be one of {sources}, got {source!r}")
-    key = required.get(source)
-    if key is not None and (section, key) not in entries:
-        raise ValidationError(f"{section}.source={source} requires {section}.{key}")
+    option = f"{section}.source={source}"
+    for name, (_, readers, required) in _KEYS.items():
+        if required and option in readers and name not in raw:
+            raise ValidationError(f"{option} requires {name}")
+    chosen.add(option)
     return source
 
 
@@ -243,30 +252,31 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     """Parse and validate a config; every value a run reads is parsed here,
     so a bad one raises before any pipeline work."""
     entries = parse_config_text(text)
+    raw = {".".join(key): value for key, value in entries.items()}
+    chosen = set()  # the sources chosen so far, spelled as `_KEYS` spells readers
 
-    def get(section, key, default=None):
-        return entries.get((section, key), default)
+    def value(name, default=None):
+        """`_KEYS` key ``name`` parsed, else ``default``; None if no chosen source reads it."""
+        parse, readers, _ = _KEYS[name]
+        if readers and chosen.isdisjoint(readers):
+            return None
+        if parse is os.fspath:
+            return _value(raw, name, lambda path: os.path.normpath(os.path.join(base_dir, path)))
+        return _value(raw, name, parse, default)
 
-    def value(section, key, parse, default):
-        return _value(entries, section, key, parse, default)
-
-    def path(section, key):
-        raw = get(section, key)
-        return None if raw is None else os.path.normpath(os.path.join(base_dir, raw))
-
-    output_dir = path("output", "dir")
+    output_dir = value("output.dir")
     if output_dir is None:
         raise ValidationError("config requires output.dir")
 
-    dataset_source = _source(entries, "dataset")
-    scorer_source = _source(entries, "scorer")
-    first = path("scorer", "bank" if scorer_source == "cosine" else "path")
-    score_sources = [(scorer_source, first)]
+    dataset_source = _source(raw, "dataset", chosen)
+    scorer_source = _source(raw, "scorer", chosen)
+    # The first source's bank or score file, whichever it reads (oracle: neither).
+    score_sources = [(scorer_source, value("scorer.bank") or value("scorer.path"))]
 
-    criterion = get("selection", "criterion", CRITERION_CONFIDENCE).replace("-", "_")
+    criterion = raw.get("selection.criterion", CRITERION_CONFIDENCE).replace("-", "_")
     if criterion not in THRESHOLDS:
         raise ValidationError(f"unknown selection.criterion {criterion!r}")
-    given = [key for key in _scorer.SECOND_SOURCES if get("scorer", key) is not None]
+    given = [key for key in _scorer.SECOND_SOURCES if f"scorer.{key}" in raw]
     if len(given) > 1:
         raise ValidationError("scorer.bank_b and scorer.path_b exclude each other")
     second = given[0] if given else None
@@ -276,31 +286,29 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
                 "selection.criterion=prompt_consistency requires a second score "
                 "source (scorer.bank_b or scorer.path_b)"
             )
-        score_sources.append((_scorer.SECOND_SOURCES[second], path("scorer", second)))
+        score_sources.append((_scorer.SECOND_SOURCES[second], value(f"scorer.{second}")))
+        chosen.add(f"scorer.{second}")
     names = {name: f"selection.{name}" for name, _, _ in THRESHOLDS.values()}
     own = THRESHOLDS[criterion][0]  # the one threshold parsed: any other is an error
-    settings = {name: get("selection", name) for name in names}
-    settings.update({own: value("selection", own, float, None), "scores_b": second})
+    settings = {name: raw.get(key) for name, key in names.items()}
+    settings.update({own: _value(raw, names[own], float), "scores_b": second})
     names.update({c: f"selection.criterion={c}" for c in THRESHOLDS}, scores_b=f"scorer.{second}")
     with _config_keys(**names):
         threshold = criterion_threshold(criterion, settings, names)
-    cosine = any(kind == "cosine" for kind, _ in score_sources)
-    names = {key: f"scorer.{key}" for key in _SCHEMA["scorer"]}
-    names.update({source: f"scorer.source={source}" for source in _SOURCES["scorer"][0]})
-    readers = _scorer.SOURCE_READERS
-    check_reads({key: get("scorer", key) for key in readers}, readers, (scorer_source, second), names)
+    scorer_keys = {name: _READERS[name] for name in _READERS if name.startswith("scorer.")}
+    check_reads(raw, scorer_keys, chosen, {})
 
-    test_source = _source(entries, "test")
+    test_source = _source(raw, "test", chosen)
     if test_source == "synth" and dataset_source != "synth":
         raise ValidationError("test.source=synth requires dataset.source=synth")
 
-    train_cfg = _from_section(entries, "train", TrainConfig)
-    seed = value("dataset", "seed", int, BlobSpec.seed)
+    train_cfg = _from_section(raw, "train", TrainConfig)
+    seed = value("dataset.seed", BlobSpec.seed)
     seeds = {
         "dataset": seed,
-        "noise": value("dataset", "noise_seed", int, _noise.default_noise_seed(seed)),
+        "noise": value("dataset.noise_seed", _noise.default_noise_seed(seed)),
         "train": train_cfg.seed,
-        "test": value("test", "seed", int, seed + 2),
+        "test": value("test.seed", seed + 2),
     }
     # Every seed the manifest records is checked, whatever the dataset source.
     seed_keys = ("dataset.seed", "dataset.noise_seed", "train.seed", "test.seed")
@@ -309,52 +317,51 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
     blobs = test_blobs = noise = None
     if dataset_source == "synth":
-        blobs = _from_section(entries, "dataset", BlobSpec)
+        blobs = _from_section(raw, "dataset", BlobSpec)
         if test_source == "synth":
-            test_blobs = _from_section(entries, "test", BlobSpec, replace(blobs, seed=seed + 2))
+            per_class = value("test.per_class", blobs.per_class)
+            test_blobs = replace(blobs, per_class=per_class, seed=seeds["test"])
         knobs = {}  # the numbers parsed, pair_map and budget_bounds kept as text
         for f in fields(_noise.NoiseSpec)[1:]:
             parse = f.type if f.type in (int, float) else str
-            knobs[f.name] = value("dataset", _NOISE_KEYS[f.name], parse, None)
-        names = {name: f"dataset.{key}" for name, key in _NOISE_KEYS.items()}
-        names.update({kind: f"dataset.noise={kind}" for kind in _noise.NOISE_KINDS})
-        kind = get("dataset", "noise", "none").replace("-", "_")
+            knobs[f.name] = _value(raw, _NOISE_KEYS[f.name], parse)
+        names = {**_NOISE_KEYS, **{kind: f"dataset.noise={kind}" for kind in _noise.NOISE_KINDS}}
+        kind = raw.get("dataset.noise", "none").replace("-", "_")
         with _config_keys(**names):
             noise = _noise.noise_spec(kind, blobs, knobs, names)
 
-    correct_prob = None
-    if scorer_source == "oracle":
-        correct_prob = value("scorer", "correct_prob", float, 1.0)
+    correct_prob = value("scorer.correct_prob", 1.0)
+    if correct_prob is not None:
         check_range("scorer.correct_prob", correct_prob, _noise.CORRECT_PROB_RANGE)
 
-    top_k = value("report", "top_k", int, 0) if test_source != "none" else 0
+    top_k = value("report.top_k") or 0  # off when unset or without a test set
     if top_k < 0:
         raise ValidationError(f"config report.top_k: {top_k} is negative (0 turns it off)")
     if blobs is not None and top_k > blobs.classes:
         raise ValidationError(
             f"config report.top_k: {top_k} exceeds the {blobs.classes} dataset classes"
         )
-    chosen = (f"dataset.source={dataset_source}", f"test.source={test_source}")
-    check_reads({".".join(key): text for key, text in entries.items()}, _SOURCE_KEYS, chosen, {})
+    check_reads(raw, _READERS, chosen, {})
 
+    cosine = any(kind == "cosine" for kind, _ in score_sources)
     return ExperimentConfig(
         entries=entries,
         output_dir=output_dir,
         seeds=seeds,
         dataset_source=dataset_source,
-        dataset_path=path("dataset", "path"),
+        dataset_path=value("dataset.path"),
         blobs=blobs,
         noise=noise,
         score_sources=tuple(score_sources),
-        scorer=_from_section(entries, "scorer", ScorerConfig) if cosine else None,
-        embeddings=path("scorer", "embeddings"),
+        scorer=_from_section(raw, "scorer", ScorerConfig) if cosine else None,
+        embeddings=value("scorer.embeddings"),
         correct_prob=correct_prob,
         criterion=criterion,
         threshold=threshold,
-        margin=_from_section(entries, "margin", MarginConfig),
+        margin=_from_section(raw, "margin", MarginConfig),
         train=train_cfg,
         test_source=test_source,
-        test_path=path("test", "path"),
+        test_path=value("test.path"),
         test_blobs=test_blobs,
         top_k=top_k,
     )
@@ -494,36 +501,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             test_dataset = load_dataset(config.test_path)
         elif config.test_source == "synth":
             test_dataset = make_blobs(*astuple(config.test_blobs))
-        metrics = {
-            "selected": mask.selected_count,
-            "total": dataset.num_samples,
-            "final_train_loss": train_report.epoch_losses[-1],
-            "final_train_accuracy": train_report.epoch_train_accuracy[-1],
-        }
+            save_dataset(artifact("test.txt"), test_dataset)
+        outcome = {"selected": mask.selected_count, "total": dataset.num_samples}
+        if dataset.has_ground_truth:
+            quality = _noise.selection_quality(mask, dataset)
+            outcome.update(precision=quality.precision, recall=quality.recall)
+        loss, accuracy = train_report.epoch_losses[-1], train_report.epoch_train_accuracy[-1]
+        metrics = {**outcome, "final_train_loss": loss, "final_train_accuracy": accuracy}
         rows = [
-            {
-                "stage": "selection",
-                "criterion": mask.criterion,
-                "threshold": mask.threshold,
-                "selected": mask.selected_count,
-                "total": dataset.num_samples,
-            },
+            dict(stage="selection", criterion=mask.criterion, threshold=mask.threshold, **outcome),
             {
                 "stage": "training",
                 "epochs": config.train.epochs,
-                "final_loss": train_report.epoch_losses[-1],
-                "final_train_accuracy": train_report.epoch_train_accuracy[-1],
+                "final_loss": loss,
+                "final_train_accuracy": accuracy,
             },
         ]
-        if dataset.has_ground_truth:
-            quality = _noise.selection_quality(mask, dataset)
-            metrics["precision"] = quality.precision
-            metrics["recall"] = quality.recall
-            rows[0]["precision"] = quality.precision
-            rows[0]["recall"] = quality.recall
         if test_dataset is not None:
-            if config.test_source == "synth":
-                save_dataset(artifact("test.txt"), test_dataset)
             test = evaluate(train_report.classifier, test_dataset, config.top_k)
             test = {"test_accuracy": test.pop("accuracy"), **test}
             metrics.update(test)

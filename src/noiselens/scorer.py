@@ -5,6 +5,7 @@ embeddings into a row-stochastic score matrix; scores produced elsewhere can
 enter through a score file instead (``data.load_score_matrix``).
 """
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,14 +68,17 @@ class ScorerConfig:
     __post_init__ = check_fields
 
 
-# Each scorer setting -> the score sources that read it. Every cosine source,
-# `scorer.source = cosine` and a second bank (`bank_b`), reads the image
-# embeddings and each ScorerConfig field.
+# Each scorer setting -> its parser (`os.fspath` for a path), the score
+# sources that read it, and True when the one source that reads it requires
+# it. Every cosine source, `scorer.source = cosine` and a second bank
+# (`bank_b`), reads the image embeddings and each ScorerConfig field.
 COSINE_SOURCES = ("cosine", "bank_b")
-SOURCE_READERS = {
-    "bank": ("cosine",), "path": ("file",), "correct_prob": ("oracle",),
-    **dict.fromkeys(("embeddings", *(f.name for f in fields(ScorerConfig))), COSINE_SOURCES),
+SETTINGS = {
+    "bank": (os.fspath, ("cosine",), True), "path": (os.fspath, ("file",), True),
+    "correct_prob": (float, ("oracle",), False), "embeddings": (os.fspath, COSINE_SOURCES, False),
+    **{f.name: (f.type, COSINE_SOURCES, False) for f in fields(ScorerConfig)},
 }
+SOURCE_READERS = {setting: readers for setting, (_, readers, _) in SETTINGS.items()}
 # Prompt consistency's second score source: its key -> its kind. Like `score
 # --bank` and `--scores-file`, the two keys exclude each other.
 SECOND_SOURCES = {"bank_b": "cosine", "path_b": "file"}

@@ -54,15 +54,19 @@ class TestExitCodes:
             run(["synth", "--nosuch"])
         assert info.value.code == 2
 
-    def test_missing_input_file_is_stage_error(self, tmp_path, capsys):
-        code = run(
-            ["score", "--dataset", str(tmp_path / "nope.txt"),
-             "--scores-file", str(tmp_path / "also_nope.txt"),
-             "--out", str(tmp_path / "out.txt")]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: [score]")
+    def test_missing_input_file_is_stage_error(self, pipeline_files, capsys):
+        tmp_path, ds, _ = pipeline_files
+        for dataset, source, message in (
+            (tmp_path / "nope.txt", ["--scores-file", str(tmp_path / "also_nope.txt")], ""),
+            # An empty --bank names a bank file, as an empty --embeddings names a table.
+            (ds, ["--bank", ""], "[Errno 2] No such file or directory: ''\n"),
+        ):
+            code = run(["score", "--dataset", str(dataset), *source,
+                        "--out", str(tmp_path / "out.txt")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: [score]") and err.endswith(message), err
+            assert not (tmp_path / "out.txt").exists()
 
     def test_malformed_budget_bounds_is_stage_error(self, tmp_path, capsys):
         code = run(
@@ -785,6 +789,33 @@ output.dir = {out}
             ),
             # Checked after every other rule.
             (on_file + "test.path = t.txt\ntest.seed = -7\n", "test.seed -7 must lie in [0, inf)"),
+            # A source without the key it requires.
+            (
+                on_file.replace("dataset.path = ds.txt\n", ""),
+                "dataset.source=file requires dataset.path",
+            ),
+            (
+                valid.replace("scorer.source = oracle", "scorer.source = cosine"),
+                "scorer.source=cosine requires scorer.bank",
+            ),
+            (
+                valid.replace("scorer.source = oracle", "scorer.source = file"),
+                "scorer.source=file requires scorer.path",
+            ),
+            (on_file + "test.source = file\n", "test.source=file requires test.path"),
+            (
+                on_file + "test.source = nosuch\n",
+                "test.source must be one of ('file', 'synth', 'none'), got 'nosuch'",
+            ),
+            # A missing required key wins over a key that no chosen source reads.
+            (
+                on_file.replace("oracle", "file\nscorer.bank = b.txt"),
+                "scorer.source=file requires scorer.path",
+            ),
+            (
+                on_file + "test.source = file\ntest.per_class = 3\n",
+                "test.source=file requires test.path",
+            ),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1
