@@ -57,38 +57,60 @@ _SOURCES = {
 # A score source, or a second one, as a config names it.
 _SCORER_OPTIONS = {source: f"scorer.source={source}" for source in _SOURCES["scorer"][0]}
 _SCORER_OPTIONS.update({key: f"scorer.{key}" for key in _scorer.SECOND_SOURCES})
-# Each key that a source chooses, or that every config reads -> its parser
-# (`os.fspath`: a path from the config's directory), the sources that read it
-# (none: every config) and True when the one source that reads it requires it.
-# A key that no chosen source reads is an error (`_READERS`): a scorer key once
-# the score sources are known, any other after every other rule.
+# NoiseSpec field -> its config key: `dataset.` and the field name, but for these.
+_NOISE_KEYS = {f.name: f"dataset.{f.name}" for f in fields(_noise.NoiseSpec)}
+_NOISE_KEYS.update(kind="dataset.noise", rate="dataset.noise_rate", seed="dataset.noise_seed")
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+# parser -> what a value it rejects is not
+_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean", os.fspath: "a path"}
+
+
+def _parser(annotation):
+    """The parser of a value annotated ``annotation``: `_parse_bool` for
+    bool; int, float and `os.fspath` (a path) for themselves; else str,
+    which keeps the text."""
+    if annotation is bool:
+        return _parse_bool
+    return annotation if annotation in _EXPECTED else str
+
+
+# Every key a config may set -> its parser (`os.fspath`: a non-empty path
+# from the config's directory), the sources that read it and True when the
+# one source that reads it requires it. A key without readers is read by
+# every config that reaches it; the rules of `selection.criterion_threshold`
+# and `noise.noise_spec` say which criterion or noise model reads a
+# threshold or a noise knob. A key that no chosen source reads is an error
+# (`_READERS`): a scorer key once the score sources are known, any other
+# after every other rule.
 _KEYS = {
     "output.dir": (os.fspath, (), False),
-    **dict.fromkeys(("dataset.seed", "dataset.noise_seed", "test.seed"), (int, (), False)),
+    **dict.fromkeys([f"{section}.source" for section in _SOURCES], (str, (), False)),
+    "selection.criterion": (str, (), False),
+    **{f"selection.{name}": (float, (), False) for name, _, _ in THRESHOLDS.values()},
+    **{_NOISE_KEYS[f.name]: (_parser(f.type), (), False) for f in fields(_noise.NoiseSpec)},
+    **{f"dataset.{f.name}": (_parser(f.type), (), False) for f in fields(BlobSpec)},
+    **{f"margin.{f.name}": (_parser(f.type), (), False) for f in fields(MarginConfig)},
+    **{f"train.{f.name}": (_parser(f.type), (), False) for f in fields(TrainConfig)},
     "dataset.path": (os.fspath, ("dataset.source=file",), True),
-    **{f"scorer.{key}": (parse, tuple(map(_SCORER_OPTIONS.get, readers)), required)
-       for key, (parse, readers, required) in _scorer.SETTINGS.items()},
+    **{f"scorer.{key}": (_parser(kind), tuple(map(_SCORER_OPTIONS.get, readers)), required)
+       for key, (kind, readers, required) in _scorer.SETTINGS.items()},
     **{f"scorer.{key}": (os.fspath, (), False) for key in _scorer.SECOND_SOURCES},
+    "test.seed": (int, (), False),
     "test.path": (os.fspath, ("test.source=file",), True),
     "test.per_class": (int, ("test.source=synth",), False),
     "report.top_k": (int, ("test.source=file", "test.source=synth"), False),
 }
 _READERS = {name: readers for name, (_, readers, _) in _KEYS.items() if readers}
-
-# NoiseSpec field -> its config key: `dataset.` and the field name, but for these.
-_NOISE_KEYS = {f.name: f"dataset.{f.name}" for f in fields(_noise.NoiseSpec)}
-_NOISE_KEYS.update(kind="dataset.noise", rate="dataset.noise_rate", seed="dataset.noise_seed")
-
-# section -> allowed keys; unknown keys are config errors so typos fail fast.
-_SCHEMA = {
-    "dataset": {f.name for f in fields(BlobSpec)},
-    "selection": {"criterion", *(name for name, _, _ in THRESHOLDS.values())},
-    "margin": {f.name for f in fields(MarginConfig)},
-    "train": {f.name for f in fields(TrainConfig)},
-}
-for _name in [*(f"{section}.source" for section in _SOURCES), *_NOISE_KEYS.values(), *_KEYS]:
-    _section, _key = _name.split(".")
-    _SCHEMA.setdefault(_section, set()).add(_key)
 
 # '#' opens a comment at the start of a line or after whitespace, so values
 # such as `data#1/ds.txt` keep their '#'.
@@ -110,6 +132,7 @@ ARTIFACT_ORDER = (
 
 def parse_config_text(text: str) -> dict:
     """`section.key = value` lines into a {(section, key): value} dict."""
+    sections = {name.split(".")[0] for name in _KEYS}
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
@@ -121,13 +144,11 @@ def parse_config_text(text: str) -> dict:
         name = name.strip()
         value = value.strip()
         if name.count(".") != 1:
-            raise ValidationError(
-                f"config line {lineno}: key {name!r} must have exactly one dot"
-            )
+            raise ValidationError(f"config line {lineno}: key {name!r} must have exactly one dot")
         section, key = name.split(".")
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ValidationError(f"config line {lineno}: unknown section {section!r}")
-        if key not in _SCHEMA[section]:
+        if name not in _KEYS:
             raise ValidationError(
                 f"config line {lineno}: unknown key {key!r} in section {section!r}"
             )
@@ -135,30 +156,6 @@ def parse_config_text(text: str) -> dict:
             raise ValidationError(f"config line {lineno}: duplicate key {name!r}")
         entries[(section, key)] = value
     return entries
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
-# parser -> what a value it rejects is not
-_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
-
-
-def _value(raw, name, parse, default=None):
-    """Key ``name`` of ``raw`` parsed by ``parse``, or ``default`` when absent."""
-    text = raw.get(name)
-    if text is None:
-        return default
-    try:
-        return parse(text)
-    except ValueError:
-        raise ValidationError(f"config {name}: {text!r} is not {_EXPECTED[parse]}") from None
 
 
 @contextmanager
@@ -173,41 +170,14 @@ def _config_keys(**keys):
         raise RangeError(keys[exc.name], exc.value, exc.interval) from None
 
 
-def _from_section(raw, section, cls):
-    """``cls`` built from the ``section`` keys the config sets, so the
-    dataclass defaults are the only copy of the rest. Each field's
-    annotation (int, float or bool) names its parser."""
-    kwargs = {}
-    for f in fields(cls):
-        parse = _parse_bool if f.type is bool else f.type
-        if f"{section}.{f.name}" in raw:
-            kwargs[f.name] = _value(raw, f"{section}.{f.name}", parse)
-    with _config_keys(**{name: f"{section}.{name}" for name in kwargs}):
-        return cls(**kwargs)
-
-
-def _source(raw, section, chosen: set) -> str:
-    """``section.source``, checked against its sources and the key it
-    requires, and added to ``chosen`` as `section.source=<source>`."""
-    sources, default = _SOURCES[section]
-    source = raw.get(f"{section}.source", default)
-    if source not in sources:
-        raise ValidationError(f"{section}.source must be one of {sources}, got {source!r}")
-    option = f"{section}.source={source}"
-    for name, (_, readers, required) in _KEYS.items():
-        if required and option in readers and name not in raw:
-            raise ValidationError(f"{option} requires {name}")
-    chosen.add(option)
-    return source
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run description with every value parsed; `entries` keeps
-    the raw strings for the manifest echo. A key that no chosen noise model,
-    criterion or source reads is an error, as in `synth`, `select` and
-    `score`; a file dataset's synth and noise keys are not read, and its
-    sizes and noise stay None. Every seed is checked."""
+    """A validated run description with every value parsed by its `_KEYS`
+    parser, an empty path being an error; `entries` keeps the raw strings
+    for the manifest echo. A key that no chosen noise model, criterion or
+    source reads is an error, as in `synth`, `select` and `score`; a file
+    dataset's synth and noise keys are not read, and its sizes and noise
+    stay None. Every seed is checked."""
 
     entries: dict
     output_dir: str
@@ -260,20 +230,50 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         parse, readers, _ = _KEYS[name]
         if readers and chosen.isdisjoint(readers):
             return None
-        if parse is os.fspath:
-            return _value(raw, name, lambda path: os.path.normpath(os.path.join(base_dir, path)))
-        return _value(raw, name, parse, default)
+        text = raw.get(name)
+        if text is None:
+            return default
+        try:
+            return path(text) if parse is os.fspath else parse(text)
+        except ValueError:
+            raise ValidationError(f"config {name}: {text!r} is not {_EXPECTED[parse]}") from None
+
+    def path(text):  # a non-empty path, from the config's directory
+        if not text:
+            raise ValueError(text)
+        return os.path.normpath(os.path.join(base_dir, text))
+
+    def section(name, cls):
+        """``cls`` built from the ``name`` keys the config sets, so the
+        dataclass defaults are the only copy of the rest."""
+        keys = {f.name: f"{name}.{f.name}" for f in fields(cls) if f"{name}.{f.name}" in raw}
+        with _config_keys(**keys):
+            return cls(**{field_name: value(key) for field_name, key in keys.items()})
+
+    def source(name):
+        """``name.source``, checked against its sources and the key it
+        requires, and added to ``chosen`` as `name.source=<source>`."""
+        sources, default = _SOURCES[name]
+        choice = value(f"{name}.source", default)
+        if choice not in sources:
+            raise ValidationError(f"{name}.source must be one of {sources}, got {choice!r}")
+        option = f"{name}.source={choice}"
+        for key, (_, readers, required) in _KEYS.items():
+            if required and option in readers and key not in raw:
+                raise ValidationError(f"{option} requires {key}")
+        chosen.add(option)
+        return choice
 
     output_dir = value("output.dir")
     if output_dir is None:
         raise ValidationError("config requires output.dir")
 
-    dataset_source = _source(raw, "dataset", chosen)
-    scorer_source = _source(raw, "scorer", chosen)
+    dataset_source = source("dataset")
+    scorer_source = source("scorer")
     # The first source's bank or score file, whichever it reads (oracle: neither).
     score_sources = [(scorer_source, value("scorer.bank") or value("scorer.path"))]
 
-    criterion = raw.get("selection.criterion", CRITERION_CONFIDENCE).replace("-", "_")
+    criterion = value("selection.criterion", CRITERION_CONFIDENCE).replace("-", "_")
     if criterion not in THRESHOLDS:
         raise ValidationError(f"unknown selection.criterion {criterion!r}")
     given = [key for key in _scorer.SECOND_SOURCES if f"scorer.{key}" in raw]
@@ -291,18 +291,18 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     names = {name: f"selection.{name}" for name, _, _ in THRESHOLDS.values()}
     own = THRESHOLDS[criterion][0]  # the one threshold parsed: any other is an error
     settings = {name: raw.get(key) for name, key in names.items()}
-    settings.update({own: _value(raw, names[own], float), "scores_b": second})
+    settings.update({own: value(names[own]), "scores_b": second})
     names.update({c: f"selection.criterion={c}" for c in THRESHOLDS}, scores_b=f"scorer.{second}")
     with _config_keys(**names):
         threshold = criterion_threshold(criterion, settings, names)
     scorer_keys = {name: _READERS[name] for name in _READERS if name.startswith("scorer.")}
     check_reads(raw, scorer_keys, chosen, {})
 
-    test_source = _source(raw, "test", chosen)
+    test_source = source("test")
     if test_source == "synth" and dataset_source != "synth":
         raise ValidationError("test.source=synth requires dataset.source=synth")
 
-    train_cfg = _from_section(raw, "train", TrainConfig)
+    train_cfg = section("train", TrainConfig)
     seed = value("dataset.seed", BlobSpec.seed)
     seeds = {
         "dataset": seed,
@@ -317,16 +317,13 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
     blobs = test_blobs = noise = None
     if dataset_source == "synth":
-        blobs = _from_section(raw, "dataset", BlobSpec)
+        blobs = section("dataset", BlobSpec)
         if test_source == "synth":
             per_class = value("test.per_class", blobs.per_class)
             test_blobs = replace(blobs, per_class=per_class, seed=seeds["test"])
-        knobs = {}  # the numbers parsed, pair_map and budget_bounds kept as text
-        for f in fields(_noise.NoiseSpec)[1:]:
-            parse = f.type if f.type in (int, float) else str
-            knobs[f.name] = _value(raw, _NOISE_KEYS[f.name], parse)
+        knobs = {f.name: value(_NOISE_KEYS[f.name]) for f in fields(_noise.NoiseSpec)[1:]}
         names = {**_NOISE_KEYS, **{kind: f"dataset.noise={kind}" for kind in _noise.NOISE_KINDS}}
-        kind = raw.get("dataset.noise", "none").replace("-", "_")
+        kind = value("dataset.noise", "none").replace("-", "_")
         with _config_keys(**names):
             noise = _noise.noise_spec(kind, blobs, knobs, names)
 
@@ -353,12 +350,12 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         blobs=blobs,
         noise=noise,
         score_sources=tuple(score_sources),
-        scorer=_from_section(raw, "scorer", ScorerConfig) if cosine else None,
+        scorer=section("scorer", ScorerConfig) if cosine else None,
         embeddings=value("scorer.embeddings"),
         correct_prob=correct_prob,
         criterion=criterion,
         threshold=threshold,
-        margin=_from_section(raw, "margin", MarginConfig),
+        margin=section("margin", MarginConfig),
         train=train_cfg,
         test_source=test_source,
         test_path=value("test.path"),

@@ -191,8 +191,9 @@ def default_noise_seed(blob_seed: int) -> int:
 def noise_spec(kind: str, blobs: BlobSpec, knobs: dict, names: dict) -> Optional[NoiseSpec]:
     """The noise model ``kind`` ("none": None) on ``blobs``, from the knobs a
     front end was given (field name -> value or None; ``pair_map`` and
-    ``budget_bounds`` as text), spelled in errors as ``names`` spells each
-    field and model choice: `--pair-map requires --noise asym`."""
+    ``budget_bounds`` as text). A knob that ``kind`` does not read is spelled
+    as ``names`` spells each field and model choice: `--pair-map requires
+    --noise asym`. Other errors name the field: `rate 2.0 must lie in [0, 1)`."""
     if kind != "none" and kind not in NOISE_KINDS:
         raise ValidationError(f"unknown noise kind {kind!r}")
     readers = {f.name: f.metadata["models"] for f in fields(NoiseSpec)[1:]}

@@ -68,7 +68,7 @@ class ScorerConfig:
     __post_init__ = check_fields
 
 
-# Each scorer setting -> its parser (`os.fspath` for a path), the score
+# Each scorer setting -> its value's type (`os.fspath`: a path), the score
 # sources that read it, and True when the one source that reads it requires
 # it. Every cosine source, `scorer.source = cosine` and a second bank
 # (`bank_b`), reads the image embeddings and each ScorerConfig field.

@@ -71,9 +71,10 @@ def check_threshold(criterion: str, threshold: float) -> None:
 
 def criterion_threshold(criterion: str, settings: dict, names: dict) -> float:
     """The checked threshold of ``criterion``, from the settings a front end
-    was given (`READERS` name -> value or None), spelled in errors as
-    ``names`` spells each setting and criterion choice: `--mu requires
-    --criterion prompt-consistency`."""
+    was given (`READERS` name -> value or None). A setting that ``criterion``
+    does not read is spelled as ``names`` spells each setting and criterion
+    choice: `--mu requires --criterion prompt-consistency`. A threshold out of
+    its interval names the field: `rho 1.5 must lie in (0, 1)`."""
     check_reads(settings, READERS, (criterion,), names)
     name, _, default = THRESHOLDS[criterion]
     threshold = default if settings[name] is None else settings[name]

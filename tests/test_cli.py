@@ -816,6 +816,17 @@ output.dir = {out}
                 on_file + "test.source = file\ntest.per_class = 3\n",
                 "test.source=file requires test.path",
             ),
+            # An empty path names the key instead of the config's directory.
+            (
+                on_file.replace("dataset.path = ds.txt", "dataset.path ="),
+                "config dataset.path: '' is not a path",
+            ),
+            (
+                valid.replace("scorer.source = oracle", "scorer.source = cosine\nscorer.bank =")
+                .replace("scorer.correct_prob = 0.9\n", ""),
+                "config scorer.bank: '' is not a path",
+            ),
+            (on_file + "test.source = file\ntest.path =\n", "config test.path: '' is not a path"),
         ):
             cfg.write_text(text, encoding="utf-8")
             assert run(["run", "--config", str(cfg)]) == 1

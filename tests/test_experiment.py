@@ -144,8 +144,10 @@ class TestConfigValidation:
         assert cfg.test_blobs == replace(cfg.blobs, seed=9)
 
     def test_output_dir_required(self):
-        with pytest.raises(ValidationError, match="output.dir"):
-            config_from_text(self.base(**{"output.dir": None}))
+        # An empty value fails too, instead of naming the config's own directory.
+        for value in (None, ""):
+            with pytest.raises(ValidationError, match="output.dir"):
+                config_from_text(self.base(**{"output.dir": value}))
 
     def test_dataset_source_constraints(self):
         with pytest.raises(ValidationError):
@@ -196,8 +198,31 @@ class TestConfigValidation:
             config_from_text(text)
 
     def test_bad_numeric_value_names_the_key(self):
-        with pytest.raises(ValidationError, match="train.epochs"):
-            config_from_text(self.base(**{"train.epochs": "many"}))
+        for overrides, message in (
+            ({"train.epochs": "many"}, "config train.epochs: 'many' is not an integer"),
+            ({"dataset.classes": "2.5"}, "config dataset.classes: '2.5' is not an integer"),
+            (
+                {"dataset.noise": "symmetric", "dataset.noise_rate": "x"},
+                "config dataset.noise_rate: 'x' is not a number",
+            ),
+            (
+                {
+                    "selection.criterion": "prompt_consistency",
+                    "scorer.path_b": "s.txt",
+                    "selection.mu": "x",
+                },
+                "config selection.mu: 'x' is not a number",
+            ),
+            ({"train.shuffle": "maybe"}, "config train.shuffle: 'maybe' is not a boolean"),
+            ({"margin.delta": "x"}, "config margin.delta: 'x' is not a number"),
+            (
+                {"dataset.noise": "instance_dependent", "dataset.budget_bounds": "x"},
+                "budget_bounds 'x' must be two numbers 'low,high'",
+            ),
+        ):
+            with pytest.raises(ValidationError) as info:
+                config_from_text(self.base(**overrides))
+            assert str(info.value) == message
 
     def test_sha256_ignores_line_order(self):
         a = config_from_text(self.base())
