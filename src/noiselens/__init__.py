@@ -2,6 +2,8 @@
 for classification datasets with unreliable labels, on precomputed
 embeddings."""
 
+from types import ModuleType as _ModuleType
+
 from .data import (
     Dataset,
     ScoreMatrix,
@@ -90,75 +92,8 @@ from .trainer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassEmbeddingBank",
-    "ClassPrior",
-    "CorruptionRecord",
-    "Dataset",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FormatError",
-    "HistogramReport",
-    "LinearClassifier",
-    "LossBatch",
-    "MarginConfig",
-    "NoiseLensError",
-    "NoiseSpec",
-    "PredictionResult",
-    "ScoreMatrix",
-    "ScorerConfig",
-    "SelectionMask",
-    "SelectionQuality",
-    "SweepPoint",
-    "SweepReport",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingBundle",
-    "TrainingDivergedError",
-    "TransitionMatrix",
-    "ValidationError",
-    "accuracy",
-    "apply_mask",
-    "blob_means",
-    "compute_class_prior",
-    "config_from_text",
-    "confidence_histogram",
-    "cosine_softmax_score",
-    "cross_entropy",
-    "estimate_transition_matrix",
-    "evaluate",
-    "focal_loss",
-    "inject_noise",
-    "init_classifier",
-    "js_divergence",
-    "load_class_prior",
-    "load_classifier",
-    "load_dataset",
-    "load_embedding_bank",
-    "load_experiment_config",
-    "load_mask",
-    "load_score_matrix",
-    "load_transition_matrix",
-    "make_blobs",
-    "nabm_loss_batch",
-    "nabm_probability",
-    "oracle_scores",
-    "predict",
-    "run_experiment",
-    "save_class_prior",
-    "save_classifier",
-    "save_dataset",
-    "save_embedding_bank",
-    "save_mask",
-    "save_score_matrix",
-    "save_transition_matrix",
-    "score_with_surrogate",
-    "select_by_confidence",
-    "select_by_prompt_consistency",
-    "selection_quality",
-    "threshold_sweep",
-    "top_k_accuracy",
-    "train",
-    "train_heads",
-    "transition_matrix_error",
-]
+# The public names: those the imports above bind, but the submodules.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

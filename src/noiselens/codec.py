@@ -29,16 +29,15 @@ text, lines and parsed table. A block of two ``CHUNK_FIELDS`` chunks or
 more is parsed through ``parallel.forked``, as it is written: its columns
 live in one shared anonymous mapping, the reading process parses the first
 run of pieces, and each child parses another run in place; the reading
-process's peak memory does not count the children's. When a run of such a
-block does not parse whole, the reading process parses the block again
-alone; when a block parsed by one process fails, it looks for the error a
-piece at a time, so every error is the one-process error. Reading by
-offset needs ``os.pread``, so a POSIX system. Under ``taskset -c 0`` a
-file is written and read by one process. The reader accepts integers as
-ASCII digits with an optional sign, and floats in the grammar of
-``float()`` without underscores or non-ASCII digits, in records and in
-header values alike. Every float must be finite: ``nan`` or ``inf`` in a
-float column, text or binary, or in a header value read with
+process's peak memory does not count the children's. The reading process
+parses a failed child's run again in place; when a run does not parse, it
+looks for the error a piece at a time, so every error is the one-process
+error. Reading by offset needs ``os.pread``, so a POSIX system. Under
+``taskset -c 0`` a file is written and read by one process. The reader
+accepts integers as ASCII digits with an optional sign, and floats in the
+grammar of ``float()`` without underscores or non-ASCII digits, in records
+and in header values alike. Every float must be finite: ``nan`` or ``inf``
+in a float column, text or binary, or in a header value read with
 ``TextReader.real``, is a ``FormatError`` naming the line or record.
 Readers are context managers: a loader's file is closed when it returns
 or raises.
@@ -350,9 +349,8 @@ class TextReader(_Reader):
         """The block's columns, parsed by ``_fill`` in up to ``workers``
         processes: by this process alone into new arrays, or into one shared
         anonymous mapping, this process parsing the first run of pieces and
-        a forked child each other run. When some run does not parse whole,
-        a block parsed by several processes is parsed again by this one
-        alone; None when a block parsed by this one alone does not."""
+        a forked child each other run, which this process parses again in
+        place when its child fails. None when some run does not parse."""
         first, end = self._first, self._first + n
         starts, offsets = self._starts, self._offsets
         # The block's pieces are k0 up to k1; each run is a range of whole
@@ -380,12 +378,12 @@ class TextReader(_Reader):
         try:
             with parallel.forked(runs, lambda run, _: _fill(out, row, *run)) as children:
                 _fill(out, row, *runs[0])
-                if all(code == 0 for code, _ in children):
-                    return out
+                for run, (code, _) in zip(runs[1:], children):
+                    if code:
+                        _fill(out, row, *run)
         except (*_REJECTED, FormatError):
-            pass
-        out = shared = None  # freed before the block is parsed again
-        return self._parse(n, arrays, row, 1) if cuts else None
+            return None
+        return out
 
     def _serial(self, n: int, row, specs, width: int, name: str) -> None:
         """Raise the block's first record with a wrong field count, else its

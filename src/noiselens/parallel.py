@@ -28,8 +28,10 @@ def forked(shares: list, work, dir=None):
     order they started, each once that child has exited: the status
     ``_run`` gave it, or minus the signal that killed it, and ``out``
     rewound. A share whose fork fails (``EAGAIN``, ``ENOMEM``) is done here
-    into its file, with status 0. Leaving the ``with`` block kills and
-    reaps every child not yet collected and closes every file."""
+    into its file, with status 0. A caller whose children return through
+    shared memory, as the text reader's do, leaves each file empty. Leaving
+    the ``with`` block kills and reaps every child not yet collected and
+    closes every file."""
     pids, files = [], []
     try:
         for share in shares[1:]:

@@ -308,6 +308,8 @@ class TestStageChain:
     def test_report_without_inputs_is_an_error(self, capsys):
         assert run(["report"]) == 1
         assert "error: [report]" in capsys.readouterr().err
+        assert run(["report", "--classifier", "c.txt"]) == 1
+        assert capsys.readouterr().err == "error: [report] --classifier reports require --dataset\n"
 
     @pytest.mark.parametrize(
         "criterion,flags,message",
@@ -710,6 +712,10 @@ output.dir = {out}
             ),
             (valid.replace("rho = 0.5", "rho = 1.5"), "selection.rho 1.5 must lie in (0, 1)"),
             (
+                valid.replace("selection.rho = 0.5", "selection.criterion = bogus"),
+                "unknown selection.criterion 'bogus'",
+            ),
+            (
                 valid.replace("correct_prob = 0.9", "correct_prob = 2"),
                 "scorer.correct_prob 2.0 must lie",
             ),
@@ -835,6 +841,28 @@ output.dir = {out}
             assert len(err.splitlines()) == 1, err
             assert not out.exists()
 
+    def write_with_test_file(self, tmp_path, out_name, classes, extra=""):
+        """``write``'s config, with ``extra`` lines, evaluated on a test set
+        file of ``classes`` classes of 45 samples each, of the config's
+        dimension and separation."""
+        test = tmp_path / "test.txt"
+        argv = ["--classes", str(classes), "--per-class", "45", "--dim", "4", "--sep", "3.0"]
+        assert run(["synth", *argv, "--seed", "7", "--out", str(test)]) == 0
+        cfg = self.write(tmp_path, out_name)
+        text = cfg.read_text(encoding="utf-8").replace(
+            "test.source = synth\ntest.per_class = 20\n", f"test.source = file\ntest.path = {test}\n{extra}"
+        )
+        cfg.write_text(text, encoding="utf-8")
+        return cfg
+
+    def test_run_evaluates_a_test_file(self, tmp_path):
+        cfg = self.write_with_test_file(tmp_path, "run", 2, "report.top_k = 2\n")
+        assert run(["run", "--config", str(cfg)]) == 0
+        evaluation = (tmp_path / "run" / "report.txt").read_text().splitlines()[2].split()
+        assert evaluation[:2] == ["stage=evaluation", "test_samples=90"]
+        assert evaluation[2].startswith("test_accuracy=") and evaluation[3:] == ["top2_accuracy=1.0"]
+        assert not (tmp_path / "run" / "test.txt").exists()
+
     def test_failed_stage_reported_in_envelope(self, tmp_path, capsys):
         out = tmp_path / "failing"
         cfg = tmp_path / "failing.cfg"
@@ -848,6 +876,14 @@ output.dir = {out}
         assert run(["run", "--config", str(cfg)]) == 1
         assert "error: [select]" in capsys.readouterr().err
         assert (out / "manifest.txt").exists()
+        # A test file of more classes than the run trained on fails in evaluate.
+        cfg = self.write_with_test_file(tmp_path, "failing", 3)
+        capsys.readouterr()
+        assert run(["run", "--config", str(cfg)]) == 1
+        message = "dataset has 3 classes, classifier has 2"
+        assert capsys.readouterr().err == f"error: [evaluate] {message}\n"
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert manifest.endswith(f"status=failed\nstage=evaluate\nerror={message}\n")
 
     def test_out_of_memory_is_a_stage_error(self, tmp_path, capsys, monkeypatch):
         # Synth sizes under codec.MAX_COUNT can still be too large to

@@ -693,15 +693,32 @@ def _forks(monkeypatch) -> list:
     ids=["exception", "killed", "killed-after-writing", "fork-fails"],
 )
 def test_failing_reader_child_reads_the_block_again_and_leaves_no_child(tmp_path, monkeypatch, failure):
-    """A run whose fork fails is parsed by the reading process in place."""
+    """The reading process parses its own run and, in place, the run of each
+    child that fails and each run whose fork fails, but not the whole block
+    again."""
     path = tmp_path / "blocks.txt"
     blocks = [_mixed_block(12)]
     codec.write_text(path, BLOCKS, {}, blocks)
     failure(monkeypatch, "_fill")
     monkeypatch.setattr(codec, "PIECE_BYTES", 64)
+    parent, fill, parsed = os.getpid(), codec._fill, []
+
+    def fill_and_count(out, row, at, pieces):
+        pieces = list(pieces)
+        if os.getpid() == parent:
+            parsed.append((at, sum(map(len, pieces))))
+        fill(out, row, at, pieces)
+
+    monkeypatch.setattr(codec, "_fill", fill_and_count)
     forks = _forks(monkeypatch)
     assert _read_blocks(path, [12]) == [[(a.dtype.str, a.shape, a.tobytes()) for a in blocks[0]]]
     assert len(forks) == 2
+    # Three runs, each parsed here once, together the block's 12 records.
+    at = 0
+    for start, count in sorted(parsed):
+        assert start == at
+        at += count
+    assert (len(parsed), at) == (3, 12)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.listdir(tmp_path) == ["blocks.txt"]

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import types
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -50,9 +51,19 @@ output.dir = {out}
 
 
 def test_every_public_name_resolves():
+    """``__all__`` is exactly the package's public names that are not
+    submodules, and a star import binds exactly ``__all__``."""
     import noiselens
 
-    assert [name for name in noiselens.__all__ if not hasattr(noiselens, name)] == []
+    public = [
+        name
+        for name in dir(noiselens)
+        if not name.startswith("_") and not isinstance(getattr(noiselens, name), types.ModuleType)
+    ]
+    assert sorted(noiselens.__all__) == public
+    namespace = {}
+    exec("from noiselens import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == public
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -223,6 +234,10 @@ class TestConfigValidation:
             with pytest.raises(ValidationError) as info:
                 config_from_text(self.base(**overrides))
             assert str(info.value) == message
+
+    def test_boolean_spellings(self):
+        for text, value in (("on", True), ("YES", True), ("off", False), ("0", False)):
+            assert config_from_text(self.base(**{"train.shuffle": text})).train.shuffle is value
 
     def test_sha256_ignores_line_order(self):
         a = config_from_text(self.base())

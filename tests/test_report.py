@@ -1,6 +1,7 @@
 """Tests for evaluation metrics, confidence histograms, and threshold sweeps."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,11 @@ class TestThresholdSweep:
 
         assert point.selected_count == mask.selected_count
         assert point.test_accuracy == expected
+        # Without true labels the point is the same but for its precision and recall.
+        unlabelled = Dataset(noisy.num_classes, noisy.ids, noisy.features, noisy.noisy_labels)
+        (blind,) = threshold_sweep(unlabelled, scores, [0.5], bundle).points
+        assert blind == replace(point, precision=None, recall=None)
+        assert point.precision is not None and point.recall is not None
 
     def test_points_match_the_manual_pipeline_per_threshold(self):
         noisy, scores, bundle = graded_sweep_setup()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiselens.data import ROW_BLOCK, Dataset, ScoreMatrix
-from noiselens.errors import ValidationError
+from noiselens.errors import FormatError, ValidationError
 from noiselens.selection import (
     LN2,
     SelectionMask,
@@ -310,6 +310,12 @@ class TestMaskAndSubset:
         path = tmp_path / "mask.txt"
         path.write_text("#noiselens-mask v1 N=1 CRITERION=confidence THRESHOLD=0.5\n0,0.9,0\n")
         with pytest.raises(ValidationError, match="verdicts are inconsistent with scores and threshold"):
+            load_mask(path)
+        # A verdict must be 0 or 1 before it is compared with its score.
+        path.write_text(
+            "#noiselens-mask v1 N=3 CRITERION=confidence THRESHOLD=0.5\n0,0.9,1\n1,0.9,1\n2,0.9,2\n"
+        )
+        with pytest.raises(FormatError, match="line 4: verdict must be 0 or 1$"):
             load_mask(path)
 
     def test_mask_id_mismatch(self):
