@@ -239,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--no-shuffle", action="store_false", dest="shuffle")
+    p.add_argument("--lr-step-every", type=int)
+    p.add_argument("--lr-step-factor", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)
 

@@ -9,7 +9,8 @@ that parses back to the identical float64, so a text round trip is
 bit-exact. A block of records of two ``CHUNK_FIELDS`` chunks or more is
 split into contiguous row slices, one per usable CPU, formatted through
 ``parallel.forked``: the writing process formats the first slice into the
-file, and each other slice's file, made beside it, is appended in order.
+file, and each other slice's file, made beside it, is appended in order; a
+slice whose child did not finish is formatted into the file in its place.
 Each slice is formatted about ``PIECE_BYTES`` of text at a time, and each
 row on its own, so the bytes depend neither on the number of processes nor
 on the piece size.
@@ -30,8 +31,8 @@ more is parsed through ``parallel.forked``, as it is written: its columns
 live in one shared anonymous mapping, the reading process parses the first
 run of pieces, and each child parses another run in place; the reading
 process's peak memory does not count the children's. The reading process
-parses a failed child's run again in place; when a run does not parse, it
-looks for the error a piece at a time, so every error is the one-process
+parses in place each run that no child finished; when a run does not parse,
+it looks for the error a piece at a time, so every error is the one-process
 error. Reading by offset needs ``os.pread``, so a POSIX system. Under
 ``taskset -c 0`` a file is written and read by one process. The reader
 accepts integers as ASCII digits with an optional sign, and floats in the
@@ -165,8 +166,8 @@ def write_text(path, layout: Layout, header: dict, blocks) -> None:
     ``header`` values are written with ``str``; pass floats through
     ``fmt_float``. A block is a list of equal-length columns: a 1-D array
     is one field per row, a 2-D array a run of fields. A block of several
-    chunks is formatted by up to one process per usable CPU; a failed
-    child raises ``OSError``.
+    chunks is formatted by up to one process per usable CPU, with the
+    bytes one process gives.
     """
     fields = " ".join(f"{key}={value}" for key, value in header.items())
     with open(path, "wb") as fh:
@@ -187,8 +188,8 @@ def _workers(n: int, width: int) -> tuple:
 
 def _write_block(path, fh, columns: list) -> None:
     """Format one block's rows into ``fh``: the first row slice here, each
-    other slice in a forked child, whose file is appended once it exits. A
-    failed child raises ``OSError``."""
+    other slice in a forked child, whose file is appended once it exits, or
+    here in its place when the child did not finish."""
     n = len(columns[0])
     step, chunks, workers = _workers(n, sum(c.shape[1] for c in columns))
     bounds = [step * (chunks * i // workers) for i in range(workers)] + [n]
@@ -196,14 +197,11 @@ def _write_block(path, fh, columns: list) -> None:
     here = os.path.dirname(os.path.abspath(path))
     with parallel.forked(slices, lambda rows, out: _format_rows(out, columns, *rows), here) as children:
         _format_rows(fh, columns, *slices[0])
-        for (lo, hi), (code, out) in zip(slices[1:], children):
-            if 0 < code < 255:
-                raise OSError(code, os.strerror(code), str(path))
-            if code:
-                raise OSError(
-                    f"{path}: the process formatting rows {lo}-{hi} exited with status {code}"
-                )
-            shutil.copyfileobj(out, fh)
+        for rows, out in zip(slices[1:], children):
+            if out is None:
+                _format_rows(fh, columns, *rows)
+            else:
+                shutil.copyfileobj(out, fh)
 
 
 def _format_rows(out, columns: list, lo: int, hi: int) -> None:
@@ -349,8 +347,8 @@ class TextReader(_Reader):
         """The block's columns, parsed by ``_fill`` in up to ``workers``
         processes: by this process alone into new arrays, or into one shared
         anonymous mapping, this process parsing the first run of pieces and
-        a forked child each other run, which this process parses again in
-        place when its child fails. None when some run does not parse."""
+        a forked child each other run, which this process parses in place
+        when no child finished it. None when some run does not parse."""
         first, end = self._first, self._first + n
         starts, offsets = self._starts, self._offsets
         # The block's pieces are k0 up to k1; each run is a range of whole
@@ -378,8 +376,8 @@ class TextReader(_Reader):
         try:
             with parallel.forked(runs, lambda run, _: _fill(out, row, *run)) as children:
                 _fill(out, row, *runs[0])
-                for run, (code, _) in zip(runs[1:], children):
-                    if code:
+                for run, child in zip(runs[1:], children):
+                    if child is None:
                         _fill(out, row, *run)
         except (*_REJECTED, FormatError):
             return None

@@ -116,20 +116,6 @@ _READERS = {name: readers for name, (_, readers, _) in _KEYS.items() if readers}
 # such as `data#1/ds.txt` keep their '#'.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-ARTIFACT_ORDER = (
-    "dataset.txt",
-    "corruption.txt",
-    "scores.txt",
-    "scores_b.txt",
-    "mask.txt",
-    "transition.txt",
-    "prior.txt",
-    "classifier.txt",
-    "test.txt",
-    "report.txt",
-)
-
-
 def parse_config_text(text: str) -> dict:
     """`section.key = value` lines into a {(section, key): value} dict."""
     sections = {name.split(".")[0] for name in _KEYS}
@@ -388,10 +374,10 @@ def _sha256_file(path) -> str:
 
 
 def _write_manifest(config: ExperimentConfig, stage: str, error: str, written) -> None:
-    """The manifest of this run: its config and seeds, a hash of each
-    `ARTIFACT_ORDER` name in ``written`` (the names this run began to
-    write) that exists, and its status. A file that a previous run left in
-    the directory is not listed."""
+    """The manifest of this run: its config and seeds, a hash of each name
+    in ``written`` (the names this run began to write, in that order) that
+    exists, and its status. A file that a previous run left in the
+    directory is not listed."""
     out = config.output_dir
     lines = ["#noiselens-manifest v1", f"config_sha256={config.config_sha256}"]
     for name in sorted(config.seeds):
@@ -399,9 +385,9 @@ def _write_manifest(config: ExperimentConfig, stage: str, error: str, written) -
     for (section, key), value in sorted(config.entries.items()):
         lines.append(f"config.{section}.{key}={value}")
     digest_lines = []
-    for name in ARTIFACT_ORDER:
+    for name in written:
         path = os.path.join(out, name)
-        if name in written and os.path.exists(path):
+        if os.path.exists(path):
             digest_lines.append(f"{name}={_sha256_file(path)}")
     lines.extend(f"artifact.{entry}" for entry in digest_lines)
     combined = hashlib.sha256("\n".join(digest_lines).encode("utf-8")).hexdigest()

@@ -2,8 +2,8 @@
 ``trainer.train_heads``: each deals its work into shares, one per process,
 and enters ``forked``, which runs each share but the first in a child with
 an anonymous temporary file as its result channel. The caller does the
-first share itself and decides what a failed child means. No child
-outlives ``forked``, also when the caller raises or is interrupted.
+first share, and each share that no child finished. No child outlives
+``forked``, also when the caller raises or is interrupted.
 """
 
 import os
@@ -24,14 +24,12 @@ def usable_cpus() -> int:
 def forked(shares: list, work, dir=None):
     """Call ``work(share, out)`` for each of ``shares`` but the first in a
     forked child, ``out`` being a new anonymous binary temporary file in
-    ``dir``. Yields an iterator of ``(status, out)``, one per child in the
-    order they started, each once that child has exited: the status
-    ``_run`` gave it, or minus the signal that killed it, and ``out``
-    rewound. A share whose fork fails (``EAGAIN``, ``ENOMEM``) is done here
-    into its file, with status 0. A caller whose children return through
-    shared memory, as the text reader's do, leaves each file empty. Leaving
-    the ``with`` block kills and reaps every child not yet collected and
-    closes every file."""
+    ``dir``. Yields one entry per child, in start order, once it has exited:
+    its file, rewound, when its work returned and the file was flushed, else
+    None, as when the fork failed (``EAGAIN``, ``ENOMEM``). A caller whose
+    children return through shared memory, as the text reader's do, leaves
+    each file empty. Leaving the ``with`` block kills and reaps every child
+    not yet collected and closes every file."""
     pids, files = [], []
     try:
         for share in shares[1:]:
@@ -48,38 +46,27 @@ def forked(shares: list, work, dir=None):
 
 
 def _fork(work, share, out) -> int:
-    """The pid of a child that exits with ``_run``'s status, or 0 when the
-    fork fails and this process has done the work."""
+    """The pid of a child that exits 0 once ``work`` has returned and ``out``
+    is flushed, else 1; 0 when the fork fails."""
     try:
         pid = os.fork()
     except OSError:
-        work(share, out)
         return 0
     if pid == 0:
-        code = 255  # after any exception but an ``OSError``
         try:
-            code = _run(work, share, out)
+            work(share, out)
+            out.flush()
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)  # reached only when ``work`` or the flush raised
     return pid
 
 
-def _run(work, share, out) -> int:
-    """0 once ``work`` has returned and ``out`` is flushed, or the errno of
-    an ``OSError`` it raises (255 for one with no errno below 255)."""
-    try:
-        work(share, out)
-        out.flush()
-    except OSError as exc:
-        return exc.errno if 0 < (exc.errno or 0) < 255 else 255
-    return 0
-
-
 def _collect(pids: list, files: list):
-    """Each child's status and rewound file; a child waited for is no longer
+    """Each child's rewound file, or None; a child waited for is no longer
     killed on the way out."""
     for i, out in enumerate(files):
-        status = pids[i] and os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
+        finished = pids[i] and os.waitpid(pids[i], 0)[1] == 0
         pids[i] = 0
         out.seek(0)
-        yield status, out
+        yield out if finished else None

@@ -34,7 +34,7 @@ processes: when two heads or more step ``FORK_ROWS`` rows or more in all
 share per usable CPU, and each share runs the lockstep in one of the
 processes of ``parallel.forked``, so every outcome is the one a single
 process gives, bit for bit. A child pickles its outcomes into its file; a
-share whose child fails, or whose outcomes do not load, is trained again
+share that no child finished, or whose outcomes do not load, is trained
 by the caller. One head, less work, one usable CPU (``taskset -c 0``) or a
 platform without ``fork`` runs one process.
 """
@@ -219,8 +219,8 @@ def train_heads(
     times epochs), they are split by rows, largest first, into up to one
     share per usable CPU, each trained by one process of
     ``parallel.forked`` in the same lockstep, so each outcome is the
-    one-process outcome. A share whose child fails, or whose outcomes
-    cannot be loaded, is trained again here.
+    one-process outcome. A share that no child finished, or whose outcomes
+    cannot be loaded, is trained here.
     """
     started = time.perf_counter()
     n, c = dataset.num_samples, dataset.num_classes
@@ -243,8 +243,8 @@ def train_heads(
     shares = _shares(rows, live, cfg.epochs)
     with parallel.forked(shares, lambda share, out: pickle.dump(lockstep(share), out)) as children:
         results = [lockstep(shares[0])]
-        for share, (code, out) in zip(shares[1:], children):
-            results.append((code == 0 and _received(out, started)) or lockstep(share))
+        for share, out in zip(shares[1:], children):
+            results.append((out is not None and _received(out, started)) or lockstep(share))
     for share, result in zip(shares, results):
         for i, o in zip(share, result):
             outcome[i] = o

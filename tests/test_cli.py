@@ -404,12 +404,13 @@ class TestStageChain:
                     "--prior", str(p["prior"]), "--delta", "0.7", "--t", "0.5", "--s", "0.8",
                     "--gamma", "1.5", "--epochs", "3", "--batch-size", "16", "--lr", "0.05",
                     "--wd", "0.01", "--momentum", "0.5", "--seed", "9", "--no-shuffle",
+                    "--lr-step-every", "2", "--lr-step-factor", "0.5",
                     "--out", str(p["clf"])]) == 0
         dataset = load_dataset(ds)
         subset = apply_mask(dataset, load_mask(p["mask"]))
         margin = MarginConfig(delta=0.7, t=0.5, s=0.8, gamma=1.5)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, weight_decay=0.01,
-                          momentum=0.5, seed=9, shuffle=False)
+                          momentum=0.5, seed=9, shuffle=False, lr_step_every=2, lr_step_factor=0.5)
         report = train(subset, load_transition_matrix(p["tm"]), load_class_prior(p["prior"]),
                        margin, cfg)
         expected = tmp_path / "expected.txt"

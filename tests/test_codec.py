@@ -488,6 +488,19 @@ def _one_by_one(blocks) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+def _parent_slices(monkeypatch) -> list:
+    """The row slices this process formats from now on, one entry each."""
+    parent, format_rows, formatted = os.getpid(), codec._format_rows, []
+
+    def format_and_count(out, columns, lo, hi):
+        if os.getpid() == parent:
+            formatted.append((lo, hi))
+        format_rows(out, columns, lo, hi)
+
+    monkeypatch.setattr(codec, "_format_rows", format_and_count)
+    return formatted
+
+
 @pytest.mark.parametrize("workers", WORKERS)
 # 0 rows; one below, at and one above the 1-, 2- and 3-chunk boundaries
 # (2, 4 and 6 rows); many chunks with a ragged last one.
@@ -496,10 +509,12 @@ def test_written_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, 
     monkeypatch.setattr(codec, "CHUNK_FIELDS", SMALL_CHUNK)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
     blocks = [_mixed_block(n), [np.arange(5)], _mixed_block(n + 2)]
+    formatted = _parent_slices(monkeypatch)
     codec.write_text(tmp_path / "block.txt", codec.DATASET, {"N": 0}, blocks)
     header, records = (tmp_path / "block.txt").read_bytes().split(b"\n", 1)
     assert header == b"#noiselens-dataset v1 N=0"
     assert records == _one_by_one(blocks)
+    assert len(formatted) == len(blocks)  # each block's first slice, here
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -567,15 +582,16 @@ def _before_work(act):
 
 def _killed_after_work(monkeypatch, hook: str) -> None:
     """A failure under which every child is killed once its work has
-    returned and its file is flushed."""
+    returned and its file is flushed, where it would exit 0."""
     _in_children(monkeypatch, lambda: None, hook)
-    run = parallel._run
+    parent, exit = os.getpid(), os._exit
 
-    def run_and_die(*args):
-        run(*args)
-        os.kill(os.getpid(), signal.SIGKILL)
+    def die_at_exit(code):
+        if os.getpid() != parent and code == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        exit(code)
 
-    monkeypatch.setattr(parallel, "_run", run_and_die)
+    monkeypatch.setattr(os, "_exit", die_at_exit)
 
 
 def _fork_fails(monkeypatch, hook: str) -> None:
@@ -586,30 +602,48 @@ def _fork_fails(monkeypatch, hook: str) -> None:
 
 @FORKS
 @pytest.mark.parametrize(
-    "failure,match",
+    "failure",
     [
-        (
-            _before_work(lambda: _raise(OSError(errno.ENOSPC, "full"))),
-            r"\[Errno 28\] No space left on device",
-        ),
-        (_before_work(lambda: _raise(ValueError("bad"))), r"rows 4-8 exited with status 255$"),
-        (_before_work(lambda: os.kill(os.getpid(), signal.SIGKILL)), r"rows 4-8 exited with status -9$"),
-        (_killed_after_work, r"rows 4-8 exited with status -9$"),
-        (_fork_fails, None),
+        _before_work(lambda: _raise(OSError(errno.ENOSPC, "full"))),
+        _before_work(lambda: _raise(ValueError("bad"))),
+        _before_work(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+        _killed_after_work,
+        _fork_fails,
     ],
     ids=["enospc", "exception", "killed", "killed-after-writing", "fork-fails"],
 )
-def test_failing_child_raises_oserror_and_leaves_no_child(tmp_path, monkeypatch, failure, match):
-    """A failed fork is no failed child: the writing process formats that
-    slice itself, so the write gives the one-process bytes."""
+def test_failing_writer_child_slice_is_formatted_here_and_leaves_no_child(tmp_path, monkeypatch, failure):
+    """The writing process formats its own slice and, in place, the slice of
+    each child that fails and each slice whose fork fails, so the write
+    gives the one-process bytes."""
     failure(monkeypatch, "_format_rows")
+    formatted = _parent_slices(monkeypatch)
     blocks = [_mixed_block(12)]
-    if match is None:
-        codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, blocks)
-        assert (tmp_path / "ds.txt").read_bytes().split(b"\n", 1)[1] == _one_by_one(blocks)
-    else:
-        with pytest.raises(OSError, match=match):
-            codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, blocks)
+    codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, blocks)
+    assert (tmp_path / "ds.txt").read_bytes().split(b"\n", 1)[1] == _one_by_one(blocks)
+    assert formatted == [(0, 4), (4, 8), (8, 12)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["ds.txt"]
+
+
+@FORKS
+def test_failing_redo_of_a_writer_slice_raises_its_own_error(tmp_path, monkeypatch):
+    """When the writing process runs out of space formatting a failed
+    child's slice, the save raises that error, as a one-process save does,
+    and leaves no child and no temporary file."""
+    _in_children(monkeypatch, lambda: _raise(OSError(errno.ENOSPC, "full")))
+    parent, format_rows = os.getpid(), codec._format_rows
+
+    def full_on_redo(out, columns, lo, hi):
+        if os.getpid() == parent and lo > 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        format_rows(out, columns, lo, hi)
+
+    monkeypatch.setattr(codec, "_format_rows", full_on_redo)
+    with pytest.raises(OSError, match=r"^\[Errno 28\] No space left on device$") as raised:
+        codec.write_text(tmp_path / "ds.txt", codec.DATASET, {}, [_mixed_block(12)])
+    assert raised.value.errno == errno.ENOSPC
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.listdir(tmp_path) == ["ds.txt"]

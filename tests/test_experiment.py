@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import noiselens.experiment
 from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.experiment import (
-    ARTIFACT_ORDER,
     config_from_text,
     load_experiment_config,
     parse_config_text,
@@ -261,7 +260,11 @@ class TestRunExperiment:
         result, out = self.run_minimal(tmp_path)
         assert result.status == 0
         assert result.stage == "done"
-        for name in ARTIFACT_ORDER:
+        names = [
+            "dataset.txt", "corruption.txt", "scores.txt", "scores_b.txt", "mask.txt",
+            "transition.txt", "prior.txt", "classifier.txt", "test.txt", "report.txt",
+        ]
+        for name in names:
             if name == "scores_b.txt":  # only written for prompt consistency
                 assert not (out / name).exists()
             else:

@@ -1,7 +1,7 @@
 """Tests for the forked workers that the text codec and the trainer share:
-every child is collected in start order with its status and its file, a
-share whose fork fails is done by the caller, and no child outlives the
-call."""
+every child is collected in start order as its file when its work returned,
+else None, a share whose fork fails is left to the caller, and no child
+outlives the call."""
 
 import errno
 import os
@@ -42,14 +42,12 @@ def _work(share, out) -> None:
 
 @FORKS
 def test_children_are_collected_in_start_order():
-    """The first share is the caller's; each other share's status is the
-    child's exit code, or minus the signal that killed it, and its file
-    holds what a child that returned wrote."""
+    """The first share is the caller's; each other share's entry is the file
+    its child wrote when the work returned, else None."""
     shares = ["exception", "ok", "enospc", "no-errno", "exception", "killed", "ok"]
     with parallel.forked(shares, _work) as children:
-        got = [(status, out.read()) for status, out in children]
-    assert [status for status, _ in got] == [0, errno.ENOSPC, 255, 255, -signal.SIGKILL, 0]
-    assert got[0][1] == got[-1][1] == b"ok"
+        got = [out and out.read() for out in children]
+    assert got == [b"ok", None, None, None, None, b"ok"]
     _no_child_left()
 
 
@@ -61,6 +59,8 @@ def test_one_share_forks_nothing(monkeypatch):
 
 @FORKS
 def test_a_share_whose_fork_fails_is_done_by_the_caller(monkeypatch):
+    """``forked`` does no work for a share whose fork fails: it yields None
+    in that share's place, so that the caller does it."""
     fork, calls, done = os.fork, [], []
 
     def second_fork_fails():
@@ -73,16 +73,16 @@ def test_a_share_whose_fork_fails_is_done_by_the_caller(monkeypatch):
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
     with parallel.forked(["ok0", "ok1", "ok2", "ok3"], work) as children:
-        assert done == ["ok2"]
-        assert [(status, out.read()) for status, out in children] == [(0, b"ok")] * 3
+        assert [out and out.read() for out in children] == [b"ok", None, b"ok"]
+        assert done == []
     _no_child_left()
 
 
 @FORKS
 @pytest.mark.parametrize("leave", [KeyboardInterrupt, ValueError], ids=["interrupt", "error"])
 def test_leaving_kills_every_child_and_closes_every_file(monkeypatch, leave):
-    """Leaving on an interrupt, or on an error of the work that the caller
-    does for a share whose fork failed, ends every child at once."""
+    """Leaving on an interrupt, or on an error of the caller's redo of a
+    share whose fork failed, ends every child at once."""
     fork, make, files = os.fork, tempfile.TemporaryFile, []
     monkeypatch.setattr(tempfile, "TemporaryFile", lambda **kw: files.append(make(**kw)) or files[-1])
 
@@ -92,10 +92,13 @@ def test_leaving_kills_every_child_and_closes_every_file(monkeypatch, leave):
         time.sleep(60)
 
     parent, started = os.getpid(), time.perf_counter()
-    if leave is ValueError:  # the last share's fork fails
-        monkeypatch.setattr(os, "fork", lambda: fork() if len(files) < 3 else _raise(OSError()))
+    if leave is ValueError:  # the first child's fork fails
+        monkeypatch.setattr(os, "fork", lambda: fork() if len(files) > 1 else _raise(OSError()))
     with pytest.raises(leave):
-        with parallel.forked(["a", "b", "c", "d"], work):
+        with parallel.forked(["a", "b", "c", "d"], work) as children:
+            if leave is ValueError:
+                assert next(children) is None
+                work("b", None)  # the caller's redo raises
             raise leave
     assert time.perf_counter() - started < 30
     assert len(files) == 3 and all(out.closed for out in files)

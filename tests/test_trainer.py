@@ -471,14 +471,15 @@ def before_lockstep(act):
 
 def killed_after_sending(monkeypatch) -> None:
     """A patch under which every child is killed once it has written its
-    outcomes whole."""
-    run = parallel._run
+    outcomes whole, where it would exit 0."""
+    parent, exit = os.getpid(), os._exit
 
-    def run_and_die(*args):
-        run(*args)
-        os.kill(os.getpid(), signal.SIGKILL)
+    def die_at_exit(code):
+        if os.getpid() != parent and code == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        exit(code)
 
-    monkeypatch.setattr(parallel, "_run", run_and_die)
+    monkeypatch.setattr(os, "_exit", die_at_exit)
 
 
 def fork_fails(monkeypatch) -> None:
@@ -572,8 +573,8 @@ class TestSplit:
         ids=["exception", "killed", "unloadable", "killed-after-sending", "fork-fails"],
     )
     def test_failed_worker_heads_train_here(self, monkeypatch, tmp_path, alone, patch):
-        """A share whose fork fails is trained here, and its outcomes are
-        read back as a child's; every child's file is anonymous."""
+        """A share that no child finished is trained here; every child's
+        file is anonymous."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         patch(monkeypatch)
         runs, forked = parent_locksteps(monkeypatch), forks(monkeypatch)
