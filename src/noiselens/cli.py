@@ -36,7 +36,6 @@ from .scorer import COSINE_SOURCES, SOURCE_READERS, ScorerConfig
 from .selection import (
     READERS,
     THRESHOLDS,
-    apply_mask,
     criterion_threshold,
     load_mask,
     save_mask,
@@ -104,14 +103,14 @@ def _cmd_select(args) -> int:
     threshold = criterion_threshold(criterion, settings, _SELECT_FLAGS)
     if criterion in READERS["scores_b"] and not args.scores_b:
         raise ValidationError("prompt-consistency requires --scores-b")
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset, keep=False)
     scores = [load_score_matrix(p, dataset) for p in (args.scores, args.scores_b) if p is not None]
     save_mask(args.out, select(dataset, criterion, threshold, *scores))
     return 0
 
 
 def _cmd_priors(args) -> int:
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset, keep=False)
     scores = load_score_matrix(args.scores, dataset)
     rows = selected_rows(dataset, load_mask(args.mask))
     matrix = estimate_transition_matrix(dataset, scores)
@@ -123,9 +122,9 @@ def _cmd_priors(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
-    mask = load_mask(args.mask)
-    subset = apply_mask(dataset, mask)
+    # The mask is loaded once the dataset's header has been read, so that
+    # only the selected records' features are parsed.
+    subset = load_dataset(args.dataset, keep=lambda: load_mask(args.mask))
     matrix = load_transition_matrix(args.tm)
     prior = load_class_prior(args.prior)
     margin, cfg = _from_flags(args, MarginConfig), _from_flags(args, TrainConfig)

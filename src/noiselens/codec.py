@@ -11,9 +11,9 @@ split into contiguous row slices, one per usable CPU, formatted through
 ``parallel.forked``: the writing process formats the first slice into the
 file, and each other slice's file, made beside it, is appended in order; a
 slice whose child did not finish is formatted into the file in its place.
-Each slice is formatted about ``PIECE_BYTES`` of text at a time, and each
-row on its own, so the bytes depend neither on the number of processes nor
-on the piece size.
+Each slice is formatted as many rows at a time as hold about
+``PIECE_BYTES`` of Python objects, and each row on its own, so the bytes
+depend neither on the number of processes nor on the step size.
 
 A text file is read in pieces of whole lines, about ``PIECE_BYTES`` each,
 so every piece ends just after a ``\\n`` byte and none splits a record, a
@@ -33,7 +33,10 @@ run of pieces, and each child parses another run in place; the reading
 process's peak memory does not count the children's. The reading process
 parses in place each run that no child finished; when a run does not parse,
 it looks for the error a piece at a time, so every error is the one-process
-error. Reading by offset needs ``os.pread``, so a POSIX system. Under
+error. A reader can parse a block's last column for some records only:
+the other records' fields in that column are split off unparsed (text) or
+skipped by seeking (binary), and every record's field count is checked
+all the same. Reading by offset needs ``os.pread``, so a POSIX system. Under
 ``taskset -c 0`` a file is written and read by one process. The reader
 accepts integers as ASCII digits with an optional sign, and floats in the
 grammar of ``float()`` without underscores or non-ASCII digits, in records
@@ -47,7 +50,8 @@ Binary artifacts are the ``NLNS`` container: the magic bytes, a
 little-endian u16 version and u8 kind, the header counts packed with the
 kind's struct format, then every column of every block in turn as
 little-endian int64/float64 arrays, with nothing after the payload. A
-binary load reads each column straight into its array.
+binary load reads each column, or each run of the records it keeps,
+straight into its array.
 """
 
 import bisect
@@ -76,8 +80,8 @@ MAX_COUNT = np.iinfo(np.intp).max // 8
 # the writing process alone, and a larger one is sliced at chunk bounds.
 CHUNK_FIELDS = 131072
 
-# The bytes of text read, or at most formatted, per step, so a load or a
-# save holds a few pieces of text whatever the file size.
+# The bytes of text read per step, or of objects a formatting step holds, so
+# a load or a save holds a few pieces whatever the file size.
 PIECE_BYTES = 1 << 20
 # The longest formatted field with its separator: a float64's shortest repr
 # takes at most 24 characters and an int64 at most 20.
@@ -206,8 +210,10 @@ def _write_block(path, fh, columns: list) -> None:
 
 def _format_rows(out, columns: list, lo: int, hi: int) -> None:
     """Write rows ``lo:hi`` to the binary file ``out``, as many rows at a
-    time as make at most ``PIECE_BYTES`` of text."""
-    step = max(1, PIECE_BYTES // (FIELD_BYTES * max(1, sum(c.shape[1] for c in columns))))
+    time as hold at most ``PIECE_BYTES`` of objects: each field as a number
+    object and its list slot, and its text in its row's string, in the
+    joined text and in its bytes, about four times the text."""
+    step = max(1, PIECE_BYTES // (4 * FIELD_BYTES * max(1, sum(c.shape[1] for c in columns))))
     for start in range(lo, hi, step):
         parts = [c[start : min(start + step, hi)].tolist() for c in columns]
         out.write("".join(
@@ -310,11 +316,15 @@ class TextReader(_Reader):
         """Location of record ``i`` of the last block read."""
         return f"line {self._first + i + 1}"
 
-    def rows(self, n: int, columns, name: str = "record") -> list:
+    def rows(self, n: int, columns, name: str = "record", keep=None) -> list:
         """Parse the next ``n`` records into one array per column spec, a
-        piece of the file at a time. The errors are those of checking the
-        whole block at once: its first record with a wrong field count, else
-        its first record that does not parse, else its first non-finite one."""
+        piece of the file at a time. With ``keep``, ascending indices below
+        ``n``, the last column is parsed for those records only, and its
+        array holds their values in that order; every record's field count
+        is checked all the same. The errors are those of checking the whole
+        block at once: its first record with a wrong field count, else its
+        first record whose parsed fields do not parse, else its first with a
+        non-finite parsed value."""
         first = self._line
         if self._total - first < n:
             raise FormatError(
@@ -323,9 +333,11 @@ class TextReader(_Reader):
             )
         self._first, self._line = first, first + n
         specs = list(map(_column, columns))
-        width = sum(1 if run is None else run for _, run in specs)
-        arrays = [((n,) if run is None else (n, run), dtype) for dtype, run in specs]  # shape, dtype
-        row = out = None
+        widths = [1 if run is None else run for _, run in specs]
+        width = sum(widths)
+        counts = [n] * (len(specs) - 1) + [n if keep is None else len(keep)]
+        arrays = [((m,) if run is None else (m, run), dtype) for m, (dtype, run) in zip(counts, specs)]
+        records = out = None
         # A record of w > 0 fields takes at least max(1, w - 1) bytes. A block
         # the file cannot hold is neither allocated nor parsed: one of its
         # records has a wrong field count, and that is the error.
@@ -333,17 +345,18 @@ class TextReader(_Reader):
             row = np.dtype([
                 (f"c{j}", dtype, () if run is None else (run,)) for j, (dtype, run) in enumerate(specs)
             ])
-            out = self._parse(n, arrays, row, _workers(n, width)[2])
+            records = _Records(row, width, width - widths[-1], keep)
+            out = self._parse(n, arrays, records, _workers(n, width)[2])
         if out is None:
             if n:
-                self._serial(n, row, specs, width, name)
+                self._serial(n, records, specs, width, name)
             out = [np.empty(shape, dtype) for shape, dtype in arrays]
-        nonfinite = _first_nonfinite(out)
+        nonfinite = _first_nonfinite(out, keep)
         if nonfinite >= 0:
             raise FormatError(f"{self.where(nonfinite)}: {name} has a non-finite value")
         return out
 
-    def _parse(self, n: int, arrays, row: np.dtype, workers: int):
+    def _parse(self, n: int, arrays, records, workers: int):
         """The block's columns, parsed by ``_fill`` in up to ``workers``
         processes: by this process alone into new arrays, or into one shared
         anonymous mapping, this process parsing the first run of pieces and
@@ -374,28 +387,28 @@ class TextReader(_Reader):
         bounds = [first] + [starts[k] for k in cuts] + [end]
         runs = [(start - first, self._lines(start, stop)) for start, stop in zip(bounds, bounds[1:])]
         try:
-            with parallel.forked(runs, lambda run, _: _fill(out, row, *run)) as children:
-                _fill(out, row, *runs[0])
+            with parallel.forked(runs, lambda run, _: _fill(out, records, *run)) as children:
+                _fill(out, records, *runs[0])
                 for run, child in zip(runs[1:], children):
                     if child is None:
-                        _fill(out, row, *run)
+                        _fill(out, records, *run)
         except (*_REJECTED, FormatError):
             return None
         return out
 
-    def _serial(self, n: int, row, specs, width: int, name: str) -> None:
+    def _serial(self, n: int, records, specs, width: int, name: str) -> None:
         """Raise the block's first record with a wrong field count, else its
         first record that does not parse, else that the file changed while
         being read; return only for a block of no fields whose records are
-        all blank. ``row`` is None when the block was not parsed."""
+        all blank. ``records`` is None when the block was not parsed."""
         bad, done = None, 0
         for lines in self._lines(self._first, self._first + n):
             self._check_fields(lines, done, width, name)
-            if bad is None and row is not None:
+            if bad is None and records is not None:
                 try:
-                    _loadtxt(lines, row)
+                    records.parse(lines, done)
                 except _REJECTED:
-                    bad = self._bad_record(lines, done, row, specs, name)
+                    bad = self._bad_record(lines, done, records, specs, name)
             done += len(lines)
             lines = None  # the next piece is read without this one
         if bad is not None:
@@ -411,14 +424,19 @@ class TextReader(_Reader):
             if got != width:
                 raise FormatError(f"{self.where(i)}: {name} has {got} fields, expected {width}")
 
-    def _bad_record(self, lines, done: int, row: np.dtype, specs, name: str) -> FormatError:
+    def _bad_record(self, lines, done: int, records, specs, name: str) -> FormatError:
         """The error for the first of ``lines`` (records ``done`` on of the
         block) that the reader rejects, naming its first rejected field."""
         kinds = [dtype for dtype, run in specs for _ in range(1 if run is None else run)]
         for i, line in enumerate(lines, done):
-            if _parses(line, row):
+            try:
+                records.parse([line], i)
+            except _REJECTED:
+                lo, hi = records.kept(i, 1)
+                parsed = kinds if hi > lo else kinds[: records.head]
+            else:
                 continue
-            for j, (dtype, token) in enumerate(zip(kinds, line.split(","))):
+            for j, (dtype, token) in enumerate(zip(parsed, line.split(","))):
                 if not _parses(token, dtype):
                     what = "an integer" if dtype.kind == "i" else "a number"
                     return FormatError(f"{self.where(i)}: field {j + 1} is not {what}: {token!r}")
@@ -449,9 +467,13 @@ def _line_count(piece: bytes) -> int:
     return len(piece.decode("utf-8").splitlines())
 
 
-def _first_nonfinite(columns: list) -> int:
+def _first_nonfinite(columns: list, keep=None) -> int:
     """The index of the first record holding ``nan`` or ``inf`` in a float
-    column of ``columns``, or -1."""
+    column of ``columns``, or -1; with ``keep``, the last column holds the
+    records at those indices only."""
+    if keep is not None:
+        head, last = _first_nonfinite(columns[:-1]), _first_nonfinite(columns[-1:])
+        return min([i for i in (head, -1 if last < 0 else int(keep[last])) if i >= 0], default=-1)
     floats = [col for col in columns if col.dtype.kind == "f"]
     if all(map(all_finite, floats)):
         return -1
@@ -461,19 +483,62 @@ def _first_nonfinite(columns: list) -> int:
     return int(np.argmax(bad)) if bad.any() else -1
 
 
-def _fill(out: list, row: np.dtype, at: int, pieces) -> None:
-    """Parse each list of lines in ``pieces`` as records of ``row`` into
-    ``out``, from row ``at`` on; raise one of ``_REJECTED`` at the first
-    piece the reader does not read whole, and the ``FormatError`` of a
-    changed file at one that ``pieces`` cannot read again."""
-    for lines in pieces:
-        table = _loadtxt(lines, row)
-        if len(table) != len(lines):
+@dataclass(frozen=True)
+class _Records:
+    """How a block's records of ``width`` fields are parsed: every field of
+    ``row``, or with ``keep`` (ascending record indices) the last column
+    only for those records and the first ``head`` fields for the others."""
+
+    row: np.dtype
+    width: int
+    head: int
+    keep: np.ndarray | None = None
+
+    def kept(self, at: int, count: int) -> tuple:
+        """The rows of the last column that records ``at`` up to
+        ``at + count`` fill."""
+        if self.keep is None:
+            return at, at + count
+        lo, hi = np.searchsorted(self.keep, (at, at + count))
+        return int(lo), int(hi)
+
+    def parse(self, lines: list, at: int) -> tuple:
+        """Parse ``lines``, records ``at`` on: a table of every record's
+        fields but the last column's, and a table of the kept records'
+        fields with the rows ``lo:hi`` of the last column they fill. Raise
+        one of ``_REJECTED`` when the reader does not read every line whole,
+        or when a record of a partly kept piece has a wrong field count."""
+        lo, hi = self.kept(at, len(lines))
+        if hi - lo == len(lines):
+            heads = table = _loadtxt(lines, self.row)
+        else:
+            if any(line.count(",") != self.width - 1 for line in lines):
+                raise ValueError("a record of another field count")
+            heads = _loadtxt(
+                [",".join(line.split(",", self.head)[: self.head]) for line in lines],
+                np.dtype([(name, self.row[name]) for name in self.row.names[:-1]]),
+            )
+            kept = [lines[i - at] for i in self.keep[lo:hi]]
+            table = _loadtxt(kept, self.row) if kept else heads[:0]
+        if len(heads) != len(lines) or len(table) != hi - lo:
             raise ValueError("a blank line is not a record of the row")
-        for col, field in zip(out, row.names):
-            col[at : at + len(table)] = table[field]
+        return heads, table, lo, hi
+
+
+def _fill(out: list, records: _Records, at: int, pieces) -> None:
+    """Parse each list of lines in ``pieces`` as ``records`` into ``out``,
+    from record ``at`` on; raise one of ``_REJECTED`` at the first piece
+    that does not parse, and the ``FormatError`` of a changed file at one
+    that ``pieces`` cannot read again."""
+    *names, last = records.row.names
+    for lines in pieces:
+        heads, table, lo, hi = records.parse(lines, at)
+        for col, field in zip(out, names):
+            col[at : at + len(lines)] = heads[field]
+        if hi > lo:
+            out[-1][lo:hi] = table[last]
         at += len(lines)
-        lines = table = None  # the next piece is read without this one
+        lines = heads = table = None  # the next piece is read without this one
 
 
 def _parse_header(line: str, tag: str, required) -> dict:
@@ -597,16 +662,31 @@ class BinaryReader(_Reader):
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path}: not UTF-8 text: {exc.reason}") from None
 
-    def rows(self, n: int, columns, name: str = "record") -> list:
-        """The next ``n`` records, stored column after column."""
+    def rows(self, n: int, columns, name: str = "record", keep=None) -> list:
+        """The next ``n`` records, stored column after column. With ``keep``,
+        as for ``TextReader.rows``, the last column is read for those records
+        only: the bytes of the others are skipped by seeking."""
         out = []
-        for dtype, run in map(_column, columns):
+        specs = list(map(_column, columns))
+        for j, (dtype, run) in enumerate(specs):
             shape = (n,) if run is None else (n, run)
+            start = self._offset
             self._bound(dtype.itemsize * math.prod(shape))
-            col = np.empty(shape, dtype.newbyteorder("<"))
-            self._read_into(col)
+            if keep is None or j < len(specs) - 1:
+                col = np.empty(shape, dtype.newbyteorder("<"))
+                self._read_into(col)
+            else:
+                col = np.empty((len(keep), *shape[1:]), dtype.newbyteorder("<"))
+                size = dtype.itemsize * math.prod(shape[1:])  # bytes per record
+                # One seek and one read per run of consecutive kept records.
+                cuts = (np.flatnonzero(np.diff(keep) != 1) + 1).tolist()
+                bounds = [0, *cuts, len(keep)] if len(keep) else []
+                for lo, hi in zip(bounds, bounds[1:]):
+                    self._file.seek(start + int(keep[lo]) * size)
+                    self._read_into(col[lo:hi])
+                self._file.seek(self._offset)
             out.append(col.astype(dtype, copy=False))
-        i = _first_nonfinite(out)
+        i = _first_nonfinite(out, keep)
         if i >= 0:
             raise FormatError(f"{self.where(i)}: {name} has a non-finite value")
         return out

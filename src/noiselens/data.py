@@ -5,7 +5,7 @@ their text/binary serialization.
 with a dataset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,13 +41,14 @@ class Dataset:
     ``num_classes`` (at least 2) class indices.
 
     Either every sample carries a true label or none does; the flag is
-    exposed as ``has_ground_truth``. Equality is identity, as arrays have no
-    single truth value.
+    exposed as ``has_ground_truth``. ``features`` is None in a dataset loaded
+    for the stages that read ids and labels only. Equality is identity, as
+    arrays have no single truth value.
     """
 
     num_classes: int
     ids: np.ndarray = array(int, "N")
-    features: np.ndarray = array(float, "N", "D", noun="feature value")
+    features: Optional[np.ndarray] = array(float, "N", "D", noun="feature value", optional=True)
     noisy_labels: np.ndarray = array(int, "N")
     true_labels: Optional[np.ndarray] = array(int, "N", default=None)
 
@@ -72,6 +73,8 @@ class Dataset:
 
     @property
     def feature_dim(self) -> int:
+        if self.features is None:
+            raise ValidationError("dataset was loaded without its features")
         return self.features.shape[1]
 
     @property
@@ -84,7 +87,7 @@ class Dataset:
         return Dataset(
             self.num_classes,
             self.ids[indices],
-            self.features[indices],
+            None if self.features is None else self.features[indices],
             self.noisy_labels[indices],
             None if self.true_labels is None else self.true_labels[indices],
         )
@@ -135,6 +138,19 @@ def check_ids(ids, dataset: Dataset, what: str) -> None:
         )
 
 
+def selected_rows(dataset: Dataset, mask) -> np.ndarray:
+    """The ascending row indices of the samples the `selection.SelectionMask`
+    ``mask`` marks clean, after checking that the mask's ids are the
+    dataset's; an empty selection is an error."""
+    check_ids(mask.sample_ids, dataset, "mask")
+    rows = np.flatnonzero(mask.verdicts)
+    if rows.size == 0:
+        raise ValidationError(
+            "empty selection: no sample passed the threshold, training cannot proceed"
+        )
+    return rows
+
+
 def check_scores(scores: ScoreMatrix, dataset: Dataset) -> None:
     """Raise unless ``scores`` has one row per sample of ``dataset``, in id
     order, and one column per class."""
@@ -160,18 +176,31 @@ def save_dataset(path, dataset: Dataset, fmt: str = "text") -> None:
     codec.save(path, fmt, codec.DATASET, header, [[dataset.ids, *labels, dataset.features]])
 
 
-def load_dataset(path) -> Dataset:
-    """Load a dataset, text or binary."""
+def load_dataset(path, keep=True) -> Dataset:
+    """Load a dataset, text or binary. The ids and labels of every record
+    are parsed and checked; ``keep`` says whose features are. ``True``:
+    every record's. ``False``: none, and ``features`` is None. Else a
+    function, called once the header has been read, that returns a
+    `selection.SelectionMask`: only the rows it marks clean are parsed, and
+    the dataset is ``apply_mask(load_dataset(path), mask)``."""
     with codec.read(path, codec.DATASET) as reader:
         n, c, d, gt = reader.counts
         if gt not in (0, 1):
             raise FormatError(f"{path}: GT must be 0 or 1")
-        ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)])
+        mask = None if isinstance(keep, bool) else keep()
+        if keep is True:
+            rows = None
+        else:  # a mask's ids are checked once the dataset's are parsed
+            rows = np.flatnonzero([] if mask is None else mask.verdicts[:n])
+        ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)], keep=rows)
         reader.end()
     bad = np.any([(y < 0) | (y >= c) for y in labels], axis=0)
     if bad.any():
         raise FormatError(f"{reader.where(int(np.argmax(bad)))}: label out of range")
-    return Dataset(c, ids, feats, labels[0], labels[1] if gt else None)
+    dataset = Dataset(c, ids, feats if keep is True else None, labels[0], labels[1] if gt else None)
+    if mask is None:
+        return dataset
+    return replace(dataset.subset(selected_rows(dataset, mask)), features=feats)
 
 
 def save_score_matrix(path, scores: ScoreMatrix, fmt: str = "text") -> None:

@@ -60,13 +60,15 @@ def ranged(interval: str, default=MISSING, **metadata):
     return field(default=default, metadata={"interval": interval, **metadata})
 
 
-def array(kind, *axes, default=MISSING, noun: str = ""):
+def array(kind, *axes, default=MISSING, noun: str = "", optional: bool = False):
     """A dataclass field holding an array of ``kind`` (``int`` or ``float``)
     with one dimension per entry of ``axes``: a literal length, or a name
     whose length every field of the object that uses it must share.
     ``noun`` names an entry in the non-finite message (default: the field
-    name). A field whose default is None may be left None."""
-    return field(default=default, metadata={"array": (kind, axes, noun)})
+    name). A field declared ``optional``, or whose default is None, may be
+    None."""
+    optional = optional or default is None
+    return field(default=default, metadata={"array": (kind, axes, noun), "optional": optional})
 
 
 def _freeze(arr, dtype) -> np.ndarray:
@@ -131,6 +133,6 @@ def check_fields(obj) -> None:
             check_range(f.name, getattr(obj, f.name), f.metadata["interval"])
         elif "array" in f.metadata:
             value = getattr(obj, f.name)
-            if value is not None or f.default is not None:
+            if value is not None or not f.metadata["optional"]:
                 checked = _check_array(f.name, value, *f.metadata["array"], lengths)
                 object.__setattr__(obj, f.name, checked)

@@ -97,7 +97,9 @@ class BlobSpec:
         check_fields(self)
 
 
-def _blob_means(rng: np.random.Generator, num_classes: int, dim: int, separation: float) -> np.ndarray:
+# The generator annotation is quoted: evaluated, it would import numpy.random
+# into every process that imports the package.
+def _blob_means(rng: "np.random.Generator", num_classes: int, dim: int, separation: float) -> np.ndarray:
     """Class means: axis-aligned for the first min(C, d) classes, random
     unit directions for any excess classes."""
     means = np.zeros((num_classes, dim))

@@ -10,7 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .data import ROW_SUM_INTERNAL_TOL, Dataset, ScoreMatrix, check_ids, check_scores, row_blocks
+from .data import (
+    ROW_SUM_INTERNAL_TOL,
+    Dataset,
+    ScoreMatrix,
+    check_scores,
+    row_blocks,
+    selected_rows,
+)
 from .errors import FormatError, ValidationError, array, check_fields, check_range, check_reads
 
 CRITERION_CONFIDENCE = "confidence"
@@ -139,19 +146,6 @@ def select_by_prompt_consistency(
     for lo, hi in row_blocks(dataset.num_samples):
         distances[lo:hi] = _js_rows(np.array((a[lo:hi], b[lo:hi])))
     return SelectionMask(dataset.ids, distances, CRITERION_PROMPT_CONSISTENCY, mu)
-
-
-def selected_rows(dataset: Dataset, mask: SelectionMask) -> np.ndarray:
-    """The ascending row indices of the samples the mask marks clean, after
-    checking that the mask's ids are the dataset's; an empty selection is
-    an error."""
-    check_ids(mask.sample_ids, dataset, "mask")
-    rows = np.flatnonzero(mask.verdicts)
-    if rows.size == 0:
-        raise ValidationError(
-            "empty selection: no sample passed the threshold, training cannot proceed"
-        )
-    return rows
 
 
 def apply_mask(dataset: Dataset, mask: SelectionMask) -> Dataset:

@@ -168,7 +168,7 @@ class _Head:
     its next batch starts, and what it has recorded so far."""
 
     rows: np.ndarray
-    rng: np.random.Generator
+    rng: "np.random.Generator"  # quoted, so importing the module leaves numpy.random unloaded
     epoch: int = 0
     lr: float = 0.0
     order: np.ndarray = None  # dataset rows in this epoch's order

@@ -38,6 +38,17 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_does_not_load_numpy_random():
+    # Only the stages that draw random numbers (synth, train, run) load it.
+    src = os.path.dirname(os.path.dirname(noiselens.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, noiselens.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:
@@ -416,6 +427,71 @@ class TestStageChain:
         expected = tmp_path / "expected.txt"
         save_classifier(expected, report.classifier)
         assert p["clf"].read_bytes() == expected.read_bytes()
+
+
+    def test_stages_parse_only_the_features_they_read(self, pipeline_files, capsys):
+        """A bad feature value in a record the mask rejects is no error to
+        select, priors and train, which write what they write on the intact
+        file; score and report parse every feature and name it."""
+        tmp_path, ds, bank = pipeline_files
+
+        def chain(dataset, out):
+            paths = [tmp_path / f"{out}-{name}.txt" for name in ("mask", "tm", "prior", "clf")]
+            p = dict(zip(("mask", "tm", "prior", "clf"), map(str, paths)))
+            assert run(["select", "--dataset", dataset, "--scores", str(tmp_path / "scores.txt"),
+                        "--criterion", "confidence", "--out", p["mask"]]) == 0
+            assert run(["priors", "--dataset", dataset, "--scores", str(tmp_path / "scores.txt"),
+                        "--mask", p["mask"], "--tm-out", p["tm"], "--prior-out", p["prior"]]) == 0
+            assert run(["train", "--dataset", dataset, "--mask", p["mask"], "--tm", p["tm"],
+                        "--prior", p["prior"], "--epochs", "2", "--out", p["clf"]]) == 0
+            return [path.read_bytes() for path in paths]
+
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank),
+                    "--out", str(tmp_path / "scores.txt")]) == 0
+        intact = chain(str(ds), "intact")
+        rejected = int(np.flatnonzero(~load_mask(tmp_path / "intact-mask.txt").verdicts)[0])
+        lines = ds.read_text().splitlines(keepends=True)
+        fields = lines[1 + rejected].split(",")
+        fields[4] = "x"
+        lines[1 + rejected] = ",".join(fields)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(lines))
+        assert chain(str(bad), "bad") == intact
+        message = f"line {2 + rejected}: field 5 is not a number: 'x'"
+        capsys.readouterr()
+        assert run(["score", "--dataset", str(bad), "--bank", str(bank),
+                    "--out", str(tmp_path / "bad-scores.txt")]) == 1
+        assert capsys.readouterr().err == f"error: [score] {message}\n"
+        assert run(["report", "--classifier", str(tmp_path / "intact-clf.txt"),
+                    "--dataset", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: [report] {message}\n"
+
+    def test_train_reads_the_dataset_header_then_the_mask_then_its_records(
+        self, pipeline_files, capsys
+    ):
+        tmp_path, ds, bank = pipeline_files
+        scores, mask = tmp_path / "scores.txt", tmp_path / "mask.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank), "--out", str(scores)]) == 0
+        assert run(["select", "--dataset", str(ds), "--scores", str(scores),
+                    "--criterion", "confidence", "--out", str(mask)]) == 0
+        assert run(["priors", "--dataset", str(ds), "--scores", str(scores), "--mask", str(mask),
+                    "--tm-out", str(tmp_path / "tm.txt"), "--prior-out", str(tmp_path / "prior.txt")]) == 0
+        bad_mask = tmp_path / "bad-mask.txt"
+        bad_mask.write_text(mask.read_text().replace("THRESHOLD=", "THRESHOLD=x", 1))
+        text = ds.read_text()
+        bad_header = tmp_path / "bad-header.txt"
+        bad_header.write_text(text.replace("#noiselens-dataset", "#noiselens-scores", 1))
+        bad_record = tmp_path / "bad-record.txt"
+        bad_record.write_text(text.replace("\n0,", "\nx,", 1))
+        for dataset, stage_error in (
+            (bad_header, "line 1: expected '#noiselens-dataset v1' header"),
+            (bad_record, "line 1: THRESHOLD='x0.5' is not a finite number"),
+        ):
+            assert run(["train", "--dataset", str(dataset), "--mask", str(bad_mask),
+                        "--tm", str(tmp_path / "tm.txt"), "--prior", str(tmp_path / "prior.txt"),
+                        "--out", str(tmp_path / "clf.txt")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: [train] {stage_error}")
+        assert not (tmp_path / "clf.txt").exists()
 
 
 @pytest.mark.parametrize("criterion", ["confidence", "prompt_consistency"])

@@ -54,7 +54,7 @@ from noiselens.scorer import (
     load_embedding_table,
     save_embedding_bank,
 )
-from noiselens.selection import load_mask, save_mask, select_by_confidence
+from noiselens.selection import SelectionMask, apply_mask, load_mask, save_mask, select_by_confidence
 from noiselens.trainer import LinearClassifier, load_classifier, save_classifier
 
 DATASET = Dataset(
@@ -302,6 +302,28 @@ def test_mutated_text_file_loads_or_raises_format_or_validation_error(kind, data
             load(path)
         except (FormatError, ValidationError):
             pass
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutated_dataset_loads_selectively_as_a_full_load_does(data):
+    """Where a damaged dataset file loads whole, a load without features gives
+    its ids and labels, and a load keeping a mask gives ``apply_mask`` of it,
+    or its error; else either raises only FormatError or ValidationError."""
+    mask = select_by_confidence(DATASET, SCORES, 0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.txt"
+        save_dataset(path, DATASET)
+        path.write_bytes(_mutate(path.read_bytes(), data))
+        full = _outcome(load_dataset, path)
+        selective = [
+            (lambda p: load_dataset(p, keep=False), lambda ds: dataclasses.replace(ds, features=None)),
+            (lambda p: load_dataset(p, keep=lambda: mask), lambda ds: apply_mask(ds, mask)),
+        ]
+        for load, restrict in selective:
+            got = _outcome(load, path)
+            if full[0] not in ("FormatError", "ValidationError"):
+                assert got == _outcome(lambda p: restrict(load_dataset(p)), path)
 
 
 # How many u64 counts open each kind's binary packing, right after the prefix.
@@ -679,13 +701,23 @@ BLOCKS = codec.Layout("blocks", ())
 MIXED_SPECS = [int, int, (float, 2), (int, 0), (int, 2)]
 
 
-def _read_blocks(path, sizes) -> list:
+def _read_blocks(path, sizes, keeps=None) -> list:
     """Each block of ``sizes`` records read as ``_mixed_block``'s columns,
-    as dtype, shape and bytes, after which ``end`` has found no extra record."""
+    as dtype, shape and bytes, after which ``end`` has found no extra record;
+    with ``keeps``, each block's last column for those records only."""
     with codec.TextReader(path, BLOCKS) as reader:
-        blocks = [reader.rows(n, MIXED_SPECS) for n in sizes]
+        blocks = [reader.rows(n, MIXED_SPECS, keep=k) for n, k in zip(sizes, keeps or [None] * len(sizes))]
         reader.end()
     return [[(a.dtype.str, a.shape, a.tobytes()) for a in block] for block in blocks]
+
+
+# The records of a block of n whose last column a read keeps: none, runs of
+# two between gaps, and all.
+KEEPS = [
+    lambda n: np.arange(0),
+    lambda n: np.flatnonzero(np.arange(n) % 3 != 1),
+    lambda n: np.arange(n),
+]
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -704,6 +736,11 @@ def test_read_arrays_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, wo
     for piece in PIECES + [codec.PIECE_BYTES]:
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
         assert _read_blocks(path, [n, n + 2]) == written, piece
+        for keep in KEEPS:
+            keeps = [keep(n), keep(n + 2)]
+            kept = [block[:-1] + [block[-1][k]] for block, k in zip(blocks, keeps)]
+            expected = [[(a.dtype.str, a.shape, a.tobytes()) for a in block] for block in kept]
+            assert _read_blocks(path, [n, n + 2], keeps) == expected, (piece, keeps)
     with pytest.raises(FormatError, match=f"header declares {n + 1} records, file has {2 * n + 2}$"):
         _read_blocks(path, [n, 1])
 
@@ -787,6 +824,14 @@ def test_interrupted_read_leaves_no_child(tmp_path, monkeypatch):
 # the text reader in pieces: the same arrays and errors at any piece size
 # ---------------------------------------------------------------------------
 
+def _masked_load(ids, *rows):
+    """A dataset load that parses the features of the records at ``rows``
+    alone, for a dataset of ``ids``."""
+    kept = np.isin(np.arange(len(ids)), rows)
+    mask = SelectionMask(np.asarray(ids), np.where(kept, 0.9, 0.1), "confidence", 0.5)
+    return lambda path: load_dataset(path, keep=lambda: mask)
+
+
 PIECES = [1, 7, 64]
 # The reading processes each test of the pieces also runs at.
 READERS = (1, 2, 3) if hasattr(os, "fork") else (1,)
@@ -805,6 +850,11 @@ PIECE_KINDS = {
         lambda p, f: save_embedding_bank(p, ClassEmbeddingBank(BANK.embeddings, "プロンプト")),
         load_embedding_bank,
     ),
+    # The dataset's ids and labels alone, and with the features of records
+    # 1 and 2 (a run) and 0 and 3 (two runs).
+    "dataset_ids_and_labels": (KINDS["dataset"][1], lambda p: load_dataset(p, keep=False)),
+    "dataset_records_1_2": (KINDS["dataset"][1], _masked_load(DATASET.ids, 1, 2)),
+    "dataset_records_0_3": (KINDS["dataset"][1], _masked_load(DATASET.ids, 0, 3)),
 }
 
 
@@ -903,6 +953,8 @@ def _dataset_text(edits: dict, extra=()) -> bytes:
 # line 5.
 PIECE_ERRORS = {
     "bad_field": (_dataset_text({3: "3,1,x,-3.25"}), "line 5: field 3 is not a number: 'x'"),
+    "bad_id": (_dataset_text({3: "3.0,1,3.5,-3.25"}), "line 5: field 1 is not an integer: '3.0'"),
+    "bad_label": (_dataset_text({3: "3,one,3.5,-3.25"}), "line 5: field 2 is not an integer: 'one'"),
     "field_count": (_dataset_text({3: "3,1,3.5"}), "line 5: record has 3 fields, expected 4"),
     "short_file": (_dataset_text({5: None}), "{path}: header declares 6 records, file has 5"),
     "extra_record": (_dataset_text({}, ["6,0,6.5,-6.25"]), "{path}: header declares 6 records, file has 7"),
@@ -925,10 +977,26 @@ PIECE_ERRORS = {
 }
 
 
+# The cases whose error is in a feature: records 1, 3 and 4 hold every case's
+# bad fields.
+FEATURE_ERRORS = {"bad_field", "non_finite", "bad_field_after_non_finite"}
+
+
+# load -> True when it parses records 1, 3 and 4's features.
+SELECTIVE_LOADS = {
+    "full": (load_dataset, True),
+    "ids_and_labels": (lambda path: load_dataset(path, keep=False), False),
+    "records_1_3_4": (_masked_load(range(6), 1, 3, 4), True),
+    "records_0_2_5": (_masked_load(range(6), 0, 2, 5), False),
+}
+
+
 @pytest.mark.parametrize("case", list(PIECE_ERRORS))
 def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, case):
     """With 4 fields a chunk each record is a chunk, so the smaller piece
-    sizes split the block among the reading processes."""
+    sizes split the block among the reading processes. A load that parses
+    only some records' features raises the error of a full load, but for a
+    bad feature it does not parse, which is none."""
     monkeypatch.setattr(codec, "CHUNK_FIELDS", 4)
     raw, message = PIECE_ERRORS[case]
     path = tmp_path / "ds.txt"
@@ -941,9 +1009,13 @@ def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, cas
     for workers, piece in product(READERS, PIECES + [line5, line5 + 1, line5 + 3, codec.PIECE_BYTES]):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         monkeypatch.setattr(codec, "PIECE_BYTES", piece)
-        with pytest.raises(FormatError) as excinfo:
-            load_dataset(path)
-        assert str(excinfo.value) == message, (workers, piece)
+        for name, (load, parses_bad_features) in SELECTIVE_LOADS.items():
+            if case in FEATURE_ERRORS and not parses_bad_features:
+                load(path)
+                continue
+            with pytest.raises(FormatError) as excinfo:
+                load(path)
+            assert str(excinfo.value) == message, (workers, piece, name)
 
 
 @pytest.mark.parametrize(
@@ -1034,11 +1106,45 @@ def test_binary_load_holds_its_arrays(tmp_path):
 
 
 def test_text_save_holds_a_few_pieces(tmp_path, monkeypatch):
-    """With one process the writer holds a few pieces of text, not the
-    two-chunk block."""
+    """With one process the writer holds about a piece of objects, not the
+    two-chunk block: each step's numbers, rows, joined text and bytes."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     assert len(LARGE.ids) * (3 + 64) > 2 * codec.CHUNK_FIELDS
-    assert _traced_peak(lambda: save_dataset(tmp_path / "ds.txt", LARGE)) < ALLOWANCE
+    assert _traced_peak(lambda: save_dataset(tmp_path / "ds.txt", LARGE)) < codec.PIECE_BYTES
+
+
+def test_binary_load_seeks_past_the_features_it_does_not_keep(tmp_path, monkeypatch):
+    """A binary load that keeps some records' features reads the ids and
+    labels, then one run of consecutive kept records at a time, and no byte
+    of the others; a file cut short fails with the full load's message."""
+    path = tmp_path / "ds.bin"
+    save_dataset(path, LARGE, fmt="binary")
+    reads, read_into = [], codec.BinaryReader._read_into
+
+    def read_and_count(self, buffer):
+        reads.append(memoryview(buffer).nbytes)
+        read_into(self, buffer)
+
+    monkeypatch.setattr(codec.BinaryReader, "_read_into", read_and_count)
+    row = 8 * LARGE.feature_dim
+    loads = {
+        "full": (load_dataset, [len(LARGE.ids) * row]),
+        "ids_and_labels": (lambda p: load_dataset(p, keep=False), []),
+        "three_runs": (_masked_load(LARGE.ids, *range(10), *range(20, 25), 3999), [10 * row, 5 * row, row]),
+    }
+    for name, (load, feature_reads) in loads.items():
+        reads.clear()
+        load(path)
+        assert reads[5:] == feature_reads, name  # prefix, counts, ids, two labels
+    raw = path.read_bytes()
+    for cut in (8, len(LARGE.ids) * row + 8):  # in the features, in the true labels
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(FormatError, match="truncated: need") as full:
+            load_dataset(path)
+        for name, (load, _) in loads.items():
+            with pytest.raises(FormatError) as excinfo:
+                load(path)
+            assert str(excinfo.value) == str(full.value), (cut, name)
 
 
 # case -> (kind, edit of the written text file); each load fails part way

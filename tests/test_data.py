@@ -1,7 +1,9 @@
 """Tests for the core dataset/score-matrix model and its file formats."""
 
+import os
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noiselens import codec, parallel
 from noiselens.codec import fmt_float
 from noiselens.data import (
     Dataset,
@@ -22,7 +25,13 @@ from noiselens.data import (
     save_score_matrix,
 )
 from noiselens.noise import CorruptionRecord, selection_quality
-from noiselens.priors import ClassPrior, TransitionMatrix, estimate_transition_matrix
+from noiselens.losses import MarginConfig
+from noiselens.priors import (
+    ClassPrior,
+    TransitionMatrix,
+    compute_class_prior,
+    estimate_transition_matrix,
+)
 from noiselens.report import HistogramReport
 from noiselens.scorer import ClassEmbeddingBank, load_embedding_table
 from noiselens.selection import (
@@ -31,7 +40,7 @@ from noiselens.selection import (
     select_by_confidence,
     select_by_prompt_consistency,
 )
-from noiselens.trainer import LinearClassifier
+from noiselens.trainer import LinearClassifier, TrainConfig, predict, train
 
 # Valid constructor arguments for every value object that holds arrays.
 VALUE_OBJECTS = {
@@ -188,6 +197,18 @@ def test_bad_array_input_is_a_validation_error(cls, change):
         cls(**{**VALUE_OBJECTS[cls], **change})
 
 
+def test_a_dataset_without_features_is_not_trained_or_evaluated(tmp_path):
+    ds = small_dataset()
+    path = _saved(tmp_path, ds)
+    without = load_dataset(path, keep=False)
+    matrix = estimate_transition_matrix(ds, ScoreMatrix(np.full((4, 3), 1 / 3), ds.ids))
+    message = "^dataset was loaded without its features$"
+    with pytest.raises(ValidationError, match=message):
+        predict(LinearClassifier(np.ones((3, 2)), np.zeros(3)), without)
+    with pytest.raises(ValidationError, match=message):
+        train(without, matrix, compute_class_prior(ds), MarginConfig(), TrainConfig(epochs=1))
+
+
 class TestScoreValidation:
     def test_aligned_matrix_passes(self):
         ds = small_dataset()
@@ -285,6 +306,12 @@ def _mask(ids):
     return SelectionMask(ids, np.full(len(ids), 0.9), "confidence", 0.5)
 
 
+def _saved(tmp_path, ds, fmt="text"):
+    path = tmp_path / f"ds.{fmt}"
+    save_dataset(path, ds, fmt=fmt)
+    return path
+
+
 # Each consumer of an array keyed to samples, given scores whose ids are
 # misaligned with the dataset (masks and tables reuse those ids).
 ID_CHECKS = {
@@ -295,6 +322,9 @@ ID_CHECKS = {
     ),
     "estimate_transition_matrix": lambda ds, bad, tmp: estimate_transition_matrix(ds, bad),
     "apply_mask": lambda ds, bad, tmp: apply_mask(ds, _mask(bad.sample_ids)),
+    "load_dataset_keeping_a_mask": lambda ds, bad, tmp: load_dataset(
+        _saved(tmp, ds), keep=lambda: _mask(bad.sample_ids)
+    ),
     "selection_quality": lambda ds, bad, tmp: selection_quality(_mask(bad.sample_ids), ds),
     "load_embedding_table": lambda ds, bad, tmp: load_embedding_table(
         _table(tmp, ds, bad.sample_ids), ds
@@ -387,6 +417,48 @@ class TestDatasetFiles:
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
             load_dataset(path)
+
+
+def _fields(ds) -> list:
+    """A dataset as its class count and each array's dtype, shape and bytes."""
+    arrays = (ds.ids, ds.features, ds.noisy_labels, ds.true_labels)
+    return [ds.num_classes] + [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# The rows a mask keeps of the 30 below: the first, the last, every third,
+# runs of two between gaps, all but one, and all.
+KEPT_ROWS = [[0], [29], range(0, 30, 3), [i for i in range(30) if i % 3 != 1], range(1, 30), range(30)]
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_selective_loads_give_what_a_full_load_gives(tmp_path, monkeypatch, fmt, with_truth):
+    """Without features, a load holds a full load's ids and labels; keeping a
+    mask, it is ``apply_mask`` of a full load, bit for bit. With 6 fields a
+    chunk every two records are a chunk, so at each piece size the text is
+    split among 1, 2 or 3 reading processes."""
+    rng = np.random.default_rng(3)
+    ds = Dataset(
+        4,
+        ids=rng.permutation(1000)[:30],
+        features=rng.standard_normal((30, 3)),
+        noisy_labels=rng.integers(0, 4, 30),
+        true_labels=rng.integers(0, 4, 30) if with_truth else None,
+    )
+    path = _saved(tmp_path, ds, fmt)
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", 6)
+    readers = (1, 2, 3) if hasattr(os, "fork") else (1,)
+    for workers, piece in product(readers, [1, 7, 64, codec.PIECE_BYTES]):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(codec, "PIECE_BYTES", piece)
+        full = load_dataset(path)
+        assert _fields(full) == _fields(ds)
+        without = load_dataset(path, keep=False)
+        assert _fields(without) == _fields(replace(full, features=None)), (workers, piece)
+        for rows in KEPT_ROWS:
+            mask = SelectionMask(ds.ids, np.isin(np.arange(30), rows) * 1.0, "confidence", 0.5)
+            kept = load_dataset(path, keep=lambda: mask)
+            assert _fields(kept) == _fields(apply_mask(full, mask)), (workers, piece, rows)
 
 
 class TestScoreFiles:
