@@ -81,9 +81,11 @@ class Dataset:
     def has_ground_truth(self) -> bool:
         return self.true_labels is not None
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """New dataset restricted to ``indices``, preserving order."""
-        indices = np.asarray(indices)
+    def subset(self, indices) -> "Dataset":
+        """New dataset restricted to ``indices``, preserving order. A slice
+        gives views of this dataset's arrays, not copies."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices)
         return Dataset(
             self.num_classes,
             self.ids[indices],

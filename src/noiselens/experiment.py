@@ -352,7 +352,8 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Status plus the in-memory stage outputs, for composition tests."""
+    """Status plus the in-memory stage outputs, for composition tests.
+    ``dataset`` holds no features once the train stage has read them."""
 
     status: int
     output_dir: str
@@ -474,8 +475,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         save_class_prior(artifact("prior.txt"), prior)
 
         result.stage = "train"
-        train_report = train(dataset.subset(selected), matrix, prior, config.margin, config.train)
+        train_report = train(dataset, matrix, prior, config.margin, config.train, selected)
         result.train_report = train_report
+        # No later stage reads the features: drop them before the test set is made.
+        dataset = result.dataset = replace(dataset, features=None)
         save_classifier(artifact("classifier.txt"), train_report.classifier)
 
         result.stage = "evaluate"

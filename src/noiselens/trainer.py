@@ -26,7 +26,9 @@ its own. Heads keep their own shuffle stream, epoch, step and learning
 rate, so they drift apart when their epochs differ in length. The stacked
 matmuls run one BLAS call per head and every other operation acts entry by
 entry or row by row, so each head rounds exactly as it would alone.
-``train`` is the one-head case.
+``train`` is the one-head case. Each head's per-epoch train accuracy is
+read one ``data.row_blocks`` block of its rows at a time, so at most one
+block of its features is copied at once.
 
 Heads never interact, so ``train_heads`` may also split them across
 processes: when two heads or more step ``FORK_ROWS`` rows or more in all
@@ -48,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import codec, parallel
-from .data import Dataset
+from .data import Dataset, row_blocks
 from .errors import (
     NoiseLensError,
     TrainingDivergedError,
@@ -394,34 +396,45 @@ def _lockstep(dataset: Dataset, rows: list, matrix, priors: list, margin, cfg, s
 
 
 def _train_accuracy(dataset: Dataset, head: _Head) -> tuple:
-    """The head's accuracy on its own rows as each epoch ended. Its subset
-    lives only in this call, so the heads' subsets are held one at a time:
-    holding them all would cost a copy of the features per head."""
-    subset = dataset if head.rows.size == dataset.num_samples else dataset.subset(head.rows)
-    accuracy = []
-    for classifier in head.epoch_ends:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing logit still ranks
-            predicted = predict(classifier, subset).labels
-        accuracy.append(float(np.mean(predicted == subset.noisy_labels)))
-    return tuple(accuracy)
+    """The head's accuracy on its own rows as each epoch ended, read one
+    ``row_blocks`` block of those rows at a time. A head over every row
+    reads views of the dataset's blocks; any other head copies one block,
+    freed before the next is built. Blocks round as one product over the
+    rows, so the accuracies are those of one ``predict`` over the subset."""
+    n = head.rows.size
+    every = n == dataset.num_samples
+    correct = [0] * len(head.epoch_ends)
+    for lo, hi in row_blocks(n):
+        block = dataset.subset(slice(lo, hi) if every else head.rows[lo:hi])
+        for e, classifier in enumerate(head.epoch_ends):
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing logit still ranks
+                predicted = predict(classifier, block).labels
+            correct[e] += int(np.count_nonzero(predicted == block.noisy_labels))
+        del block
+    return tuple(c / n for c in correct)
 
 
 def train(
-    subset: Dataset,
+    dataset: Dataset,
     matrix: TransitionMatrix,
     prior: ClassPrior,
     margin: MarginConfig,
     cfg: TrainConfig,
+    rows=None,
 ) -> TrainReport:
-    """Train a freshly initialized linear head on the subset's noisy labels.
+    """Train a freshly initialized linear head on the noisy labels of the
+    dataset's ``rows`` (strictly ascending indices; every row by default).
 
     Epoch order is deterministic in cfg.seed: initialization uses seed
     directly, shuffling uses the derived stream [seed, 1]. The last
     incomplete batch is kept, and every batch gradient is divided by its
-    actual size. This is ``train_heads`` with one head over every row; the
-    error that stops the head is raised.
+    actual size. The head ends bit for bit as it would on
+    ``dataset.subset(rows)``, but no copy of those rows' features is built.
+    This is ``train_heads`` with one head; the error that stops the head is
+    raised.
     """
-    (outcome,) = train_heads(subset, (np.arange(subset.num_samples),), matrix, (prior,), margin, cfg)
+    rows = np.arange(dataset.num_samples) if rows is None else rows
+    (outcome,) = train_heads(dataset, (rows,), matrix, (prior,), margin, cfg)
     if isinstance(outcome, NoiseLensError):
         raise outcome
     return outcome

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 import types
 from dataclasses import astuple, replace
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiselens.experiment
+from noiselens.data import ROW_BLOCK
 from noiselens.errors import NoiseLensError, ValidationError
 from noiselens.experiment import (
     config_from_text,
@@ -276,6 +278,9 @@ class TestRunExperiment:
         assert "artifact.dataset.txt=" in manifest
         assert "test_accuracy" in result.metrics
         assert result.metrics["precision"] > 0.8
+        # Training has read the features; the result keeps ids and labels only.
+        assert result.dataset.features is None
+        assert result.dataset.num_samples == 80
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         result, out = self.run_minimal(tmp_path)
@@ -406,6 +411,35 @@ class TestRunExperiment:
             self.run_minimal(tmp_path)
         status = (out / "manifest.txt").read_text().splitlines()[-3:]
         assert status == ["status=failed", f"stage={stage}", "error=interrupted"]
+
+    def test_run_holds_the_features_once_and_one_row_block(self, tmp_path):
+        """Training reads the selected rows of the dataset itself, and the
+        per-epoch accuracy copies one row block at most, so a run's traced
+        peak is the features plus one block, not a second copy of the
+        selected rows' features."""
+        classes, per_class, dim = 3, 2500, 128
+        config = config_from_text(
+            "dataset.source = synth\n"
+            f"dataset.classes = {classes}\n"
+            f"dataset.per_class = {per_class}\n"
+            f"dataset.dim = {dim}\n"
+            "dataset.noise = symmetric\n"
+            "scorer.source = oracle\n"
+            "train.epochs = 1\n"
+            "train.batch_size = 256\n"
+            f"output.dir = {tmp_path / 'out'}\n"
+        )
+        assert classes * per_class >= 3 * ROW_BLOCK
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == 0, result.error
+        features = classes * per_class * dim * 8
+        # 2 MiB covers the ids, labels, scores and the text writer's pieces.
+        assert peak < features + 2 * ROW_BLOCK * dim * 8 + (2 << 20)
 
     def test_report_artifact_is_parseable_records(self, tmp_path):
         result, out = self.run_minimal(tmp_path)

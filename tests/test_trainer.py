@@ -14,13 +14,14 @@ import signal
 import tempfile
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import noiselens.trainer
 from noiselens import parallel
-from noiselens.data import Dataset
+from noiselens.data import ROW_BLOCK, Dataset, row_blocks
 from noiselens.errors import FormatError, RangeError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
 from noiselens.noise import make_blobs
@@ -296,6 +297,47 @@ def stepped_groups(sizes, cfg):
     return calls
 
 
+def random_dataset(n, num_classes=3, dim=8, seed=0):
+    """``n`` rows of normal features with uniform random noisy labels."""
+    rng = np.random.default_rng(seed)
+    return Dataset(num_classes, np.arange(n), rng.normal(size=(n, dim)), rng.integers(0, num_classes, n))
+
+
+class TestTrainOnRows:
+    def test_rows_train_as_their_subset_bitwise(self):
+        dataset = random_dataset(3 * ROW_BLOCK + 500, seed=2)
+        rows = np.sort(np.random.default_rng(3).choice(dataset.num_samples, 4500, replace=False))
+        matrix = TransitionMatrix(np.eye(3))
+        prior = compute_class_prior(dataset, rows)
+        margin, cfg = MarginConfig(delta=0.5, t=1.0), TrainConfig(epochs=3, batch_size=64, seed=4)
+        on_rows = train(dataset, matrix, prior, margin, cfg, rows)
+        on_subset = train(dataset.subset(rows), matrix, prior, margin, cfg)
+        assert on_rows.classifier.weights.tobytes() == on_subset.classifier.weights.tobytes()
+        assert on_rows.classifier.bias.tobytes() == on_subset.classifier.bias.tobytes()
+        assert on_rows.epoch_losses == on_subset.epoch_losses
+        assert on_rows.epoch_train_accuracy == on_subset.epoch_train_accuracy
+
+    @pytest.mark.parametrize("every", [True, False], ids=["every-row", "scattered"])
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 4095, 4096, 6144, 10000])
+    def test_epoch_accuracy_is_one_predict_over_the_head(self, n, every):
+        dataset = random_dataset(n if every else n + n // 2 + 1, seed=n)
+        rows = None if every else np.sort(np.random.default_rng(n).choice(dataset.num_samples, n, replace=False))
+        head = dataset if every else dataset.subset(rows)
+        matrix = TransitionMatrix(np.eye(3))
+        prior = compute_class_prior(head)
+        cfg = TrainConfig(epochs=2, batch_size=512, seed=1)
+        report = train(dataset, matrix, prior, MarginConfig(), cfg, rows)
+        # The head as its first epoch ended is the head of a one-epoch run.
+        first = train(dataset, matrix, prior, MarginConfig(), replace(cfg, epochs=1), rows)
+        expected = []
+        for clf in (first.classifier, report.classifier):
+            whole = predict(clf, head)
+            expected.append(float(np.mean(whole.labels == head.noisy_labels)))
+            blocks = [predict(clf, head.subset(slice(lo, hi))).logits for lo, hi in row_blocks(n)]
+            assert np.concatenate(blocks).tobytes() == whole.logits.tobytes()
+        assert report.epoch_train_accuracy == tuple(expected)
+
+
 class TestLockstep:
     @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffle", "ordered"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
@@ -362,9 +404,10 @@ class TestLockstep:
             assert report.epoch_losses == alone.epoch_losses
 
     def test_accuracy_phase_holds_one_subset_at_a_time(self, monkeypatch):
-        """Each head's train-accuracy subset is freed before the next head's
-        is built, so the phase holds at most one copy of the features."""
-        made, alive_at_build = [], []
+        """Each head's train accuracy is read one row block at a time: every
+        subset built holds fewer than 2·ROW_BLOCK rows and is freed before
+        the next is built, and a head over every row reads views."""
+        made, alive_at_build, sizes, views = [], [], [], []
         real_subset = Dataset.subset
 
         def subset(self, indices):
@@ -372,14 +415,25 @@ class TestLockstep:
             alive_at_build.append(sum(ref() is not None for ref in made))
             built = real_subset(self, indices)
             made.append(weakref.ref(built))
+            sizes.append(built.num_samples)
+            views.append(np.shares_memory(built.features, self.features))
             return built
 
-        dataset, rows, priors, matrix = lockstep_setup()
+        dataset = make_blobs(3, 2 * ROW_BLOCK, 4, 2.0, seed=0)
+        rng = np.random.default_rng(1)
+        n = dataset.num_samples
+        rows = [np.arange(n)] + [np.sort(rng.choice(n, k, replace=False)) for k in (5000, 2047)]
+        priors = [compute_class_prior(dataset, r) for r in rows]
+        matrix = TransitionMatrix(np.eye(3))
         monkeypatch.setattr(Dataset, "subset", subset)
-        cfg = TrainConfig(epochs=2, batch_size=LOCKSTEP_BATCH, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=256, seed=0)
         reports = train_heads(dataset, rows, matrix, priors, MarginConfig(), cfg)
         assert all(len(r.epoch_train_accuracy) == 2 for r in reports)
-        assert alive_at_build == [0] * sum(r.size < dataset.num_samples for r in rows)
+        blocks = [len(list(row_blocks(r.size))) for r in rows]
+        assert blocks == [6, 2, 1]
+        assert alive_at_build == [0] * sum(blocks)
+        assert max(sizes) < 2 * ROW_BLOCK
+        assert views == [True] * blocks[0] + [False] * sum(blocks[1:])
 
     def test_prior_mismatch_stops_only_its_head(self):
         dataset, rows, priors, matrix = lockstep_setup()
