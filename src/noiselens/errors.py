@@ -20,7 +20,8 @@ class ValidationError(NoiseLensError):
 
 
 class TrainingDivergedError(NoiseLensError):
-    """The optimizer produced a non-finite loss; message carries epoch/step."""
+    """Training produced non-finite logits, loss or weights; the message
+    names which, with the epoch and step."""
 
 
 class RangeError(ValidationError):

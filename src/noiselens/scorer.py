@@ -19,11 +19,6 @@ from .errors import FormatError, ValidationError, all_finite, array, check_field
 MIN_NORM = 1e-30
 
 
-def _check_finite(rows: np.ndarray, what: str) -> None:
-    if not all_finite(rows):
-        raise ValidationError(f"non-finite {what}")
-
-
 def _row_norms(rows: np.ndarray, what: str, first: int = 0) -> np.ndarray:
     """The L2 norm of each row of the finite ``rows``. A norm below MIN_NORM
     or one that overflows float64 is rejected, naming its row counted from
@@ -47,7 +42,6 @@ class ClassEmbeddingBank:
         check_fields(self)
         if self.num_classes < 1:
             raise ValidationError("embedding bank needs at least one class")
-        _check_finite(self.embeddings, "class embedding")
         _row_norms(self.embeddings, "class embedding")
         if any(ch.isspace() for ch in self.prompt_id) or not self.prompt_id:
             raise ValidationError("prompt_id must be a non-empty token without whitespace")
@@ -106,7 +100,8 @@ def cosine_softmax_score(
         raise ValidationError(
             f"embedding dimension {emb.shape[1]} does not match bank dimension {bank.dim}"
         )
-    _check_finite(emb, "image embedding")
+    if not all_finite(emb):
+        raise ValidationError("non-finite image embedding")
     unit_classes = bank.embeddings / _row_norms(bank.embeddings, "class embedding")[:, None]
     values = np.empty((emb.shape[0], bank.num_classes))
     for lo, hi in row_blocks(emb.shape[0]):

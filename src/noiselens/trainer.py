@@ -25,7 +25,11 @@ batch is full. A head whose batch is short (the last of its epoch) steps on
 its own. Heads keep their own shuffle stream, epoch, step and learning
 rate, so they drift apart when their epochs differ in length. The stacked
 matmuls run one BLAS call per head and every other operation acts entry by
-entry or row by row, so each head rounds exactly as it would alone.
+entry or row by row, so each head rounds exactly as it would alone. Each
+group steps once: a head whose logits or loss turn non-finite in a step
+ends there with a ``TrainingDivergedError`` naming its epoch and step, and
+its update in that step is discarded; a head whose weights are non-finite
+when its epoch ends gets one naming that epoch's last step.
 ``train`` is the one-head case. Each head's per-epoch train accuracy is
 read one ``data.row_blocks`` block of its rows at a time, so at most one
 block of its features is copied at once.
@@ -309,33 +313,25 @@ def _lockstep(dataset: Dataset, rows: list, matrix, priors: list, margin, cfg, s
     size = cfg.batch_size
 
     def step(group):
-        """One update of every head in ``group``, each on its own next batch.
-        A head whose logits or loss are non-finite leaves the group with its
-        error, and the rest repeat the step without it."""
-        while group:
-            batches = [heads[i].order[heads[i].pos : heads[i].pos + size] for i in group]
-            idx = np.concatenate(batches).reshape(len(group), -1)
-            # Every head: update the stacked buffers in place through views.
-            # Some heads: update gathered copies and write them back.
-            sel = slice(None) if len(group) == k else np.array(group)
-            w, b = weights[sel], bias[sel]
-            x = features[idx]
-            # An overflow leaves a non-finite logit or loss, which is the head's error.
-            with np.errstate(over="ignore", invalid="ignore"):
-                z = x @ w.transpose(0, 2, 1) + b[:, None, :]
-                finite, what = np.isfinite(z).all(axis=(1, 2)), "logits"
-                if finite.all():
-                    batch = nabm_loss_batch(z, labels[idx], matrix, [priors[i] for i in group], margin)
-                    finite, what = np.isfinite(batch.per_sample_loss).all(axis=1), "loss"
-            if not finite.all():
-                for i, ok in zip(group, finite.tolist()):
-                    if not ok:
-                        h = heads[i]
-                        outcome[i] = TrainingDivergedError(
-                            f"non-finite {what} at epoch {h.epoch}, step {h.step}"
-                        )
-                group = [i for i in group if outcome[i] is None]
-                continue
+        """One update of every head in ``group``, each on its own next batch,
+        in one pass. A head whose logits or loss are non-finite ends with its
+        error; its update is made with the others' and never read again."""
+        batches = [heads[i].order[heads[i].pos : heads[i].pos + size] for i in group]
+        idx = np.concatenate(batches).reshape(len(group), -1)
+        # Every head: update the stacked buffers in place through views.
+        # Some heads: update gathered copies and write them back.
+        sel = slice(None) if len(group) == k else np.array(group)
+        w, b = weights[sel], bias[sel]
+        x = features[idx]
+        # An overflow leaves a non-finite logit, loss or weight, which is the
+        # head's error. Every stacked operation acts per head, so a head's
+        # zeroed logits or non-finite gradient reach no other head.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x @ w.transpose(0, 2, 1) + b[:, None, :]
+            bad_logits = ~np.isfinite(z).all(axis=(1, 2))
+            z[bad_logits] = 0.0
+            batch = nabm_loss_batch(z, labels[idx], matrix, [priors[i] for i in group], margin)
+            bad_loss = ~np.isfinite(batch.per_sample_loss).all(axis=1)
             gz = batch.grad_logits
             gz /= idx.shape[1]
             vw, vb = vel_w[sel], vel_b[sel]
@@ -348,14 +344,17 @@ def _lockstep(dataset: Dataset, rows: list, matrix, priors: list, margin, cfg, s
             w -= lr[:, None, None] * vw
             b *= shrink
             b -= lr[:, None] * vb
-            if not isinstance(sel, slice):
-                weights[sel], bias[sel], vel_w[sel], vel_b[sel] = w, b, vw, vb
-            for i, loss in zip(group, batch.per_sample_loss):
-                h = heads[i]
-                h.batch_losses.append(loss)
-                h.pos += size
-                h.step += 1
-            return
+        if not isinstance(sel, slice):
+            weights[sel], bias[sel], vel_w[sel], vel_b[sel] = w, b, vw, vb
+        bad = zip(bad_logits.tolist(), bad_loss.tolist())
+        for i, loss, (logits_bad, loss_bad) in zip(group, batch.per_sample_loss, bad):
+            h = heads[i]
+            if logits_bad or loss_bad:
+                what = "logits" if logits_bad else "loss"
+                outcome[i] = TrainingDivergedError(f"non-finite {what} at epoch {h.epoch}, step {h.step}")
+            h.batch_losses.append(loss)
+            h.pos += size
+            h.step += 1
 
     live = list(range(k))
     for i in live:
@@ -375,8 +374,8 @@ def _lockstep(dataset: Dataset, rows: list, matrix, priors: list, margin, cfg, s
             h.epoch_losses.append(math.fsum(np.concatenate(h.batch_losses).tolist()) / h.rows.size)
             try:
                 h.epoch_ends.append(LinearClassifier(weights=weights[i].copy(), bias=bias[i].copy()))
-            except ValidationError as exc:
-                outcome[i] = exc
+            except ValidationError:  # the bias counts as a weight
+                outcome[i] = TrainingDivergedError(f"non-finite weights at epoch {h.epoch}, step {h.step - 1}")
                 continue
             h.epoch += 1
             if h.epoch < cfg.epochs:

@@ -205,6 +205,15 @@ def test_container_of_another_kind_is_named(tmp_path, kind):
         load(other)
 
 
+def test_unknown_binary_version_is_named(tmp_path):
+    path = tmp_path / "ds.bin"
+    save_dataset(path, DATASET, fmt="binary")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 2) + raw[6:])
+    with pytest.raises(FormatError, match="unsupported binary version 2$"):
+        load_dataset(path)
+
+
 # Where the first float field of a text kind sits, as (record, field), when
 # it is not the last field of the first record; and the float header value
 # of the kinds that have one. Every binary payload ends with a float column.

@@ -359,3 +359,5 @@ class TestValidation:
             cross_entropy(np.array([np.inf, 0.0]), 0)
         with pytest.raises(ValidationError):
             cross_entropy(np.zeros(3), -1)
+        with pytest.raises(ValidationError, match="^logits must be a 1-D vector$"):
+            cross_entropy(np.zeros((1, 3)), 0)

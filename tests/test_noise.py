@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,12 @@ class TestSymmetricNoise:
         assert record.realized_rate == 0.0
         np.testing.assert_array_equal(noisy.noisy_labels, ds.true_labels)
         np.testing.assert_array_equal(record.realized_transition, np.eye(3))
+
+    def test_class_no_sample_has_gets_a_uniform_row(self):
+        ds = make_blobs(3, 20, 4, 2.0, seed=6)
+        ds = replace(ds, true_labels=ds.true_labels % 2)
+        _, record = inject_noise(ds, NoiseSpec("symmetric", 0.5, seed=7))
+        np.testing.assert_array_equal(record.realized_transition[2], np.full(3, 1 / 3))
 
     def test_deterministic_per_seed(self):
         ds = make_blobs(3, 100, 4, 2.0, seed=8)

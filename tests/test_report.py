@@ -80,6 +80,8 @@ class TestTopKAccuracy:
             top_k_accuracy(probs, [0, 1], 4)
         with pytest.raises(ValidationError):
             top_k_accuracy(probs, [0], 1)
+        with pytest.raises(ValidationError, match="^probabilities must be a 2-D array$"):
+            top_k_accuracy(probs[0], [0], 1)
         for k in (1.5, 2.0, True):
             with pytest.raises(ValidationError, match="k must be an integer"):
                 top_k_accuracy(probs, [0, 1], k)
@@ -144,6 +146,10 @@ class TestConfidenceHistogram:
     def test_report_shape_enforced(self):
         with pytest.raises(ValidationError):
             HistogramReport(bin_edges=np.arange(5) / 4, counts=np.zeros(4, dtype=int))
+        counts = np.zeros(10, dtype=int)
+        counts[3] = -1
+        with pytest.raises(ValidationError, match="^histogram counts must be nonnegative$"):
+            HistogramReport(bin_edges=np.arange(11) / 10, counts=counts)
 
 
 def sweep_setup(seed=0):
@@ -233,10 +239,9 @@ class TestThresholdSweep:
     def test_points_match_the_manual_pipeline_per_threshold(self):
         noisy, scores, bundle = graded_sweep_setup()
         thresholds = [0.3, 0.5, 0.7, 0.9, 0.96]
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = threshold_sweep(noisy, scores, thresholds, bundle)
-            matrix = estimate_transition_matrix(noisy, scores)
-            expected = [manual_point(noisy, scores, rho, matrix, bundle) for rho in thresholds]
+        report = threshold_sweep(noisy, scores, thresholds, bundle)
+        matrix = estimate_transition_matrix(noisy, scores)
+        expected = [manual_point(noisy, scores, rho, matrix, bundle) for rho in thresholds]
         got = [
             (p.threshold, p.selected_count, p.precision, p.recall, p.test_accuracy, p.skipped, p.error)
             for p in report.points
@@ -255,8 +260,7 @@ class TestThresholdSweep:
         points = []
         for processes in (1, 2):
             monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
-            with np.errstate(over="ignore", invalid="ignore"):
-                points.append(threshold_sweep(noisy, scores, thresholds, bundle).points)
+            points.append(threshold_sweep(noisy, scores, thresholds, bundle).points)
         assert points[0] == points[1]
         assert points[0][0].error.startswith("non-finite ")
 

@@ -180,6 +180,8 @@ class TestCosineSoftmax:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             cosine_softmax_score(np.ones((2, 3)), BANK, ScorerConfig(temperature=0.1))
+        with pytest.raises(ValidationError, match="^image embeddings must be a 2-D array$"):
+            cosine_softmax_score(np.ones(4), BANK, ScorerConfig(temperature=0.1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -289,6 +291,8 @@ class TestScoreWithSurrogate:
         scores = score_with_surrogate(ds, BANK, ScorerConfig(temperature=0.2), image_embeddings=other)
         expected = cosine_softmax_score(other, BANK, ScorerConfig(temperature=0.2), sample_ids=ds.ids)
         np.testing.assert_array_equal(scores.values, expected.values)
+        with pytest.raises(ValidationError, match="^embedding row count does not match dataset size$"):
+            score_with_surrogate(ds, BANK, ScorerConfig(temperature=0.2), image_embeddings=other[:5])
 
     def test_embedding_table_order_enforced(self, tmp_path):
         ds = self.make_dataset()

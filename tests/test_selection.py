@@ -90,6 +90,12 @@ class TestJSDivergence:
         with pytest.raises(ValidationError):
             js_divergence(np.array([1.1, -0.1]), np.array([0.5, 0.5]))
 
+    def test_shapes_rejected(self):
+        with pytest.raises(ValidationError, match="^q must be a 1-D probability vector$"):
+            js_divergence(np.array([0.5, 0.5]), np.full((1, 2), 0.5))
+        with pytest.raises(ValidationError, match="^p and q must have the same length$"):
+            js_divergence(np.array([0.5, 0.5]), np.full(3, 1 / 3))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_bounds(self, seed):
@@ -351,6 +357,10 @@ class TestMaskAndSubset:
         )
         with pytest.raises(ValidationError):
             load_mask(path)
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValidationError, match="^mask must hold at least one sample$"):
+            SelectionMask(np.array([], dtype=np.int64), np.array([]), "confidence", 0.5)
 
     def test_round_trip(self, tmp_path):
         ds, scores = self.make()

@@ -24,8 +24,8 @@ from noiselens import parallel
 from noiselens.data import ROW_BLOCK, Dataset, row_blocks
 from noiselens.errors import FormatError, RangeError, TrainingDivergedError, ValidationError
 from noiselens.losses import MarginConfig, nabm_loss_batch
-from noiselens.noise import make_blobs
-from noiselens.priors import ClassPrior, TransitionMatrix, compute_class_prior
+from noiselens.noise import make_blobs, oracle_scores
+from noiselens.priors import ClassPrior, TransitionMatrix, compute_class_prior, estimate_transition_matrix
 from noiselens.trainer import (
     LinearClassifier,
     TrainConfig,
@@ -192,13 +192,13 @@ class TestTrainingBehavior:
         np.testing.assert_array_equal(a.classifier.weights, b.classifier.weights)
         assert a.epoch_losses == b.epoch_losses
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_is_reported(self):
         subset, matrix, prior = training_setup(per_class=10)
         cfg = TrainConfig(epochs=3, batch_size=2, learning_rate=1e308, seed=0)
         margin = MarginConfig(delta=0.1, t=0.01, s=0.1, gamma=1.0)
-        with np.errstate(over="ignore"):  # the overflow is the point
-            with pytest.raises(TrainingDivergedError, match=r"^non-finite logits at epoch 0, step 1$"):
-                train(subset, matrix, prior, margin, cfg)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite logits at epoch 0, step 1$"):
+            train(subset, matrix, prior, margin, cfg)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("epochs", [1, 3])
@@ -283,13 +283,17 @@ def lockstep_setup(sizes=LOCKSTEP_SIZES, seed=0):
     return dataset, rows, priors, matrix
 
 
-def stepped_groups(sizes, cfg):
+def stepped_groups(sizes, cfg, died=None):
     """Loss calls the lockstep makes: one per global step in which some head
-    has a full batch, plus one per short batch."""
+    has a full batch, plus one per short batch. ``died`` is the (epoch,
+    step) at which the first head diverged, if it did."""
     plans = []
     for n in sizes:
         batches = [min(cfg.batch_size, n - start) for start in range(0, n, cfg.batch_size)]
         plans.append(batches * cfg.epochs)
+    if died is not None:
+        epoch, step = died
+        plans[0] = plans[0][: epoch * len(plans[0]) // cfg.epochs + step + 1]
     calls = 0
     for t in range(max(len(plan) for plan in plans)):
         live = [plan[t] for plan in plans if t < len(plan)]
@@ -391,10 +395,9 @@ class TestLockstep:
         dataset = Dataset(dataset.num_classes, dataset.ids, features, dataset.noisy_labels)
         cfg = TrainConfig(epochs=3, batch_size=LOCKSTEP_BATCH, learning_rate=0.1, seed=5)
         margin = MarginConfig(s=s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            reports = train_heads(dataset, rows, matrix, priors, margin, cfg)
-            with pytest.raises(TrainingDivergedError) as lone:
-                train(dataset.subset(rows[0]), matrix, priors[0], margin, cfg)
+        reports = train_heads(dataset, rows, matrix, priors, margin, cfg)
+        with pytest.raises(TrainingDivergedError) as lone:
+            train(dataset.subset(rows[0]), matrix, priors[0], margin, cfg)
         assert isinstance(reports[0], TrainingDivergedError)
         assert str(reports[0]) == str(lone.value)
         assert re.fullmatch(rf"non-finite {what} at epoch \d+, step \d+", str(lone.value))
@@ -402,6 +405,46 @@ class TestLockstep:
             alone = train(dataset.subset(r), matrix, prior, margin, cfg)
             assert report.classifier.weights.tobytes() == alone.classifier.weights.tobytes()
             assert report.epoch_losses == alone.epoch_losses
+
+    def test_a_diverging_head_costs_no_extra_loss_call(self, monkeypatch):
+        # The first head's loss overflows in a step it shares with others;
+        # that step still makes one loss call.
+        calls = []
+        inner = noiselens.trainer.nabm_loss_batch
+        monkeypatch.setattr(noiselens.trainer, "nabm_loss_batch",
+                            lambda *args: calls.append(1) or inner(*args))
+        dataset, rows, priors, matrix = lockstep_setup()
+        features = dataset.features.copy()
+        features[int(np.setdiff1d(rows[0], np.concatenate(rows[1:]))[0])] = 1e307
+        dataset = Dataset(dataset.num_classes, dataset.ids, features, dataset.noisy_labels)
+        cfg = TrainConfig(epochs=3, batch_size=LOCKSTEP_BATCH, learning_rate=0.1, seed=3)
+        reports = train_heads(dataset, rows, matrix, priors, MarginConfig(s=0.1), cfg)
+        died = re.fullmatch(r"non-finite loss at epoch (\d+), step (\d+)", str(reports[0]))
+        epoch, step = int(died[1]), int(died[2])
+        assert step < LOCKSTEP_SIZES[0] // LOCKSTEP_BATCH  # a full batch, stepped in a group
+        assert len(calls) == stepped_groups(LOCKSTEP_SIZES, cfg, died=(epoch, step))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weights_end_their_head_alone(self):
+        # One update at learning rate 1e307 overflows the weights of a head
+        # over the blobs, not those of a head over the blobs scaled by 1e-4.
+        blobs = make_blobs(3, 20, 4, 100.0, seed=0)
+        matrix = estimate_transition_matrix(blobs, oracle_scores(blobs))
+        prior = compute_class_prior(blobs)
+        cfg = TrainConfig(epochs=1, batch_size=60, learning_rate=1e307, momentum=0.0)
+        message = r"^non-finite weights at epoch 0, step 0$"
+        with pytest.raises(TrainingDivergedError, match=message):
+            train(blobs, matrix, prior, MarginConfig(), cfg)
+        dataset = Dataset(3, np.arange(120), np.concatenate([blobs.features, blobs.features * 1e-4]),
+                          np.tile(blobs.noisy_labels, 2))
+        rows = [np.arange(60), np.arange(60, 120)]
+        bad, healthy = train_heads(dataset, rows, matrix, [prior, prior], MarginConfig(), cfg)
+        assert isinstance(bad, TrainingDivergedError) and re.match(message, str(bad))
+        alone = train(dataset, matrix, prior, MarginConfig(), cfg, rows[1])
+        assert healthy.classifier.weights.tobytes() == alone.classifier.weights.tobytes()
+        assert healthy.classifier.bias.tobytes() == alone.classifier.bias.tobytes()
+        assert healthy.epoch_losses == alone.epoch_losses
+        assert healthy.epoch_train_accuracy == alone.epoch_train_accuracy
 
     def test_accuracy_phase_holds_one_subset_at_a_time(self, monkeypatch):
         """Each head's train accuracy is read one row block at a time: every
@@ -489,8 +532,7 @@ def split_outcomes(monkeypatch, processes: int) -> list:
     monkeypatch.setattr(noiselens.trainer, "FORK_ROWS", 0)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: processes)
     dataset, rows, priors, matrix = split_setup()
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
+    outcomes = train_heads(dataset, rows, matrix, priors, SPLIT_MARGIN, SPLIT_CFG)
     return [
         (type(o), str(o)) if isinstance(o, Exception) else (
             o.classifier.weights.tobytes(), o.classifier.bias.tobytes(),
