@@ -27,12 +27,18 @@ from .priors import (
 )
 from .report import (
     confidence_histogram,
-    evaluate,
+    evaluate_dataset_file,
     format_records,
     format_table,
     histogram_rows,
 )
-from .scorer import COSINE_SOURCES, SOURCE_READERS, ScorerConfig
+from .scorer import (
+    COSINE_SOURCES,
+    SOURCE_READERS,
+    ScorerConfig,
+    load_embedding_bank,
+    score_dataset_file,
+)
 from .selection import (
     READERS,
     THRESHOLDS,
@@ -92,8 +98,11 @@ def _cmd_score(args) -> int:
     flags = {COSINE_SOURCES: "--bank", **{name: "--" + name for name in given}}
     check_reads(given, SOURCE_READERS, (kind,), flags)
     config = ScorerConfig() if args.temperature is None else ScorerConfig(args.temperature)
-    dataset = load_dataset(args.dataset)
-    save_score_matrix(args.out, score(dataset, kind, path, config, args.embeddings, None))
+    if kind == "cosine" and args.embeddings is None:
+        scores = score_dataset_file(args.dataset, load_embedding_bank(path), config)
+    else:  # a score file or an embedding table is keyed to the ids alone
+        scores = score(load_dataset(args.dataset, keep=False), kind, path, config, args.embeddings, None)
+    save_score_matrix(args.out, scores)
     return 0
 
 
@@ -141,11 +150,19 @@ def _cmd_report(args) -> int:
     if not args.dataset:
         source = "--classifier" if args.classifier else "--scores"
         raise ValidationError(f"{source} reports require --dataset")
-    dataset = load_dataset(args.dataset)
     if args.classifier:
-        metrics = evaluate(load_classifier(args.classifier), dataset, args.top_k or 0)
+        top_k = args.top_k or 0
+        if top_k < 0:
+            raise ValidationError(f"--top-k: {top_k} is negative (0 turns it off)")
+        classifier = load_classifier(args.classifier)
+        if top_k > classifier.num_classes:
+            raise ValidationError(
+                f"--top-k: {top_k} exceeds the {classifier.num_classes} classifier classes"
+            )
+        dataset, metrics = evaluate_dataset_file(classifier, args.dataset, top_k)
         rows = [{"samples": dataset.num_samples, **metrics}]
     else:
+        dataset = load_dataset(args.dataset, keep=False)
         scores = load_score_matrix(args.scores, dataset)
         confidences = scores.values[np.arange(dataset.num_samples), dataset.noisy_labels]
         histogram = confidence_histogram(confidences, source=os.path.basename(args.scores))

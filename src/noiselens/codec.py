@@ -313,8 +313,23 @@ class TextReader(_Reader):
         return number
 
     def where(self, i: int) -> str:
-        """Location of record ``i`` of the last block read."""
-        return f"line {self._first + i + 1}"
+        """Location of record ``i`` of the file, counting from 0."""
+        return f"line {i + 2}"
+
+    def _holds(self, n: int) -> None:
+        """Raise unless the file holds ``n`` more records."""
+        if self._total - self._line < n:
+            raise FormatError(
+                f"{self.path}: header declares {self._line - 1 + n} records, "
+                f"file has {self._total - 1}"
+            )
+
+    def blocks(self, n: int, columns, bounds, name: str = "record"):
+        """The next ``n`` records, as ``rows`` parses them, one ``(lo, hi)``
+        block of ``bounds`` at a time: an iterator of each block's arrays. A
+        file of fewer than ``n`` more records fails here, before any block."""
+        self._holds(n)
+        return (self.rows(hi - lo, columns, name) for lo, hi in bounds)
 
     def rows(self, n: int, columns, name: str = "record", keep=None) -> list:
         """Parse the next ``n`` records into one array per column spec, a
@@ -325,12 +340,8 @@ class TextReader(_Reader):
         block at once: its first record with a wrong field count, else its
         first record whose parsed fields do not parse, else its first with a
         non-finite parsed value."""
+        self._holds(n)
         first = self._line
-        if self._total - first < n:
-            raise FormatError(
-                f"{self.path}: header declares {first - 1 + n} records, "
-                f"file has {self._total - 1}"
-            )
         self._first, self._line = first, first + n
         specs = list(map(_column, columns))
         widths = [1 if run is None else run for _, run in specs]
@@ -353,8 +364,12 @@ class TextReader(_Reader):
             out = [np.empty(shape, dtype) for shape, dtype in arrays]
         nonfinite = _first_nonfinite(out, keep)
         if nonfinite >= 0:
-            raise FormatError(f"{self.where(nonfinite)}: {name} has a non-finite value")
+            raise FormatError(f"{self._where(nonfinite)}: {name} has a non-finite value")
         return out
+
+    def _where(self, i: int) -> str:
+        """Location of record ``i`` of the last block read."""
+        return self.where(self._first - 1 + i)
 
     def _parse(self, n: int, arrays, records, workers: int):
         """The block's columns, parsed by ``_fill`` in up to ``workers``
@@ -422,7 +437,7 @@ class TextReader(_Reader):
         for i, line in enumerate(lines, done):
             got = line.count(",") + 1 if line else 0
             if got != width:
-                raise FormatError(f"{self.where(i)}: {name} has {got} fields, expected {width}")
+                raise FormatError(f"{self._where(i)}: {name} has {got} fields, expected {width}")
 
     def _bad_record(self, lines, done: int, records, specs, name: str) -> FormatError:
         """The error for the first of ``lines`` (records ``done`` on of the
@@ -439,8 +454,8 @@ class TextReader(_Reader):
             for j, (dtype, token) in enumerate(zip(parsed, line.split(","))):
                 if not _parses(token, dtype):
                     what = "an integer" if dtype.kind == "i" else "a number"
-                    return FormatError(f"{self.where(i)}: field {j + 1} is not {what}: {token!r}")
-            return FormatError(f"{self.where(i)}: {name} does not parse")
+                    return FormatError(f"{self._where(i)}: field {j + 1} is not {what}: {token!r}")
+            return FormatError(f"{self._where(i)}: {name} does not parse")
         return FormatError(f"{self.path}: records do not parse")
 
     def end(self) -> None:
@@ -568,9 +583,12 @@ _REJECTED = (ValueError, OverflowError, DeprecationWarning)
 
 
 def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
-    """numpy's C reader over comma-separated records, one row per line."""
+    """numpy's C reader over comma-separated records, one row per line. Its
+    warning for lines that are all blank is dropped: the caller reports
+    each blank line as a record of no fields."""
     with warnings.catch_warnings():
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
@@ -690,6 +708,30 @@ class BinaryReader(_Reader):
         if i >= 0:
             raise FormatError(f"{self.where(i)}: {name} has a non-finite value")
         return out
+
+    def blocks(self, n: int, columns, bounds, name: str = "record"):
+        """The next ``n`` records, as ``rows`` reads them, one ``(lo, hi)``
+        block of ``bounds`` at a time: an iterator of each block's arrays.
+        Every column but the last is read here whole, and the last is checked
+        against the file's size here; each block's rows of it are read at
+        their offset."""
+        *head, last = columns
+        head = self.rows(n, head, name)
+        dtype, run = _column(last)
+        shape = () if run is None else (run,)
+        start, size = self._offset, dtype.itemsize * math.prod(shape)  # bytes per record
+        self._bound(n * size)
+
+        def block(lo, hi):
+            col = np.empty((hi - lo, *shape), dtype.newbyteorder("<"))
+            self._file.seek(start + lo * size)
+            self._read_into(col)
+            i = _first_nonfinite([col])
+            if i >= 0:
+                raise FormatError(f"{self.where(lo + i)}: {name} has a non-finite value")
+            return col.astype(dtype, copy=False)
+
+        return ([c[lo:hi] for c in head] + [block(lo, hi)] for lo, hi in bounds)
 
     def where(self, i: int) -> str:
         return f"{self.path}: record {i + 1}"

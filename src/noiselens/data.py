@@ -5,6 +5,7 @@ their text/binary serialization.
 with a dataset.
 """
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -196,13 +197,63 @@ def load_dataset(path, keep=True) -> Dataset:
             rows = np.flatnonzero([] if mask is None else mask.verdicts[:n])
         ids, *labels, feats = reader.rows(n, [int] * (2 + gt) + [(float, d)], keep=rows)
         reader.end()
-    bad = np.any([(y < 0) | (y >= c) for y in labels], axis=0)
-    if bad.any():
-        raise FormatError(f"{reader.where(int(np.argmax(bad)))}: label out of range")
-    dataset = Dataset(c, ids, feats if keep is True else None, labels[0], labels[1] if gt else None)
+    dataset = _labelled(reader, c, ids, labels, feats if keep is True else None)
     if mask is None:
         return dataset
     return replace(dataset.subset(selected_rows(dataset, mask)), features=feats)
+
+
+def _labelled(reader, c: int, ids, labels: list, features) -> Dataset:
+    """The dataset of the arrays ``reader`` read, once every label lies in
+    ``[0, c)``; else the first record holding one that does not."""
+    bad = np.any([(y < 0) | (y >= c) for y in labels], axis=0)
+    if bad.any():
+        raise FormatError(f"{reader.where(int(np.argmax(bad)))}: label out of range")
+    return Dataset(c, ids, features, labels[0], labels[1] if len(labels) > 1 else None)
+
+
+def dataset_blocks(path):
+    """Parse the dataset file at ``path`` one `row_blocks` block at a time,
+    text or binary, for a stage that reads each block's features once.
+
+    Yields the header's ``(N, C, D)`` once the file is known to hold N
+    records and before any is parsed, then each block's features, then the
+    dataset without features, once the checks that ``load_dataset(path,
+    keep=False)`` makes after its records (label range, duplicate ids,
+    N >= 1) hold. A block's errors are those ``load_dataset`` gives for that
+    block alone, so the first block with a faulty record is the one named,
+    and no block after it is parsed."""
+    with codec.read(path, codec.DATASET) as reader:
+        n, c, d, gt = reader.counts
+        if gt not in (0, 1):
+            raise FormatError(f"{path}: GT must be 0 or 1")
+        blocks = reader.blocks(n, [int] * (2 + gt) + [(float, d)], row_blocks(n))
+        yield n, c, d
+        ids, labels = np.empty(n, np.int64), np.empty((1 + gt, n), np.int64)
+        for lo, hi in row_blocks(n):
+            *head, features = next(blocks)
+            ids[lo:hi], labels[:, lo:hi] = head[0], head[1:]
+            # A block's columns may share one mapping, so none of them is
+            # held while the next block is parsed.
+            del head
+            yield features
+            del features
+        reader.end()
+    yield _labelled(reader, c, ids, list(labels), None)
+
+
+def block_rows(path, start) -> tuple:
+    """The dataset file at ``path`` without its features, and the N x C
+    rows of a function of them, which see one `row_blocks` block at a time:
+    ``start(c, d)``, called once the header has been read, returns that
+    function of a block's features and the index of its first row."""
+    with closing(dataset_blocks(path)) as blocks:
+        n, c, d = next(blocks)
+        rows_of = start(c, d)
+        out = np.empty((n, c))
+        for lo, hi in row_blocks(n):
+            out[lo:hi] = rows_of(next(blocks), lo)
+        return next(blocks), out
 
 
 def save_score_matrix(path, scores: ScoreMatrix, fmt: str = "text") -> None:

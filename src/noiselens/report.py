@@ -7,13 +7,13 @@ from typing import Optional
 import numpy as np
 
 from .codec import fmt_float
-from .data import Dataset, ScoreMatrix
+from .data import Dataset, ScoreMatrix, block_rows
 from .errors import NoiseLensError, ValidationError, array, check_fields, check_range
 from .losses import MarginConfig
 from .noise import selection_quality
 from .priors import compute_class_prior, estimate_transition_matrix
 from .selection import select_by_confidence, selected_rows
-from .trainer import TrainConfig, predict, train_heads
+from .trainer import TrainConfig, check_classifier, predict, prediction, train_heads
 
 NUM_BINS = 10
 
@@ -52,11 +52,31 @@ def evaluate(classifier, dataset: Dataset, top_k: int = 0) -> dict:
     """``accuracy`` of ``classifier`` on ``dataset``, plus ``top{k}_accuracy``
     when ``top_k`` is set. The reference is the true labels when the dataset
     has them, else its noisy labels."""
+    return _metrics(predict(classifier, dataset), dataset, top_k)
+
+
+def evaluate_dataset_file(classifier, path, top_k: int = 0) -> tuple:
+    """The dataset file at ``path`` without its features, and ``evaluate``
+    of ``classifier`` on it, bit for bit, holding one `row_blocks` block of
+    the file's features at a time (`data.block_rows`) and the N x C logits.
+    The classifier is checked against the file's header before any record
+    is parsed."""
+
+    def start(c, d):
+        check_classifier(classifier, c, d)
+        return lambda features, lo: classifier.logits(features)
+
+    dataset, logits = block_rows(path, start)
+    return dataset, _metrics(prediction(logits), dataset, top_k)
+
+
+def _metrics(predicted, dataset: Dataset, top_k: int) -> dict:
+    """`evaluate`'s metrics of a `trainer.PredictionResult` on the rows of
+    ``dataset``."""
     reference = dataset.true_labels if dataset.has_ground_truth else dataset.noisy_labels
-    prediction = predict(classifier, dataset)
-    metrics = {"accuracy": accuracy(prediction.labels, reference)}
+    metrics = {"accuracy": accuracy(predicted.labels, reference)}
     if top_k:
-        metrics[f"top{top_k}_accuracy"] = top_k_accuracy(prediction.probabilities, reference, top_k)
+        metrics[f"top{top_k}_accuracy"] = top_k_accuracy(predicted.probabilities, reference, top_k)
     return metrics
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import codec
-from .data import Dataset, ScoreMatrix, check_ids, row_blocks
+from .data import Dataset, ScoreMatrix, block_rows, check_ids, row_blocks
 from .errors import FormatError, ValidationError, all_finite, array, check_fields, ranged
 
 # Below this, a vector is treated as zero and rejected rather than clamped:
@@ -96,26 +96,44 @@ def cosine_softmax_score(
     emb = np.asarray(image_embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise ValidationError("image embeddings must be a 2-D array")
-    if emb.shape[1] != bank.dim:
-        raise ValidationError(
-            f"embedding dimension {emb.shape[1]} does not match bank dimension {bank.dim}"
-        )
+    cosines = _cosines(bank, emb.shape[1])
     if not all_finite(emb):
         raise ValidationError("non-finite image embedding")
-    unit_classes = bank.embeddings / _row_norms(bank.embeddings, "class embedding")[:, None]
     values = np.empty((emb.shape[0], bank.num_classes))
     for lo, hi in row_blocks(emb.shape[0]):
-        block = emb[lo:hi]
-        norms = _row_norms(block, "image embedding", lo)
-        np.matmul(block / norms[:, None], unit_classes.T, out=values[lo:hi])
+        cosines(emb[lo:hi], lo, values[lo:hi])
+    if sample_ids is None:
+        sample_ids = np.arange(emb.shape[0], dtype=np.int64)
+    return _softmax_scores(values, config, sample_ids)
 
+
+def _cosines(bank: ClassEmbeddingBank, dim: int):
+    """The function of a block of ``dim``-wide image rows, the index of its
+    first row and an optional output that gives the block's cosine to each
+    class of ``bank``."""
+    if dim != bank.dim:
+        raise ValidationError(f"embedding dimension {dim} does not match bank dimension {bank.dim}")
+    unit_classes = bank.embeddings / _row_norms(bank.embeddings, "class embedding")[:, None]
+
+    def cosines(block, lo, out=None):
+        norms = _row_norms(block, "image embedding", lo)
+        return np.matmul(block / norms[:, None], unit_classes.T, out=out)
+
+    return cosines
+
+
+def _softmax_scores(values: np.ndarray, config: ScorerConfig, sample_ids) -> ScoreMatrix:
+    """The scores of the cosines ``values``, their softmax taken in place."""
     values /= config.temperature
     values -= values.max(axis=1, keepdims=True)
     np.exp(values, out=values)
     values /= values.sum(axis=1, keepdims=True)
-    if sample_ids is None:
-        sample_ids = np.arange(emb.shape[0], dtype=np.int64)
     return ScoreMatrix(values, sample_ids)
+
+
+def _check_classes(bank: ClassEmbeddingBank, num_classes: int) -> None:
+    if bank.num_classes != num_classes:
+        raise ValidationError(f"bank has {bank.num_classes} classes, dataset has {num_classes}")
 
 
 def score_with_surrogate(
@@ -129,10 +147,7 @@ def score_with_surrogate(
     matrix is supplied (for when the surrogate's embedding space differs
     from the classifier's).
     """
-    if bank.num_classes != dataset.num_classes:
-        raise ValidationError(
-            f"bank has {bank.num_classes} classes, dataset has {dataset.num_classes}"
-        )
+    _check_classes(bank, dataset.num_classes)
     if image_embeddings is None:
         image_embeddings = dataset.features
     else:
@@ -140,6 +155,20 @@ def score_with_surrogate(
         if image_embeddings.shape[0] != dataset.num_samples:
             raise ValidationError("embedding row count does not match dataset size")
     return cosine_softmax_score(image_embeddings, bank, config, sample_ids=dataset.ids)
+
+
+def score_dataset_file(path, bank: ClassEmbeddingBank, config: ScorerConfig) -> ScoreMatrix:
+    """``score_with_surrogate(load_dataset(path), bank, config)``, bit for
+    bit, holding one `row_blocks` block of the file's features at a time
+    (`data.block_rows`). The bank is checked against the file's header
+    before any record is parsed."""
+
+    def start(c, d):
+        _check_classes(bank, c)
+        return _cosines(bank, d)
+
+    dataset, values = block_rows(path, start)
+    return _softmax_scores(values, config, dataset.ids)
 
 
 def save_embedding_bank(path, bank: ClassEmbeddingBank, fmt: str = "text") -> None:

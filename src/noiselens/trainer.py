@@ -156,15 +156,25 @@ def predict(classifier: LinearClassifier, dataset: Dataset) -> PredictionResult:
     """Logits and argmax labels (ties go to the lowest class index); the
     softmax probabilities follow on first access. Margins never enter
     here."""
-    if dataset.feature_dim != classifier.feature_dim:
+    check_classifier(classifier, dataset.num_classes, dataset.feature_dim)
+    return prediction(classifier.logits(dataset.features))
+
+
+def check_classifier(classifier: LinearClassifier, num_classes: int, feature_dim: int) -> None:
+    """Raise unless ``classifier`` reads ``feature_dim`` features and has
+    ``num_classes`` classes, the dimension checked first."""
+    if feature_dim != classifier.feature_dim:
         raise ValidationError(
-            f"feature dim {dataset.feature_dim} does not match classifier dim {classifier.feature_dim}"
+            f"feature dim {feature_dim} does not match classifier dim {classifier.feature_dim}"
         )
-    if dataset.num_classes != classifier.num_classes:
+    if num_classes != classifier.num_classes:
         raise ValidationError(
-            f"dataset has {dataset.num_classes} classes, classifier has {classifier.num_classes}"
+            f"dataset has {num_classes} classes, classifier has {classifier.num_classes}"
         )
-    logits = classifier.logits(dataset.features)
+
+
+def prediction(logits: np.ndarray) -> PredictionResult:
+    """The prediction of the N x C ``logits``."""
     return PredictionResult(logits=logits, labels=np.argmax(logits, axis=1))
 
 

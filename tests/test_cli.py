@@ -9,17 +9,33 @@ import numpy as np
 import pytest
 
 import noiselens
+from noiselens import codec, parallel
 from noiselens.cli import main
 from noiselens.codec import MAX_COUNT
 from noiselens.data import Dataset, load_dataset, load_score_matrix, save_dataset, save_score_matrix
-from noiselens.errors import NoiseLensError
+from noiselens.errors import FormatError, NoiseLensError
 from noiselens.experiment import config_from_text
 from noiselens.noise import blob_means, oracle_scores
 from noiselens.losses import MarginConfig
 from noiselens.priors import load_class_prior, load_transition_matrix
-from noiselens.scorer import ClassEmbeddingBank, ScorerConfig, save_embedding_bank
+from noiselens.report import evaluate, format_records
+from noiselens.scorer import (
+    ClassEmbeddingBank,
+    ScorerConfig,
+    load_embedding_bank,
+    save_embedding_bank,
+    score_with_surrogate,
+)
 from noiselens.selection import apply_mask, load_mask, select_by_confidence
-from noiselens.trainer import TrainConfig, load_classifier, save_classifier, train
+from noiselens.trainer import (
+    LinearClassifier,
+    TrainConfig,
+    load_classifier,
+    save_classifier,
+    train,
+)
+
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
 def run(argv):
@@ -466,6 +482,31 @@ class TestStageChain:
                     "--dataset", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: [report] {message}\n"
 
+    def test_stages_that_read_no_features_parse_none(self, pipeline_files, capsys):
+        """A feature that does not parse is no error to score from a score
+        file or an embedding table, nor to the histogram report: each writes
+        or prints what it does on the intact file."""
+        tmp_path, ds, bank = pipeline_files
+        scores, table = tmp_path / "scores.txt", tmp_path / "emb.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank), "--out", str(scores)]) == 0
+        save_embedding_bank(table, ClassEmbeddingBank(np.random.default_rng(4).standard_normal((90, 4)), "img"))
+        bad = tmp_path / "bad.txt"
+        bad.write_text(ds.read_text().rsplit(",", 1)[0] + ",x\n")
+        with pytest.raises(FormatError, match="^line 91: field 7 is not a number: 'x'$"):
+            load_dataset(bad)
+        capsys.readouterr()
+
+        def outputs(dataset):
+            copy, embedded = tmp_path / "copy.txt", tmp_path / "embedded.txt"
+            assert run(["score", "--dataset", str(dataset), "--scores-file", str(scores),
+                        "--out", str(copy)]) == 0
+            assert run(["score", "--dataset", str(dataset), "--bank", str(bank),
+                        "--embeddings", str(table), "--out", str(embedded)]) == 0
+            assert run(["report", "--scores", str(scores), "--dataset", str(dataset)]) == 0
+            return copy.read_bytes(), embedded.read_bytes(), capsys.readouterr()
+
+        assert outputs(bad) == outputs(ds)
+
     def test_train_reads_the_dataset_header_then_the_mask_then_its_records(
         self, pipeline_files, capsys
     ):
@@ -492,6 +533,93 @@ class TestStageChain:
                         "--out", str(tmp_path / "clf.txt")]) == 1
             assert capsys.readouterr().err.startswith(f"error: [train] {stage_error}")
         assert not (tmp_path / "clf.txt").exists()
+
+
+@pytest.fixture
+def three_blocks(tmp_path):
+    """A dataset of three row blocks (6,144 rows, d=4) as text and as its
+    binary twin, with a bank and a classifier of its classes."""
+    synth = ["synth", "--classes", "3", "--per-class", "2048", "--dim", "4", "--sep", "2.5",
+             "--noise", "sym", "--rate", "0.3", "--seed", "2"]
+    assert run([*synth, "--out", str(tmp_path / "ds.txt")]) == 0
+    assert run([*synth, "--binary", "--out", str(tmp_path / "ds.bin")]) == 0
+    bank = tmp_path / "bank.txt"
+    save_embedding_bank(bank, ClassEmbeddingBank(blob_means(3, 4, 2.5, seed=2), "means"))
+    rng = np.random.default_rng(7)
+    clf = tmp_path / "clf.txt"
+    save_classifier(clf, LinearClassifier(rng.standard_normal((3, 4)), rng.standard_normal(3)))
+    return tmp_path, bank, clf
+
+
+class TestStreamingStages:
+    """`score --bank` and `report --classifier` read one row block of the
+    dataset's features at a time."""
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    @pytest.mark.parametrize("name", ["ds.txt", "ds.bin"])
+    def test_score_and_report_give_what_a_full_load_gives(
+        self, three_blocks, monkeypatch, capsys, name, cpus
+    ):
+        """With 2 CPUs each text block of 2048 rows is parsed by two
+        processes: a chunk is then 585 records."""
+        tmp_path, bank, clf = three_blocks
+        ds = tmp_path / name
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(codec, "CHUNK_FIELDS", 4096)
+        monkeypatch.setattr(codec, "PIECE_BYTES", 1 << 14)
+        full = load_dataset(ds)
+        expected = tmp_path / "expected.txt"
+        save_score_matrix(expected, score_with_surrogate(full, load_embedding_bank(bank), ScorerConfig(0.25)))
+        out = tmp_path / "scores.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank), "--temperature", "0.25",
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        line = format_records([{"samples": 6144, **evaluate(load_classifier(clf), full, 2)}])
+        assert run(["report", "--classifier", str(clf), "--dataset", str(ds), "--top-k", "2",
+                    "--format", "records"]) == 0
+        assert capsys.readouterr().out == line
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)])
+    def test_the_first_faulty_block_is_named(self, three_blocks, monkeypatch, capsys, cpus):
+        """A non-finite value in block 1 and a wrong field count in block 3:
+        a full load names block 3's record, whose block has the field-count
+        error, and a streaming stage names block 1's, writing nothing."""
+        tmp_path, bank, clf = three_blocks
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(codec, "CHUNK_FIELDS", 4096)
+        monkeypatch.setattr(codec, "PIECE_BYTES", 1 << 14)
+        lines = (tmp_path / "ds.txt").read_text().splitlines(keepends=True)
+        lines[1 + 5] = lines[1 + 5].rsplit(",", 1)[0] + ",nan\n"
+        lines[1 + 4500] = lines[1 + 4500].split(",", 1)[1]
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(lines))
+        with pytest.raises(FormatError, match="^line 4502: record has 6 fields, expected 7$"):
+            load_dataset(bad)
+        out = tmp_path / "scores.txt"
+        out.write_bytes(b"the previous scores\n")
+        before = sorted(tmp_path.iterdir())
+        message = "line 7: record has a non-finite value\n"
+        assert run(["score", "--dataset", str(bad), "--bank", str(bank), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [score] {message}"
+        assert out.read_bytes() == b"the previous scores\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert run(["report", "--classifier", str(clf), "--dataset", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: [report] {message}")
+
+    @pytest.mark.parametrize(
+        "k,message",
+        [("11", "--top-k: 11 exceeds the 10 classifier classes"),
+         ("-1", "--top-k: -1 is negative (0 turns it off)")],
+    )
+    def test_report_checks_top_k_before_reading_the_dataset(self, tmp_path, capsys, k, message):
+        clf = tmp_path / "clf.txt"
+        save_classifier(clf, LinearClassifier(np.eye(10, 4), np.zeros(10)))
+        code = run(["report", "--classifier", str(clf), "--dataset", str(tmp_path / "nope.txt"),
+                    "--top-k", k])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: [report] {message}\n")
 
 
 @pytest.mark.parametrize("criterion", ["confidence", "prompt_consistency"])

@@ -14,8 +14,10 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from contextlib import closing
 from itertools import chain, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +27,10 @@ from hypothesis.extra.numpy import arrays
 
 from noiselens import codec, parallel
 from noiselens.data import (
+    ROW_BLOCK,
     Dataset,
     ScoreMatrix,
+    dataset_blocks,
     load_dataset,
     load_score_matrix,
     save_dataset,
@@ -335,6 +339,33 @@ def test_mutated_dataset_loads_selectively_as_a_full_load_does(data):
                 assert got == _outcome(lambda p: restrict(load_dataset(p)), path)
 
 
+def _streamed(path) -> Dataset:
+    """The dataset file at ``path`` read by `dataset_blocks`, its blocks'
+    features joined."""
+    with closing(dataset_blocks(path)) as blocks:
+        _, *features, dataset = blocks
+    return dataclasses.replace(dataset, features=np.concatenate(features))
+
+
+@pytest.mark.parametrize("block", [ROW_BLOCK, 1], ids=["one-block", "a-block-a-record"])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_damaged_dataset_streams_as_a_full_load_does(fmt, block, data):
+    """Where a damaged dataset file loads whole, `dataset_blocks` gives the
+    same dataset; where it does not, streaming raises FormatError or
+    ValidationError, and for a file of one block the same error."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("noiselens.data.ROW_BLOCK", block):
+        path = Path(tmp) / "ds"
+        save_dataset(path, DATASET, fmt=fmt)
+        path.write_bytes(_damage(path.read_bytes(), "dataset", fmt, data))
+        full, streamed = _outcome(load_dataset, path), _outcome(_streamed, path)
+        if full[0] not in ("FormatError", "ValidationError") or block == ROW_BLOCK:
+            assert streamed == full
+        else:
+            assert streamed[0] in ("FormatError", "ValidationError")
+
+
 # How many u64 counts open each kind's binary packing, right after the prefix.
 BINARY_U64_COUNTS = {"dataset": 3, "scores": 2, "bank": 2, "classifier": 2}
 FUZZ = [(kind, fmt) for kind, (formats, _, _) in KINDS.items() for fmt in formats]
@@ -468,6 +499,15 @@ def test_header_value_follows_the_record_grammar(tmp_path, kind, old, new, messa
     with pytest.raises(FormatError) as excinfo:
         load(path)
     assert str(excinfo.value) == f"line 1: {message}"
+
+
+def test_blank_records_are_a_field_count_error_without_a_warning(tmp_path):
+    path = tmp_path / "ds.txt"
+    path.write_text("#noiselens-dataset v1 N=2 C=2 D=1 GT=0\n\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="^line 2: record has 0 fields, expected 3$"):
+            load_dataset(path)
 
 
 def test_whitespace_flipped_id_names_its_line(tmp_path):

@@ -1,8 +1,10 @@
 """Tests for the core dataset/score-matrix model and its file formats."""
 
 import os
+import re
 import tempfile
 from dataclasses import fields, replace
+from contextlib import closing
 from itertools import product
 from pathlib import Path
 
@@ -14,11 +16,14 @@ from hypothesis import strategies as st
 from noiselens import codec, parallel
 from noiselens.codec import fmt_float
 from noiselens.data import (
+    ROW_BLOCK,
     Dataset,
     FormatError,
     ScoreMatrix,
     ValidationError,
+    block_rows,
     check_scores,
+    dataset_blocks,
     load_dataset,
     load_score_matrix,
     save_dataset,
@@ -459,6 +464,79 @@ def test_selective_loads_give_what_a_full_load_gives(tmp_path, monkeypatch, fmt,
             mask = SelectionMask(ds.ids, np.isin(np.arange(30), rows) * 1.0, "confidence", 0.5)
             kept = load_dataset(path, keep=lambda: mask)
             assert _fields(kept) == _fields(apply_mask(full, mask)), (workers, piece, rows)
+
+
+def _streamed(path) -> tuple:
+    """What `dataset_blocks` yields for ``path``: the header, each block's
+    features, the dataset."""
+    with closing(dataset_blocks(path)) as blocks:
+        return tuple(blocks)
+
+
+@pytest.mark.parametrize("cpus", [1, 2] if hasattr(os, "fork") else [1])
+@pytest.mark.parametrize("with_truth", [True, False])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_dataset_blocks_give_a_full_load_a_block_at_a_time(tmp_path, monkeypatch, fmt, with_truth, cpus):
+    """Three row blocks, the last with a merged tail: each block's features
+    are a full load's rows of it, bit for bit, and the last item is the
+    load without features. With 2 CPUs each text block is parsed by two
+    processes."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(codec, "CHUNK_FIELDS", 4096)
+    monkeypatch.setattr(codec, "PIECE_BYTES", 4096)
+    n = 3 * ROW_BLOCK + 700
+    rng = np.random.default_rng(5)
+    ds = Dataset(
+        3,
+        ids=rng.permutation(2 * n)[:n],
+        features=rng.standard_normal((n, 2)),
+        noisy_labels=rng.integers(0, 3, n),
+        true_labels=rng.integers(0, 3, n) if with_truth else None,
+    )
+    path = _saved(tmp_path, ds, fmt)
+    header, *blocks, dataset = _streamed(path)
+    assert header == (n, 3, 2)
+    bounds = [(0, ROW_BLOCK), (ROW_BLOCK, 2 * ROW_BLOCK), (2 * ROW_BLOCK, n)]
+    assert [b.tobytes() for b in blocks] == [ds.features[lo:hi].tobytes() for lo, hi in bounds]
+    assert _fields(dataset) == _fields(load_dataset(path, keep=False))
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_a_later_block_names_its_record_as_a_full_load_does(tmp_path, fmt):
+    """An infinite feature in block 3, record ``r``, is named by its place in
+    the file: line r + 2 (text), record r + 1 (binary)."""
+    n, r = 3 * ROW_BLOCK + 700, 2 * ROW_BLOCK + 5
+    path = _saved(tmp_path, Dataset(3, np.arange(n), np.ones((n, 2)), np.arange(n) % 3), fmt)
+    raw = path.read_bytes()
+    if fmt == "text":
+        lines = raw.split(b"\n")
+        lines[1 + r] = lines[1 + r].rsplit(b",", 1)[0] + b",inf"
+        raw = b"\n".join(lines)
+    else:  # the features are the file's last n x 2 floats
+        at = len(raw) - 8 * 2 * (n - r) + 8
+        raw = raw[:at] + np.array([np.inf]).tobytes() + raw[at + 8 :]
+    path.write_bytes(raw)
+    where = f"line {r + 2}" if fmt == "text" else f"{path}: record {r + 1}"
+    message = f"^{re.escape(where)}: record has a non-finite value$"
+    with pytest.raises(FormatError, match=message):
+        load_dataset(path)
+    with pytest.raises(FormatError, match=message):
+        _streamed(path)
+
+
+def test_block_rows_map_each_block_once_the_header_is_read(tmp_path):
+    ds = small_dataset()
+    path = _saved(tmp_path, ds)
+    calls = []
+
+    def start(c, d):
+        calls.append((c, d))
+        return lambda features, lo: np.full((len(features), c), float(lo)) + features.sum(axis=1, keepdims=True)
+
+    dataset, rows = block_rows(path, start)
+    assert calls == [(3, 2)]
+    np.testing.assert_array_equal(rows, np.repeat(ds.features.sum(axis=1, keepdims=True), 3, axis=1))
+    assert _fields(dataset) == _fields(replace(ds, features=None))
 
 
 class TestScoreFiles:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiselens import codec
-from noiselens.data import ROW_BLOCK, Dataset, load_score_matrix, save_score_matrix
+from noiselens import codec, parallel
+from noiselens.data import ROW_BLOCK, Dataset, load_dataset, load_score_matrix, save_dataset, save_score_matrix
 from noiselens.errors import ValidationError
 from noiselens.scorer import (
     ClassEmbeddingBank,
@@ -17,8 +17,10 @@ from noiselens.scorer import (
     load_embedding_bank,
     load_embedding_table,
     save_embedding_bank,
+    score_dataset_file,
     score_with_surrogate,
 )
+from noiselens.noise import make_blobs
 
 BANK = ClassEmbeddingBank(
     embeddings=np.array(
@@ -151,6 +153,36 @@ class TestCosineSoftmax:
         images[2 * ROW_BLOCK + 4] = 0.0
         with pytest.raises(ValidationError, match=f"image embedding at row {2 * ROW_BLOCK + 4} has a zero"):
             cosine_softmax_score(images, BANK, ScorerConfig())
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_a_file_is_scored_holding_one_block_of_its_features(self, tmp_path, monkeypatch, fmt):
+        """Three blocks of 2048 rows at d=128 and 3 classes, read by one
+        process: at most one block of features and its normalised copy, the
+        N x C rows twice (the result and a block's product), the ids and
+        labels twice (read and kept), for text a few pieces, and 256 KiB; that is
+        less than the whole feature matrix."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(codec, "PIECE_BYTES", 1 << 16)
+        dataset = make_blobs(3, ROW_BLOCK, 128, 2.0, seed=4)
+        n = dataset.num_samples
+        path = tmp_path / f"ds.{fmt}"
+        save_dataset(path, dataset, fmt=fmt)
+        bank = ClassEmbeddingBank(np.random.default_rng(4).standard_normal((3, 128)))
+        pieces = 4 * codec.PIECE_BYTES if fmt == "text" else 0
+        bound = 2 * ROW_BLOCK * 128 * 8 + 2 * n * 3 * 8 + 2 * 3 * n * 8 + pieces + (1 << 18)
+        assert dataset.features.nbytes > bound
+        assert _traced_peak(lambda: score_dataset_file(path, bank, ScorerConfig())) < bound
+        expected = score_with_surrogate(load_dataset(path), bank, ScorerConfig())
+        assert score_dataset_file(path, bank, ScorerConfig()).values.tobytes() == expected.values.tobytes()
+
+    def test_zero_norm_row_in_a_later_block_of_a_file_names_its_row(self, tmp_path):
+        images = np.ones((2 * ROW_BLOCK + 10, 4))
+        images[2 * ROW_BLOCK + 4] = 0.0
+        n = images.shape[0]
+        path = tmp_path / "ds.txt"
+        save_dataset(path, Dataset(3, np.arange(n), images, np.arange(n) % 3))
+        with pytest.raises(ValidationError, match=f"image embedding at row {2 * ROW_BLOCK + 4} has a zero"):
+            score_dataset_file(path, BANK, ScorerConfig())
 
     def test_non_finite_row_in_a_later_block_beats_an_earlier_zero_norm(self):
         images = np.ones((2 * ROW_BLOCK + 10, 4))
