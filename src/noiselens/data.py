@@ -5,7 +5,6 @@ their text/binary serialization.
 with a dataset.
 """
 
-from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -212,48 +211,36 @@ def _labelled(reader, c: int, ids, labels: list, features) -> Dataset:
     return Dataset(c, ids, features, labels[0], labels[1] if len(labels) > 1 else None)
 
 
-def dataset_blocks(path):
-    """Parse the dataset file at ``path`` one `row_blocks` block at a time,
-    text or binary, for a stage that reads each block's features once.
-
-    Yields the header's ``(N, C, D)`` once the file is known to hold N
-    records and before any is parsed, then each block's features, then the
-    dataset without features, once the checks that ``load_dataset(path,
-    keep=False)`` makes after its records (label range, duplicate ids,
-    N >= 1) hold. A block's errors are those ``load_dataset`` gives for that
-    block alone, so the first block with a faulty record is the one named,
-    and no block after it is parsed."""
+def block_rows(path, start) -> tuple:
+    """The dataset file at ``path``, text or binary, without its features,
+    and the N x W rows of a function of them that sees one `row_blocks`
+    block at a time. ``start(c, d)``, called once the header has been read
+    and before the file is known to hold N records, returns that function
+    of a block's features and the index of its first row; W is the width
+    of the first block's rows. A block's errors are those ``load_dataset``
+    gives for that block alone, so the first block with a faulty record is
+    the one named, and no later block is parsed; then come the checks
+    ``load_dataset(path, keep=False)`` makes after its records (label
+    range, duplicate ids, N >= 1)."""
     with codec.read(path, codec.DATASET) as reader:
         n, c, d, gt = reader.counts
         if gt not in (0, 1):
             raise FormatError(f"{path}: GT must be 0 or 1")
+        rows_of = start(c, d)
         blocks = reader.blocks(n, [int] * (2 + gt) + [(float, d)], row_blocks(n))
-        yield n, c, d
-        ids, labels = np.empty(n, np.int64), np.empty((1 + gt, n), np.int64)
+        ids, labels, out = np.empty(n, np.int64), np.empty((1 + gt, n), np.int64), None
         for lo, hi in row_blocks(n):
             *head, features = next(blocks)
             ids[lo:hi], labels[:, lo:hi] = head[0], head[1:]
+            rows = rows_of(features, lo)
+            if out is None:
+                out = np.empty((n, rows.shape[1]))
+            out[lo:hi] = rows
             # A block's columns may share one mapping, so none of them is
             # held while the next block is parsed.
-            del head
-            yield features
-            del features
+            head = features = rows = None
         reader.end()
-    yield _labelled(reader, c, ids, list(labels), None)
-
-
-def block_rows(path, start) -> tuple:
-    """The dataset file at ``path`` without its features, and the N x C
-    rows of a function of them, which see one `row_blocks` block at a time:
-    ``start(c, d)``, called once the header has been read, returns that
-    function of a block's features and the index of its first row."""
-    with closing(dataset_blocks(path)) as blocks:
-        n, c, d = next(blocks)
-        rows_of = start(c, d)
-        out = np.empty((n, c))
-        for lo, hi in row_blocks(n):
-            out[lo:hi] = rows_of(next(blocks), lo)
-        return next(blocks), out
+    return _labelled(reader, c, ids, list(labels), None), out
 
 
 def save_score_matrix(path, scores: ScoreMatrix, fmt: str = "text") -> None:

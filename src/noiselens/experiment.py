@@ -204,6 +204,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     return config_from_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _check_top_k(top_k: int, classes: int) -> None:
+    if top_k > classes:
+        raise ValidationError(f"config report.top_k: {top_k} exceeds the {classes} dataset classes")
+
+
 def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     """Parse and validate a config; every value a run reads is parsed here,
     so a bad one raises before any pipeline work."""
@@ -320,10 +325,8 @@ def config_from_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     top_k = value("report.top_k") or 0  # off when unset or without a test set
     if top_k < 0:
         raise ValidationError(f"config report.top_k: {top_k} is negative (0 turns it off)")
-    if blobs is not None and top_k > blobs.classes:
-        raise ValidationError(
-            f"config report.top_k: {top_k} exceeds the {blobs.classes} dataset classes"
-        )
+    if blobs is not None:
+        _check_top_k(top_k, blobs.classes)
     check_reads(raw, _READERS, chosen, {})
 
     cosine = any(kind == "cosine" for kind, _ in score_sources)
@@ -447,6 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     try:
         if config.dataset_source == "file":
             dataset = result.dataset = load_dataset(config.dataset_path)
+            _check_top_k(config.top_k, dataset.num_classes)
         else:
             dataset = make_blobs(*astuple(config.blobs))
             if config.noise is not None:

@@ -60,7 +60,7 @@ def evaluate_dataset_file(classifier, path, top_k: int = 0) -> tuple:
     of ``classifier`` on it, bit for bit, holding one `row_blocks` block of
     the file's features at a time (`data.block_rows`) and the N x C logits.
     The classifier is checked against the file's header before any record
-    is parsed."""
+    is read, so before the file's record count."""
 
     def start(c, d):
         check_classifier(classifier, c, d)

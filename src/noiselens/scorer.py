@@ -161,7 +161,7 @@ def score_dataset_file(path, bank: ClassEmbeddingBank, config: ScorerConfig) -> 
     """``score_with_surrogate(load_dataset(path), bank, config)``, bit for
     bit, holding one `row_blocks` block of the file's features at a time
     (`data.block_rows`). The bank is checked against the file's header
-    before any record is parsed."""
+    before any record is read, so before the file's record count."""
 
     def start(c, d):
         _check_classes(bank, c)

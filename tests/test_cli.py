@@ -507,9 +507,24 @@ class TestStageChain:
 
         assert outputs(bad) == outputs(ds)
 
+    def test_train_rejects_a_mask_of_an_unknown_criterion(self, pipeline_files, capsys):
+        tmp_path, ds, bank = pipeline_files
+        scores, mask = tmp_path / "scores.txt", tmp_path / "mask.txt"
+        assert run(["score", "--dataset", str(ds), "--bank", str(bank), "--out", str(scores)]) == 0
+        assert run(["select", "--dataset", str(ds), "--scores", str(scores),
+                    "--criterion", "confidence", "--out", str(mask)]) == 0
+        mask.write_text(mask.read_text().replace("CRITERION=confidence", "CRITERION=bogus", 1))
+        capsys.readouterr()
+        assert run(["train", "--dataset", str(ds), "--mask", str(mask), "--tm", str(tmp_path / "tm.txt"),
+                    "--prior", str(tmp_path / "prior.txt"), "--out", str(tmp_path / "clf.txt")]) == 1
+        assert capsys.readouterr().err == "error: [train] unknown criterion 'bogus'\n"
+        assert not (tmp_path / "clf.txt").exists()
+
     def test_train_reads_the_dataset_header_then_the_mask_then_its_records(
         self, pipeline_files, capsys
     ):
+        """A faulty header is named before a faulty mask, and the mask before
+        a faulty record (text) or a file cut inside its ids (binary)."""
         tmp_path, ds, bank = pipeline_files
         scores, mask = tmp_path / "scores.txt", tmp_path / "mask.txt"
         assert run(["score", "--dataset", str(ds), "--bank", str(bank), "--out", str(scores)]) == 0
@@ -524,9 +539,17 @@ class TestStageChain:
         bad_header.write_text(text.replace("#noiselens-dataset", "#noiselens-scores", 1))
         bad_record = tmp_path / "bad-record.txt"
         bad_record.write_text(text.replace("\n0,", "\nx,", 1))
+        save_dataset(tmp_path / "ds.bin", load_dataset(ds), fmt="binary")
+        raw = (tmp_path / "ds.bin").read_bytes()
+        bad_kind, cut = tmp_path / "bad-kind.bin", tmp_path / "cut.bin"
+        bad_kind.write_bytes(raw[:6] + bytes([2]) + raw[7:])  # the container kind
+        cut.write_bytes(raw[: 32 + 16])  # the 32-byte prefix, then two of the 90 ids
+        mask_error = "line 1: THRESHOLD='x0.5' is not a finite number"
         for dataset, stage_error in (
             (bad_header, "line 1: expected '#noiselens-dataset v1' header"),
-            (bad_record, "line 1: THRESHOLD='x0.5' is not a finite number"),
+            (bad_record, mask_error),
+            (bad_kind, f"{bad_kind}: binary container holds kind 2, expected 1"),
+            (cut, mask_error),
         ):
             assert run(["train", "--dataset", str(dataset), "--mask", str(bad_mask),
                         "--tm", str(tmp_path / "tm.txt"), "--prior", str(tmp_path / "prior.txt"),
@@ -606,6 +629,37 @@ class TestStreamingStages:
         assert run(["report", "--classifier", str(clf), "--dataset", str(bad)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: [report] {message}")
+
+    @pytest.mark.parametrize("name", ["ds.txt", "ds.bin"])
+    def test_the_bank_or_classifier_is_checked_before_the_record_count(
+        self, three_blocks, capsys, name
+    ):
+        """A 3-class file whose header declares more records than it holds
+        (text: two records; binary: cut inside the ids column): a 2-class
+        bank or classifier is the error, not the missing records."""
+        tmp_path, _, _ = three_blocks
+        raw = (tmp_path / name).read_bytes()
+        cut = tmp_path / f"short-{name}"
+        if name == "ds.txt":
+            cut.write_bytes(b"".join(raw.splitlines(keepends=True)[:3]))
+            fault = "header declares 6144 records, file has 2"
+        else:  # the 32-byte prefix, then two of the 6144 ids
+            cut.write_bytes(raw[: 32 + 16])
+            fault = "truncated: need 49152 bytes at offset 32, have 16"
+        with pytest.raises(FormatError, match=f"{fault}$"):
+            load_dataset(cut)
+        bank, clf = tmp_path / "bank2.txt", tmp_path / "clf2.txt"
+        save_embedding_bank(bank, ClassEmbeddingBank(blob_means(2, 4, 2.5, seed=2), "means"))
+        save_classifier(clf, LinearClassifier(np.eye(2, 4), np.zeros(2)))
+        assert run(["score", "--dataset", str(cut), "--bank", str(bank),
+                    "--out", str(tmp_path / "scores.txt")]) == 1
+        assert capsys.readouterr().err == "error: [score] bank has 2 classes, dataset has 3\n"
+        assert not (tmp_path / "scores.txt").exists()
+        assert run(["report", "--classifier", str(clf), "--dataset", str(cut)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: [report] dataset has 3 classes, classifier has 2\n"
+        )
 
     @pytest.mark.parametrize(
         "k,message",
@@ -1067,6 +1121,27 @@ output.dir = {out}
         assert evaluation[:2] == ["stage=evaluation", "test_samples=90"]
         assert evaluation[2].startswith("test_accuracy=") and evaluation[3:] == ["top2_accuracy=1.0"]
         assert not (tmp_path / "run" / "test.txt").exists()
+
+    def test_run_checks_top_k_against_the_classes_of_a_dataset_file(self, tmp_path, capsys):
+        """A file dataset's classes are known once it is loaded: a top-k above
+        them fails at stage dataset, before any artifact is written."""
+        ds = tmp_path / "ds.txt"
+        argv = ["--classes", "3", "--per-class", "20", "--dim", "4", "--sep", "3.0"]
+        assert run(["synth", *argv, "--noise", "sym", "--rate", "0.2", "--seed", "3", "--out", str(ds)]) == 0
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"dataset.source = file\ndataset.path = {ds}\nscorer.source = oracle\n"
+            f"selection.rho = 0.5\ntrain.epochs = 2\ntest.source = file\ntest.path = {ds}\n"
+            f"report.top_k = 5\noutput.dir = {out}\n",
+            encoding="utf-8",
+        )
+        assert run(["run", "--config", str(cfg)]) == 1
+        message = "config report.top_k: 5 exceeds the 3 dataset classes"
+        assert capsys.readouterr().err == f"error: [dataset] {message}\n"
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert manifest.endswith(f"status=failed\nstage=dataset\nerror={message}\n")
+        assert not (out / "scores.txt").exists()
 
     def test_failed_stage_reported_in_envelope(self, tmp_path, capsys):
         out = tmp_path / "failing"

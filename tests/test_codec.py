@@ -14,7 +14,6 @@ import tempfile
 import time
 import tracemalloc
 import warnings
-from contextlib import closing
 from itertools import chain, product
 from pathlib import Path
 from unittest import mock
@@ -30,7 +29,7 @@ from noiselens.data import (
     ROW_BLOCK,
     Dataset,
     ScoreMatrix,
-    dataset_blocks,
+    block_rows,
     load_dataset,
     load_score_matrix,
     save_dataset,
@@ -340,11 +339,10 @@ def test_mutated_dataset_loads_selectively_as_a_full_load_does(data):
 
 
 def _streamed(path) -> Dataset:
-    """The dataset file at ``path`` read by `dataset_blocks`, its blocks'
-    features joined."""
-    with closing(dataset_blocks(path)) as blocks:
-        _, *features, dataset = blocks
-    return dataclasses.replace(dataset, features=np.concatenate(features))
+    """The dataset file at ``path`` read by `block_rows`, with rows that are
+    each block's features."""
+    dataset, features = block_rows(path, lambda c, d: lambda f, lo: f)
+    return dataclasses.replace(dataset, features=features)
 
 
 @pytest.mark.parametrize("block", [ROW_BLOCK, 1], ids=["one-block", "a-block-a-record"])
@@ -352,7 +350,7 @@ def _streamed(path) -> Dataset:
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_damaged_dataset_streams_as_a_full_load_does(fmt, block, data):
-    """Where a damaged dataset file loads whole, `dataset_blocks` gives the
+    """Where a damaged dataset file loads whole, `block_rows` gives the
     same dataset; where it does not, streaming raises FormatError or
     ValidationError, and for a file of one block the same error."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch("noiselens.data.ROW_BLOCK", block):
@@ -1069,8 +1067,12 @@ def test_errors_keep_their_message_at_and_across_cuts(tmp_path, monkeypatch, cas
 
 @pytest.mark.parametrize(
     "change",
-    [lambda raw: raw[: len(raw) // 2], lambda raw: raw.replace(b"5\n", b"5\n\n")],
-    ids=["truncated", "newlines_doubled"],
+    [
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: raw.replace(b"5\n", b"5\n\n"),
+        lambda raw: raw[:-2] + b"\xff\n",  # same size, no longer UTF-8
+    ],
+    ids=["truncated", "newlines_doubled", "byte_not_utf8"],
 )
 def test_a_file_changed_after_its_first_pass_is_a_format_error(tmp_path, monkeypatch, change):
     """Every line is read again where the first pass found it, also in a
@@ -1089,6 +1091,21 @@ def test_a_file_changed_after_its_first_pass_is_a_format_error(tmp_path, monkeyp
             with pytest.raises(FormatError) as excinfo:
                 reader.rows(reader.counts[0], [int, int, (float, 2)])
         assert str(excinfo.value) == f"{path}: changed while being read", workers
+
+
+def test_a_binary_file_cut_after_it_was_opened_is_a_format_error(tmp_path):
+    """The reader bounds every read by the size the file had when it was
+    opened, so a file cut since then fails when a read comes up short. Its
+    80 KB outgrow the file object's read-ahead buffer."""
+    n = 2000
+    path = tmp_path / "ds.bin"
+    save_dataset(path, Dataset(2, np.arange(n), np.zeros((n, 2)), np.arange(n) % 2), fmt="binary")
+    raw = path.read_bytes()
+    with codec.read(path, codec.DATASET) as reader:
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(FormatError) as excinfo:
+            reader.rows(n, [int, int, (float, 2)])
+    assert str(excinfo.value) == f"{path}: changed while being read"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import os
 import re
 import tempfile
 from dataclasses import fields, replace
-from contextlib import closing
 from itertools import product
 from pathlib import Path
 
@@ -23,9 +22,9 @@ from noiselens.data import (
     ValidationError,
     block_rows,
     check_scores,
-    dataset_blocks,
     load_dataset,
     load_score_matrix,
+    row_blocks,
     save_dataset,
     save_score_matrix,
 )
@@ -467,10 +466,12 @@ def test_selective_loads_give_what_a_full_load_gives(tmp_path, monkeypatch, fmt,
 
 
 def _streamed(path) -> tuple:
-    """What `dataset_blocks` yields for ``path``: the header, each block's
-    features, the dataset."""
-    with closing(dataset_blocks(path)) as blocks:
-        return tuple(blocks)
+    """What `block_rows` reads of ``path`` with rows that are a block's
+    features: the header, each block's features, the dataset."""
+    dataset, features = block_rows(path, lambda c, d: lambda f, lo: f)
+    n = dataset.num_samples
+    blocks = [features[lo:hi] for lo, hi in row_blocks(n)]
+    return ((n, dataset.num_classes, features.shape[1]), *blocks, dataset)
 
 
 @pytest.mark.parametrize("cpus", [1, 2] if hasattr(os, "fork") else [1])

@@ -15,6 +15,7 @@ from noiselens.selection import (
     SelectionMask,
     _js_rows,
     apply_mask,
+    check_threshold,
     js_divergence,
     load_mask,
     save_mask,
@@ -356,6 +357,14 @@ class TestMaskAndSubset:
             + "".join(f"{i},{s!r},{f}\n" for i, (s, f) in enumerate(zip(scores, flags)))
         )
         with pytest.raises(ValidationError):
+            load_mask(path)
+
+    def test_unknown_criterion_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="^unknown criterion 'bogus'$"):
+            check_threshold("bogus", 0.5)
+        path = tmp_path / "mask.txt"
+        path.write_text("#noiselens-mask v1 N=1 CRITERION=bogus THRESHOLD=0.5\n0,0.9,1\n")
+        with pytest.raises(ValidationError, match="^unknown criterion 'bogus'$"):
             load_mask(path)
 
     def test_empty_mask_rejected(self):
